@@ -633,6 +633,7 @@ let log_cmd =
             stops = log.L.stops;
             tier = tier_of ~order:true ~sched ~engine ~steps;
             ckpts = Array.of_list (List.rev !ckpts);
+            base = log.L.base;
           }
         in
         if not no_verify then begin

@@ -3,8 +3,73 @@ module E = Runtime.Event
 module V = Runtime.Value
 module SP = Analysis.Static_pdg
 
+(* A statement's static control parent, as assembly consumes it: the
+   function entry, or the predicate statement whose latest executed
+   instance governs it. *)
+type ctrl = C_entry | C_pred of int
+
+type program = {
+  prog : P.t;
+  ctrl : ctrl list array;  (* by sid *)
+  stmt_label : string array;  (* by sid *)
+  loop_label : string array;  (* by sid; "" for non-loops *)
+  entry_label : string array;  (* by fid *)
+  exit_label : string array;  (* by fid *)
+  param_label : string array;  (* by vid; "" for non-parameters *)
+  arg_label : string array;  (* by 1-based argument position *)
+  external_label : string array;  (* by vid *)
+}
+
+let program (prog : P.t) =
+  let pdgs = SP.build_program prog in
+  let ctrl =
+    Array.init (Array.length prog.P.stmts) (fun sid ->
+        let fid = prog.P.stmt_fid.(sid) in
+        let cfg = pdgs.SP.cfgs.(fid) in
+        let cnode = cfg.Analysis.Cfg.node_of_sid.(sid) in
+        if cnode < 0 then []
+        else
+          List.filter_map
+            (fun (src, _label) ->
+              match Analysis.Cfg.kind cfg src with
+              | Analysis.Cfg.Entry -> Some C_entry
+              | Analysis.Cfg.Stmt ps -> Some (C_pred ps.P.sid)
+              | Analysis.Cfg.Exit -> None)
+            (SP.control_parents pdgs.SP.pdgs.(fid) cnode))
+  in
+  let stmt_label = Array.map P.stmt_label prog.P.stmts in
+  let loop_label =
+    Array.mapi
+      (fun sid (s : P.stmt) ->
+        match s.desc with
+        | P.Swhile _ -> "while " ^ stmt_label.(sid)
+        | _ -> "")
+      prog.P.stmts
+  in
+  let param_label = Array.make prog.P.nvars "" in
+  let arity = ref 0 in
+  Array.iter
+    (fun (f : P.func) ->
+      arity := max !arity (List.length f.params);
+      List.iteri
+        (fun i (v : P.var) ->
+          param_label.(v.vid) <- Printf.sprintf "%%%d (%s)" (i + 1) v.vname)
+        f.params)
+    prog.P.funcs;
+  {
+    prog;
+    ctrl;
+    stmt_label;
+    loop_label;
+    entry_label = Array.map (fun (f : P.func) -> "ENTRY " ^ f.fname) prog.P.funcs;
+    exit_label = Array.map (fun (f : P.func) -> "EXIT " ^ f.fname) prog.P.funcs;
+    param_label;
+    arg_label = Array.init (!arity + 1) (Printf.sprintf "%%%d");
+    external_label =
+      Array.map (fun (v : P.var) -> v.vname ^ " (external)") prog.P.vars;
+  }
+
 type scope = {
-  sc_fid : int;
   sc_owner : int option;  (* sub-graph node owning the members *)
   sc_entry : int;
   sc_local_def : (int, int) Hashtbl.t;  (* vid -> node *)
@@ -15,34 +80,28 @@ type scope = {
 }
 
 type t = {
-  pdgs : SP.program_pdgs;
+  bp : program;
   g : Dyn_graph.t;
   pid : int;
   mutable scopes : scope list;
   glob_def : (int, int) Hashtbl.t;  (* global vid -> node *)
   mutable last : int option;
-  mutable pending : (E.eref * int) list;
+  mutable pending_rev : (E.eref * int) list;
   mutable popped_return : int option;
       (* return node of the callee just left, for the %0 edge *)
 }
 
-let create pdgs g ~pid =
+let create bp g ~pid =
   {
-    pdgs;
+    bp;
     g;
     pid;
     scopes = [];
     glob_def = Hashtbl.create 32;
     last = None;
-    pending = [];
+    pending_rev = [];
     popped_return = None;
   }
-
-let last_node t = t.last
-
-let pending_links t = t.pending
-
-let prog t = t.pdgs.SP.prog
 
 let cur_scope t =
   match t.scopes with
@@ -67,7 +126,7 @@ let resolve_read t (rw : E.rw) =
     let node =
       Dyn_graph.add_node t.g ?owner:sc.sc_owner ~value:rw.value ~pid:t.pid
         ~kind:(Dyn_graph.N_external v)
-        ~label:(v.vname ^ " (external)")
+        ~label:t.bp.external_label.(v.vid)
         ()
     in
     Dyn_graph.mark_external t.g node v;
@@ -75,16 +134,18 @@ let resolve_read t (rw : E.rw) =
     node
 
 let data_edges t node reads =
-  (* one edge per distinct variable *)
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun (rw : E.rw) ->
-      if not (Hashtbl.mem seen rw.var.P.vid) then begin
-        Hashtbl.add seen rw.var.P.vid ();
-        let src = resolve_read t rw in
-        Dyn_graph.add_edge t.g ~src ~dst:node ~kind:(Dyn_graph.Data rw.var)
-      end)
-    reads
+  (* one edge per distinct variable (read lists are short) *)
+  ignore
+    (List.fold_left
+       (fun seen (rw : E.rw) ->
+         let vid = rw.var.P.vid in
+         if List.mem vid seen then seen
+         else begin
+           let src = resolve_read t rw in
+           Dyn_graph.add_edge t.g ~src ~dst:node ~kind:(Dyn_graph.Data rw.var);
+           vid :: seen
+         end)
+       [] reads)
 
 let record_write t node (w : E.rw option) =
   match w with
@@ -98,47 +159,29 @@ let record_write t node (w : E.rw option) =
    statement's static control parent. *)
 let control_edge t node sid =
   let sc = cur_scope t in
-  let pdg = t.pdgs.SP.pdgs.(sc.sc_fid) in
-  let cfg = t.pdgs.SP.cfgs.(sc.sc_fid) in
-  let cnode = cfg.Analysis.Cfg.node_of_sid.(sid) in
-  if cnode >= 0 then
-    let parents = SP.control_parents pdg cnode in
-    List.iter
-      (fun (src, _label) ->
-        match Analysis.Cfg.kind cfg src with
-        | Analysis.Cfg.Entry ->
-          Dyn_graph.add_edge t.g ~src:sc.sc_entry ~dst:node
-            ~kind:Dyn_graph.Control
-        | Analysis.Cfg.Stmt ps -> (
-          match Hashtbl.find_opt sc.sc_last_pred ps.P.sid with
-          | Some inst ->
-            Dyn_graph.add_edge t.g ~src:inst ~dst:node ~kind:Dyn_graph.Control
+  List.iter
+    (fun parent ->
+      let src =
+        match parent with
+        | C_entry -> sc.sc_entry
+        | C_pred ps -> (
+          match Hashtbl.find_opt sc.sc_last_pred ps with
+          | Some inst -> inst
           | None ->
             (* should not happen inside a complete interval; fall back *)
-            Dyn_graph.add_edge t.g ~src:sc.sc_entry ~dst:node
-              ~kind:Dyn_graph.Control)
-        | Analysis.Cfg.Exit -> ())
-      parents
+            sc.sc_entry)
+      in
+      Dyn_graph.add_edge t.g ~src ~dst:node ~kind:Dyn_graph.Control)
+    t.bp.ctrl.(sid)
 
 let sync_link t ~src ~dst =
   match Dyn_graph.find_ref t.g src with
   | Some n -> Dyn_graph.add_edge t.g ~src:n ~dst ~kind:Dyn_graph.Sync
-  | None -> t.pending <- (src, dst) :: t.pending
+  | None -> t.pending_rev <- (src, dst) :: t.pending_rev
 
-let resolve_links t =
-  let unresolved = ref [] in
-  List.iter
-    (fun (src, dst) ->
-      match Dyn_graph.find_ref t.g src with
-      | Some n -> Dyn_graph.add_edge t.g ~src:n ~dst ~kind:Dyn_graph.Sync
-      | None -> unresolved := (src, dst) :: !unresolved)
-    t.pending;
-  t.pending <- !unresolved
-
-let open_scope t ~fid ~owner ~entry ~binds ~from_sub =
+let open_scope t ~owner ~entry ~binds ~from_sub =
   let sc =
     {
-      sc_fid = fid;
       sc_owner = owner;
       sc_entry = entry;
       sc_local_def = Hashtbl.create 16;
@@ -149,12 +192,14 @@ let open_scope t ~fid ~owner ~entry ~binds ~from_sub =
     }
   in
   t.scopes <- sc :: t.scopes;
+  (* [binds] are the function's formals in order, so the i-th bind's
+     label is its parameter label *)
   List.iteri
     (fun i ((v : P.var), value) ->
       let pnode =
         Dyn_graph.add_node t.g ?owner ~value ~pid:t.pid
           ~kind:(Dyn_graph.N_param (i + 1))
-          ~label:(Printf.sprintf "%%%d (%s)" (i + 1) v.vname)
+          ~label:t.bp.param_label.(v.vid)
           ()
       in
       (match from_sub with
@@ -167,19 +212,16 @@ let open_scope t ~fid ~owner ~entry ~binds ~from_sub =
       Hashtbl.replace sc.sc_local_def v.vid pnode)
     binds
 
-let stmt_of_sid t sid = (prog t).stmts.(sid)
-
 let feed t ~seq (ev : E.t) =
   let ref_ = { E.epid = t.pid; eseq = seq } in
   match ev with
   | E.E_proc_start { fid; binds; spawn } ->
     let entry =
       Dyn_graph.add_node t.g ~ref_ ~pid:t.pid ~kind:(Dyn_graph.N_entry fid)
-        ~label:(Printf.sprintf "ENTRY %s" (prog t).funcs.(fid).fname)
-        ()
+        ~label:t.bp.entry_label.(fid) ()
     in
     (match spawn with Some r -> sync_link t ~src:r ~dst:entry | None -> ());
-    open_scope t ~fid ~owner:None ~entry ~binds ~from_sub:None;
+    open_scope t ~owner:None ~entry ~binds ~from_sub:None;
     flow_to t entry
   | E.E_enter { fid; call_sid; binds } ->
     let sub =
@@ -189,14 +231,12 @@ let feed t ~seq (ev : E.t) =
     in
     let entry =
       Dyn_graph.add_node t.g ~ref_ ?owner:sub ~pid:t.pid
-        ~kind:(Dyn_graph.N_entry fid)
-        ~label:(Printf.sprintf "ENTRY %s" (prog t).funcs.(fid).fname)
-        ()
+        ~kind:(Dyn_graph.N_entry fid) ~label:t.bp.entry_label.(fid) ()
     in
     (match sub with
     | Some s -> Dyn_graph.add_edge t.g ~src:s ~dst:entry ~kind:Dyn_graph.Control
     | None -> ());
-    open_scope t ~fid ~owner:sub ~entry ~binds ~from_sub:sub;
+    open_scope t ~owner:sub ~entry ~binds ~from_sub:sub;
     flow_to t entry
   | E.E_leave _ -> (
     match t.scopes with
@@ -208,20 +248,15 @@ let feed t ~seq (ev : E.t) =
     let sc_owner = match t.scopes with sc :: _ -> sc.sc_owner | [] -> None in
     let exit_node =
       Dyn_graph.add_node t.g ~ref_ ?owner:sc_owner ~pid:t.pid
-        ~kind:(Dyn_graph.N_exit fid)
-        ~label:(Printf.sprintf "EXIT %s" (prog t).funcs.(fid).fname)
-        ()
+        ~kind:(Dyn_graph.N_exit fid) ~label:t.bp.exit_label.(fid) ()
     in
     flow_to t exit_node;
     (match t.scopes with _ :: rest -> t.scopes <- rest | [] -> ())
   | E.E_loop_enter { sid } ->
     let sc = cur_scope t in
-    let stmt = stmt_of_sid t sid in
     let node =
       Dyn_graph.add_node t.g ~ref_ ?owner:sc.sc_owner ~pid:t.pid
-        ~kind:(Dyn_graph.N_loop sid)
-        ~label:(Printf.sprintf "while %s" (P.stmt_label stmt))
-        ()
+        ~kind:(Dyn_graph.N_loop sid) ~label:t.bp.loop_label.(sid) ()
     in
     control_edge t node sid;
     flow_to t node;
@@ -243,8 +278,7 @@ let feed t ~seq (ev : E.t) =
             Hashtbl.replace table v.vid lnode)
           ws))
   | E.E_stmt { sid; reads; write; kind } -> (
-    let stmt = stmt_of_sid t sid in
-    let label = P.stmt_label stmt in
+    let label = t.bp.stmt_label.(sid) in
     let singular ?value () =
       let sc = cur_scope t in
       let node =
@@ -279,7 +313,7 @@ let feed t ~seq (ev : E.t) =
       in
       (* actual-parameter mapping (§4.2) *)
       let cargs =
-        match stmt.desc with
+        match t.bp.prog.P.stmts.(sid).desc with
         | P.Scall (_, c) | P.Sspawn (_, c) -> c.cargs
         | _ -> []
       in
@@ -297,29 +331,30 @@ let feed t ~seq (ev : E.t) =
               Dyn_graph.add_node t.g ?owner:sc.sc_owner
                 ~value:(List.nth args i) ~pid:t.pid
                 ~kind:(Dyn_graph.N_param idx)
-                ~label:(Printf.sprintf "%%%d" idx)
+                ~label:t.bp.arg_label.(idx)
                 ()
             in
-            let seen = Hashtbl.create 4 in
-            List.iter
-              (fun (v : P.var) ->
-                if not (Hashtbl.mem seen v.vid) then begin
-                  Hashtbl.add seen v.vid ();
-                  (* values of the reads are in the event's read list *)
-                  let value =
-                    match
-                      List.find_opt
-                        (fun (rw : E.rw) -> rw.var.P.vid = v.vid)
-                        reads
-                    with
-                    | Some rw -> rw.value
-                    | None -> V.Vundef
-                  in
-                  let src = resolve_read t { E.var = v; value } in
-                  Dyn_graph.add_edge t.g ~src ~dst:fict
-                    ~kind:(Dyn_graph.Data v)
-                end)
-              (P.expr_reads arg);
+            ignore
+              (List.fold_left
+                 (fun seen (v : P.var) ->
+                   if List.mem v.vid seen then seen
+                   else begin
+                     (* values of the reads are in the event's read list *)
+                     let value =
+                       match
+                         List.find_opt
+                           (fun (rw : E.rw) -> rw.var.P.vid = v.vid)
+                           reads
+                       with
+                       | Some rw -> rw.value
+                       | None -> V.Vundef
+                     in
+                     let src = resolve_read t { E.var = v; value } in
+                     Dyn_graph.add_edge t.g ~src ~dst:fict
+                       ~kind:(Dyn_graph.Data v);
+                     v.vid :: seen
+                   end)
+                 [] (P.expr_reads arg));
             Dyn_graph.add_edge t.g ~src:fict ~dst:sub
               ~kind:(Dyn_graph.Dparam idx))
         cargs;
@@ -366,14 +401,12 @@ let feed t ~seq (ev : E.t) =
    interval replays without an opening enter event, so its nodes hang
    off the loop node of the parent fragment when it exists, or a fresh
    collapsed loop node otherwise. *)
-let prepare pdgs g ~interval =
+let prepare bp g ~interval =
   let pid = interval.Trace.Log.iv_pid in
-  let t = create pdgs g ~pid in
+  let t = create bp g ~pid in
   (match interval.Trace.Log.iv_block with
   | Trace.Log.Bfunc _ -> ()
   | Trace.Log.Bloop sid ->
-    let prog = pdgs.SP.prog in
-    let fid = prog.P.stmt_fid.(sid) in
     let enter_ref =
       { E.epid = pid; eseq = interval.Trace.Log.iv_seq_start - 1 }
     in
@@ -382,25 +415,15 @@ let prepare pdgs g ~interval =
       | Some n -> n
       | None ->
         Dyn_graph.add_node g ~ref_:enter_ref ~pid
-          ~kind:(Dyn_graph.N_loop sid)
-          ~label:
-            (Printf.sprintf "while %s" (P.stmt_label prog.P.stmts.(sid)))
-          ()
+          ~kind:(Dyn_graph.N_loop sid) ~label:bp.loop_label.(sid) ()
     in
-    open_scope t ~fid ~owner:(Some entry) ~entry ~binds:[] ~from_sub:None;
+    open_scope t ~owner:(Some entry) ~entry ~binds:[] ~from_sub:None;
     t.last <- Some entry);
   t
 
-let build_from_outcome pdgs g ~interval (outcome : Emulator.outcome) =
-  let t = prepare pdgs g ~interval in
+let build_from_outcome bp g ~interval (outcome : Emulator.outcome) =
+  let t = prepare bp g ~interval in
   List.iter (fun (seq, ev) -> feed t ~seq ev) outcome.Emulator.events;
-  resolve_links t;
-  t
-
-let build_interval pdgs eb log g ~interval =
-  (* replay first, assemble after: the emulation does not read the
-     graph, so feeding the finished event list yields the same graph as
-     feeding during replay — and lets the replay run on another domain
-     (Controller.build_intervals_par) while assembly stays serial *)
-  let outcome = Emulator.replay eb log ~interval in
-  (build_from_outcome pdgs g ~interval outcome, outcome)
+  (* a link's source precedes its target, so a source missing when the
+     target was fed is not in this fragment either *)
+  List.rev t.pending_rev

@@ -48,10 +48,15 @@ type hole = {
   h_reason : string;
 }
 
+(* A sync link whose source event has no node yet. [l_pos] fixes its
+   place in the order {!prefetch} visits pending links: every assembly
+   and every [why] reverse that order, and the links an assembly adds
+   are visited last, latest event first. *)
+type link = { l_src : E.eref; l_dst : int; l_pos : int }
+
 type t = {
   eb : Analysis.Eblock.t;
-  pdgs : Analysis.Static_pdg.program_pdgs;
-  db : Analysis.Progdb.t;
+  bp : Builder.program;
   src : source;
   pd : Pardyn.t Lazy.t;  (* race queries force a full decode *)
   g : Dyn_graph.t;
@@ -77,7 +82,15 @@ type t = {
   inflight : (int * int, Emulator.outcome Exec.Pool.future) Hashtbl.t;
       (* submitted to the pool, result not yet collected; main-domain
          state, so no lock *)
-  mutable pending : (E.eref * int) list;
+  by_src : (E.eref, link list) Hashtbl.t;
+      (* pending sync links by source event: each node an assembly adds
+         is looked up here, so a link resolves once its source exists *)
+  by_dst : (int, link) Hashtbl.t;
+      (* the same links by target node; a node has at most one sync
+         source *)
+  mutable link_lo : int;
+  mutable link_hi : int;
+  mutable links_desc : bool;
   mutable replays : int;
   mutable replay_steps : int;
   mutable spec_steps : int;
@@ -163,8 +176,10 @@ let make ?pool ?shared ?(config = default_config) eb src =
   in
   {
     eb;
-    pdgs = Analysis.Static_pdg.build_program prog;
-    db = Analysis.Progdb.build ~summary:eb.Analysis.Eblock.summary prog;
+    bp =
+      (match shared with
+      | Some f -> Fragcache.program f prog
+      | None -> Builder.program prog);
     src;
     pd;
     g = Dyn_graph.create ();
@@ -176,7 +191,11 @@ let make ?pool ?shared ?(config = default_config) eb src =
     frag_lock = Mutex.create ();
     frags = Hashtbl.create 16;
     inflight = Hashtbl.create 16;
-    pending = [];
+    by_src = Hashtbl.create 16;
+    by_dst = Hashtbl.create 16;
+    link_lo = 0;
+    link_hi = 0;
+    links_desc = false;
     replays = 0;
     replay_steps = 0;
     spec_steps = 0;
@@ -224,15 +243,49 @@ let pardyn t = Lazy.force t.pd
 
 let intervals t ~pid = t.ivs.(pid)
 
-let retry_pending t =
-  let unresolved = ref [] in
+(* Links in the order [prefetch] visits them. *)
+let in_visit_order t links =
+  let asc a b = Int.compare a.l_pos b.l_pos in
+  List.sort (if t.links_desc then fun a b -> asc b a else asc) links
+
+(* After an assembly added nodes [first ..]: connect the pending links
+   whose source is among them, then file the fragment's own unresolved
+   [links] (in event order). *)
+let link_fragment t ~first links =
+  if Hashtbl.length t.by_src > 0 then
+    for id = first to Dyn_graph.nnodes t.g - 1 do
+      match (Dyn_graph.node t.g id).Dyn_graph.nd_ref with
+      | None -> ()
+      | Some r -> (
+        match Hashtbl.find_opt t.by_src r with
+        | None -> ()
+        | Some ls ->
+          Hashtbl.remove t.by_src r;
+          let src = Option.get (Dyn_graph.find_ref t.g r) in
+          List.iter
+            (fun l ->
+              Hashtbl.remove t.by_dst l.l_dst;
+              Dyn_graph.add_edge t.g ~src ~dst:l.l_dst ~kind:Dyn_graph.Sync)
+            (in_visit_order t ls))
+    done;
+  t.links_desc <- not t.links_desc;
   List.iter
     (fun (src, dst) ->
-      match Dyn_graph.find_ref t.g src with
-      | Some n -> Dyn_graph.add_edge t.g ~src:n ~dst ~kind:Dyn_graph.Sync
-      | None -> unresolved := (src, dst) :: !unresolved)
-    t.pending;
-  t.pending <- !unresolved
+      let pos =
+        if t.links_desc then begin
+          t.link_lo <- t.link_lo - 1;
+          t.link_lo
+        end
+        else begin
+          t.link_hi <- t.link_hi + 1;
+          t.link_hi
+        end
+      in
+      let l = { l_src = src; l_dst = dst; l_pos = pos } in
+      Hashtbl.replace t.by_dst dst l;
+      Hashtbl.replace t.by_src src
+        (l :: Option.value ~default:[] (Hashtbl.find_opt t.by_src src)))
+    (List.rev links)
 
 (* Replay an interval on the calling domain. Safe on a pool worker:
    the emulator touches only its own state, and a paged source's page
@@ -453,13 +506,13 @@ let build_interval (t : t) ~pid ~iv_id =
          would, and parallel and serial runs yield identical graphs. The
          counters are bumped the same way on every path, so [-jN]
          statistics match [-j1] byte for byte. *)
-      let builder = Builder.build_from_outcome t.pdgs t.g ~interval:iv outcome in
+      let first = Dyn_graph.nnodes t.g in
+      let links = Builder.build_from_outcome t.bp t.g ~interval:iv outcome in
       t.replays <- t.replays + 1;
       t.replay_steps <- t.replay_steps + outcome.Emulator.steps;
       Obs.incr c_replays;
       Obs.add c_replay_steps outcome.Emulator.steps;
-      t.pending <- Builder.pending_links builder @ t.pending;
-      retry_pending t;
+      link_fragment t ~first links;
       Hashtbl.replace t.outcomes key outcome;
       (* publish clean outcomes for sibling sessions on the same log
          ([Fragcache.publish] drops faulted/overrun ones itself) *)
@@ -808,11 +861,11 @@ let prefetch ?(max_candidates = 8) t =
       end
     in
     List.iter
-      (fun ((src : E.eref), _) ->
-        match enclosing_interval t src with
+      (fun l ->
+        match enclosing_interval t l.l_src with
         | Some iv -> spec iv
         | None -> ())
-      t.pending;
+      (in_visit_order t (Hashtbl.fold (fun _ l acc -> l :: acc) t.by_dst []));
     List.iter
       (fun (node_id, (var : P.var)) ->
         match interval_of_node t node_id with
@@ -858,11 +911,11 @@ let prefetch ?(max_candidates = 8) t =
     !n
 
 let why t node_id =
-  (* build partner fragments for pending sync links into this node *)
-  List.iter
-    (fun (src, dst) -> if dst = node_id then ignore (node_of_event t src))
-    t.pending;
-  retry_pending t;
+  (* build the partner fragment of a pending sync link into this node *)
+  (match Hashtbl.find_opt t.by_dst node_id with
+  | Some l -> ignore (node_of_event t l.l_src)
+  | None -> ());
+  t.links_desc <- not t.links_desc;
   (* resolve external predecessors *)
   List.iter
     (fun (p, _) ->

@@ -79,7 +79,8 @@ val start :
     raw replay outcomes are exchanged with every other controller bound
     to the same {!Fragcache} (the `ppd serve` registry keeps one per
     opened log): clean outcomes are published after assembly and the
-    cache is consulted before any serial replay. Statistics
+    cache is consulted before any serial replay; the program's
+    assembly tables come from it too ({!Fragcache.program}). Statistics
     ([replays]/[replay_steps]) count assembly, not raw replay work, so
     they are unchanged by sharing.
 

@@ -22,7 +22,10 @@ type state = {
   prog : P.t;
   pid : int;
   entries : L.entry array;
-  mutable cursor : int;
+      (* the process's log from whole-log index [base] on: a paged
+         window holds only the pages the interval touches *)
+  base : int;
+  mutable cursor : int;  (* into [entries] *)
   mutable seq : int;
   mutable frames : I.frame list;
   overlay : V.t option array;  (* by global slot *)
@@ -576,7 +579,7 @@ let check_postlog st ~single_process =
   match st.iv.L.iv_postlog with
   | None -> []
   | Some idx -> (
-    match st.entries.(idx) with
+    match st.entries.(idx - st.base) with
     | L.Postlog { vals; _ } ->
       List.filter_map
         (fun (vid, logged) ->
@@ -630,8 +633,10 @@ let replay ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000)
   let prog = eb.Analysis.Eblock.prog in
   let pid = interval.L.iv_pid in
   let entries = log.L.entries.(pid) in
+  let base = log.L.base.(pid) in
+  let entry idx = entries.(idx - base) in
   let prelog_vals, caller_sid, block =
-    match entries.(interval.L.iv_prelog) with
+    match entry interval.L.iv_prelog with
     | L.Prelog { vals; caller_sid; block; _ } -> (vals, caller_sid, block)
     | _ -> invalid_arg "Emulator.replay: interval prelog index is not a prelog"
   in
@@ -643,7 +648,7 @@ let replay ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000)
   (* a process-root interval is preceded by its proc-start sync record *)
   let root_is_proc, spawn_ref =
     if interval.L.iv_prelog > 0 then
-      match entries.(interval.L.iv_prelog - 1) with
+      match entry (interval.L.iv_prelog - 1) with
       | L.Sync { data = L.S_proc_start { spawn; _ }; _ } -> (true, spawn)
       | _ -> (false, None)
     else (false, None)
@@ -660,7 +665,8 @@ let replay ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000)
       prog;
       pid;
       entries;
-      cursor = interval.L.iv_prelog + 1;
+      base;
+      cursor = interval.L.iv_prelog + 1 - base;
       seq = interval.L.iv_seq_start;
       frames = [ frame ];
       overlay = Array.make (Array.length prog.globals) None;
@@ -686,7 +692,7 @@ let replay ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000)
     let snap =
       Restore.shared_at prog log
         ~step:
-          (match entries.(interval.L.iv_prelog) with
+          (match entry interval.L.iv_prelog with
           | L.Prelog { step_at; _ } -> step_at
           | _ -> 0)
     in

@@ -44,10 +44,13 @@ type t = {
   misses : int Atomic.t;
   inserts : int Atomic.t;
   evictions : int Atomic.t;
+  bp : (Lang.Prog.t * Builder.program) option Atomic.t;
+      (* assembly tables of the program every controller here debugs *)
 }
 
 let create ?budget () =
   {
+    bp = Atomic.make None;
     lock = Mutex.create ();
     tbl = Hashtbl.create 64;
     budget;
@@ -148,6 +151,16 @@ let size t =
   n
 
 let bytes t = Atomic.get t.bytes
+
+(* The tables are a pure function of the program; a racing second
+   computation is merely wasted work. *)
+let program t prog =
+  match Atomic.get t.bp with
+  | Some (p, bp) when p == prog -> bp
+  | _ ->
+    let bp = Builder.program prog in
+    Atomic.set t.bp (Some (prog, bp));
+    bp
 
 let evictions t = Atomic.get t.evictions
 

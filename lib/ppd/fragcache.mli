@@ -38,6 +38,12 @@ val size : t -> int
 val bytes : t -> int
 (** Accounted byte estimate of everything cached right now. *)
 
+val program : t -> Lang.Prog.t -> Builder.program
+(** The assembly tables for the program debugged over this cache,
+    computed by the first controller that asks and kept for the cache's
+    lifetime (asking with another program, compared physically,
+    replaces them). *)
+
 val reclaim : t -> int -> int
 (** [reclaim t want] evicts cached outcomes until at least [want]
     accounted bytes are freed (or the cache is empty), in ascending

@@ -43,10 +43,6 @@ let get_u64_le s pos =
   done;
   !v
 
-(* Never read by the emulator: a window's out-of-range slots hold this. *)
-let filler_entry =
-  L.Sync { sid = None; seq = 0; step_at = 0; data = L.S_kind E.K_assign }
-
 (* The writer keeps a skeleton of every entry (positions and counters,
    no snapshots) so closing can run [Log.intervals] for the footer index
    without holding the real log in memory. *)
@@ -711,6 +707,7 @@ type indexed = {
   ix_shards : page_shard array;
   ix_budget : Resil.Budget.t option;
       (* daemon-wide byte budget the cached pages are charged to *)
+  ix_ivs : L.interval array option array;  (* materialised lazily per pid *)
 }
 
 type mem = {
@@ -817,6 +814,7 @@ let salvage raw =
       stops;
       tier;
       ckpts = Array.of_list sc.sc_ckpts;
+      base = Array.make nprocs 0;
     }
 
 (* Fast path: intact trailer -> footer -> index; no page is decoded. *)
@@ -852,6 +850,7 @@ let indexed_backing ?budget path raw =
                    ix_ckpts = ckpts;
                    ix_shards = fresh_shards ();
                    ix_budget = budget;
+                   ix_ivs = Array.make (Array.length ft.ft_index) None;
                  })
           | exception Exit -> None)
         | exception Varint.Corrupt _ -> None)
@@ -1059,7 +1058,13 @@ let cache_bytes r =
 
 let intervals r ~stmt_fid ~pid =
   match r.r_backing with
-  | B_indexed ix -> materialize_intervals ix.ix_index.(pid) ~stmt_fid ~pid
+  | B_indexed ix -> (
+    match ix.ix_ivs.(pid) with
+    | Some ivs -> ivs
+    | None ->
+      let ivs = materialize_intervals ix.ix_index.(pid) ~stmt_fid ~pid in
+      ix.ix_ivs.(pid) <- Some ivs;
+      ivs)
   | B_mem m -> (
     match m.bm_ivs.(pid) with
     | Some ivs -> ivs
@@ -1113,22 +1118,27 @@ let window r ~pid ~lo ~hi =
   | B_indexed ix ->
     let px = ix.ix_index.(pid) in
     let count = px.px_count in
-    let arr = Array.make count filler_entry in
-    (if count > 0 && lo < count && hi >= 0 then begin
-       let first = find_page px ~idx:(max 0 lo) in
-       let last = find_page px ~idx:(min hi (count - 1)) in
-       for page = first to last do
-         let entries = decode_page ix ~pid ~page in
-         Array.blit entries 0 arr px.px_first.(page) (Array.length entries)
-       done
-     end);
+    let base, entries =
+      if count > 0 && lo < count && hi >= 0 then
+        let first = find_page px ~idx:(max 0 lo) in
+        let last = find_page px ~idx:(min hi (count - 1)) in
+        let pages =
+          List.init (last - first + 1) (fun k ->
+              decode_page ix ~pid ~page:(first + k))
+        in
+        (* pages are immutable, so a one-page window is the cached page *)
+        ( px.px_first.(first),
+          match pages with [ page ] -> page | _ -> Array.concat pages )
+      else (0, [||])
+    in
+    let nprocs = Array.length ix.ix_index in
     {
-      L.nprocs = Array.length ix.ix_index;
-      entries =
-        Array.mapi (fun p _ -> if p = pid then arr else [||]) ix.ix_index;
+      L.nprocs;
+      entries = Array.init nprocs (fun p -> if p = pid then entries else [||]);
       stops = Array.map (fun px -> px.px_stop) ix.ix_index;
       tier = ix.ix_tier;
       ckpts = ix.ix_ckpts;
+      base = Array.init nprocs (fun p -> if p = pid then base else 0);
     }
 
 let to_log r =
@@ -1147,6 +1157,7 @@ let to_log r =
       stops = Array.map (fun px -> px.px_stop) ix.ix_index;
       tier = ix.ix_tier;
       ckpts = ix.ix_ckpts;
+      base = Array.make (Array.length ix.ix_index) 0;
     }
 
 let load path =
@@ -1542,6 +1553,7 @@ let repair path ~out =
           stops;
           tier = ix.ix_tier;
           ckpts = ix.ix_ckpts;
+          base = Array.make (Array.length ix.ix_index) 0;
         }
       in
       finish log ~kept_pages:!kept_pages ~dropped:!dropped

@@ -160,11 +160,13 @@ val entry : reader -> pid:int -> idx:int -> Trace.Log.entry
     Trace.Log_io.Unreadable if the page is damaged. *)
 
 val window : reader -> pid:int -> lo:int -> hi:int -> Trace.Log.t
-(** A demand-paged view: a log whose [pid] entry array has at least the
-    entries [lo..hi] decoded in place (slots outside the touched pages
-    hold an inert filler, other processes are empty) but whose
-    [nprocs]/[stops] are real, so the emulator's absolute indexing
-    works unchanged. Decoded pages are cached in a sharded,
+(** A demand-paged view: a log whose [pid] entry array holds just the
+    pages covering entries [lo..hi], with [base.(pid)] the whole-log
+    index of their first entry (other processes are empty); its
+    [nprocs]/[stops] are real. The emulator indexes relative to
+    [base], so its cost follows the pages an interval touches, not the
+    process's log length. A reader without an index returns its whole
+    in-memory log. Decoded pages are cached in a sharded,
     lock-protected LRU keyed by [(pid, page)]; safe to call from pool
     domains.
     @raise Trace.Log_io.Unreadable if a page in range is damaged. *)

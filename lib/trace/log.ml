@@ -68,10 +68,18 @@ type t = {
   stops : int array;
   tier : tier;
   ckpts : ckpt array;
+  base : int array;
 }
 
 let content ~nprocs ~entries ~stops =
-  { nprocs; entries; stops; tier = T_content; ckpts = [||] }
+  {
+    nprocs;
+    entries;
+    stops;
+    tier = T_content;
+    ckpts = [||];
+    base = Array.make nprocs 0;
+  }
 
 let tier_name = function T_content -> "content" | T_order _ -> "order"
 

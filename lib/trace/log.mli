@@ -106,6 +106,12 @@ type t = {
           process). *)
   tier : tier;
   ckpts : ckpt array;  (** in step order *)
+  base : int array;
+      (** per pid: the index, in the process's whole log, of
+          [entries.(pid).(0)]. [0] in a whole log; a paged window
+          ({!Store.Segment.window}) holds only the pages one interval
+          touches and records where they start. Interval indices
+          ([iv_prelog], [iv_postlog]) are always whole-log indices. *)
 }
 
 val content :

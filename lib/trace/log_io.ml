@@ -14,13 +14,21 @@ let ppd050 ~path ~reason =
     d_related = [];
   }
 
+(* The v1 payload: a whole log's fields without [base], which is all
+   zeros there — the five-field record this format has always held. *)
+type payload =
+  int * Log.entry array array * int array * Log.tier * Log.ckpt array
+
+let payload (log : Log.t) : payload =
+  (log.nprocs, log.entries, log.stops, log.tier, log.ckpts)
+
 let save path (log : Log.t) =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
       output_string oc magic;
-      Marshal.to_channel oc log [])
+      Marshal.to_channel oc (payload log) [])
 
 let load path =
   let ic = open_in_bin path in
@@ -42,7 +50,11 @@ let load path =
          truncation raises End_of_file or Failure, but garbage can also
          surface as Invalid_argument and friends. All of them mean the
          same thing to a caller: PPD050. *)
-      try (Marshal.from_channel ic : Log.t)
+      try
+        let nprocs, entries, stops, tier, ckpts =
+          (Marshal.from_channel ic : payload)
+        in
+        { Log.nprocs; entries; stops; tier; ckpts; base = Array.make nprocs 0 }
       with _ -> unreadable path "truncated or corrupt v1 marshal payload")
 
 let save_per_process ~dir ~basename (log : Log.t) =
@@ -56,6 +68,7 @@ let save_per_process ~dir ~basename (log : Log.t) =
              Log.nprocs = 1;
              entries = [| entries |];
              stops = [| log.Log.stops.(pid) |];
+             base = [| 0 |];
            }
          in
          save path one;
@@ -65,7 +78,7 @@ let save_per_process ~dir ~basename (log : Log.t) =
 (* Honest persisted sizes: what [save] actually writes, magic included
    (the bench log-size columns and `ppd log` report these). *)
 let measure (log : Log.t) =
-  String.length magic + String.length (Marshal.to_string log [])
+  String.length magic + String.length (Marshal.to_string (payload log) [])
 
 let measure_trace (tr : Full_trace.t) =
   String.length magic + String.length (Marshal.to_string tr [])

@@ -326,6 +326,7 @@ let finish t =
     stops;
     tier = t.tier;
     ckpts = Array.of_list (List.rev t.ckpts);
+    base = Array.make t.nprocs 0;
   }
 
 let run_logged ?engine ?sched ?max_steps ?(extra_hooks = Runtime.Hooks.nil)

@@ -339,6 +339,92 @@ let par_serial_prop =
         ~sched:(Runtime.Sched.Random_seed sseed)
         (Gen.parallel ~protect:`Sometimes seed))
 
+(* ------------------------------------------------------------------ *)
+(* Assembly-order independence.                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* An id-free picture of a graph, so graphs assembled in different
+   orders compare. A node is named by its event, or, for parameter,
+   external and hole nodes, which have none, by its kind, label and
+   value plus the names of its neighbours. The picture lists every node
+   with its owner and the multiset of its incoming edges. *)
+let picture g =
+  let module DG = Ppd.Dyn_graph in
+  let base i =
+    let nd = DG.node g i in
+    let ev =
+      match nd.DG.nd_ref with
+      | Some r -> Printf.sprintf "p%d@%d " r.Runtime.Event.epid r.eseq
+      | None -> ""
+    in
+    ev
+    ^ Format.asprintf "%a" DG.pp_node { nd with DG.nd_id = 0; nd_owner = None }
+  in
+  let name i =
+    match (DG.node g i).DG.nd_ref with
+    | Some _ -> base i
+    | None ->
+      let around =
+        List.sort compare
+          (List.map (fun (j, _) -> base j) (DG.preds g i @ DG.succs g i))
+      in
+      base i ^ " {" ^ String.concat "; " around ^ "}"
+  in
+  let kind = function
+    | DG.Flow -> "flow"
+    | DG.Data v -> "data:" ^ v.Lang.Prog.vname
+    | DG.Dparam i -> Printf.sprintf "param:%d" i
+    | DG.Control -> "ctrl"
+    | DG.Sync -> "sync"
+  in
+  List.sort compare
+    (List.init (DG.nnodes g) (fun i ->
+         ( name i,
+           Option.map name (DG.node g i).DG.nd_owner,
+           List.sort compare
+             (List.map (fun (j, k) -> name j ^ " " ^ kind k) (DG.preds g i)) )))
+
+let shuffle seed l =
+  let st = Random.State.make [| seed |] in
+  List.map snd
+    (List.sort compare (List.map (fun x -> (Random.State.bits st, x)) l))
+
+(* Assemble every interval in forward, reverse and shuffled order: the
+   same nodes with the same incoming edges, sync edges included (in
+   reverse order a link's source interval is built after its target). *)
+let order_independent ?sched ~seed src =
+  let eb, log = logged ?sched src in
+  let assembled order =
+    let ctl = Ppd.Controller.start eb log in
+    Ppd.Controller.build_intervals_par ctl (order (all_keys ctl log.L.nprocs));
+    picture (Ppd.Controller.graph ctl)
+  in
+  let forward = assembled Fun.id in
+  forward = assembled List.rev && forward = assembled (shuffle seed)
+
+let test_order_independent_fixed () =
+  List.iter
+    (fun (name, src) ->
+      Alcotest.(check bool) name true (order_independent ~seed:7 src))
+    [
+      ("fig61", Workloads.fig61);
+      ("sv_race", Workloads.sv_race);
+      ("fixed_bank", Workloads.fixed_bank);
+      ("rpc", Workloads.rpc);
+      ("ring", Workloads.token_ring ~procs:4 ~rounds:3);
+      ("config", Workloads.config_pipeline ~workers:4 ~rounds:6);
+      ("prodcons", Workloads.producer_consumer ~items:5 ~cap:0);
+    ]
+
+let order_independent_prop =
+  Util.qtest ~count:15 "assembly order independence on random programs"
+    QCheck2.Gen.(triple (int_range 0 100_000) (int_range 0 1_000) int)
+    (fun (seed, sseed, order_seed) ->
+      order_independent
+        ~sched:(Runtime.Sched.Random_seed sseed)
+        ~seed:order_seed
+        (Gen.parallel ~protect:`Sometimes seed))
+
 let suite =
   ( "exec",
     [
@@ -365,4 +451,7 @@ let suite =
       Alcotest.test_case "emulator exception does not wedge the pool" `Quick
         test_emulator_exception_no_deadlock;
       par_serial_prop;
+      Alcotest.test_case "assembly order independence (fixed corpus)" `Quick
+        test_order_independent_fixed;
+      order_independent_prop;
     ] )

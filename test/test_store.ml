@@ -270,6 +270,104 @@ let paged_prop =
           drive ctl_mem ~nprocs:log.L.nprocs
           = drive ctl_paged ~nprocs:log.L.nprocs))
 
+(* Workers call a small e-block every round and update shared state
+   under a lock, so each worker's log spans several pages and holds a
+   hundred intervals; main ends in a failing assert, which leaves its
+   root interval open. *)
+let ledger =
+  {|
+shared int hist[16];
+shared int total = 0;
+sem lock = 1;
+
+func mix(x, r) {
+  var h = x * 31 + r * 17 + 7;
+  h = h - (h / 16) * 16;
+  return h;
+}
+
+func worker(w, n) {
+  var i = 0;
+  var acc = w;
+  for (i = 0; i < n; i = i + 1) {
+    var k = mix(acc, i);
+    acc = acc + k;
+    P(lock);
+    hist[k] = hist[k] + 1;
+    total = total + k;
+    V(lock);
+  }
+}
+
+func main() {
+  var a = spawn worker(1, 100);
+  var b = spawn worker(2, 100);
+  var c = spawn worker(3, 100);
+  join(a);
+  join(b);
+  join(c);
+  assert(total == 0);
+}
+|}
+
+(* Replay over a paged window (just the pages an interval touches, at
+   an entry offset) equals replay over the whole decoded log, for every
+   interval: those inside one page, those straddling a page boundary,
+   and the open last interval. *)
+let test_offset_windows () =
+  let eb, log = run_log ledger in
+  with_tmp (fun path ->
+      S.save path log;
+      let r = S.open_file path in
+      let whole = S.to_log r in
+      let stmt_fid sid = eb.Analysis.Eblock.prog.Lang.Prog.stmt_fid.(sid) in
+      (* the page holding entry [i]: a one-entry window is exactly it *)
+      let page ~pid i =
+        let w = S.window r ~pid ~lo:i ~hi:i in
+        (w.L.base.(pid), Array.length w.L.entries.(pid))
+      in
+      let straddling = ref 0 and partial = ref 0 and still_open = ref 0 in
+      for pid = 0 to S.nprocs r - 1 do
+        let count = S.pid_entry_count r ~pid in
+        Array.iter
+          (fun (iv : L.interval) ->
+            let lo = iv.L.iv_prelog - 1 in
+            let hi =
+              match iv.L.iv_postlog with Some p -> p | None -> count - 1
+            in
+            let w = S.window r ~pid ~lo ~hi in
+            let name = Printf.sprintf "p%d#%d" pid iv.L.iv_id in
+            let first, _ = page ~pid (max 0 lo) in
+            let last, last_len = page ~pid hi in
+            if first <> last then incr straddling;
+            if Array.length w.L.entries.(pid) < count then incr partial;
+            Alcotest.(check (pair int int))
+              (name ^ " window is exactly the covering pages")
+              (first, last + last_len - first)
+              (w.L.base.(pid), Array.length w.L.entries.(pid));
+            if iv.L.iv_postlog = None then incr still_open;
+            let a = Ppd.Emulator.replay eb w ~interval:iv in
+            let b = Ppd.Emulator.replay eb whole ~interval:iv in
+            Alcotest.(check bool)
+              (name ^ " same events") true
+              (a.Ppd.Emulator.events = b.Ppd.Emulator.events);
+            Alcotest.(check int)
+              (name ^ " same steps") b.Ppd.Emulator.steps a.Ppd.Emulator.steps;
+            Alcotest.(check string)
+              (name ^ " same output") b.Ppd.Emulator.output
+              a.Ppd.Emulator.output;
+            Alcotest.(check (list string))
+              (name ^ " same postlog mismatches")
+              b.Ppd.Emulator.postlog_mismatches
+              a.Ppd.Emulator.postlog_mismatches)
+          (S.intervals r ~stmt_fid ~pid)
+      done;
+      Alcotest.(check bool) "some interval straddles pages" true
+        (!straddling > 0);
+      Alcotest.(check bool) "some window is shorter than its process's log"
+        true (!partial > 0);
+      Alcotest.(check bool) "an interval is still open" true (!still_open > 0))
+
 let test_salvaged_reader_still_debugs () =
   (* cut the file mid-record: the salvaged intervals that survived must
      still replay and answer queries *)
@@ -314,6 +412,8 @@ let suite =
       Alcotest.test_case "paged flowback = in-memory (corpus)" `Quick
         test_paged_equals_memory;
       paged_prop;
+      Alcotest.test_case "offset windows replay like the whole log" `Quick
+        test_offset_windows;
       Alcotest.test_case "salvaged file still debugs" `Quick
         test_salvaged_reader_still_debugs;
     ] )
