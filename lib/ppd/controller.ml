@@ -2,11 +2,6 @@ module P = Lang.Prog
 module E = Runtime.Event
 module L = Trace.Log
 
-(* Where the entries come from: a whole in-memory log, or an open
-   segment file that is decoded interval by interval as queries touch
-   it (the demand-paged debugging phase). *)
-type source = S_mem of L.t | S_paged of Store.Segment.reader
-
 (* Degraded-mode policy (DESIGN §12) plus the per-request resilience
    envelope (DESIGN §17). [degraded] turns damaged or unreplayable
    intervals into explicit hole nodes instead of letting the exception
@@ -57,7 +52,10 @@ type link = { l_src : E.eref; l_dst : int; l_pos : int }
 type t = {
   eb : Analysis.Eblock.t;
   bp : Builder.program;
-  src : source;
+  src : Store.Segment.reader;
+      (* where the entries come from: an open segment decoded interval
+         by interval as queries touch it (the demand-paged debugging
+         phase), or a log already in memory *)
   pd : Pardyn.t Lazy.t;  (* race queries force a full decode *)
   g : Dyn_graph.t;
   ivs : L.interval array array;  (* per pid *)
@@ -141,39 +139,23 @@ let c_holes = Obs.counter "ctl.holes"
 
 let c_retries = Obs.counter "ctl.retries"
 
-let make ?pool ?shared ?(config = default_config) eb src =
+let start_paged ?pool ?shared ?(config = default_config) eb src =
   (* An order-tier log carries no value snapshots, so nothing here can
-     emulate from it directly. Reconstruct the equivalent content log
-     up front (DESIGN §16) and debug that: the reconstruction is
-     validated against the recorded sync order, so every downstream
-     answer is byte-identical to debugging a content recording of the
-     same execution. *)
-  let src_tier =
-    L.tier_name
-      (match src with
-      | S_mem log -> log.L.tier
-      | S_paged r -> Store.Segment.tier r)
-  in
+     emulate from it directly. Debug the equivalent content log instead
+     (DESIGN §16): the reconstruction is validated against the recorded
+     sync order, so every downstream answer is byte-identical to
+     debugging a content recording of the same execution. A shared
+     cache reconstructs once for every controller it serves. *)
+  let tier = Store.Segment.tier src in
   let src =
-    match src with
-    | S_mem log when log.L.tier <> L.T_content ->
-      S_mem (Reconstruct.reconstruct eb log)
-    | S_paged r when Store.Segment.tier r <> L.T_content ->
-      S_mem (Reconstruct.reconstruct eb (Store.Segment.to_log r))
-    | src -> src
+    if tier = L.T_content then src
+    else
+      match shared with
+      | Some f -> Fragcache.reconstruction f eb src
+      | None -> fst (Reconstruct.reader eb src)
   in
   let prog = eb.Analysis.Eblock.prog in
   let stmt_fid sid = prog.P.stmt_fid.(sid) in
-  let ivs, pd =
-    match src with
-    | S_mem log ->
-      ( Array.init log.L.nprocs (fun pid -> L.intervals ~stmt_fid log ~pid),
-        lazy (Pardyn.of_log prog log) )
-    | S_paged r ->
-      ( Array.init (Store.Segment.nprocs r) (fun pid ->
-            Store.Segment.intervals r ~stmt_fid ~pid),
-        lazy (Pardyn.of_log prog (Store.Segment.to_log r)) )
-  in
   {
     eb;
     bp =
@@ -181,13 +163,15 @@ let make ?pool ?shared ?(config = default_config) eb src =
       | Some f -> Fragcache.program f prog
       | None -> Builder.program prog);
     src;
-    pd;
+    pd = lazy (Pardyn.of_log prog (Store.Segment.to_log src));
     g = Dyn_graph.create ();
-    ivs;
+    ivs =
+      Array.init (Store.Segment.nprocs src) (fun pid ->
+          Store.Segment.intervals src ~stmt_fid ~pid);
     outcomes = Hashtbl.create 16;
     pool;
     shared;
-    src_tier;
+    src_tier = L.tier_name tier;
     frag_lock = Mutex.create ();
     frags = Hashtbl.create 16;
     inflight = Hashtbl.create 16;
@@ -207,10 +191,8 @@ let make ?pool ?shared ?(config = default_config) eb src =
     retried = 0;
   }
 
-let start ?pool ?shared ?config eb log = make ?pool ?shared ?config eb (S_mem log)
-
-let start_paged ?pool ?shared ?config eb reader =
-  make ?pool ?shared ?config eb (S_paged reader)
+let start ?pool ?shared ?config eb log =
+  start_paged ?pool ?shared ?config eb (Store.Segment.of_log log)
 
 (* Forget the pool: later queries replay serially on the calling
    domain. In-flight futures stay consumable (a shut-down pool has
@@ -224,16 +206,13 @@ let detach_pool t = t.pool <- None
    closing postlog, or the process's end for open intervals). A paged
    source decodes exactly that window. *)
 let interval_log t (iv : L.interval) =
-  match t.src with
-  | S_mem log -> log
-  | S_paged r ->
-    let pid = iv.L.iv_pid in
-    let hi =
-      match iv.L.iv_postlog with
-      | Some p -> p
-      | None -> Store.Segment.pid_entry_count r ~pid - 1
-    in
-    Store.Segment.window r ~pid ~lo:(iv.L.iv_prelog - 1) ~hi
+  let pid = iv.L.iv_pid in
+  let hi =
+    match iv.L.iv_postlog with
+    | Some p -> p
+    | None -> Store.Segment.pid_entry_count t.src ~pid - 1
+  in
+  Store.Segment.window t.src ~pid ~lo:(iv.L.iv_prelog - 1) ~hi
 
 let graph t = t.g
 
@@ -352,11 +331,6 @@ let submit_replay t (iv : L.interval) =
       true
     end
 
-let pid_stop t pid =
-  match t.src with
-  | S_mem log -> log.L.stops.(pid)
-  | S_paged r -> (Store.Segment.stops r).(pid)
-
 (* An inert outcome standing in for an interval we could not replay:
    no events means no nodes, so downstream resolution simply fails to
    find writers there and moves on. *)
@@ -379,7 +353,7 @@ let declare_hole t ~pid ~(iv : L.interval) reason =
   let hi =
     match iv.L.iv_seq_end with
     | Some e -> e
-    | None -> max lo (pid_stop t pid - 1)
+    | None -> max lo ((Store.Segment.stops t.src).(pid) - 1)
   in
   let label =
     Printf.sprintf "history unavailable for p%d steps %d-%d (%s)" pid lo hi
@@ -669,31 +643,6 @@ let interval_of_node t node_id =
   | None -> None
   | Some r -> Option.map (fun iv -> (r, iv)) (enclosing_interval t r)
 
-let prelog_step t (iv : L.interval) =
-  match t.src with
-  | S_paged r -> Store.Segment.interval_step r iv
-  | S_mem log -> (
-    match log.L.entries.(iv.L.iv_pid).(iv.L.iv_prelog) with
-    | L.Prelog { step_at; _ } -> step_at
-    | _ -> 0)
-
-(* The moment the value read at [reader_seq] was snapshot: the latest
-   prelog or sync-unit prelog of this process at or before the reading
-   event. Paged sources answer from the footer's snapshot table. *)
-let snapshot_step t ~pid ~reader_seq =
-  match t.src with
-  | S_paged r -> Store.Segment.snapshot_step r ~pid ~reader_seq
-  | S_mem log ->
-    Array.fold_left
-      (fun acc e ->
-        match e with
-        | L.Prelog { seq_at; step_at; _ } | L.Sync_prelog { seq_at; step_at; _ }
-          when seq_at <= reader_seq ->
-          max acc step_at
-        | _ -> acc)
-      0
-      log.L.entries.(pid)
-
 (* The last node in the (already built) graph writing [vid] within the
    given interval: scan the builder outcome's events. *)
 let last_write_node t (iv : L.interval) vid =
@@ -716,10 +665,7 @@ let last_write_node t (iv : L.interval) vid =
 let spawner_ref t (iv : L.interval) =
   if iv.L.iv_prelog > 0 then
     match
-      (match t.src with
-      | S_mem log -> log.L.entries.(iv.L.iv_pid).(iv.L.iv_prelog - 1)
-      | S_paged r ->
-        Store.Segment.entry r ~pid:iv.L.iv_pid ~idx:(iv.L.iv_prelog - 1))
+      Store.Segment.entry t.src ~pid:iv.L.iv_pid ~idx:(iv.L.iv_prelog - 1)
     with
     | L.Sync { data = L.S_proc_start { spawn; _ }; _ } -> spawn
     | _ -> None
@@ -781,13 +727,14 @@ let shared_write_candidates t ~vid ~read_step ~(reading_iv : L.interval) =
                 List.exists (fun (v : P.var) -> v.vid = vid) post
               | None -> false)
           in
-          if (not same) && may_define && prelog_step t iv <= read_step then
-            candidates := iv :: !candidates)
+          if
+            (not same) && may_define
+            && Store.Segment.interval_step t.src iv <= read_step
+          then candidates := iv :: !candidates)
         ivs)
     t.ivs;
-  List.sort
-    (fun a b -> Int.compare (prelog_step t b) (prelog_step t a))
-    !candidates
+  let step = Store.Segment.interval_step t.src in
+  List.sort (fun a b -> Int.compare (step b) (step a)) !candidates
 
 (* Resolve a shared-variable external: emulate candidate intervals
    (recent first, among those whose function may define the variable)
@@ -796,7 +743,8 @@ let resolve_shared t node_id var ~reader (reading_iv : L.interval) =
   let vid = var.P.vid in
   let observed = (Dyn_graph.node t.g node_id).Dyn_graph.nd_value in
   let read_step =
-    snapshot_step t ~pid:reading_iv.L.iv_pid ~reader_seq:reader.Runtime.Event.eseq
+    Store.Segment.snapshot_step t.src ~pid:reading_iv.L.iv_pid
+      ~reader_seq:reader.Runtime.Event.eseq
   in
   let candidates = shared_write_candidates t ~vid ~read_step ~reading_iv in
   let rec try_candidates = function
@@ -873,7 +821,8 @@ let prefetch ?(max_candidates = 8) t =
         | Some (reader, iv) ->
           if P.is_global var then begin
             let read_step =
-              snapshot_step t ~pid:iv.L.iv_pid ~reader_seq:reader.E.eseq
+              Store.Segment.snapshot_step t.src ~pid:iv.L.iv_pid
+                ~reader_seq:reader.E.eseq
             in
             let cands =
               shared_write_candidates t ~vid:var.P.vid ~read_step

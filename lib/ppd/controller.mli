@@ -72,22 +72,8 @@ val start :
   Analysis.Eblock.t ->
   Trace.Log.t ->
   t
-(** Debug over a whole in-memory log. With [pool], interval emulation
-    can run on the pool's domains ({!build_intervals_par},
-    {!prefetch}); graph assembly stays on the querying domain, so the
-    resulting graph is byte-identical to the serial one. With [shared],
-    raw replay outcomes are exchanged with every other controller bound
-    to the same {!Fragcache} (the `ppd serve` registry keeps one per
-    opened log): clean outcomes are published after assembly and the
-    cache is consulted before any serial replay; the program's
-    assembly tables come from it too ({!Fragcache.program}). Statistics
-    ([replays]/[replay_steps]) count assembly, not raw replay work, so
-    they are unchanged by sharing.
-
-    An order-tier log (DESIGN §16) is reconstructed into the equivalent
-    content log up front via {!Reconstruct.reconstruct} — may raise
-    {!Reconstruct.Divergence} (PPD061/exit 8) when the re-execution
-    does not match the recorded sync order. *)
+(** Debug over a whole in-memory log: {!start_paged} over
+    {!Store.Segment.of_log}. *)
 
 val start_paged :
   ?pool:Exec.Pool.t ->
@@ -99,7 +85,28 @@ val start_paged :
 (** Debug over an open segment file: interval structure comes from the
     footer index, and only the intervals a query touches are ever
     decoded (through the reader's window LRU). Flowback answers are
-    identical to {!start} on the same execution. *)
+    identical to {!start} on the same execution.
+
+    With [pool], interval emulation can run on the pool's domains
+    ({!build_intervals_par}, {!prefetch}); graph assembly stays on the
+    querying domain, so the resulting graph is byte-identical to the
+    serial one. With [shared], raw replay outcomes are exchanged with
+    every other controller bound to the same {!Fragcache} (the `ppd
+    serve` registry keeps one per opened log): clean outcomes are
+    published after assembly and the cache is consulted before any
+    serial replay; the program's assembly tables come from it too
+    ({!Fragcache.program}). Statistics ([replays]/[replay_steps]) count
+    assembly, not raw replay work, so they are unchanged by sharing.
+
+    An order-tier log (DESIGN §16) is debugged through the equivalent
+    content log, rebuilt by re-executing the program
+    ({!Reconstruct.reader}). Without [shared] that happens here, on
+    every call; with [shared] it comes from {!Fragcache.reconstruction},
+    which re-executes once per cache and keeps the result until it is
+    evicted. Either may raise {!Reconstruct.Divergence} (PPD061/exit 8)
+    when the re-execution does not match the recorded sync order, or
+    [Trace.Log_io.Unreadable] when a page of the order log cannot be
+    read; neither failure is cached. *)
 
 val detach_pool : t -> unit
 (** Forget the pool: subsequent queries replay serially on the calling

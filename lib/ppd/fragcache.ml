@@ -14,7 +14,9 @@
    {!reclaim}, which evicts in ascending replay-cost-per-byte order —
    the outcomes that are big but cheap to recompute go first, the
    small expensive ones are kept. Eviction is always safe: a future
-   lookup just replays the interval again.
+   lookup just replays the interval again. An order-tier log's
+   reconstruction (DESIGN §16.2) is held, charged and evicted the same
+   way, its cost being the program's re-execution.
 
    The hit/miss counters are plain atomics, always live (unlike the
    Obs mirrors, which are no-ops until profiling is enabled): the T13
@@ -26,6 +28,16 @@ type entry = {
   e_outcome : Emulator.outcome;
   e_bytes : int;  (* charged estimate *)
   e_steps : int;  (* replay cost: what eviction throws away *)
+}
+
+(* The content reader reconstructed from an order-tier source reader
+   (DESIGN §16.2), for one e-block analysis. *)
+type recon = {
+  rc_src : Store.Segment.reader;
+  rc_eb : Analysis.Eblock.t;
+  rc_reader : Store.Segment.reader;
+  rc_bytes : int;  (* charged estimate *)
+  rc_steps : int;  (* the re-execution's steps: what eviction throws away *)
 }
 
 (* Keys carry the *source tier* of the session that produced the
@@ -46,11 +58,15 @@ type t = {
   evictions : int Atomic.t;
   bp : (Lang.Prog.t * Builder.program) option Atomic.t;
       (* assembly tables of the program every controller here debugs *)
+  recon : recon option Atomic.t;
+      (* filled by compare-and-set, emptied by compare-and-set in
+         {!reclaim}: whoever wins a transition does its accounting *)
 }
 
 let create ?budget () =
   {
     bp = Atomic.make None;
+    recon = Atomic.make None;
     lock = Mutex.create ();
     tbl = Hashtbl.create 64;
     budget;
@@ -104,29 +120,43 @@ let publish t key (o : Emulator.outcome) =
   end
 
 (* Evict up to [want] accounted bytes, cheapest-to-recompute-per-byte
-   first. Returns the bytes actually freed; releases them from the
-   attached budget itself (the [Resil.Budget] reclaimer contract). *)
+   first; the reconstruction ranks among the outcomes by its
+   re-execution's steps. Returns the bytes actually freed; releases
+   them from the attached budget itself (the [Resil.Budget] reclaimer
+   contract). *)
 let reclaim t want =
   if want <= 0 then 0
   else begin
     Mutex.lock t.lock;
-    let entries = Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.tbl [] in
+    let slot = Atomic.get t.recon in
+    let frags =
+      Hashtbl.fold (fun k e acc -> (Some k, e.e_steps, e.e_bytes) :: acc) t.tbl []
+    in
     let ranked =
       List.sort
-        (fun (_, a) (_, b) ->
+        (fun (_, sa, ba) (_, sb, bb) ->
           compare
-            (float_of_int a.e_steps /. float_of_int a.e_bytes)
-            (float_of_int b.e_steps /. float_of_int b.e_bytes))
-        entries
+            (float_of_int sa /. float_of_int ba)
+            (float_of_int sb /. float_of_int bb))
+        (match slot with
+        | Some r -> (None, r.rc_steps, r.rc_bytes) :: frags
+        | None -> frags)
     in
     let freed = ref 0 in
     List.iter
-      (fun (k, e) ->
-        if !freed < want then begin
-          Hashtbl.remove t.tbl k;
-          freed := !freed + e.e_bytes;
-          Atomic.incr t.evictions
-        end)
+      (fun (k, _, bytes) ->
+        if !freed < want then
+          let evicted =
+            match k with
+            | Some k ->
+              Hashtbl.remove t.tbl k;
+              true
+            | None -> Atomic.compare_and_set t.recon slot None
+          in
+          if evicted then begin
+            freed := !freed + bytes;
+            Atomic.incr t.evictions
+          end)
       ranked;
     ignore (Atomic.fetch_and_add t.bytes (- !freed));
     Mutex.unlock t.lock;
@@ -161,6 +191,47 @@ let program t prog =
     let bp = Builder.program prog in
     Atomic.set t.bp (Some (prog, bp));
     bp
+
+(* A coarse in-memory cost for a reconstruction: its entries, which
+   carry full value snapshots, plus the interval tables built from them
+   (~313 bytes an entry on the e2e ledger, [Obj.reachable_words];
+   snapshot-heavy logs run higher). *)
+let recon_cost r = (Store.Segment.entry_count r * 320) + 128
+
+(* Successes only: a read fault or a divergence propagates and leaves
+   the slot as it was, so the next request tries again. The budget
+   charge and rebalance run after the slot is set and may evict it
+   at once; the caller still holds the reader it asked for. *)
+let reconstruction t eb src =
+  match Atomic.get t.recon with
+  | Some r when r.rc_src == src && r.rc_eb == eb -> r.rc_reader
+  | cur -> (
+    let reader, steps = Reconstruct.reader eb src in
+    let r =
+      {
+        rc_src = src;
+        rc_eb = eb;
+        rc_reader = reader;
+        rc_bytes = recon_cost reader;
+        rc_steps = steps;
+      }
+    in
+    if Atomic.compare_and_set t.recon cur (Some r) then begin
+      let replaced = match cur with Some o -> o.rc_bytes | None -> 0 in
+      ignore (Atomic.fetch_and_add t.bytes (r.rc_bytes - replaced));
+      (match t.budget with
+      | Some b ->
+        Resil.Budget.release b replaced;
+        Resil.Budget.charge b r.rc_bytes;
+        Resil.Budget.rebalance b
+      | None -> ());
+      reader
+    end
+    else
+      (* a racing builder installed first: use its copy, drop ours *)
+      match Atomic.get t.recon with
+      | Some w when w.rc_src == src && w.rc_eb == eb -> w.rc_reader
+      | _ -> reader)
 
 let evictions t = Atomic.get t.evictions
 

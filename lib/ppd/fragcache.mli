@@ -6,6 +6,10 @@
     §16) keeps outcomes produced from a reconstructed order log
     separate from those of a directly-recorded content log.
 
+    The same instance holds what those controllers would otherwise
+    each rebuild: the program's assembly tables ({!program}) and an
+    order-tier log's reconstruction ({!reconstruction}).
+
     Thread- and domain-safe: the table is mutex-protected and the
     counters are atomics. Only clean outcomes (no injected fault, no
     watchdog overrun) are ever published, so a degraded session cannot
@@ -36,7 +40,8 @@ val size : t -> int
 (** Cached outcomes. *)
 
 val bytes : t -> int
-(** Accounted byte estimate of everything cached right now. *)
+(** Accounted byte estimate of everything cached right now, the
+    reconstruction included. *)
 
 val program : t -> Lang.Prog.t -> Builder.program
 (** The assembly tables for the program debugged over this cache,
@@ -44,15 +49,32 @@ val program : t -> Lang.Prog.t -> Builder.program
     lifetime (asking with another program, compared physically,
     replaces them). *)
 
+val reconstruction :
+  t -> Analysis.Eblock.t -> Store.Segment.reader -> Store.Segment.reader
+(** [reconstruction t eb src] is the content reader reconstructed from
+    the order-tier reader [src] ({!Reconstruct.reader}), built by the
+    first controller that asks and kept until evicted, so the program
+    is re-executed once per registry entry, not once per request
+    (DESIGN §16.2). The slot is keyed physically on [src] and [eb]
+    (asking with another replaces it) and installed by compare-and-set:
+    a racing second builder uses the installed copy and drops its own.
+    Only successes are kept — a [Reconstruct.Divergence] or
+    [Trace.Log_io.Unreadable] propagates and the next call tries again.
+    With a budget, filling charges an entry-count byte estimate and
+    rebalances. *)
+
 val reclaim : t -> int -> int
-(** [reclaim t want] evicts cached outcomes until at least [want]
-    accounted bytes are freed (or the cache is empty), in ascending
-    replay-cost-per-byte order — big-but-cheap-to-recompute outcomes
-    go first. Returns the bytes freed; releases them from the
-    attached budget itself. *)
+(** [reclaim t want] evicts cached outcomes and the reconstruction
+    until at least [want] accounted bytes are freed (or the cache is
+    empty), in ascending replay-cost-per-byte order — big-but-cheap-to-
+    recompute entries go first; the reconstruction's cost is its
+    re-execution's step count. Returns the bytes freed; releases them
+    from the attached budget itself. An evicted reconstruction is
+    rebuilt by the next {!reconstruction}. *)
 
 val clear : t -> unit
-(** Evict everything (releasing the budget charge). *)
+(** Evict everything, the reconstruction included (releasing the
+    budget charge). *)
 
 val evictions : t -> int
 (** Lifetime evicted-entry count. *)

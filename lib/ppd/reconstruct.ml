@@ -54,13 +54,15 @@ let validate ~(recorded : L.t) ~(recon : L.t) =
         recon.L.stops.(pid) recorded.L.stops.(pid)
   done
 
-let reconstruct eb (log : L.t) =
+(* The content log plus the re-execution's step count (0 for a content
+   log, which is its own reconstruction). *)
+let run eb (log : L.t) =
   match log.L.tier with
-  | L.T_content -> log
+  | L.T_content -> (log, 0)
   | L.T_order { o_sched; o_engine; o_max_steps } ->
     let engine = engine_of_string o_engine in
     let sched = sched_of_string o_sched in
-    let _halt, recon, _machine =
+    let _halt, recon, machine =
       Obs.phase "reconstruction" (fun () ->
           Trace.Logger.run_logged ~engine ~sched ~max_steps:o_max_steps eb)
     in
@@ -68,4 +70,11 @@ let reconstruct eb (log : L.t) =
     (* Keep the order log's checkpoints: the execution is identical, so
        the checkpoint cuts are valid for the reconstructed entries and
        keep seek-to-step restores bounded by the checkpoint interval. *)
-    { recon with L.tier = L.T_content; ckpts = log.L.ckpts }
+    ( { recon with L.tier = L.T_content; ckpts = log.L.ckpts },
+      Runtime.Machine.nsteps machine )
+
+let reconstruct eb log = fst (run eb log)
+
+let reader eb r =
+  let log, steps = run eb (Store.Segment.to_log r) in
+  (Store.Segment.of_log log, steps)

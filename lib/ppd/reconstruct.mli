@@ -23,3 +23,11 @@ val reconstruct : Analysis.Eblock.t -> Trace.Log.t -> Trace.Log.t
     execution is identical, so the checkpoint cuts remain valid).
     @raise Divergence when the re-execution does not match the recorded
     sync order. *)
+
+val reader :
+  Analysis.Eblock.t -> Store.Segment.reader -> Store.Segment.reader * int
+(** [reader eb r] decodes [r] whole, reconstructs it, and returns a
+    reader over the content log ({!Store.Segment.of_log}) with the
+    re-execution's step count — what rebuilding it would cost again.
+    @raise Divergence as {!reconstruct}; @raise Trace.Log_io.Unreadable
+    when a page of [r] cannot be read. *)

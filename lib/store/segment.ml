@@ -879,6 +879,9 @@ let open_file ?budget path =
       r_backing = backing;
     }
 
+let of_log log =
+  { r_path = ""; r_version = 2; r_bytes = 0; r_backing = mem_backing log }
+
 let version r = r.r_version
 
 let file_bytes r = r.r_bytes

@@ -99,6 +99,11 @@ val open_file : ?budget:Resil.Budget.t -> string -> reader
     reclaimer. @raise Trace.Log_io.Unreadable on a foreign or hopeless
     file. *)
 
+val of_log : Trace.Log.t -> reader
+(** A reader over a log already in memory (no file behind it:
+    {!version} 2, {!file_bytes} 0). Reads never fault and never page;
+    {!intervals} are memoised per process like an indexed reader's. *)
+
 val reclaim_cache : reader -> int -> int
 (** [reclaim_cache r want] evicts cached pages (LRU tails first,
     round-robin across the shards) until at least [want] accounted

@@ -1,11 +1,13 @@
 #!/bin/sh
 # Smoke the serve daemon over a real unix socket: N concurrent clients
 # drive the same conversation through `ppd connect`, every response
-# must carry the id of its request, the flowback answers must be
-# byte-identical to the one-shot CLI, and SIGTERM must shut the daemon
-# down cleanly — socket removed, no orphan process. CI runs this so
-# the transport layer (accept loop, per-connection threads, signal
-# path) stays exercised, not just the in-process dispatcher.
+# must carry the id of its request, the flowback and replay answers
+# must be byte-identical to the one-shot CLI, and SIGTERM must shut the
+# daemon down cleanly — socket removed, no orphan process. CI runs this
+# so the transport layer (accept loop, per-connection threads, signal
+# path) stays exercised, not just the in-process dispatcher. Every
+# client also debugs an order-tier recording of the same run first, so
+# the clients race on the one reconstruction the daemon keeps for it.
 set -eu
 
 PPD=${PPD:-_build/default/bin/ppd_cli.exe}
@@ -21,10 +23,13 @@ trap cleanup EXIT
 
 "$PPD" example fig61 >"$dir/fig61.mpl"
 "$PPD" log "$dir/fig61.mpl" --save "$dir/fig61.seg" >/dev/null
+"$PPD" log "$dir/fig61.mpl" --save "$dir/order.seg" --log-mode order >/dev/null
 
 # the answers the daemon must reproduce byte for byte
-"$PPD" flowback "$dir/fig61.mpl" --load "$dir/fig61.seg" --depth 2 >"$dir/flowback.one"
-"$PPD" replay "$dir/fig61.mpl" --load "$dir/fig61.seg" >"$dir/replay.one"
+for log in fig61 order; do
+  "$PPD" flowback "$dir/fig61.mpl" --load "$dir/$log.seg" --depth 2 >"$dir/flowback.$log"
+  "$PPD" replay "$dir/fig61.mpl" --load "$dir/$log.seg" >"$dir/replay.$log"
+done
 
 sock="$dir/ppd.sock"
 "$PPD" serve --socket "$sock" -j 2 2>"$dir/daemon.log" &
@@ -52,10 +57,14 @@ while [ "$n" -lt "$CLIENTS" ]; do
   {
     printf '%s\n' \
       "{\"id\":1,\"method\":\"ping\"}" \
-      "{\"id\":2,\"method\":\"open\",\"params\":{\"log\":\"$dir/fig61.seg\",\"program\":\"$dir/fig61.mpl\"}}" \
+      "{\"id\":2,\"method\":\"open\",\"params\":{\"log\":\"$dir/order.seg\",\"program\":\"$dir/fig61.mpl\"}}" \
       "{\"id\":3,\"method\":\"flowback\",\"params\":{\"handle\":1,\"depth\":2}}" \
       "{\"id\":4,\"method\":\"replay\",\"params\":{\"handle\":1}}" \
-      "{\"id\":5,\"method\":\"close\",\"params\":{\"handle\":1}}" |
+      "{\"id\":5,\"method\":\"open\",\"params\":{\"log\":\"$dir/fig61.seg\",\"program\":\"$dir/fig61.mpl\"}}" \
+      "{\"id\":6,\"method\":\"flowback\",\"params\":{\"handle\":2,\"depth\":2}}" \
+      "{\"id\":7,\"method\":\"replay\",\"params\":{\"handle\":2}}" \
+      "{\"id\":8,\"method\":\"close\",\"params\":{\"handle\":1}}" \
+      "{\"id\":9,\"method\":\"close\",\"params\":{\"handle\":2}}" |
       "$PPD" connect --socket "$sock" >"$dir/client$n.out"
   } &
   client_pids="$client_pids $!"
@@ -64,23 +73,24 @@ for pid in $client_pids; do
   wait "$pid"
 done
 
-# every client: 5 id-matched responses, none an error, and the
-# flowback/replay outputs byte-match the one-shot CLI
+# every client: 9 id-matched responses, none an error, and the
+# flowback/replay outputs on both logs byte-match the one-shot CLI
 n=0
 while [ "$n" -lt "$CLIENTS" ]; do
   n=$((n + 1))
-  python3 - "$dir/client$n.out" "$dir/flowback.one" "$dir/replay.one" <<'EOF'
+  python3 - "$dir/client$n.out" "$dir" <<'EOF'
 import json, sys
-out, flow, rep = sys.argv[1], sys.argv[2], sys.argv[3]
+out, d = sys.argv[1], sys.argv[2]
 lines = [json.loads(l) for l in open(out)]
-assert [r["id"] for r in lines] == [1, 2, 3, 4, 5], f"{out}: ids {[r['id'] for r in lines]}"
+assert [r["id"] for r in lines] == list(range(1, 10)), f"{out}: ids {[r['id'] for r in lines]}"
 for r in lines:
     assert "error" not in r, f"{out}: unexpected error response {r}"
-assert lines[2]["result"]["output"] == open(flow).read(), f"{out}: flowback differs"
-assert lines[3]["result"]["output"] == open(rep).read(), f"{out}: replay differs"
+for i, what in [(2, "flowback.order"), (3, "replay.order"),
+                (5, "flowback.fig61"), (6, "replay.fig61")]:
+    assert lines[i]["result"]["output"] == open(f"{d}/{what}").read(), f"{out}: {what} differs"
 EOF
 done
-echo "serve-smoke: $CLIENTS concurrent clients, all responses id-matched and byte-identical"
+echo "serve-smoke: $CLIENTS concurrent clients, all responses id-matched and byte-identical on both tiers"
 
 # clean shutdown on SIGTERM: process exits, socket file removed
 kill -TERM "$daemon_pid"

@@ -232,6 +232,32 @@ let test_controller_over_order_log () =
       Alcotest.(check bool) "paged order log debugs" true
         (Ppd.Controller.last_event_node ctl ~pid:0 <> None))
 
+(* The shared cache's reconstruction slot: filled once and reused,
+   charged to the budget while held, released by [clear], and rebuilt
+   after that. *)
+let test_reconstruction_slot () =
+  let eb, content, order = record ~ckpt_every:16 Workloads.fig61 in
+  with_tmp (fun path ->
+      S.save path order;
+      let src = S.open_file path in
+      let budget = Resil.Budget.create ~cap:0 () in
+      let fc = Ppd.Fragcache.create ~budget () in
+      let r1 = Ppd.Fragcache.reconstruction fc eb src in
+      Alcotest.(check bool) "the content log" true
+        ((S.to_log r1).L.entries = content.L.entries);
+      Alcotest.(check bool) "reused while held" true
+        (Ppd.Fragcache.reconstruction fc eb src == r1);
+      Alcotest.(check bool) "charged" true (Resil.Budget.used budget > 0);
+      Alcotest.(check int) "counted as cached bytes" (Resil.Budget.used budget)
+        (Ppd.Fragcache.bytes fc);
+      Ppd.Fragcache.clear fc;
+      Alcotest.(check int) "clear releases the charge" 0
+        (Resil.Budget.used budget);
+      Alcotest.(check int) "and the bytes" 0 (Ppd.Fragcache.bytes fc);
+      let r2 = Ppd.Fragcache.reconstruction fc eb src in
+      Alcotest.(check bool) "rebuilt after eviction" true
+        (r2 != r1 && (S.to_log r2).L.entries = content.L.entries))
+
 (* -------------------------------------------------------------- *)
 (* Checkpoint-seeded restoration (satellite: the stale-clock bug) *)
 
@@ -314,6 +340,8 @@ let suite =
         test_reconstruct_divergence;
       Alcotest.test_case "controller over order log" `Quick
         test_controller_over_order_log;
+      Alcotest.test_case "reconstruction slot accounting" `Quick
+        test_reconstruction_slot;
       Alcotest.test_case "checkpoint-seeded restore = full scan" `Quick
         test_ckpt_seeded_restore_equals_scan;
     ] )

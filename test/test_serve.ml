@@ -721,6 +721,67 @@ let test_quarantine_isolates () =
           Server.end_session srv s;
           Server.shutdown srv))
 
+(* One execution of [src] recorded in both tiers (DESIGN §16): the
+   program file, its content-tier segment and its order-tier segment. *)
+let with_tiers ?(src = Workloads.fig61) f =
+  let mpl = Filename.temp_file "serve_tiers" ".mpl" in
+  let content = Filename.temp_file "serve_tiers" ".content.seg" in
+  let order = Filename.temp_file "serve_tiers" ".order.seg" in
+  Out_channel.with_open_text mpl (fun oc -> Out_channel.output_string oc src);
+  let eb = Analysis.Eblock.analyze (Lang.Compile.compile src) in
+  let tier =
+    Trace.Log.T_order
+      {
+        Trace.Log.o_sched =
+          Runtime.Sched.string_of_policy Runtime.Sched.default;
+        o_engine = "vm";
+        o_max_steps = 1_000_000;
+      }
+  in
+  let _, c, _ = Trace.Logger.run_logged eb in
+  let _, o, _ = Trace.Logger.run_logged ~tier eb in
+  Store.Segment.save content c;
+  Store.Segment.save order o;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> try Sys.remove p with Sys_error _ -> ())
+        [ mpl; content; order ])
+    (fun () -> f ~mpl ~content ~order)
+
+(* The program re-executions Obs has seen since the last reset. *)
+let reconstructions () =
+  List.length
+    (List.filter
+       (fun sp -> sp.Obs.sp_cat = "phase" && sp.Obs.sp_name = "reconstruction")
+       (Obs.spans ()))
+
+let with_obs f =
+  Obs.enable ();
+  Obs.reset ();
+  Fun.protect ~finally:Obs.disable f
+
+(* A query's answer without the header line, which names the log file. *)
+let answer srv s ~h ~id meth =
+  let line = Server.handle_line srv s (req ~id meth [ ("handle", J.Int h) ]) in
+  let out = jstr (result_of line) "output" in
+  if meth = "race" then out
+  else
+    match String.index_opt out '\n' with
+    | Some i -> String.sub out (i + 1) (String.length out - i - 1)
+    | None -> out
+
+let methods = [ "flowback"; "replay"; "race" ]
+
+let check_within_budget srv s =
+  let ss = result_of (Server.handle_line srv s (req ~id:3 "serverStats" [])) in
+  match J.member "memory" ss with
+  | Some m ->
+    Alcotest.(check int) "cap reported" 16_384 (jint m "budgetCap");
+    Alcotest.(check bool) "usage within budget after rebalance" true
+      (jint m "budgetUsed" <= 16_384)
+  | None -> Alcotest.fail "serverStats without memory block"
+
 let test_mem_budget () =
   with_fixture (fun ~mpl ~seg ->
       let unbudgeted = Server.create () in
@@ -736,13 +797,115 @@ let test_mem_budget () =
       let r1 = flowback_result srv s ~h ~id:2 in
       Alcotest.(check string) "byte-identical under a memory budget"
         (jstr r0 "output") (jstr r1 "output");
-      let ss = result_of (Server.handle_line srv s (req ~id:3 "serverStats" [])) in
-      (match J.member "memory" ss with
-      | Some m ->
-        Alcotest.(check int) "cap reported" 16_384 (jint m "budgetCap");
-        Alcotest.(check bool) "usage within budget after rebalance" true
-          (jint m "budgetUsed" <= 16_384)
-      | None -> Alcotest.fail "serverStats without memory block");
+      check_within_budget srv s;
+      Server.end_session srv s;
+      Server.shutdown srv);
+  (* an order-tier log whose reconstruction alone outweighs the budget:
+     every fill is evicted again, so every request rebuilds it *)
+  with_tiers ~src:(Workloads.counter ~workers:3 ~incs:6 ~mutex:true)
+    (fun ~mpl ~content:_ ~order ->
+      let answers srv =
+        let s = Server.session srv in
+        let h = open_handle srv s ~mpl ~seg:order in
+        (List.map (fun m -> (m, answer srv s ~h ~id:2 m)) methods, s)
+      in
+      let srv0 = Server.create () in
+      let want, s0 = answers srv0 in
+      Server.end_session srv0 s0;
+      Server.shutdown srv0;
+      let config = { Server.default_config with mem_budget = 16_384 } in
+      let srv = Server.create ~config () in
+      with_obs (fun () ->
+          let got, s = answers srv in
+          List.iter2
+            (fun (m, a) (_, b) ->
+              Alcotest.(check string)
+                (m ^ " byte-identical under a memory budget") a b)
+            want got;
+          Alcotest.(check int) "evicted reconstruction rebuilt per request"
+            (List.length methods) (reconstructions ());
+          check_within_budget srv s;
+          Server.end_session srv s);
+      Server.shutdown srv)
+
+(* The reconstruction slot's contract: however many sessions and
+   requests hit one order-tier registry entry, the program is
+   re-executed once, and every answer is the content tier's. *)
+let test_order_reconstructs_once () =
+  with_tiers (fun ~mpl ~content ~order ->
+      let srv = Server.create () in
+      let s = Server.session srv in
+      let hc = open_handle srv s ~mpl ~seg:content in
+      let want = List.map (fun m -> (m, answer srv s ~h:hc ~id:2 m)) methods in
+      Server.end_session srv s;
+      with_obs (fun () ->
+          let s1 = Server.session srv in
+          let s2 = Server.session srv in
+          let h1 = open_handle srv s1 ~mpl ~seg:order in
+          let h2 = open_handle srv s2 ~mpl ~seg:order in
+          for round = 1 to 3 do
+            List.iter
+              (fun (s, h) ->
+                List.iter
+                  (fun (m, a) ->
+                    Alcotest.(check string)
+                      (Printf.sprintf "%s round %d = content tier" m round)
+                      a
+                      (answer srv s ~h ~id:(10 + round) m))
+                  want)
+              [ (s1, h1); (s2, h2) ]
+          done;
+          Alcotest.(check int) "one re-execution for 18 requests" 1
+            (reconstructions ());
+          Server.end_session srv s1;
+          Server.end_session srv s2);
+      Server.shutdown srv)
+
+(* Failures are answered, not cached: the request after a transient read
+   fault re-executes and answers cleanly, and a divergence is re-derived
+   on every request. *)
+let test_order_failures_not_cached () =
+  with_tiers (fun ~mpl ~content:_ ~order ->
+      let clean =
+        let srv = Server.create () in
+        let s = Server.session srv in
+        let h = open_handle srv s ~mpl ~seg:order in
+        let r =
+          Server.handle_line srv s
+            (req ~id:2 "flowback" [ ("handle", J.Int h) ])
+        in
+        Server.end_session srv s;
+        Server.shutdown srv;
+        r
+      in
+      let srv = Server.create () in
+      let s = Server.session srv in
+      let h = open_handle srv s ~mpl ~seg:order in
+      let fb () =
+        Server.handle_line srv s (req ~id:2 "flowback" [ ("handle", J.Int h) ])
+      in
+      (match Fault.arm "store.segment.read:1" with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "fault spec: %s" e);
+      Fun.protect ~finally:Fault.disarm (fun () ->
+          Alcotest.(check string) "first fill faults" "PPD050"
+            (error_code_of (fb ()));
+          Alcotest.(check string) "next request answers like a clean daemon"
+            clean (fb ()));
+      let bad = Filename.temp_file "serve_other" ".mpl" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove bad with Sys_error _ -> ())
+        (fun () ->
+          Out_channel.with_open_text bad (fun oc ->
+              Out_channel.output_string oc "func main() { print(1); }");
+          let hb = open_handle srv s ~mpl:bad ~seg:order in
+          let code id =
+            error_code_of
+              (Server.handle_line srv s
+                 (req ~id "flowback" [ ("handle", J.Int hb) ]))
+          in
+          Alcotest.(check string) "divergence" "PPD061" (code 4);
+          Alcotest.(check string) "divergence again" "PPD061" (code 5));
       Server.end_session srv s;
       Server.shutdown srv)
 
@@ -858,6 +1021,10 @@ let suite =
         test_quarantine_isolates;
       Alcotest.test_case "memory budget bounds the caches" `Quick
         test_mem_budget;
+      Alcotest.test_case "order tier reconstructs once per entry" `Quick
+        test_order_reconstructs_once;
+      Alcotest.test_case "order-tier failures are not cached" `Quick
+        test_order_failures_not_cached;
       Alcotest.test_case "journal, resume, attach" `Quick
         test_journal_resume_attach;
       Alcotest.test_case "stale handles answer PPD092" `Quick
