@@ -69,11 +69,53 @@ let program (prog : P.t) =
       Array.map (fun (v : P.var) -> v.vname ^ " (external)") prog.P.vars;
   }
 
+(* An int-keyed map (by vid, or by predicate sid) whose entries belong
+   to the scope that wrote them: an entry is visible only while its
+   writer is the current scope, and closing a scope restores what its
+   writes replaced, so a recursive call cannot clobber its caller's
+   entries. Scope ids are never reused, so entries left by a closed
+   scope or an earlier interval are simply invisible. *)
+type scoped = {
+  sm_node : int array;  (* key -> node *)
+  sm_scope : int array;  (* key -> id of the scope that wrote it *)
+  mutable sm_undo : int array;  (* (key, node, scope) triples to restore *)
+  mutable sm_top : int;
+}
+
+let scoped n =
+  { sm_node = Array.make n (-1); sm_scope = Array.make n 0; sm_undo = [||]; sm_top = 0 }
+
+let sm_find m ~scope key = if m.sm_scope.(key) = scope then m.sm_node.(key) else -1
+
+let sm_set m ~scope key node =
+  if m.sm_scope.(key) <> scope then begin
+    if m.sm_top + 3 > Array.length m.sm_undo then begin
+      let undo = Array.make (max 48 (2 * m.sm_top)) 0 in
+      Array.blit m.sm_undo 0 undo 0 m.sm_top;
+      m.sm_undo <- undo
+    end;
+    m.sm_undo.(m.sm_top) <- key;
+    m.sm_undo.(m.sm_top + 1) <- m.sm_node.(key);
+    m.sm_undo.(m.sm_top + 2) <- m.sm_scope.(key);
+    m.sm_top <- m.sm_top + 3;
+    m.sm_scope.(key) <- scope
+  end;
+  m.sm_node.(key) <- node
+
+let sm_restore m ~mark =
+  while m.sm_top > mark do
+    m.sm_top <- m.sm_top - 3;
+    let key = m.sm_undo.(m.sm_top) in
+    m.sm_node.(key) <- m.sm_undo.(m.sm_top + 1);
+    m.sm_scope.(key) <- m.sm_undo.(m.sm_top + 2)
+  done
+
 type scope = {
+  sc_id : int;
   sc_owner : int option;  (* sub-graph node owning the members *)
   sc_entry : int;
-  sc_local_def : (int, int) Hashtbl.t;  (* vid -> node *)
-  sc_last_pred : (int, int) Hashtbl.t;  (* predicate sid -> node instance *)
+  sc_locals_mark : int;  (* undo marks to restore on close *)
+  sc_preds_mark : int;
   mutable sc_open_calls : (int * int) list;  (* call sid -> sub-graph node *)
   mutable sc_open_loops : (int * int) list;  (* loop sid -> loop node *)
   mutable sc_last_return : int option;
@@ -82,26 +124,42 @@ type scope = {
 type t = {
   bp : program;
   g : Dyn_graph.t;
-  pid : int;
+  locals : scoped;  (* vid -> defining node, per scope *)
+  last_pred : scoped;  (* predicate sid -> latest instance, per scope *)
+  glob_def : int array;  (* global vid -> defining node *)
+  glob_stamp : int array;  (* global vid -> interval that defined it *)
+  mutable clock : int;  (* the last id given to an interval or a scope *)
+  (* the interval being assembled *)
+  mutable interval : int;
+  mutable pid : int;
   mutable scopes : scope list;
-  glob_def : (int, int) Hashtbl.t;  (* global vid -> node *)
-  mutable last : int option;
+  mutable last : int;  (* -1: none *)
   mutable pending_rev : (E.eref * int) list;
-  mutable popped_return : int option;
-      (* return node of the callee just left, for the %0 edge *)
+  mutable popped_return : int;
+      (* return node of the callee just left, for the %0 edge; -1: none *)
 }
 
-let create bp g ~pid =
+let create bp g =
+  let nvars = bp.prog.P.nvars in
   {
     bp;
     g;
-    pid;
+    locals = scoped nvars;
+    last_pred = scoped (Array.length bp.prog.P.stmts);
+    glob_def = Array.make nvars (-1);
+    glob_stamp = Array.make nvars 0;
+    clock = 0;
+    interval = 0;
+    pid = 0;
     scopes = [];
-    glob_def = Hashtbl.create 32;
-    last = None;
+    last = -1;
     pending_rev = [];
-    popped_return = None;
+    popped_return = -1;
   }
+
+let fresh_id t =
+  t.clock <- t.clock + 1;
+  t.clock
 
 let cur_scope t =
   match t.scopes with
@@ -109,20 +167,30 @@ let cur_scope t =
   | s :: _ -> s
 
 let flow_to t node =
-  (match t.last with
-  | Some prev -> Dyn_graph.add_edge t.g ~src:prev ~dst:node ~kind:Dyn_graph.Flow
-  | None -> ());
-  t.last <- Some node
+  if t.last >= 0 then
+    Dyn_graph.add_edge t.g ~src:t.last ~dst:node ~kind:Dyn_graph.Flow;
+  t.last <- node
+
+let find_def t sc (v : P.var) =
+  if P.is_global v then
+    if t.glob_stamp.(v.vid) = t.interval then t.glob_def.(v.vid) else -1
+  else sm_find t.locals ~scope:sc.sc_id v.vid
+
+let set_def t sc (v : P.var) node =
+  if P.is_global v then begin
+    t.glob_def.(v.vid) <- node;
+    t.glob_stamp.(v.vid) <- t.interval
+  end
+  else sm_set t.locals ~scope:sc.sc_id v.vid node
 
 (* Resolve the defining node of a read; creates a frontier node when
    the definition lies outside the fragment. *)
 let resolve_read t (rw : E.rw) =
   let v = rw.var in
   let sc = cur_scope t in
-  let table = if P.is_global v then t.glob_def else sc.sc_local_def in
-  match Hashtbl.find_opt table v.vid with
-  | Some node -> node
-  | None ->
+  let def = find_def t sc v in
+  if def >= 0 then def
+  else
     let node =
       Dyn_graph.add_node t.g ?owner:sc.sc_owner ~value:rw.value ~pid:t.pid
         ~kind:(Dyn_graph.N_external v)
@@ -130,30 +198,22 @@ let resolve_read t (rw : E.rw) =
         ()
     in
     Dyn_graph.mark_external t.g node v;
-    Hashtbl.replace table v.vid node;
+    set_def t sc v node;
     node
 
-let data_edges t node reads =
-  (* one edge per distinct variable (read lists are short) *)
-  ignore
-    (List.fold_left
-       (fun seen (rw : E.rw) ->
-         let vid = rw.var.P.vid in
-         if List.mem vid seen then seen
-         else begin
-           let src = resolve_read t rw in
-           Dyn_graph.add_edge t.g ~src ~dst:node ~kind:(Dyn_graph.Data rw.var);
-           vid :: seen
-         end)
-       [] reads)
+(* One edge per distinct variable: a repeated read resolves to the same
+   definition, and the graph ignores the duplicate edge. *)
+let rec data_edges t node = function
+  | [] -> ()
+  | (rw : E.rw) :: reads ->
+    let src = resolve_read t rw in
+    Dyn_graph.add_edge t.g ~src ~dst:node ~kind:(Dyn_graph.Data rw.var);
+    data_edges t node reads
 
 let record_write t node (w : E.rw option) =
   match w with
   | None -> ()
-  | Some { var; _ } ->
-    let sc = cur_scope t in
-    let table = if P.is_global var then t.glob_def else sc.sc_local_def in
-    Hashtbl.replace table var.vid node
+  | Some { var; _ } -> set_def t (cur_scope t) var node
 
 (* Dynamic control dependence: the latest executed instance of the
    statement's static control parent. *)
@@ -164,12 +224,10 @@ let control_edge t node sid =
       let src =
         match parent with
         | C_entry -> sc.sc_entry
-        | C_pred ps -> (
-          match Hashtbl.find_opt sc.sc_last_pred ps with
-          | Some inst -> inst
-          | None ->
-            (* should not happen inside a complete interval; fall back *)
-            sc.sc_entry)
+        | C_pred ps ->
+          let inst = sm_find t.last_pred ~scope:sc.sc_id ps in
+          (* none should not happen inside a complete interval; fall back *)
+          if inst >= 0 then inst else sc.sc_entry
       in
       Dyn_graph.add_edge t.g ~src ~dst:node ~kind:Dyn_graph.Control)
     t.bp.ctrl.(sid)
@@ -182,10 +240,11 @@ let sync_link t ~src ~dst =
 let open_scope t ~owner ~entry ~binds ~from_sub =
   let sc =
     {
+      sc_id = fresh_id t;
       sc_owner = owner;
       sc_entry = entry;
-      sc_local_def = Hashtbl.create 16;
-      sc_last_pred = Hashtbl.create 8;
+      sc_locals_mark = t.locals.sm_top;
+      sc_preds_mark = t.last_pred.sm_top;
       sc_open_calls = [];
       sc_open_loops = [];
       sc_last_return = None;
@@ -209,8 +268,13 @@ let open_scope t ~owner ~entry ~binds ~from_sub =
       | None ->
         Dyn_graph.add_edge t.g ~src:entry ~dst:pnode
           ~kind:(Dyn_graph.Dparam (i + 1)));
-      Hashtbl.replace sc.sc_local_def v.vid pnode)
+      sm_set t.locals ~scope:sc.sc_id v.vid pnode)
     binds
+
+let close_scope t sc rest =
+  sm_restore t.locals ~mark:sc.sc_locals_mark;
+  sm_restore t.last_pred ~mark:sc.sc_preds_mark;
+  t.scopes <- rest
 
 let feed t ~seq (ev : E.t) =
   let ref_ = { E.epid = t.pid; eseq = seq } in
@@ -241,8 +305,8 @@ let feed t ~seq (ev : E.t) =
   | E.E_leave _ -> (
     match t.scopes with
     | sc :: rest ->
-      t.popped_return <- sc.sc_last_return;
-      t.scopes <- rest
+      t.popped_return <- Option.value sc.sc_last_return ~default:(-1);
+      close_scope t sc rest
     | [] -> ())
   | E.E_proc_exit { fid; _ } ->
     let sc_owner = match t.scopes with sc :: _ -> sc.sc_owner | [] -> None in
@@ -251,7 +315,7 @@ let feed t ~seq (ev : E.t) =
         ~kind:(Dyn_graph.N_exit fid) ~label:t.bp.exit_label.(fid) ()
     in
     flow_to t exit_node;
-    (match t.scopes with _ :: rest -> t.scopes <- rest | [] -> ())
+    (match t.scopes with sc :: rest -> close_scope t sc rest | [] -> ())
   | E.E_loop_enter { sid } ->
     let sc = cur_scope t in
     let node =
@@ -267,16 +331,12 @@ let feed t ~seq (ev : E.t) =
     | None -> ()
     | Some lnode -> (
       sc.sc_open_loops <- List.remove_assoc sid sc.sc_open_loops;
-      t.last <- Some lnode;
+      t.last <- lnode;
       match writes with
       | None -> ()
       | Some ws ->
         (* skipped loop e-block: the collapsed node defines its writes *)
-        List.iter
-          (fun ((v : P.var), _) ->
-            let table = if P.is_global v then t.glob_def else sc.sc_local_def in
-            Hashtbl.replace table v.vid lnode)
-          ws))
+        List.iter (fun ((v : P.var), _) -> set_def t sc v lnode) ws))
   | E.E_stmt { sid; reads; write; kind } -> (
     let label = t.bp.stmt_label.(sid) in
     let singular ?value () =
@@ -298,7 +358,7 @@ let feed t ~seq (ev : E.t) =
       record_write t node write
     | E.K_pred b ->
       let node = singular ~value:(V.Vint (if b then 1 else 0)) () in
-      (cur_scope t).sc_last_pred |> fun tbl -> Hashtbl.replace tbl sid node
+      sm_set t.last_pred ~scope:(cur_scope t).sc_id sid node
     | E.K_print { value } -> ignore (singular ~value ())
     | E.K_assert { ok } -> ignore (singular ~value:(V.Vint (if ok then 1 else 0)) ())
     | E.K_return { value } ->
@@ -368,14 +428,13 @@ let feed t ~seq (ev : E.t) =
       | Some sub ->
         sc.sc_open_calls <- List.remove_assoc sid sc.sc_open_calls;
         (match ret with Some v -> Dyn_graph.set_value t.g sub v | None -> ());
-        (match t.popped_return with
-        | Some rnode ->
-          Dyn_graph.add_edge t.g ~src:rnode ~dst:sub
+        if t.popped_return >= 0 then begin
+          Dyn_graph.add_edge t.g ~src:t.popped_return ~dst:sub
             ~kind:(Dyn_graph.Dparam 0);
-          t.popped_return <- None
-        | None -> ());
+          t.popped_return <- -1
+        end;
         record_write t sub write;
-        t.last <- Some sub)
+        t.last <- sub)
     | E.K_p { src; _ } ->
       let node = singular () in
       (match src with Some r -> sync_link t ~src:r ~dst:node | None -> ());
@@ -397,33 +456,42 @@ let feed t ~seq (ev : E.t) =
       sync_link t ~src:child_exit ~dst:node;
       record_write t node write)
 
-(* A builder with its scope seeded for the interval: a loop e-block
+(* Reset the per-interval state and seed the scope: a loop e-block
    interval replays without an opening enter event, so its nodes hang
    off the loop node of the parent fragment when it exists, or a fresh
    collapsed loop node otherwise. *)
-let prepare bp g ~interval =
+let prepare t ~interval =
   let pid = interval.Trace.Log.iv_pid in
-  let t = create bp g ~pid in
-  (match interval.Trace.Log.iv_block with
+  t.interval <- fresh_id t;
+  t.pid <- pid;
+  t.scopes <- [];
+  t.last <- -1;
+  t.pending_rev <- [];
+  t.popped_return <- -1;
+  t.locals.sm_top <- 0;
+  t.last_pred.sm_top <- 0;
+  match interval.Trace.Log.iv_block with
   | Trace.Log.Bfunc _ -> ()
   | Trace.Log.Bloop sid ->
     let enter_ref =
       { E.epid = pid; eseq = interval.Trace.Log.iv_seq_start - 1 }
     in
     let entry =
-      match Dyn_graph.find_ref g enter_ref with
+      match Dyn_graph.find_ref t.g enter_ref with
       | Some n -> n
       | None ->
-        Dyn_graph.add_node g ~ref_:enter_ref ~pid
-          ~kind:(Dyn_graph.N_loop sid) ~label:bp.loop_label.(sid) ()
+        Dyn_graph.add_node t.g ~ref_:enter_ref ~pid
+          ~kind:(Dyn_graph.N_loop sid) ~label:t.bp.loop_label.(sid) ()
     in
     open_scope t ~owner:(Some entry) ~entry ~binds:[] ~from_sub:None;
-    t.last <- Some entry);
-  t
+    t.last <- entry
 
-let build_from_outcome bp g ~interval (outcome : Emulator.outcome) =
-  let t = prepare bp g ~interval in
+let build_from_outcome t ~interval (outcome : Emulator.outcome) =
+  prepare t ~interval;
   List.iter (fun (seq, ev) -> feed t ~seq ev) outcome.Emulator.events;
   (* a link's source precedes its target, so a source missing when the
      target was fed is not in this fragment either *)
-  List.rev t.pending_rev
+  let links = List.rev t.pending_rev in
+  t.scopes <- [];
+  t.pending_rev <- [];
+  links

@@ -30,9 +30,16 @@ val program : Lang.Prog.t -> program
     controllers over one program keep the result (see
     {!Fragcache.program}). *)
 
+type t
+(** An assembler for one graph: the program's tables plus scratch
+    state (per-variable and per-predicate definition tables) reused by
+    every interval it assembles, so a fragment allocates no table of
+    its own. Not thread-safe: one per controller. *)
+
+val create : program -> Dyn_graph.t -> t
+
 val build_from_outcome :
-  program ->
-  Dyn_graph.t ->
+  t ->
   interval:Trace.Log.interval ->
   Emulator.outcome ->
   (Runtime.Event.eref * int) list

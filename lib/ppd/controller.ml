@@ -1,6 +1,7 @@
 module P = Lang.Prog
 module E = Runtime.Event
 module L = Trace.Log
+module IT = Hashtbl.Make (Int)
 
 (* Degraded-mode policy (DESIGN §12) plus the per-request resilience
    envelope (DESIGN §17). [degraded] turns damaged or unreplayable
@@ -51,13 +52,14 @@ type link = { l_src : E.eref; l_dst : int; l_pos : int }
 
 type t = {
   eb : Analysis.Eblock.t;
-  bp : Builder.program;
   src : Store.Segment.reader;
       (* where the entries come from: an open segment decoded interval
          by interval as queries touch it (the demand-paged debugging
          phase), or a log already in memory *)
-  pd : Pardyn.t Lazy.t;  (* race queries force a full decode *)
+  pd : Pardyn.t Lazy.t;
+      (* race queries force a full decode, once per shared cache *)
   g : Dyn_graph.t;
+  asm : Builder.t;  (* assembles fragments into [g] *)
   ivs : L.interval array array;  (* per pid *)
   outcomes : (int * int, Emulator.outcome) Hashtbl.t;
       (* intervals whose fragment is in the graph *)
@@ -80,10 +82,11 @@ type t = {
   inflight : (int * int, Emulator.outcome Exec.Pool.future) Hashtbl.t;
       (* submitted to the pool, result not yet collected; main-domain
          state, so no lock *)
-  by_src : (E.eref, link list) Hashtbl.t;
-      (* pending sync links by source event: each node an assembly adds
-         is looked up here, so a link resolves once its source exists *)
-  by_dst : (int, link) Hashtbl.t;
+  by_src : link list IT.t;
+      (* pending sync links by source event ({!event_key}): each node an
+         assembly adds is looked up here, so a link resolves once its
+         source exists *)
+  by_dst : link IT.t;
       (* the same links by target node; a node has at most one sync
          source *)
   mutable link_lo : int;
@@ -156,15 +159,22 @@ let start_paged ?pool ?shared ?(config = default_config) eb src =
   in
   let prog = eb.Analysis.Eblock.prog in
   let stmt_fid sid = prog.P.stmt_fid.(sid) in
+  let bp =
+    match shared with
+    | Some f -> Fragcache.program f prog
+    | None -> Builder.program prog
+  in
+  let g = Dyn_graph.create () in
   {
     eb;
-    bp =
-      (match shared with
-      | Some f -> Fragcache.program f prog
-      | None -> Builder.program prog);
     src;
-    pd = lazy (Pardyn.of_log prog (Store.Segment.to_log src));
-    g = Dyn_graph.create ();
+    pd =
+      lazy
+        (match shared with
+        | Some f -> Fragcache.pardyn f prog src
+        | None -> Pardyn.of_log prog (Store.Segment.to_log src));
+    g;
+    asm = Builder.create bp g;
     ivs =
       Array.init (Store.Segment.nprocs src) (fun pid ->
           Store.Segment.intervals src ~stmt_fid ~pid);
@@ -175,8 +185,8 @@ let start_paged ?pool ?shared ?(config = default_config) eb src =
     frag_lock = Mutex.create ();
     frags = Hashtbl.create 16;
     inflight = Hashtbl.create 16;
-    by_src = Hashtbl.create 16;
-    by_dst = Hashtbl.create 16;
+    by_src = IT.create 16;
+    by_dst = IT.create 16;
     link_lo = 0;
     link_hi = 0;
     links_desc = false;
@@ -227,25 +237,27 @@ let in_visit_order t links =
   let asc a b = Int.compare a.l_pos b.l_pos in
   List.sort (if t.links_desc then fun a b -> asc b a else asc) links
 
+(* An event as one int, for the pending-link table. *)
+let event_key t ~pid ~seq = (seq * Array.length t.ivs) + pid
+
 (* After an assembly added nodes [first ..]: connect the pending links
    whose source is among them, then file the fragment's own unresolved
    [links] (in event order). *)
 let link_fragment t ~first links =
-  if Hashtbl.length t.by_src > 0 then
-    for id = first to Dyn_graph.nnodes t.g - 1 do
-      match (Dyn_graph.node t.g id).Dyn_graph.nd_ref with
-      | None -> ()
-      | Some r -> (
-        match Hashtbl.find_opt t.by_src r with
+  if IT.length t.by_src > 0 then
+    for src = first to Dyn_graph.nnodes t.g - 1 do
+      let seq = Dyn_graph.node_seq t.g src in
+      if seq >= 0 then
+        let key = event_key t ~pid:(Dyn_graph.node_pid t.g src) ~seq in
+        match IT.find_opt t.by_src key with
         | None -> ()
         | Some ls ->
-          Hashtbl.remove t.by_src r;
-          let src = Option.get (Dyn_graph.find_ref t.g r) in
+          IT.remove t.by_src key;
           List.iter
             (fun l ->
-              Hashtbl.remove t.by_dst l.l_dst;
+              IT.remove t.by_dst l.l_dst;
               Dyn_graph.add_edge t.g ~src ~dst:l.l_dst ~kind:Dyn_graph.Sync)
-            (in_visit_order t ls))
+            (in_visit_order t ls)
     done;
   t.links_desc <- not t.links_desc;
   List.iter
@@ -261,9 +273,10 @@ let link_fragment t ~first links =
         end
       in
       let l = { l_src = src; l_dst = dst; l_pos = pos } in
-      Hashtbl.replace t.by_dst dst l;
-      Hashtbl.replace t.by_src src
-        (l :: Option.value ~default:[] (Hashtbl.find_opt t.by_src src)))
+      let key = event_key t ~pid:src.E.epid ~seq:src.E.eseq in
+      IT.replace t.by_dst dst l;
+      IT.replace t.by_src key
+        (l :: Option.value ~default:[] (IT.find_opt t.by_src key)))
     (List.rev links)
 
 (* Replay an interval on the calling domain. Safe on a pool worker:
@@ -481,7 +494,7 @@ let build_interval (t : t) ~pid ~iv_id =
          counters are bumped the same way on every path, so [-jN]
          statistics match [-j1] byte for byte. *)
       let first = Dyn_graph.nnodes t.g in
-      let links = Builder.build_from_outcome t.bp t.g ~interval:iv outcome in
+      let links = Builder.build_from_outcome t.asm ~interval:iv outcome in
       t.replays <- t.replays + 1;
       t.replay_steps <- t.replay_steps + outcome.Emulator.steps;
       Obs.incr c_replays;
@@ -813,7 +826,7 @@ let prefetch ?(max_candidates = 8) t =
         match enclosing_interval t l.l_src with
         | Some iv -> spec iv
         | None -> ())
-      (in_visit_order t (Hashtbl.fold (fun _ l acc -> l :: acc) t.by_dst []));
+      (in_visit_order t (IT.fold (fun _ l acc -> l :: acc) t.by_dst []));
     List.iter
       (fun (node_id, (var : P.var)) ->
         match interval_of_node t node_id with
@@ -861,18 +874,14 @@ let prefetch ?(max_candidates = 8) t =
 
 let why t node_id =
   (* build the partner fragment of a pending sync link into this node *)
-  (match Hashtbl.find_opt t.by_dst node_id with
+  (match IT.find_opt t.by_dst node_id with
   | Some l -> ignore (node_of_event t l.l_src)
   | None -> ());
   t.links_desc <- not t.links_desc;
   (* resolve external predecessors *)
   List.iter
     (fun (p, _) ->
-      match (Dyn_graph.node t.g p).Dyn_graph.nd_kind with
-      | Dyn_graph.N_external _
-        when List.exists (fun (i, _) -> i = p) (Dyn_graph.externals t.g) ->
-        ignore (resolve_external t p)
-      | _ -> ())
+      if Dyn_graph.is_external t.g p then ignore (resolve_external t p))
     (Dyn_graph.preds t.g node_id);
   Dyn_graph.preds t.g node_id
 

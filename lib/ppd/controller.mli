@@ -122,6 +122,9 @@ val graph : t -> Dyn_graph.t
 val prog : t -> Lang.Prog.t
 
 val pardyn : t -> Pardyn.t
+(** The log's parallel dynamic graph, decoded and built on first use; a
+    controller started with a shared cache takes it from there
+    ({!Fragcache.pardyn}), so it is built once per registry entry. *)
 
 val intervals : t -> pid:int -> Trace.Log.interval array
 

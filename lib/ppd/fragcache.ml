@@ -15,8 +15,9 @@
    the outcomes that are big but cheap to recompute go first, the
    small expensive ones are kept. Eviction is always safe: a future
    lookup just replays the interval again. An order-tier log's
-   reconstruction (DESIGN §16.2) is held, charged and evicted the same
-   way, its cost being the program's re-execution.
+   reconstruction (DESIGN §16.2) and the log's parallel dynamic graph
+   (the race detector's input) are held, charged and evicted the same
+   way, their cost being what rebuilding them takes.
 
    The hit/miss counters are plain atomics, always live (unlike the
    Obs mirrors, which are no-ops until profiling is enabled): the T13
@@ -30,15 +31,19 @@ type entry = {
   e_steps : int;  (* replay cost: what eviction throws away *)
 }
 
-(* The content reader reconstructed from an order-tier source reader
-   (DESIGN §16.2), for one e-block analysis. *)
-type recon = {
-  rc_src : Store.Segment.reader;
-  rc_eb : Analysis.Eblock.t;
-  rc_reader : Store.Segment.reader;
-  rc_bytes : int;  (* charged estimate *)
-  rc_steps : int;  (* the re-execution's steps: what eviction throws away *)
+(* A value derived once from the whole log and held until evicted: the
+   key it was derived for (compared physically), its charged estimate,
+   and what rebuilding it costs, in replay steps. *)
+type ('k, 'v) derived = {
+  d_key : 'k;
+  d_value : 'v;
+  d_bytes : int;
+  d_steps : int;
 }
+
+(* Filled by compare-and-set, emptied by compare-and-set in {!reclaim}:
+   whoever wins a transition does its accounting. *)
+type ('k, 'v) slot = ('k, 'v) derived option Atomic.t
 
 (* Keys carry the *source tier* of the session that produced the
    outcome ("content" or "order"), not just (pid, iv_id): an order-tier
@@ -58,15 +63,18 @@ type t = {
   evictions : int Atomic.t;
   bp : (Lang.Prog.t * Builder.program) option Atomic.t;
       (* assembly tables of the program every controller here debugs *)
-  recon : recon option Atomic.t;
-      (* filled by compare-and-set, emptied by compare-and-set in
-         {!reclaim}: whoever wins a transition does its accounting *)
+  recon : (Store.Segment.reader * Analysis.Eblock.t, Store.Segment.reader) slot;
+      (* the content reader reconstructed from an order-tier source
+         reader (DESIGN §16.2), for one e-block analysis *)
+  race : (Lang.Prog.t * Store.Segment.reader, Pardyn.t) slot;
+      (* the parallel dynamic graph of one content reader *)
 }
 
 let create ?budget () =
   {
     bp = Atomic.make None;
     recon = Atomic.make None;
+    race = Atomic.make None;
     lock = Mutex.create ();
     tbl = Hashtbl.create 64;
     budget;
@@ -119,44 +127,48 @@ let publish t key (o : Emulator.outcome) =
     | _ -> ()
   end
 
+(* An eviction candidate: its rebuild cost, its bytes, and how to evict
+   it (false if a racing transition got there first). *)
+let candidate slot acc =
+  match Atomic.get slot with
+  | Some d as cur ->
+    (d.d_steps, d.d_bytes, fun () -> Atomic.compare_and_set slot cur None) :: acc
+  | None -> acc
+
 (* Evict up to [want] accounted bytes, cheapest-to-recompute-per-byte
-   first; the reconstruction ranks among the outcomes by its
-   re-execution's steps. Returns the bytes actually freed; releases
-   them from the attached budget itself (the [Resil.Budget] reclaimer
-   contract). *)
+   first; the derived values rank among the outcomes by their rebuild
+   cost. Returns the bytes actually freed; releases them from the
+   attached budget itself (the [Resil.Budget] reclaimer contract). *)
 let reclaim t want =
   if want <= 0 then 0
   else begin
     Mutex.lock t.lock;
-    let slot = Atomic.get t.recon in
     let frags =
-      Hashtbl.fold (fun k e acc -> (Some k, e.e_steps, e.e_bytes) :: acc) t.tbl []
+      Hashtbl.fold
+        (fun k e acc ->
+          ( e.e_steps,
+            e.e_bytes,
+            fun () ->
+              Hashtbl.remove t.tbl k;
+              true )
+          :: acc)
+        t.tbl []
     in
     let ranked =
-      List.sort
-        (fun (_, sa, ba) (_, sb, bb) ->
+      List.stable_sort
+        (fun (sa, ba, _) (sb, bb, _) ->
           compare
             (float_of_int sa /. float_of_int ba)
             (float_of_int sb /. float_of_int bb))
-        (match slot with
-        | Some r -> (None, r.rc_steps, r.rc_bytes) :: frags
-        | None -> frags)
+        (candidate t.recon (candidate t.race frags))
     in
     let freed = ref 0 in
     List.iter
-      (fun (k, _, bytes) ->
-        if !freed < want then
-          let evicted =
-            match k with
-            | Some k ->
-              Hashtbl.remove t.tbl k;
-              true
-            | None -> Atomic.compare_and_set t.recon slot None
-          in
-          if evicted then begin
-            freed := !freed + bytes;
-            Atomic.incr t.evictions
-          end)
+      (fun (_, bytes, evict) ->
+        if !freed < want && evict () then begin
+          freed := !freed + bytes;
+          Atomic.incr t.evictions
+        end)
       ranked;
     ignore (Atomic.fetch_and_add t.bytes (- !freed));
     Mutex.unlock t.lock;
@@ -192,46 +204,72 @@ let program t prog =
     Atomic.set t.bp (Some (prog, bp));
     bp
 
+(* Successes only: a failure propagates and leaves the slot as it was,
+   so the next request tries again. The budget charge and rebalance run
+   after the slot is set and may evict it at once; the caller still
+   holds the value it asked for. *)
+let derive t slot ~same build =
+  match Atomic.get slot with
+  | Some d when same d.d_key -> d.d_value
+  | cur -> (
+    let d = build () in
+    if Atomic.compare_and_set slot cur (Some d) then begin
+      let replaced = match cur with Some o -> o.d_bytes | None -> 0 in
+      ignore (Atomic.fetch_and_add t.bytes (d.d_bytes - replaced));
+      (match t.budget with
+      | Some b ->
+        Resil.Budget.release b replaced;
+        Resil.Budget.charge b d.d_bytes;
+        Resil.Budget.rebalance b
+      | None -> ());
+      d.d_value
+    end
+    else
+      (* a racing builder installed first: use its copy, drop ours *)
+      match Atomic.get slot with
+      | Some w when same w.d_key -> w.d_value
+      | _ -> d.d_value)
+
 (* A coarse in-memory cost for a reconstruction: its entries, which
    carry full value snapshots, plus the interval tables built from them
    (~313 bytes an entry on the e2e ledger, [Obj.reachable_words];
    snapshot-heavy logs run higher). *)
 let recon_cost r = (Store.Segment.entry_count r * 320) + 128
 
-(* Successes only: a read fault or a divergence propagates and leaves
-   the slot as it was, so the next request tries again. The budget
-   charge and rebalance run after the slot is set and may evict it
-   at once; the caller still holds the reader it asked for. *)
 let reconstruction t eb src =
-  match Atomic.get t.recon with
-  | Some r when r.rc_src == src && r.rc_eb == eb -> r.rc_reader
-  | cur -> (
-    let reader, steps = Reconstruct.reader eb src in
-    let r =
+  derive t t.recon
+    ~same:(fun (s, e) -> s == src && e == eb)
+    (fun () ->
+      let reader, steps = Reconstruct.reader eb src in
       {
-        rc_src = src;
-        rc_eb = eb;
-        rc_reader = reader;
-        rc_bytes = recon_cost reader;
-        rc_steps = steps;
-      }
-    in
-    if Atomic.compare_and_set t.recon cur (Some r) then begin
-      let replaced = match cur with Some o -> o.rc_bytes | None -> 0 in
-      ignore (Atomic.fetch_and_add t.bytes (r.rc_bytes - replaced));
-      (match t.budget with
-      | Some b ->
-        Resil.Budget.release b replaced;
-        Resil.Budget.charge b r.rc_bytes;
-        Resil.Budget.rebalance b
-      | None -> ());
-      reader
-    end
-    else
-      (* a racing builder installed first: use its copy, drop ours *)
-      match Atomic.get t.recon with
-      | Some w when w.rc_src == src && w.rc_eb == eb -> w.rc_reader
-      | _ -> reader)
+        d_key = (src, eb);
+        d_value = reader;
+        d_bytes = recon_cost reader;
+        d_steps = steps;
+      })
+
+(* A coarse in-memory cost for a parallel dynamic graph: per sync node
+   its record, sync data, vector clock, index entry and adjacency, per
+   internal edge its record (~380 and ~100 bytes on the e2e ledger,
+   [Obj.reachable_words]). *)
+let race_cost (pd : Pardyn.t) =
+  (Array.length pd.Pardyn.nodes * 380) + (Array.length pd.Pardyn.iedges * 100) + 128
+
+let pardyn t prog src =
+  derive t t.race
+    ~same:(fun (p, s) -> p == prog && s == src)
+    (fun () ->
+      let pd =
+        Obs.phase "race-graph" (fun () ->
+            Pardyn.of_log prog (Store.Segment.to_log src))
+      in
+      (* rebuilding decodes every entry of the log; count one step each *)
+      {
+        d_key = (prog, src);
+        d_value = pd;
+        d_bytes = race_cost pd;
+        d_steps = Store.Segment.entry_count src;
+      })
 
 let evictions t = Atomic.get t.evictions
 

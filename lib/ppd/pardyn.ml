@@ -66,6 +66,12 @@ let build (prog : P.t) (streams : item list array) =
   let node_of_ref = Hashtbl.create 64 in
   let iedges = ref [] and niedges = ref 0 in
   let iedges_of_pid = Array.make (Array.length streams) [] in
+  (* sets are persistent: every empty one can be the same *)
+  let no_vars = VS.empty nvars in
+  let set_of bits =
+    if Analysis.Bitset.is_empty bits then no_vars
+    else VS.of_list nvars (Analysis.Bitset.elements bits)
+  in
   Array.iteri
     (fun pid items ->
       let last_node = ref None in
@@ -82,8 +88,8 @@ let build (prog : P.t) (streams : item list array) =
               ie_pid = pid;
               ie_from = from_node;
               ie_to = to_node;
-              ie_reads = VS.of_list nvars (Analysis.Bitset.elements !cur_reads);
-              ie_writes = VS.of_list nvars (Analysis.Bitset.elements !cur_writes);
+              ie_reads = set_of !cur_reads;
+              ie_writes = set_of !cur_writes;
             }
           in
           incr niedges;

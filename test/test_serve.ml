@@ -861,6 +861,52 @@ let test_order_reconstructs_once () =
           Server.end_session srv s2);
       Server.shutdown srv)
 
+(* The parallel dynamic graph a race request reads is built once per
+   registry entry, however many sessions and requests ask; a budget
+   too small to hold it evicts it after every fill, and the next
+   request rebuilds it. The answer never changes. *)
+let race_graphs () =
+  List.length
+    (List.filter
+       (fun sp -> sp.Obs.sp_cat = "phase" && sp.Obs.sp_name = "race-graph")
+       (Obs.spans ()))
+
+let test_race_graph_once () =
+  with_tiers ~src:(Workloads.counter ~workers:3 ~incs:4 ~mutex:true)
+    (fun ~mpl ~content ~order:_ ->
+      let races config =
+        let srv = Server.create ~config () in
+        let s1 = Server.session srv in
+        let s2 = Server.session srv in
+        let h1 = open_handle srv s1 ~mpl ~seg:content in
+        let h2 = open_handle srv s2 ~mpl ~seg:content in
+        let answers =
+          with_obs (fun () ->
+              let a =
+                [
+                  answer srv s1 ~h:h1 ~id:2 "race";
+                  answer srv s2 ~h:h2 ~id:3 "race";
+                  answer srv s1 ~h:h1 ~id:4 "race";
+                ]
+              in
+              (a, race_graphs ()))
+        in
+        Server.end_session srv s1;
+        Server.end_session srv s2;
+        Server.shutdown srv;
+        answers
+      in
+      let want, built = races Server.default_config in
+      Alcotest.(check int) "one build for three requests" 1 built;
+      List.iter
+        (Alcotest.(check string) "byte-identical answers" (List.hd want))
+        want;
+      let got, rebuilt =
+        races { Server.default_config with mem_budget = 1 }
+      in
+      Alcotest.(check int) "evicted graph rebuilt per request" 3 rebuilt;
+      List.iter2 (Alcotest.(check string) "same answer after eviction") want got)
+
 (* Failures are answered, not cached: the request after a transient read
    fault re-executes and answers cleanly, and a divergence is re-derived
    on every request. *)
@@ -1023,6 +1069,8 @@ let suite =
         test_mem_budget;
       Alcotest.test_case "order tier reconstructs once per entry" `Quick
         test_order_reconstructs_once;
+      Alcotest.test_case "race graph built once per entry" `Quick
+        test_race_graph_once;
       Alcotest.test_case "order-tier failures are not cached" `Quick
         test_order_failures_not_cached;
       Alcotest.test_case "journal, resume, attach" `Quick
