@@ -123,32 +123,14 @@ let ckpt_every_arg =
            every N machine steps. Checkpoints bound the log window a \
            state restore must scan, not the reconstruction itself.")
 
-let engine_name = function
-  | Runtime.Machine.Vm_engine -> "vm"
-  | Runtime.Machine.Interp_engine -> "interp"
-
-(* The tier value a saved segment must carry: order-tier metadata
-   remembers exactly how to re-execute (scheduler spec, engine, step
-   budget), content carries nothing. *)
-let tier_of ~order ~sched ~engine ~steps =
-  if order then
-    Trace.Log.T_order
-      {
-        Trace.Log.o_sched = Runtime.Sched.string_of_policy sched;
-        o_engine = engine_name engine;
-        o_max_steps = steps;
-      }
-  else Trace.Log.T_content
-
 let engine_arg =
   Arg.(
     value
     & opt
         (enum
-           [
-             ("vm", Runtime.Machine.Vm_engine);
-             ("interp", Runtime.Machine.Interp_engine);
-           ])
+           (List.map
+              (fun e -> (Runtime.Machine.engine_name e, e))
+              [ Runtime.Machine.Vm_engine; Runtime.Machine.Interp_engine ]))
         Runtime.Machine.Vm_engine
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
@@ -388,75 +370,18 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Execute an MPL program without instrumentation.")
     Term.(const run $ file_arg $ sched_arg $ steps_arg $ engine_arg)
 
-(* Render PPD050 and exit 6: the file is not a readable log. *)
-let die_unreadable ~path ~reason =
-  Format.eprintf "%a@." Lang.Diag.pp_human
-    [ Trace.Log_io.ppd050 ~path ~reason ];
-  exit 6
+(* A debugging-phase failure: print its diagnostic, exit with the
+   status the one table gives its code. Stdout is flushed first, so a
+   partial answer precedes the diagnostic. *)
+let fail d =
+  flush stdout;
+  Format.eprintf "%a@." Lang.Diag.pp_human [ d ];
+  exit (List.assoc d.Lang.Diag.d_code Serve.Query.exit_table)
 
-(* Render PPD060 and exit 7: the replay watchdog fired. *)
-let die_overrun ~pid ~iv_id ~budget =
-  Format.eprintf "%a@." Lang.Diag.pp_human
-    [
-      {
-        Lang.Diag.d_code = "PPD060";
-        d_severity = Lang.Diag.Sev_error;
-        d_loc = Lang.Loc.none;
-        d_message =
-          Printf.sprintf
-            "replay watchdog: process %d interval %d exhausted the %d-step \
-             budget (raise --max-replay-steps, or --degraded to debug \
-             around it)"
-            pid iv_id budget;
-        d_related = [];
-      };
-    ];
-  exit 7
+let ok_or_fail = function Ok v -> v | Error d -> fail d
 
-(* Render PPD061 and exit 8: order-tier reconstruction diverged from
-   the recorded sync order — the re-execution is not the recorded
-   computation, so no flowback answer derived from it can be trusted. *)
-let die_divergence ~reason =
-  Format.eprintf "%a@." Lang.Diag.pp_human
-    [
-      {
-        Lang.Diag.d_code = "PPD061";
-        d_severity = Lang.Diag.Sev_error;
-        d_loc = Lang.Loc.none;
-        d_message =
-          Printf.sprintf
-            "order-log reconstruction diverged: %s (the program text, \
-             analysis flags and build must match the recording run)"
-            reason;
-        d_related = [];
-      };
-    ];
-  exit 8
-
-(* Run the debugging phase with the robustness contract applied: the
-   watchdog is PPD060/exit 7, a damaged log is PPD050/exit 6, a
-   diverged order-log reconstruction is PPD061/exit 8 and an
-   injected fault that survives the retry budget is a run fault
-   (exit 2) — never a bare uncaught exception. [cleanup] joins any
-   pool domains before the process exits. *)
-let debugging ~cleanup f =
-  match Obs.phase "debugging" f with
-  | v -> v
-  | exception Ppd.Controller.Replay_overrun { pid; iv_id; budget } ->
-    cleanup ();
-    die_overrun ~pid ~iv_id ~budget
-  | exception Ppd.Reconstruct.Divergence { reason } ->
-    cleanup ();
-    die_divergence ~reason
-  | exception Trace.Log_io.Unreadable { path; reason } ->
-    cleanup ();
-    die_unreadable ~path ~reason
-  | exception Fault.Injected { site; kind } ->
-    cleanup ();
-    Format.eprintf "ppd: injected %s fault at %s aborted the debugging phase \
-                    (use --degraded to continue around it)@."
-      (Fault.kind_to_string kind) site;
-    exit 2
+(* Run [f] under the one failure map; never a bare uncaught exception. *)
+let guarded f = ok_or_fail (Serve.Query.guard f)
 
 let log_path_arg =
   Arg.(
@@ -485,7 +410,10 @@ let log_cmd =
     arm_faults faults fseed;
     let src = read_source file in
     let prog = compile_or_die src in
-    let tier = tier_of ~order ~sched ~engine ~steps in
+    let tier =
+      if order then Trace.Log.order_tier ~sched ~engine ~max_steps:steps
+      else Trace.Log.T_content
+    in
     let writer =
       match save with
       | Some path when not v1 -> Some (Store.Segment.Writer.to_file ~tier path)
@@ -507,7 +435,7 @@ let log_cmd =
     if order then
       Printf.printf "order tier (%s, %s engine), %d checkpoint(s)\n"
         (Runtime.Sched.string_of_policy sched)
-        (engine_name engine)
+        (Runtime.Machine.engine_name engine)
         (Array.length log.Trace.Log.ckpts);
     (match save with
     | None -> ()
@@ -527,37 +455,35 @@ let log_cmd =
   in
   let stats_cmd =
     let run path =
-      match Store.Segment.open_file path with
-      | r ->
-        let stmt_fid _ = -1 in
-        let ivs = ref 0 in
-        for pid = 0 to Store.Segment.nprocs r - 1 do
-          ivs :=
-            !ivs + Array.length (Store.Segment.intervals r ~stmt_fid ~pid)
-        done;
-        Printf.printf "%s: v%d, %d bytes, %s\n" path (Store.Segment.version r)
-          (Store.Segment.file_bytes r)
-          (if Store.Segment.version r = 1 then "marshal blob"
-           else if Store.Segment.is_indexed r then "interval index intact"
-           else "recovered by salvage scan");
-        Printf.printf "%d process(es), %d record(s), %d interval(s)\n"
-          (Store.Segment.nprocs r)
-          (Store.Segment.entry_count r)
-          !ivs;
-        (match Store.Segment.tier r with
-        | Trace.Log.T_content -> ()
-        | Trace.Log.T_order m ->
-          Printf.printf
-            "order tier (%s, %s engine, %d-step budget), %d checkpoint(s)\n"
-            m.Trace.Log.o_sched m.Trace.Log.o_engine m.Trace.Log.o_max_steps
-            (Array.length (Store.Segment.ckpts r)));
-        List.iter
-          (fun d ->
-            Printf.printf "damage at byte %d: %s\n"
-              d.Store.Segment.dmg_offset d.Store.Segment.dmg_reason)
-          (Store.Segment.damage r)
-      | exception Trace.Log_io.Unreadable { path; reason } ->
-        die_unreadable ~path ~reason
+      guarded @@ fun () ->
+      let r = Store.Segment.open_file path in
+      let stmt_fid _ = -1 in
+      let ivs = ref 0 in
+      for pid = 0 to Store.Segment.nprocs r - 1 do
+        ivs :=
+          !ivs + Array.length (Store.Segment.intervals r ~stmt_fid ~pid)
+      done;
+      Printf.printf "%s: v%d, %d bytes, %s\n" path (Store.Segment.version r)
+        (Store.Segment.file_bytes r)
+        (if Store.Segment.version r = 1 then "marshal blob"
+         else if Store.Segment.is_indexed r then "interval index intact"
+         else "recovered by salvage scan");
+      Printf.printf "%d process(es), %d record(s), %d interval(s)\n"
+        (Store.Segment.nprocs r)
+        (Store.Segment.entry_count r)
+        !ivs;
+      (match Store.Segment.tier r with
+      | Trace.Log.T_content -> ()
+      | Trace.Log.T_order m ->
+        Printf.printf
+          "order tier (%s, %s engine, %d-step budget), %d checkpoint(s)\n"
+          m.Trace.Log.o_sched m.Trace.Log.o_engine m.Trace.Log.o_max_steps
+          (Array.length (Store.Segment.ckpts r)));
+      List.iter
+        (fun d ->
+          Printf.printf "damage at byte %d: %s\n"
+            d.Store.Segment.dmg_offset d.Store.Segment.dmg_reason)
+        (Store.Segment.damage r)
     in
     Cmd.v
       (Cmd.info "stats"
@@ -589,77 +515,75 @@ let log_cmd =
     let run file inpath sched steps engine inline loops out ckpt_every
         no_verify =
       let prog = compile_or_die (read_source file) in
-      match Store.Segment.open_file inpath with
-      | exception Trace.Log_io.Unreadable { path; reason } ->
-        die_unreadable ~path ~reason
-      | r ->
-        let module L = Trace.Log in
-        let log = Store.Segment.to_log r in
-        (match log.L.tier with
-        | L.T_order _ ->
-          Format.eprintf "ppd: %s is already an order-tier log@." inpath;
-          exit 124
-        | L.T_content -> ());
-        (* The order tier keeps only the sync skeleton; checkpoints are
-           synthesized from the content log's own value records, so a
-           restore seeded from one equals the restore that scans the
-           whole prefix (Restore.shared_at computes both the same way). *)
-        let sync =
-          Array.init log.L.nprocs (fun pid ->
-              Array.of_list (L.sync_entries log ~pid))
-        in
-        let max_step =
-          Array.fold_left
-            (Array.fold_left (fun m e -> max m (L.entry_step_at e)))
-            0 log.L.entries
-        in
-        let ckpts = ref [] in
-        let cut = ref ckpt_every in
-        while !cut <= max_step do
-          let snap = Ppd.Restore.shared_at prog log ~step:!cut in
-          ckpts :=
-            {
-              L.ck_step = !cut;
-              ck_clock = snap.Ppd.Restore.clock;
-              ck_globals = snap.Ppd.Restore.globals;
-            }
-            :: !ckpts;
-          cut := !cut + ckpt_every
-        done;
-        let order =
+      guarded @@ fun () ->
+      let r = Store.Segment.open_file inpath in
+      let module L = Trace.Log in
+      let log = Store.Segment.to_log r in
+      (match log.L.tier with
+      | L.T_order _ ->
+        Format.eprintf "ppd: %s is already an order-tier log@." inpath;
+        exit 124
+      | L.T_content -> ());
+      (* The order tier keeps only the sync skeleton; checkpoints are
+         synthesized from the content log's own value records, so a
+         restore seeded from one equals the restore that scans the
+         whole prefix (Restore.shared_at computes both the same way). *)
+      let sync =
+        Array.init log.L.nprocs (fun pid ->
+            Array.of_list (L.sync_entries log ~pid))
+      in
+      let max_step =
+        Array.fold_left
+          (Array.fold_left (fun m e -> max m (L.entry_step_at e)))
+          0 log.L.entries
+      in
+      let ckpts = ref [] in
+      let cut = ref ckpt_every in
+      while !cut <= max_step do
+        let snap = Ppd.Restore.shared_at prog log ~step:!cut in
+        ckpts :=
           {
-            L.nprocs = log.L.nprocs;
-            entries = sync;
-            stops = log.L.stops;
-            tier = tier_of ~order:true ~sched ~engine ~steps;
-            ckpts = Array.of_list (List.rev !ckpts);
-            base = log.L.base;
+            L.ck_step = !cut;
+            ck_clock = snap.Ppd.Restore.clock;
+            ck_globals = snap.Ppd.Restore.globals;
           }
+          :: !ckpts;
+        cut := !cut + ckpt_every
+      done;
+      let order =
+        {
+          L.nprocs = log.L.nprocs;
+          entries = sync;
+          stops = log.L.stops;
+          tier = L.order_tier ~sched ~engine ~max_steps:steps;
+          ckpts = Array.of_list (List.rev !ckpts);
+          base = log.L.base;
+        }
+      in
+      if not no_verify then begin
+        let eb =
+          Analysis.Eblock.analyze ~policy:(policy_of ~loops inline) prog
         in
-        if not no_verify then begin
-          let eb =
-            Analysis.Eblock.analyze ~policy:(policy_of ~loops inline) prog
-          in
-          match Ppd.Reconstruct.reconstruct eb order with
-          | exception Ppd.Reconstruct.Divergence { reason } ->
-            die_divergence ~reason
-          | recon ->
-            if recon.L.entries <> log.L.entries then
-              die_divergence
-                ~reason:
-                  "re-execution matches the sync order but not the \
-                   recorded values (was the log recorded with these \
-                   --sched/--engine/--max-steps?)"
-        end;
-        Store.Segment.save out order;
-        let out_bytes = (Unix.stat out).Unix.st_size in
-        Printf.printf
-          "%s: %d bytes (content) -> %s: %d bytes (order, %d sync \
-           record(s), %d checkpoint(s))\n"
-          inpath
-          (Store.Segment.file_bytes r)
-          out out_bytes (L.entry_count order)
-          (Array.length order.L.ckpts)
+        let recon = Ppd.Reconstruct.reconstruct eb order in
+        if recon.L.entries <> log.L.entries then
+          raise
+            (Ppd.Reconstruct.Divergence
+               {
+                 reason =
+                   "re-execution matches the sync order but not the \
+                    recorded values (was the log recorded with these \
+                    --sched/--engine/--max-steps?)";
+               })
+      end;
+      Store.Segment.save out order;
+      let out_bytes = (Unix.stat out).Unix.st_size in
+      Printf.printf
+        "%s: %d bytes (content) -> %s: %d bytes (order, %d sync \
+         record(s), %d checkpoint(s))\n"
+        inpath
+        (Store.Segment.file_bytes r)
+        out out_bytes (L.entry_count order)
+        (Array.length order.L.ckpts)
     in
     Cmd.v
       (Cmd.info "compact"
@@ -683,32 +607,29 @@ let log_cmd =
             ~doc:"Where to write the repaired segment.")
     in
     let run path out =
-      match Store.Segment.repair path ~out with
-      | exception Trace.Log_io.Unreadable { path; reason } ->
-        die_unreadable ~path ~reason
-      | rp ->
-        Printf.printf
-          "%s: v%d %s tier -> %s: %d bytes, %d page(s), %d record(s), %d \
-           checkpoint(s)\n"
-          path rp.Store.Segment.rp_version rp.Store.Segment.rp_tier out
-          rp.Store.Segment.rp_out_bytes rp.Store.Segment.rp_kept_pages
-          rp.Store.Segment.rp_kept_records rp.Store.Segment.rp_kept_ckpts;
-        (match rp.Store.Segment.rp_dropped with
-        | [] -> print_endline "clean: no bytes dropped"
-        | drops ->
-          List.iter
-            (fun d ->
-              if d.Store.Segment.rd_pid < 0 then
-                Printf.printf "dropped: suffix at byte %d (%s)\n"
-                  d.Store.Segment.rd_offset d.Store.Segment.rd_reason
-              else
-                Printf.printf
-                  "dropped: pid %d page %d at byte %d, %d record(s) (%s)\n"
-                  d.Store.Segment.rd_pid d.Store.Segment.rd_page
-                  d.Store.Segment.rd_offset d.Store.Segment.rd_records
-                  d.Store.Segment.rd_reason)
-            drops;
-          exit 4)
+      let rp = guarded (fun () -> Store.Segment.repair path ~out) in
+      Printf.printf
+        "%s: v%d %s tier -> %s: %d bytes, %d page(s), %d record(s), %d \
+         checkpoint(s)\n"
+        path rp.Store.Segment.rp_version rp.Store.Segment.rp_tier out
+        rp.Store.Segment.rp_out_bytes rp.Store.Segment.rp_kept_pages
+        rp.Store.Segment.rp_kept_records rp.Store.Segment.rp_kept_ckpts;
+      (match rp.Store.Segment.rp_dropped with
+      | [] -> print_endline "clean: no bytes dropped"
+      | drops ->
+        List.iter
+          (fun d ->
+            if d.Store.Segment.rd_pid < 0 then
+              Printf.printf "dropped: suffix at byte %d (%s)\n"
+                d.Store.Segment.rd_offset d.Store.Segment.rd_reason
+            else
+              Printf.printf
+                "dropped: pid %d page %d at byte %d, %d record(s) (%s)\n"
+                d.Store.Segment.rd_pid d.Store.Segment.rd_page
+                d.Store.Segment.rd_offset d.Store.Segment.rd_records
+                d.Store.Segment.rd_reason)
+          drops;
+        exit 4)
     in
     Cmd.v
       (Cmd.info "repair"
@@ -745,27 +666,24 @@ let log_cmd =
 
 let verify_log_cmd =
   let run path =
-    match Store.Segment.verify path with
-    | rp ->
-      Printf.printf "%s: v%d, %d bytes, %d record(s)%s%s\n" path
-        rp.Store.Segment.vr_version rp.Store.Segment.vr_bytes
-        rp.Store.Segment.vr_records
-        (if rp.Store.Segment.vr_version = 1 then ""
-         else Printf.sprintf " in %d page(s)" rp.Store.Segment.vr_pages)
-        (if rp.Store.Segment.vr_version = 1 then ""
-         else if rp.Store.Segment.vr_indexed then ", index intact"
-         else ", index unusable");
-      (match rp.Store.Segment.vr_damage with
-      | [] -> print_endline "no damage detected"
-      | dmg ->
-        List.iter
-          (fun d ->
-            Printf.printf "damage at byte %d: %s\n" d.Store.Segment.dmg_offset
-              d.Store.Segment.dmg_reason)
-          dmg;
-        exit 4)
-    | exception Trace.Log_io.Unreadable { path; reason } ->
-      die_unreadable ~path ~reason
+    let rp = guarded (fun () -> Store.Segment.verify path) in
+    Printf.printf "%s: v%d, %d bytes, %d record(s)%s%s\n" path
+      rp.Store.Segment.vr_version rp.Store.Segment.vr_bytes
+      rp.Store.Segment.vr_records
+      (if rp.Store.Segment.vr_version = 1 then ""
+       else Printf.sprintf " in %d page(s)" rp.Store.Segment.vr_pages)
+      (if rp.Store.Segment.vr_version = 1 then ""
+       else if rp.Store.Segment.vr_indexed then ", index intact"
+       else ", index unusable");
+    (match rp.Store.Segment.vr_damage with
+    | [] -> print_endline "no damage detected"
+    | dmg ->
+      List.iter
+        (fun d ->
+          Printf.printf "damage at byte %d: %s\n" d.Store.Segment.dmg_offset
+            d.Store.Segment.dmg_reason)
+        dmg;
+      exit 4)
   in
   Cmd.v
     (Cmd.info "verify-log"
@@ -792,53 +710,50 @@ let fsck_cmd =
     Buffer.contents b
   in
   let run path =
-    match Store.Segment.fsck path with
-    | exception Trace.Log_io.Unreadable { path; reason } ->
-      die_unreadable ~path ~reason
-    | rp ->
-      let page (p : Store.Segment.fsck_page) =
-        Printf.sprintf
-          "    {\"pid\": %d, \"page\": %d, \"offset\": %d, \"count\": %d, \
-           \"error\": %s}"
-          p.Store.Segment.fp_pid p.Store.Segment.fp_page
-          p.Store.Segment.fp_offset p.Store.Segment.fp_count
-          (match p.Store.Segment.fp_error with
-          | None -> "null"
-          | Some e -> json_str e)
-      in
-      let dmg (d : Store.Segment.damage) =
-        Printf.sprintf "    {\"offset\": %d, \"reason\": %s}"
-          d.Store.Segment.dmg_offset
-          (json_str d.Store.Segment.dmg_reason)
-      in
-      let arr = function
-        | [] -> "[]"
-        | rows -> "[\n" ^ String.concat ",\n" rows ^ "\n  ]"
-      in
-      Printf.printf
-        "{\n\
-        \  \"path\": %s,\n\
-        \  \"version\": %d,\n\
-        \  \"bytes\": %d,\n\
-        \  \"indexed\": %b,\n\
-        \  \"clean\": %b,\n\
-        \  \"tier\": %s,\n\
-        \  \"checkpoints\": %d,\n\
-        \  \"procs\": %d,\n\
-        \  \"records\": %d,\n\
-        \  \"intervals\": %d,\n\
-        \  \"pages\": %s,\n\
-        \  \"damage\": %s\n\
-         }\n"
-        (json_str path) rp.Store.Segment.fk_version rp.Store.Segment.fk_bytes
-        rp.Store.Segment.fk_indexed rp.Store.Segment.fk_clean
-        (json_str rp.Store.Segment.fk_tier)
-        rp.Store.Segment.fk_ckpts rp.Store.Segment.fk_procs
-        rp.Store.Segment.fk_records
-        rp.Store.Segment.fk_intervals
-        (arr (List.map page rp.Store.Segment.fk_pages))
-        (arr (List.map dmg rp.Store.Segment.fk_damage));
-      if not rp.Store.Segment.fk_clean then exit 4
+    let rp = guarded (fun () -> Store.Segment.fsck path) in
+    let page (p : Store.Segment.fsck_page) =
+      Printf.sprintf
+        "    {\"pid\": %d, \"page\": %d, \"offset\": %d, \"count\": %d, \
+         \"error\": %s}"
+        p.Store.Segment.fp_pid p.Store.Segment.fp_page
+        p.Store.Segment.fp_offset p.Store.Segment.fp_count
+        (match p.Store.Segment.fp_error with
+        | None -> "null"
+        | Some e -> json_str e)
+    in
+    let dmg (d : Store.Segment.damage) =
+      Printf.sprintf "    {\"offset\": %d, \"reason\": %s}"
+        d.Store.Segment.dmg_offset
+        (json_str d.Store.Segment.dmg_reason)
+    in
+    let arr = function
+      | [] -> "[]"
+      | rows -> "[\n" ^ String.concat ",\n" rows ^ "\n  ]"
+    in
+    Printf.printf
+      "{\n\
+      \  \"path\": %s,\n\
+      \  \"version\": %d,\n\
+      \  \"bytes\": %d,\n\
+      \  \"indexed\": %b,\n\
+      \  \"clean\": %b,\n\
+      \  \"tier\": %s,\n\
+      \  \"checkpoints\": %d,\n\
+      \  \"procs\": %d,\n\
+      \  \"records\": %d,\n\
+      \  \"intervals\": %d,\n\
+      \  \"pages\": %s,\n\
+      \  \"damage\": %s\n\
+       }\n"
+      (json_str path) rp.Store.Segment.fk_version rp.Store.Segment.fk_bytes
+      rp.Store.Segment.fk_indexed rp.Store.Segment.fk_clean
+      (json_str rp.Store.Segment.fk_tier)
+      rp.Store.Segment.fk_ckpts rp.Store.Segment.fk_procs
+      rp.Store.Segment.fk_records
+      rp.Store.Segment.fk_intervals
+      (arr (List.map page rp.Store.Segment.fk_pages))
+      (arr (List.map dmg rp.Store.Segment.fk_damage));
+    if not rp.Store.Segment.fk_clean then exit 4
   in
   Cmd.v
     (Cmd.info "fsck"
@@ -850,6 +765,30 @@ let fsck_cmd =
           survive). Exit 0 when clean, 4 when damaged, 6 when the file \
           is not a log at all.")
     Term.(const run $ log_path_arg)
+
+(* The run path of flowback and replay: print how the execution halted,
+   then answer over the session's in-memory log. *)
+let debug_session s answer =
+  print_endline (Ppd.Session.explain_halt s);
+  let r =
+    Serve.Query.guard (fun () -> Obs.phase "debugging" (fun () -> answer s))
+  in
+  Ppd.Session.shutdown s;
+  ok_or_fail r
+
+(* The --load path: open the saved log and answer on a pool of [jobs]
+   domains, through the query path the daemon takes. *)
+let debug_saved file ~inline ~loops ~jobs log answer =
+  let prog = compile_or_die (read_source file) in
+  let src =
+    ok_or_fail
+      (Serve.Query.open_source ~policy:(policy_of ~loops inline) ~log prog)
+  in
+  let jobs = resolve_jobs jobs in
+  let pool = if jobs > 1 then Some (Exec.Pool.create ~jobs ()) else None in
+  let r = Obs.phase "debugging" (fun () -> answer pool src) in
+  Option.iter Exec.Pool.shutdown pool;
+  ignore (ok_or_fail r)
 
 let flowback_cmd =
   let depth_arg =
@@ -864,61 +803,28 @@ let flowback_cmd =
       & info [ "dot" ] ~docv:"PATH"
           ~doc:"Write the dynamic graph as Graphviz dot to PATH.")
   in
-  (* The post-query report shared by the run and --load paths (and,
-     through Serve.Render, byte-identical to the daemon's answers). *)
-  let report ~depth ~dot ctl root =
-    Serve.Render.flowback_report (Serve.Render.stdout_sink ()) ~depth ~dot ctl
-      root
-  in
   let run file sched steps engine inline loops depth dot jobs degraded max_rs
       order ckpt_every faults fseed load pout ptrace =
     profile_setup pout ptrace;
     arm_faults faults fseed;
     let config = ctl_config_of degraded max_rs in
+    let sink = Serve.Render.stdout_sink () in
     (match load with
     | None ->
-      let s =
-        session_of ~engine ~loops ~jobs:(resolve_jobs jobs) ~ctl_config:config
-          ~log_order:order ~ckpt_every file sched steps inline
-      in
-      print_endline (Ppd.Session.explain_halt s);
-      debugging
-        ~cleanup:(fun () -> Ppd.Session.shutdown s)
-        (fun () ->
+      debug_session
+        (session_of ~engine ~loops ~jobs:(resolve_jobs jobs) ~ctl_config:config
+           ~log_order:order ~ckpt_every file sched steps inline)
+        (fun s ->
           let root = Ppd.Session.error_node s in
           let ctl = Ppd.Session.controller s in
           (* eager mode: the query pinned the halt interval; speculatively
              replay its dependence frontier on the idle pool domains while
              the explanation walks the graph (a no-op at -j1) *)
           if root <> None then ignore (Ppd.Controller.prefetch ctl);
-          report ~depth ~dot ctl root);
-      Ppd.Session.shutdown s
-    | Some logpath -> (
-      let prog = compile_or_die (read_source file) in
-      let eb = Analysis.Eblock.analyze ~policy:(policy_of ~loops inline) prog in
-      match Store.Segment.open_file logpath with
-      | exception Trace.Log_io.Unreadable { path; reason } ->
-        die_unreadable ~path ~reason
-      | r ->
-        Serve.Render.header
-          (Serve.Render.stdout_sink ())
-          ~path:logpath ~version:(Store.Segment.version r)
-          ~nprocs:(Store.Segment.nprocs r);
-        let jobs = resolve_jobs jobs in
-        let pool = if jobs > 1 then Some (Exec.Pool.create ~jobs ()) else None in
-        let cleanup () =
-          match pool with Some p -> Exec.Pool.shutdown p | None -> ()
-        in
-        (* inside [debugging]: an order-tier log reconstructs here, and
-           a divergence must render as PPD061, not an uncaught raise *)
-        debugging ~cleanup (fun () ->
-            let ctl = Ppd.Controller.start_paged ?pool ~config eb r in
-            let root =
-              if Store.Segment.nprocs r = 0 then None
-              else Ppd.Controller.last_event_node ctl ~pid:0
-            in
-            report ~depth ~dot ctl root);
-        cleanup ()));
+          Serve.Render.flowback_report sink ~depth ~dot ctl root)
+    | Some log ->
+      debug_saved file ~inline ~loops ~jobs log (fun pool src ->
+          Serve.Query.flowback ?pool ~config sink ~depth ~dot src));
     profile_write pout ptrace
   in
   Cmd.v
@@ -940,51 +846,24 @@ let replay_cmd =
       & info [ "dump" ]
           ~doc:"Print the assembled dynamic graph (deterministic dump).")
   in
-  (* Batch-build every interval of every process and report the graph;
-     shared by the run and --load paths (and the daemon, via
-     Serve.Render). *)
-  let rebuild ~dump ~nprocs ctl =
-    Serve.Render.replay_report (Serve.Render.stdout_sink ()) ~dump ~nprocs ctl
-  in
   let run file sched steps engine inline loops jobs dump degraded max_rs order
       ckpt_every faults fseed load pout ptrace =
     profile_setup pout ptrace;
     arm_faults faults fseed;
     let config = ctl_config_of degraded max_rs in
+    let sink = Serve.Render.stdout_sink () in
     (match load with
     | None ->
-      let s =
-        session_of ~engine ~loops ~jobs:(resolve_jobs jobs) ~ctl_config:config
-          ~log_order:order ~ckpt_every file sched steps inline
-      in
-      print_endline (Ppd.Session.explain_halt s);
-      debugging
-        ~cleanup:(fun () -> Ppd.Session.shutdown s)
-        (fun () ->
-          let ctl = Ppd.Session.controller s in
-          let log = Ppd.Session.log s in
-          rebuild ~dump ~nprocs:log.Trace.Log.nprocs ctl);
-      Ppd.Session.shutdown s
-    | Some logpath -> (
-      let prog = compile_or_die (read_source file) in
-      let eb = Analysis.Eblock.analyze ~policy:(policy_of ~loops inline) prog in
-      match Store.Segment.open_file logpath with
-      | exception Trace.Log_io.Unreadable { path; reason } ->
-        die_unreadable ~path ~reason
-      | r ->
-        Serve.Render.header
-          (Serve.Render.stdout_sink ())
-          ~path:logpath ~version:(Store.Segment.version r)
-          ~nprocs:(Store.Segment.nprocs r);
-        let jobs = resolve_jobs jobs in
-        let pool = if jobs > 1 then Some (Exec.Pool.create ~jobs ()) else None in
-        let cleanup () =
-          match pool with Some p -> Exec.Pool.shutdown p | None -> ()
-        in
-        debugging ~cleanup (fun () ->
-            let ctl = Ppd.Controller.start_paged ?pool ~config eb r in
-            rebuild ~dump ~nprocs:(Store.Segment.nprocs r) ctl);
-        cleanup ()));
+      debug_session
+        (session_of ~engine ~loops ~jobs:(resolve_jobs jobs) ~ctl_config:config
+           ~log_order:order ~ckpt_every file sched steps inline)
+        (fun s ->
+          Serve.Render.replay_report sink ~dump
+            ~nprocs:(Ppd.Session.log s).Trace.Log.nprocs
+            (Ppd.Session.controller s))
+    | Some log ->
+      debug_saved file ~inline ~loops ~jobs log (fun pool src ->
+          Serve.Query.replay ?pool ~config sink ~dump src));
     profile_write pout ptrace
   in
   Cmd.v
@@ -1635,19 +1514,14 @@ let serve_cmd =
     arm_faults faults fseed;
     let config =
       {
-        Serve.Server.jobs = resolve_jobs jobs;
+        Serve.Server.default_config with
+        jobs = resolve_jobs jobs;
         max_active;
         max_queue;
         max_open_logs;
         step_quota;
-        max_replay_steps_cap =
-          Serve.Server.default_config.Serve.Server.max_replay_steps_cap;
         default_deadline_ms;
         mem_budget;
-        retry_budget =
-          Serve.Server.default_config.Serve.Server.retry_budget;
-        backoff = Serve.Server.default_config.Serve.Server.backoff;
-        breaker = Serve.Server.default_config.Serve.Server.breaker;
       }
     in
     let t = Serve.Server.create ~config ?journal ?resume () in

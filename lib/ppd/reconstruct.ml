@@ -7,10 +7,10 @@ exception
 
 let divergence fmt = Printf.ksprintf (fun reason -> raise (Divergence { reason })) fmt
 
-let engine_of_string = function
-  | "vm" -> Runtime.Machine.Vm_engine
-  | "interp" -> Runtime.Machine.Interp_engine
-  | s -> divergence "order log names unknown engine %S" s
+let engine_of_string s =
+  match Runtime.Machine.engine_of_name s with
+  | Some e -> e
+  | None -> divergence "order log names unknown engine %S" s
 
 let sched_of_string s =
   match Runtime.Sched.policy_of_string s with

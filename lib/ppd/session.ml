@@ -20,19 +20,9 @@ let of_program ?(engine = M.Vm_engine) ?(sched = Runtime.Sched.default)
     ?log_sink ?(log_order = false) ?ckpt_every ?(jobs = 1) ?ctl_config prog =
   let eb = Analysis.Eblock.analyze ?policy prog in
   (* Order-tier recording (DESIGN §16) must remember how to re-execute:
-     the scheduler spec, engine and step budget go into the tier
-     metadata so reconstruction can replay the identical run. Only
-     nameable schedulers qualify — a scripted/guided policy has no
-     spec string and [Sched.string_of_policy] rejects it. *)
+     the tier metadata names the scheduler, engine and step budget. *)
   let tier =
-    if log_order then
-      Trace.Log.T_order
-        {
-          Trace.Log.o_sched = Runtime.Sched.string_of_policy sched;
-          o_engine =
-            (match engine with M.Vm_engine -> "vm" | M.Interp_engine -> "interp");
-          o_max_steps = max_steps;
-        }
+    if log_order then Trace.Log.order_tier ~sched ~engine ~max_steps
     else Trace.Log.T_content
   in
   let logger = Trace.Logger.create ?sink:log_sink ~tier ?ckpt_every eb in

@@ -3,6 +3,13 @@ module B = Lang.Bytecode
 
 type engine = Interp_engine | Vm_engine
 
+let engine_name = function Vm_engine -> "vm" | Interp_engine -> "interp"
+
+let engine_of_name = function
+  | "vm" -> Some Vm_engine
+  | "interp" -> Some Interp_engine
+  | _ -> None
+
 type halt =
   | Finished
   | Deadlock of (int * string) list

@@ -36,6 +36,13 @@
 
 type engine = Interp_engine | Vm_engine
 
+val engine_name : engine -> string
+(** ["vm"] or ["interp"]: the name the CLI's [--engine] flag and an
+    order-tier log's metadata use. *)
+
+val engine_of_name : string -> engine option
+(** Inverse of {!engine_name}; [None] on anything else. *)
+
 type halt =
   | Finished  (** every process ran to completion *)
   | Deadlock of (int * string) list

@@ -1,0 +1,109 @@
+(* The one query path: open a saved log, answer under the one failure
+   map, render through Render. The CLI and the daemon both call it, so
+   every message below is the only copy, and names no front end's flag
+   or parameter. *)
+
+let error code message =
+  {
+    Lang.Diag.d_code = code;
+    d_severity = Lang.Diag.Sev_error;
+    d_loc = Lang.Loc.none;
+    d_message = message;
+    d_related = [];
+  }
+
+let diagnostic_of_exn = function
+  | Trace.Log_io.Unreadable { path; reason } ->
+    Some (Trace.Log_io.ppd050 ~path ~reason)
+  | Ppd.Controller.Replay_overrun { pid; iv_id; budget } ->
+    Some
+      (error "PPD060"
+         (Printf.sprintf
+            "replay watchdog: process %d interval %d exhausted the %d-step \
+             budget (raise the replay-step budget, or debug around it in \
+             degraded mode)"
+            pid iv_id budget))
+  | Ppd.Reconstruct.Divergence { reason } ->
+    Some
+      (error "PPD061"
+         (Printf.sprintf
+            "order-log reconstruction diverged: %s (the program text, \
+             analysis flags and build must match the recording run)"
+            reason))
+  | Ppd.Emulator.Replay_mismatch reason ->
+    Some
+      (error "PPD062"
+         (Printf.sprintf
+            "e-block replay diverged from the log: %s (the recorded \
+             execution may contain a data race; replay is faithful only for \
+             race-free runs \u{2014} `ppd race` checks)"
+            reason))
+  | Fault.Injected { site; kind } ->
+    Some
+      (error "PPD086"
+         (Printf.sprintf
+            "injected %s fault at %s aborted the query (debug around it in \
+             degraded mode)"
+            (Fault.kind_to_string kind) site))
+  | Resil.Deadline.Expired ->
+    Some
+      (error Rpc.err_deadline
+         "deadline exceeded: the query ran out of time at an e-block replay \
+          boundary (raise the deadline, or resubmit)")
+  | _ -> None
+
+let guard f =
+  match f () with
+  | v -> Ok v
+  | exception e -> (
+    let bt = Printexc.get_raw_backtrace () in
+    match diagnostic_of_exn e with
+    | Some d -> Error d
+    | None -> Printexc.raise_with_backtrace e bt)
+
+let exit_table =
+  [
+    ("PPD086", 2);
+    ("PPD050", 6);
+    ("PPD060", 7);
+    (Rpc.err_deadline, 7);
+    ("PPD061", 8);
+    ("PPD062", 8);
+  ]
+
+type source = {
+  log : string;
+  eb : Analysis.Eblock.t;
+  reader : Store.Segment.reader;
+}
+
+let open_source ?budget ~policy ~log prog =
+  let eb = Analysis.Eblock.analyze ~policy prog in
+  guard (fun () ->
+      { log; eb; reader = Store.Segment.open_file ?budget log })
+
+let nprocs src = Store.Segment.nprocs src.reader
+
+(* Header, a fresh controller, the report: the shape of every answer. *)
+let answer ?pool ?shared ~config sink src report =
+  guard (fun () ->
+      Render.header sink ~path:src.log
+        ~version:(Store.Segment.version src.reader)
+        ~nprocs:(nprocs src);
+      let ctl =
+        Ppd.Controller.start_paged ?pool ?shared ~config src.eb src.reader
+      in
+      report ctl;
+      Ppd.Controller.stats ctl)
+
+let flowback ?pool ?shared ~config sink ~depth ~dot src =
+  answer ?pool ?shared ~config sink src (fun ctl ->
+      let root =
+        if nprocs src = 0 then None
+        else Ppd.Controller.last_event_node ctl ~pid:0
+      in
+      Render.flowback_report sink ~depth ~dot ctl root)
+
+let replay ?pool ?shared ~config sink ~dump src =
+  answer ?pool ?shared ~config sink src (fun ctl ->
+      Render.replay_report sink ~dump ~nprocs:(nprocs src) ctl)

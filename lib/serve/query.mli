@@ -1,0 +1,79 @@
+(** The one query path over a saved log (DESIGN §14.3).
+
+    The one-shot CLI and the daemon both answer a debugging question
+    through this module: open a {!source}, run the question under the
+    one failure map, and render the answer through {!Render}. A failure
+    is one {!Lang.Diag.diagnostic}; the CLI prints it and exits with
+    its {!exit_table} status, the daemon answers its code and message.
+    So both front ends report a failure with the same message, byte for
+    byte. *)
+
+(** {1 Failures} *)
+
+val guard : (unit -> 'a) -> ('a, Lang.Diag.diagnostic) result
+(** [guard f] runs [f] under the one exception → diagnostic map:
+    - [Trace.Log_io.Unreadable] → PPD050: the log cannot be read;
+    - [Ppd.Controller.Replay_overrun] → PPD060: the replay watchdog
+      fired;
+    - [Ppd.Reconstruct.Divergence] → PPD061: order-log reconstruction
+      diverged from the recorded sync order;
+    - [Ppd.Emulator.Replay_mismatch] → PPD062: an e-block replay
+      diverged from the log, which a racy recorded execution causes;
+    - [Fault.Injected] → PPD086: an injected fault survived the retry
+      budget;
+    - [Resil.Deadline.Expired] → PPD090: the deadline expired at an
+      e-block replay boundary.
+
+    Any other exception propagates. *)
+
+val exit_table : (string * int) list
+(** The one code → exit-status table of the CLI: PPD086 → 2,
+    PPD050 → 6, PPD060 and PPD090 → 7, PPD061 and PPD062 → 8. Every
+    code {!guard} returns has a row. *)
+
+(** {1 Sources} *)
+
+type source = {
+  log : string;  (** the log's path, as the answer's header names it *)
+  eb : Analysis.Eblock.t;  (** the analysed program *)
+  reader : Store.Segment.reader;
+}
+
+val open_source :
+  ?budget:Resil.Budget.t ->
+  policy:Analysis.Eblock.policy ->
+  log:string ->
+  Lang.Prog.t ->
+  (source, Lang.Diag.diagnostic) result
+(** Analyse the program and open the log; the reader's page cache joins
+    [budget] when one is given. PPD050 when the log cannot be read. *)
+
+(** {1 Answers}
+
+    Each answer starts a fresh controller over the source ([pool] and
+    [shared] as in {!Ppd.Controller.start_paged}), writes the header
+    and the report into the sink, and returns the controller's
+    statistics. An order-tier log is reconstructed here, or taken from
+    [shared]. On a failure the sink may hold a partial answer. *)
+
+val flowback :
+  ?pool:Exec.Pool.t ->
+  ?shared:Ppd.Fragcache.t ->
+  config:Ppd.Controller.config ->
+  Render.sink ->
+  depth:int ->
+  dot:string option ->
+  source ->
+  (Ppd.Controller.stats, Lang.Diag.diagnostic) result
+(** Flowback from the last event of process 0 ("no events to debug"
+    for a log without processes). *)
+
+val replay :
+  ?pool:Exec.Pool.t ->
+  ?shared:Ppd.Fragcache.t ->
+  config:Ppd.Controller.config ->
+  Render.sink ->
+  dump:bool ->
+  source ->
+  (Ppd.Controller.stats, Lang.Diag.diagnostic) result
+(** Replay every interval of every process and report the graph. *)

@@ -1,6 +1,9 @@
 (* The daemon core. Transport-independent: `handle_line` is the whole
    protocol, so cram (--rpc over stdin/stdout), the unix/tcp listeners
-   and the in-process T13/T17 benches all share one dispatcher.
+   and the in-process T13/T17 benches all share one dispatcher. Opening
+   a log, answering flowback/replay and mapping a failure to its PPD
+   code go through Query, the path the one-shot CLI takes too, so
+   answers and error messages match the CLI byte for byte.
 
    Locking: [t.lock] guards the registry, session and recovered-session
    tables (open, close, session bookkeeping — all O(1) critical
@@ -31,11 +34,8 @@ type config = {
   max_queue : int;
   max_open_logs : int;
   step_quota : int;
-  max_replay_steps_cap : int;
   default_deadline_ms : int;  (* 0 = no deadline *)
   mem_budget : int;  (* bytes; 0 = unlimited *)
-  retry_budget : int;  (* per-request transient-fault retries *)
-  backoff : Resil.Backoff.policy option;
   breaker : Resil.Breaker.config;
 }
 
@@ -46,11 +46,8 @@ let default_config =
     max_queue = 16;
     max_open_logs = 8;
     step_quota = 50_000_000;
-    max_replay_steps_cap = 10_000_000;
     default_deadline_ms = 0;
     mem_budget = 0;
-    retry_budget = 2;
-    backoff = Some Resil.Backoff.default;
     breaker = Resil.Breaker.default_config;
   }
 
@@ -60,9 +57,7 @@ let default_config =
    other. *)
 type entry = {
   e_key : string;
-  e_log : string;
-  e_reader : Store.Segment.reader;
-  e_eb : Analysis.Eblock.t;
+  e_src : Query.source;
   e_frag : Ppd.Fragcache.t;
   mutable e_refs : int;
 }
@@ -237,7 +232,7 @@ let drop_handle_locked t s h =
       | Some b ->
         Resil.Budget.remove_reclaimer b ("pages:" ^ e.e_key);
         Resil.Budget.remove_reclaimer b ("frags:" ^ e.e_key);
-        Store.Segment.clear_cache e.e_reader;
+        Store.Segment.clear_cache e.e_src.reader;
         Ppd.Fragcache.clear e.e_frag
       | None -> ()
     end;
@@ -305,58 +300,25 @@ let p_handle t s params : entry rpc_result =
 
 let ( let* ) r f = match r with Error e -> Error e | Ok v -> f v
 
-(* ------------------------------------------------------------------ *)
-(* Shared failure mapping: the daemon's equivalent of the CLI's        *)
-(* [debugging] wrapper — same conditions, same PPD codes, but as       *)
-(* error responses on one request instead of process exits.            *)
-(* ------------------------------------------------------------------ *)
-
-let guarded (f : unit -> J.t rpc_result) : J.t rpc_result =
-  match f () with
-  | r -> r
-  | exception Ppd.Controller.Replay_overrun { pid; iv_id; budget } ->
-    Error
-      ( "PPD060",
-        Printf.sprintf
-          "replay watchdog: process %d interval %d exhausted the %d-step \
-           budget (raise maxReplaySteps, or degraded:true to debug around it)"
-          pid iv_id budget )
-  | exception Trace.Log_io.Unreadable { path; reason } ->
-    Error ("PPD050", Printf.sprintf "%s is not a readable log: %s" path reason)
-  | exception Ppd.Reconstruct.Divergence { reason } ->
-    Error
-      ( "PPD061",
-        Printf.sprintf
-          "order-log reconstruction diverged: %s (the program text, \
-           analysis flags and build must match the recording run)"
-          reason )
-  | exception Fault.Injected { site; kind } ->
-    Error
-      ( "PPD086",
-        Printf.sprintf
-          "injected %s fault at %s aborted this request (use degraded:true \
-           to continue around it)"
-          (Fault.kind_to_string kind) site )
-  | exception Resil.Deadline.Expired ->
-    Error
-      ( Rpc.err_deadline,
-        "deadline exceeded: the request ran out of time at an e-block \
-         replay boundary (raise deadlineMs, or resubmit)" )
+(* A query's failure, answered as the diagnostic's code and message:
+   the same words the CLI prints (Query holds the one map). *)
+let answered r =
+  Result.map_error (fun d -> (d.Lang.Diag.d_code, d.Lang.Diag.d_message)) r
 
 (* ------------------------------------------------------------------ *)
 (* Methods.                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let policy_of ~loops ~inline =
-  {
-    Analysis.Eblock.leaf_inline_max_stmts = inline;
-    loop_block_min_body = loops;
-  }
-
-let read_file path =
+(* The program a request names, compiled: PPD082 when the file cannot
+   be read, PPD001 with the front end's message when it does not
+   compile. *)
+let compile_file path : Lang.Prog.t rpc_result =
   match In_channel.with_open_text path In_channel.input_all with
-  | s -> Ok s
   | exception Sys_error e -> bad_params ("cannot read program file: " ^ e)
+  | src -> (
+    match Lang.Compile.compile_result src with
+    | Ok prog -> Ok prog
+    | Error e -> Error ("PPD001", Format.asprintf "%a" Lang.Diag.pp_error e))
 
 (* Probe-or-build a registry entry for one (log, program, policy)
    identity. Does not take a reference — the caller binds handles.
@@ -366,22 +328,23 @@ let read_file path =
 let acquire_entry t ~log ~program ~inline ~loops : entry rpc_result =
   let key = Printf.sprintf "%s\x00%s\x00%d\x00%d" log program inline loops in
   let fresh () =
-    let* src = read_file program in
-    match Lang.Compile.compile_result src with
-    | Error (loc, msg) ->
-      Error ("PPD001", Format.asprintf "%a" Lang.Diag.pp_error (loc, msg))
-    | Ok prog ->
-      let eb = Analysis.Eblock.analyze ~policy:(policy_of ~loops ~inline) prog in
-      let reader = Store.Segment.open_file ?budget:t.budget log in
-      Ok
-        {
-          e_key = key;
-          e_log = log;
-          e_reader = reader;
-          e_eb = eb;
-          e_frag = Ppd.Fragcache.create ?budget:t.budget ();
-          e_refs = 0;
-        }
+    let* prog = compile_file program in
+    let policy =
+      {
+        Analysis.Eblock.leaf_inline_max_stmts = inline;
+        loop_block_min_body = loops;
+      }
+    in
+    let* src =
+      answered (Query.open_source ?budget:t.budget ~policy ~log prog)
+    in
+    Ok
+      {
+        e_key = key;
+        e_src = src;
+        e_frag = Ppd.Fragcache.create ?budget:t.budget ();
+        e_refs = 0;
+      }
   in
   (* probe the registry, build outside the lock on miss, then insert
      (second builder of the same key loses and is dropped) *)
@@ -405,7 +368,7 @@ let acquire_entry t ~log ~program ~inline ~loops : entry rpc_result =
        match t.budget with
        | Some b ->
          Resil.Budget.add_reclaimer b ~name:("pages:" ^ key) ~weight:0
-           (Store.Segment.reclaim_cache fresh_e.e_reader);
+           (Store.Segment.reclaim_cache fresh_e.e_src.reader);
          Resil.Budget.add_reclaimer b ~name:("frags:" ^ key) ~weight:1
            (Ppd.Fragcache.reclaim fresh_e.e_frag)
        | None -> ());
@@ -428,36 +391,36 @@ let m_open t s params =
         Printf.sprintf "session open-log quota exhausted (%d)"
           t.cfg.max_open_logs )
   else
-    guarded (fun () ->
-        let* e = acquire_entry t ~log ~program ~inline ~loops in
-        Mutex.lock t.lock;
-        let h = s.s_next_handle in
-        s.s_next_handle <- h + 1;
-        e.e_refs <- e.e_refs + 1;
-        Hashtbl.replace s.s_handles h (H_live e);
-        Mutex.unlock t.lock;
-        jrec t
-          (Journal.Open
+    let* e = acquire_entry t ~log ~program ~inline ~loops in
+    Mutex.lock t.lock;
+    let h = s.s_next_handle in
+    s.s_next_handle <- h + 1;
+    e.e_refs <- e.e_refs + 1;
+    Hashtbl.replace s.s_handles h (H_live e);
+    Mutex.unlock t.lock;
+    jrec t
+      (Journal.Open
+         {
+           sid = s.s_id;
+           handle = h;
+           spec =
              {
-               sid = s.s_id;
-               handle = h;
-               spec =
-                 {
-                   Journal.o_log = log;
-                   o_program = program;
-                   o_inline = inline;
-                   o_loops = loops;
-                 };
-             });
-        Ok
-          (J.Obj
-             [
-               ("handle", J.Int h);
-               ("version", J.Int (Store.Segment.version e.e_reader));
-               ("nprocs", J.Int (Store.Segment.nprocs e.e_reader));
-               ("bytes", J.Int (Store.Segment.file_bytes e.e_reader));
-               ("refs", J.Int e.e_refs);
-             ]))
+               Journal.o_log = log;
+               o_program = program;
+               o_inline = inline;
+               o_loops = loops;
+             };
+         });
+    let r = e.e_src.reader in
+    Ok
+      (J.Obj
+         [
+           ("handle", J.Int h);
+           ("version", J.Int (Store.Segment.version r));
+           ("nprocs", J.Int (Store.Segment.nprocs r));
+           ("bytes", J.Int (Store.Segment.file_bytes r));
+           ("refs", J.Int e.e_refs);
+         ])
 
 let m_close t s params =
   match J.member "handle" params with
@@ -518,8 +481,6 @@ let m_attach t s params =
               with
               | Ok e -> (h, spec, H_live e)
               | Error (code, msg) -> (h, spec, H_stale (code ^ ": " ^ msg))
-              | exception Trace.Log_io.Unreadable { path; reason } ->
-                (h, spec, H_stale (Printf.sprintf "%s: %s" path reason))
               | exception e -> (h, spec, H_stale (Printexc.to_string e)))
             r.Journal.rc_opens
         in
@@ -561,58 +522,52 @@ let m_attach t s params =
   | Some _ -> bad_params "param \"session\" must be an integer"
   | None -> bad_params "missing param \"session\""
 
-(* Build a per-request controller over a registry entry. Fresh per
-   request: graph, stats and holes stay private to the request, while
-   the reader, pool and fragment cache are the shared substrate. The
+(* The largest per-request [maxReplaySteps] a client may ask for; also
+   the budget of a [race] request, which has no such parameter. *)
+let max_replay_steps_cap = 10_000_000
+
+(* The per-request controller config. A fresh controller per request
+   keeps graph, stats and holes private to the request, while the
+   reader, pool and fragment cache are the shared substrate. The
    resilience envelope rides in the config: the deadline is checked at
-   every e-block replay boundary, and transient pool/store faults
-   retry under the daemon's backoff policy (seeded per request, so the
-   schedule is deterministic and delays never change the answer). *)
-let request_ctl t (e : entry) ~degraded ~max_replay_steps ~deadline ~seed =
-  let config =
-    {
-      Ppd.Controller.degraded;
-      max_replay_steps;
-      deadline;
-      retries = t.cfg.retry_budget;
-      backoff = t.cfg.backoff;
-      retry_seed = seed;
-    }
-  in
-  Ppd.Controller.start_paged ?pool:t.pool ~shared:e.e_frag ~config e.e_eb
-    e.e_reader
+   every e-block replay boundary, and transient pool/store faults retry
+   under the controller's retry budget with jittered backoff, seeded
+   per request from the (session, request) ordinal pair so the schedule
+   is deterministic and delays never change the answer. *)
+let request_config s ~deadline ~degraded ~max_replay_steps =
+  {
+    Ppd.Controller.default_config with
+    degraded;
+    max_replay_steps;
+    deadline;
+    backoff = Some Resil.Backoff.default;
+    retry_seed = (s.s_id * 1_000_003) + s.s_requests;
+  }
 
-(* A deterministic per-request backoff seed: the (session, request)
-   ordinal pair, mixed so neighbouring requests land on different
-   jitter streams. *)
-let request_seed s = (s.s_id * 1_000_003) + s.s_requests
-
-let ctl_params t params =
+let ctl_config s ~deadline params =
   let* degraded = p_bool_opt params "degraded" ~default:false in
-  let* max_rs =
+  let* max_replay_steps =
     p_int_opt params "maxReplaySteps"
       ~default:Ppd.Controller.default_config.Ppd.Controller.max_replay_steps
   in
-  if max_rs > t.cfg.max_replay_steps_cap then
+  if max_replay_steps > max_replay_steps_cap then
     Error
       ( Rpc.err_quota,
-        Printf.sprintf "maxReplaySteps %d exceeds the server cap %d" max_rs
-          t.cfg.max_replay_steps_cap )
-  else Ok (degraded, max_rs)
+        Printf.sprintf "maxReplaySteps %d exceeds the server cap %d"
+          max_replay_steps max_replay_steps_cap )
+  else Ok (request_config s ~deadline ~degraded ~max_replay_steps)
 
 (* Post-query accounting: fold the controller's exact per-instance
-   counters into the session (plain ints) and the Obs namespaces. *)
-let account t s (st : Ppd.Controller.stats) =
-  ignore t;
+   counters into the session (plain ints) and the Obs namespaces, and
+   build the answer. *)
+let query_result s ~output (st : Ppd.Controller.stats) =
   s.s_cache_hits <- s.s_cache_hits + st.Ppd.Controller.cache_hits;
   s.s_cache_misses <- s.s_cache_misses + st.Ppd.Controller.cache_misses;
   s.s_replay_steps <- s.s_replay_steps + st.Ppd.Controller.replay_steps;
   Obs.add c_hits st.Ppd.Controller.cache_hits;
   Obs.add s.sc_hits st.Ppd.Controller.cache_hits;
   Obs.add c_misses st.Ppd.Controller.cache_misses;
-  Obs.add s.sc_misses st.Ppd.Controller.cache_misses
-
-let query_result ~output (st : Ppd.Controller.stats) =
+  Obs.add s.sc_misses st.Ppd.Controller.cache_misses;
   J.Obj
     [
       ("output", J.Str output);
@@ -623,66 +578,46 @@ let query_result ~output (st : Ppd.Controller.stats) =
       ("cacheMisses", J.Int st.Ppd.Controller.cache_misses);
     ]
 
+(* Answer a flowback or replay question into a buffer that becomes the
+   result's [output]. *)
+let m_answer t s e ~deadline params ask =
+  let* config = ctl_config s ~deadline params in
+  let buf = Buffer.create 1024 in
+  let* st =
+    answered
+      (ask ?pool:t.pool ?shared:(Some e.e_frag) ~config (Render.buffer_sink buf)
+         e.e_src)
+  in
+  Ok (query_result s ~output:(Buffer.contents buf) st)
+
 let m_flowback t s ~deadline params =
   let* e = p_handle t s params in
   let* depth = p_int_opt params "depth" ~default:4 in
-  let* degraded, max_replay_steps = ctl_params t params in
-  guarded (fun () ->
-      let ctl =
-        request_ctl t e ~degraded ~max_replay_steps ~deadline
-          ~seed:(request_seed s)
-      in
-      let buf = Buffer.create 1024 in
-      let sink = Render.buffer_sink buf in
-      Render.header sink ~path:e.e_log
-        ~version:(Store.Segment.version e.e_reader)
-        ~nprocs:(Store.Segment.nprocs e.e_reader);
-      let root =
-        if Store.Segment.nprocs e.e_reader = 0 then None
-        else Ppd.Controller.last_event_node ctl ~pid:0
-      in
-      Render.flowback_report sink ~depth ~dot:None ctl root;
-      let st = Ppd.Controller.stats ctl in
-      account t s st;
-      Ok (query_result ~output:(Buffer.contents buf) st))
+  m_answer t s e ~deadline params (Query.flowback ~depth ~dot:None)
 
 let m_replay t s ~deadline params =
   let* e = p_handle t s params in
   let* dump = p_bool_opt params "dump" ~default:false in
-  let* degraded, max_replay_steps = ctl_params t params in
-  guarded (fun () ->
-      let ctl =
-        request_ctl t e ~degraded ~max_replay_steps ~deadline
-          ~seed:(request_seed s)
-      in
-      let buf = Buffer.create 1024 in
-      let sink = Render.buffer_sink buf in
-      Render.header sink ~path:e.e_log
-        ~version:(Store.Segment.version e.e_reader)
-        ~nprocs:(Store.Segment.nprocs e.e_reader);
-      Render.replay_report sink ~dump
-        ~nprocs:(Store.Segment.nprocs e.e_reader)
-        ctl;
-      let st = Ppd.Controller.stats ctl in
-      account t s st;
-      Ok (query_result ~output:(Buffer.contents buf) st))
+  m_answer t s e ~deadline params (Query.replay ~dump)
 
 let m_race t s ~deadline params =
   let* e = p_handle t s params in
-  guarded (fun () ->
-      let ctl =
-        request_ctl t e ~degraded:false
-          ~max_replay_steps:t.cfg.max_replay_steps_cap ~deadline
-          ~seed:(request_seed s)
-      in
-      let pd = Ppd.Controller.pardyn ctl in
-      let stats = Ppd.Race.detect pd in
-      ignore s;
-      let output =
-        Format.asprintf "%a@." (Ppd.Race.pp_report pd) stats.Ppd.Race.races
-      in
-      Ok
-        (J.Obj
+  answered
+    (Query.guard (fun () ->
+         let config =
+           request_config s ~deadline ~degraded:false
+             ~max_replay_steps:max_replay_steps_cap
+         in
+         let ctl =
+           Ppd.Controller.start_paged ?pool:t.pool ~shared:e.e_frag ~config
+             e.e_src.eb e.e_src.reader
+         in
+         let pd = Ppd.Controller.pardyn ctl in
+         let stats = Ppd.Race.detect pd in
+         let output =
+           Format.asprintf "%a@." (Ppd.Race.pp_report pd) stats.Ppd.Race.races
+         in
+         J.Obj
            [
              ("races", J.Int (List.length stats.Ppd.Race.races));
              ("pairsExamined", J.Int stats.Ppd.Race.pairs_examined);
@@ -693,80 +628,75 @@ let m_proto _t _s params =
   let* program = p_str params "program" in
   let* budget = p_int_opt params "budget" ~default:200_000 in
   let* bound = p_int_opt params "bound" ~default:8 in
-  guarded (fun () ->
-      let* src = read_file program in
-      match Lang.Compile.compile_result src with
-      | Error (loc, msg) ->
-        Error ("PPD001", Format.asprintf "%a" Lang.Diag.pp_error (loc, msg))
-      | Ok p ->
-        let r = Analysis.Proto.analyze ~budget ~bound p in
-        let certs =
-          match r.Analysis.Proto.verdict with
-          | Analysis.Proto.Deadlocks cs -> List.length cs
-          | _ -> 0
-        in
-        Ok
-          (J.Obj
-             [
-               ( "verdict",
-                 J.Str (Analysis.Proto.verdict_name r.Analysis.Proto.verdict)
-               );
-               ("statesFull", J.Int r.Analysis.Proto.stats.states_full);
-               ("statesReduced", J.Int r.Analysis.Proto.stats.states_reduced);
-               ("truncated", J.Bool r.Analysis.Proto.stats.truncated);
-               ("certificates", J.Int certs);
-               ("facts", J.Int (List.length r.Analysis.Proto.facts));
-             ]))
+  let* p = compile_file program in
+  let r = Analysis.Proto.analyze ~budget ~bound p in
+  let certs =
+    match r.Analysis.Proto.verdict with
+    | Analysis.Proto.Deadlocks cs -> List.length cs
+    | _ -> 0
+  in
+  Ok
+    (J.Obj
+       [
+         ( "verdict",
+           J.Str (Analysis.Proto.verdict_name r.Analysis.Proto.verdict) );
+         ("statesFull", J.Int r.Analysis.Proto.stats.states_full);
+         ("statesReduced", J.Int r.Analysis.Proto.stats.states_reduced);
+         ("truncated", J.Bool r.Analysis.Proto.stats.truncated);
+         ("certificates", J.Int certs);
+         ("facts", J.Int (List.length r.Analysis.Proto.facts));
+       ])
 
 let m_fsck _t _s params =
   let* log = p_str params "log" in
-  guarded (fun () ->
-      let rp = Store.Segment.fsck log in
-      let page (p : Store.Segment.fsck_page) =
-        J.Obj
-          [
-            ("pid", J.Int p.Store.Segment.fp_pid);
-            ("page", J.Int p.Store.Segment.fp_page);
-            ("offset", J.Int p.Store.Segment.fp_offset);
-            ("count", J.Int p.Store.Segment.fp_count);
-            ( "error",
-              match p.Store.Segment.fp_error with
-              | None -> J.Null
-              | Some e -> J.Str e );
-          ]
-      in
-      let dmg (d : Store.Segment.damage) =
-        J.Obj
-          [
-            ("offset", J.Int d.Store.Segment.dmg_offset);
-            ("reason", J.Str d.Store.Segment.dmg_reason);
-          ]
-      in
-      Ok
-        (J.Obj
-           [
-             ("path", J.Str log);
-             ("version", J.Int rp.Store.Segment.fk_version);
-             ("bytes", J.Int rp.Store.Segment.fk_bytes);
-             ("indexed", J.Bool rp.Store.Segment.fk_indexed);
-             ("clean", J.Bool rp.Store.Segment.fk_clean);
-             ("procs", J.Int rp.Store.Segment.fk_procs);
-             ("records", J.Int rp.Store.Segment.fk_records);
-             ("intervals", J.Int rp.Store.Segment.fk_intervals);
-             ("pages", J.List (List.map page rp.Store.Segment.fk_pages));
-             ("damage", J.List (List.map dmg rp.Store.Segment.fk_damage));
-           ]))
+  answered
+    (Query.guard (fun () ->
+         let rp = Store.Segment.fsck log in
+         let page (p : Store.Segment.fsck_page) =
+           J.Obj
+             [
+               ("pid", J.Int p.Store.Segment.fp_pid);
+               ("page", J.Int p.Store.Segment.fp_page);
+               ("offset", J.Int p.Store.Segment.fp_offset);
+               ("count", J.Int p.Store.Segment.fp_count);
+               ( "error",
+                 match p.Store.Segment.fp_error with
+                 | None -> J.Null
+                 | Some e -> J.Str e );
+             ]
+         in
+         let dmg (d : Store.Segment.damage) =
+           J.Obj
+             [
+               ("offset", J.Int d.Store.Segment.dmg_offset);
+               ("reason", J.Str d.Store.Segment.dmg_reason);
+             ]
+         in
+         J.Obj
+             [
+               ("path", J.Str log);
+               ("version", J.Int rp.Store.Segment.fk_version);
+               ("bytes", J.Int rp.Store.Segment.fk_bytes);
+               ("indexed", J.Bool rp.Store.Segment.fk_indexed);
+               ("clean", J.Bool rp.Store.Segment.fk_clean);
+               ("procs", J.Int rp.Store.Segment.fk_procs);
+               ("records", J.Int rp.Store.Segment.fk_records);
+               ("intervals", J.Int rp.Store.Segment.fk_intervals);
+               ("pages", J.List (List.map page rp.Store.Segment.fk_pages));
+               ("damage", J.List (List.map dmg rp.Store.Segment.fk_damage));
+             ]))
 
 let m_stats t s params =
   let* e = p_handle t s params in
   let fs = Ppd.Fragcache.stats e.e_frag in
+  let r = e.e_src.reader in
   Ok
     (J.Obj
        [
-         ("log", J.Str e.e_log);
-         ("version", J.Int (Store.Segment.version e.e_reader));
-         ("nprocs", J.Int (Store.Segment.nprocs e.e_reader));
-         ("bytes", J.Int (Store.Segment.file_bytes e.e_reader));
+         ("log", J.Str e.e_src.log);
+         ("version", J.Int (Store.Segment.version r));
+         ("nprocs", J.Int (Store.Segment.nprocs r));
+         ("bytes", J.Int (Store.Segment.file_bytes r));
          ("refs", J.Int e.e_refs);
          ( "fragCache",
            J.Obj
@@ -801,7 +731,7 @@ let m_server_stats t _s _params =
   let n_recoverable = Hashtbl.length t.recovered in
   Mutex.unlock t.lock;
   let page_bytes =
-    List.fold_left (fun a e -> a + Store.Segment.cache_bytes e.e_reader) 0
+    List.fold_left (fun a e -> a + Store.Segment.cache_bytes e.e_src.reader) 0
       entries
   in
   let frag_bytes =
@@ -882,10 +812,11 @@ let m_server_stats t _s _params =
 (* ------------------------------------------------------------------ *)
 
 (* Hard faults are the ones that indict the log itself — unreadable
-   pages, reconstruction divergence, injected storage faults — and
-   feed the per-log circuit breaker. Everything else (deadline, quota,
-   shedding, bad params) proves nothing about the log and abstains. *)
-let hard_fault code = code = "PPD050" || code = "PPD061" || code = "PPD086"
+   pages, reconstruction or replay divergence, injected storage faults
+   — and feed the per-log circuit breaker. Everything else (deadline,
+   quota, shedding, bad params) proves nothing about the log and
+   abstains. *)
+let hard_fault code = List.mem code [ "PPD050"; "PPD061"; "PPD062"; "PPD086" ]
 
 (* Heavy methods replay log intervals: they pass the per-log circuit
    breaker (PPD091 fast-fail without ever taking a slot), the
@@ -936,7 +867,7 @@ let heavy t s p (body : Resil.Deadline.t -> J.t rpc_result) =
         Mutex.lock t.lock;
         let st = Hashtbl.find_opt s.s_handles h in
         Mutex.unlock t.lock;
-        match st with Some (H_live e) -> Some e.e_log | _ -> None)
+        match st with Some (H_live e) -> Some e.e_src.log | _ -> None)
       | _ -> None
     in
     let r =

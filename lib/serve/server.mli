@@ -14,11 +14,12 @@
     Survivability: heavy requests carry a deadline (per-request
     [deadlineMs], else [default_deadline_ms]) answered as PPD090 when
     it expires in the gate queue or at an e-block replay boundary;
-    transient replay faults retry under [backoff]; repeated hard
-    faults on one log trip a per-log circuit breaker that fast-fails
-    PPD091 until a cooldown probe succeeds; all caches share the
-    [mem_budget] byte ceiling; and with a journal attached the session
-    table survives SIGKILL — [--resume] rebuilds it and clients
+    transient replay faults retry under the controller's retry budget
+    with jittered backoff; repeated hard faults (PPD050, PPD061,
+    PPD062, PPD086) on one log trip a per-log circuit breaker that
+    fast-fails PPD091 until a cooldown probe succeeds; all caches share
+    the [mem_budget] byte ceiling; and with a journal attached the
+    session table survives SIGKILL — [--resume] rebuilds it and clients
     [attach], stale handles answering PPD092. *)
 
 type config = {
@@ -29,19 +30,12 @@ type config = {
   step_quota : int;
       (** per-session lifetime replay-step budget; at/beyond, heavy
           requests get PPD085 *)
-  max_replay_steps_cap : int;
-      (** largest per-request [maxReplaySteps] a client may ask for *)
   default_deadline_ms : int;
       (** deadline for heavy requests that carry no [deadlineMs];
           [0] (the default) means none *)
   mem_budget : int;
       (** daemon-wide byte ceiling shared by every page LRU and
           fragment cache; [0] (the default) means unlimited *)
-  retry_budget : int;
-      (** per-request transient-fault retries (the controller's
-          serial retry budget) *)
-  backoff : Resil.Backoff.policy option;
-      (** retry delay policy; [None] retries immediately *)
   breaker : Resil.Breaker.config;
       (** per-log circuit breaker thresholds *)
 }

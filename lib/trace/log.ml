@@ -83,6 +83,14 @@ let content ~nprocs ~entries ~stops =
 
 let tier_name = function T_content -> "content" | T_order _ -> "order"
 
+let order_tier ~sched ~engine ~max_steps =
+  T_order
+    {
+      o_sched = Runtime.Sched.string_of_policy sched;
+      o_engine = Runtime.Machine.engine_name engine;
+      o_max_steps = max_steps;
+    }
+
 (* The sync skeleton of a log: exactly what an order-tier log records.
    Used by `ppd log compact` and by the reconstruction validator. *)
 let sync_entries t ~pid =

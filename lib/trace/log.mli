@@ -121,6 +121,16 @@ val content :
 val tier_name : tier -> string
 (** ["content"] or ["order"]. *)
 
+val order_tier :
+  sched:Runtime.Sched.policy ->
+  engine:Runtime.Machine.engine ->
+  max_steps:int ->
+  tier
+(** The order-tier metadata of a recording run: exactly what
+    reconstruction needs to re-execute it. Only nameable schedulers
+    qualify — {!Runtime.Sched.string_of_policy} rejects a scripted or
+    guided policy. *)
+
 val sync_entries : t -> pid:int -> entry list
 (** The sync skeleton of one process: exactly what an order-tier log
     records. Used by [ppd log compact] and the reconstruction

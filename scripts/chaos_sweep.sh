@@ -15,7 +15,16 @@
 #  4. The same truncation contract over an order-tier log (sync order +
 #     checkpoint frames + tier footer), and cross-tier flowback
 #     identity on the intact file.
+#  5. Survivability: `ppd log repair` salvages every damage shape, and
+#     a SIGKILLed daemon resumes and re-answers byte-identically.
+#  6. Racy executions: a race that changes control flow makes e-block
+#     replay diverge from the log, which is PPD062 (exit 8), or a
+#     "replay diverged" hole under --degraded, in both tiers and at
+#     -j1 and -j4.
 #
+# No invocation anywhere in the sweep may exit 125 (an uncaught
+# exception): every ppd run goes through the [ppd] wrapper below,
+# which records one, and the sweep fails at the end if any did.
 # Every damage report must carry the EXACT absolute offset of the
 # enclosing frame start: re-truncating at the reported offset must
 # report damage at that same offset (or none) — never an offset that
@@ -24,9 +33,21 @@ set -eu
 
 PPD=${PPD:-_build/default/bin/ppd_cli.exe}
 
+# Run ppd, recording an exit 125 to a file, so that runs inside
+# pipelines and command substitutions are caught too.
+ppd() {
+  rc=0
+  "$PPD" "$@" || rc=$?
+  if [ "$rc" -eq 125 ]; then
+    echo "ppd $*" >>"$dir/exit125"
+    echo "chaos: ppd $* exited 125 (uncaught exception)" >&2
+  fi
+  return "$rc"
+}
+
 # First damage offset fsck reports for a file, or -1 when clean.
 damage_offset() {
-  "$PPD" fsck "$1" 2>/dev/null | python3 -c '
+  ppd fsck "$1" 2>/dev/null | python3 -c '
 import json, sys
 d = json.load(sys.stdin)
 print(d["damage"][0]["offset"] if d["damage"] else -1)' 2>/dev/null || echo -1
@@ -51,8 +72,8 @@ check_damage_offset() {
 dir=$(mktemp -d)
 trap 'rm -rf "$dir"' EXIT
 
-"$PPD" example fig61 >"$dir/fig61.mpl"
-"$PPD" log "$dir/fig61.mpl" --save "$dir/run.log" >/dev/null
+ppd example fig61 >"$dir/fig61.mpl"
+ppd log "$dir/fig61.mpl" --save "$dir/run.log" >/dev/null
 size=$(wc -c <"$dir/run.log")
 
 # -------------------------------------------------------------------
@@ -63,11 +84,11 @@ while [ "$k" -lt "$size" ]; do
   head -c "$k" "$dir/run.log" >"$dir/cut.log"
 
   set +e
-  "$PPD" fsck "$dir/cut.log" >/dev/null 2>&1
+  ppd fsck "$dir/cut.log" >/dev/null 2>&1
   fsck_code=$?
-  "$PPD" log stats "$dir/cut.log" >/dev/null 2>&1
+  ppd log stats "$dir/cut.log" >/dev/null 2>&1
   stats_code=$?
-  "$PPD" flowback "$dir/fig61.mpl" --load "$dir/cut.log" --degraded \
+  ppd flowback "$dir/fig61.mpl" --load "$dir/cut.log" --degraded \
     >/dev/null 2>&1
   flow_code=$?
   set -e
@@ -109,7 +130,7 @@ echo "chaos: truncation sweep ok ($size cut points)"
 # -------------------------------------------------------------------
 k=9
 while [ "$k" -lt "$size" ]; do
-  "$PPD" log "$dir/fig61.mpl" --save "$dir/crash.log" \
+  ppd log "$dir/fig61.mpl" --save "$dir/crash.log" \
     --fault "trace.sink:$k" >/dev/null
   got=$(wc -c <"$dir/crash.log")
   if [ "$got" -ne "$k" ]; then
@@ -117,9 +138,9 @@ while [ "$k" -lt "$size" ]; do
     exit 1
   fi
   set +e
-  "$PPD" fsck "$dir/crash.log" >/dev/null
+  ppd fsck "$dir/crash.log" >/dev/null
   fsck_code=$?
-  "$PPD" flowback "$dir/fig61.mpl" --load "$dir/crash.log" --degraded \
+  ppd flowback "$dir/fig61.mpl" --load "$dir/crash.log" --degraded \
     >/dev/null
   flow_code=$?
   set -e
@@ -141,10 +162,10 @@ echo "chaos: sink-crash sweep ok"
 # -------------------------------------------------------------------
 
 # a flipped bit in a page payload must be caught by fsck (exit 4)
-"$PPD" log "$dir/fig61.mpl" --save "$dir/flip.log" \
+ppd log "$dir/fig61.mpl" --save "$dir/flip.log" \
   --fault store.segment.write:2:flip --fault-seed 7 >/dev/null
 set +e
-"$PPD" fsck "$dir/flip.log" >/dev/null
+ppd fsck "$dir/flip.log" >/dev/null
 code=$?
 set -e
 if [ "$code" -ne 4 ]; then
@@ -153,7 +174,7 @@ if [ "$code" -ne 4 ]; then
 fi
 
 # a damaged page read degrades to an explicit hole, never a crash
-"$PPD" flowback "$dir/fig61.mpl" --load "$dir/run.log" --degraded \
+ppd flowback "$dir/fig61.mpl" --load "$dir/run.log" --degraded \
   --fault store.segment.read:1 >"$dir/holes.out"
 grep -q "history unavailable" "$dir/holes.out" || {
   echo "chaos: degraded flowback did not report the hole" >&2
@@ -161,7 +182,7 @@ grep -q "history unavailable" "$dir/holes.out" || {
 }
 
 # replay-budget exhaustion degrades to a hole too
-"$PPD" flowback "$dir/fig61.mpl" --degraded --max-replay-steps 1 \
+ppd flowback "$dir/fig61.mpl" --degraded --max-replay-steps 1 \
   >"$dir/budget.out"
 grep -q "history unavailable" "$dir/budget.out" || {
   echo "chaos: watchdog hole missing from degraded flowback" >&2
@@ -170,7 +191,7 @@ grep -q "history unavailable" "$dir/budget.out" || {
 
 # ... and is PPD060 (exit 7) outside degraded mode
 set +e
-"$PPD" flowback "$dir/fig61.mpl" --max-replay-steps 1 >/dev/null 2>&1
+ppd flowback "$dir/fig61.mpl" --max-replay-steps 1 >/dev/null 2>&1
 code=$?
 set -e
 if [ "$code" -ne 7 ]; then
@@ -179,8 +200,8 @@ if [ "$code" -ne 7 ]; then
 fi
 
 # a transient pool fault is retried: -j4 under fault == clean -j1
-"$PPD" flowback "$dir/fig61.mpl" --depth 2 -j 1 >"$dir/clean.out"
-"$PPD" flowback "$dir/fig61.mpl" --depth 2 -j 4 \
+ppd flowback "$dir/fig61.mpl" --depth 2 -j 1 >"$dir/clean.out"
+ppd flowback "$dir/fig61.mpl" --depth 2 -j 4 \
   --fault exec.pool.task:1 >"$dir/faulted.out"
 cmp "$dir/clean.out" "$dir/faulted.out" || {
   echo "chaos: transient pool fault changed the flowback output" >&2
@@ -194,13 +215,13 @@ echo "chaos: fault matrix ok (flip, read, budget, transient)"
 #    same truncation contract, and debugging the intact order log
 #    gives byte-identical answers to the content log.
 # -------------------------------------------------------------------
-"$PPD" log "$dir/fig61.mpl" --save "$dir/order.log" --log-mode order \
+ppd log "$dir/fig61.mpl" --save "$dir/order.log" --log-mode order \
   --ckpt-every 8 >/dev/null
 
 # line 1 of `flowback --load` names the log file, so compare from line 2
-"$PPD" flowback "$dir/fig61.mpl" --load "$dir/run.log" \
+ppd flowback "$dir/fig61.mpl" --load "$dir/run.log" \
   | tail -n +2 >"$dir/fb.content.out"
-"$PPD" flowback "$dir/fig61.mpl" --load "$dir/order.log" \
+ppd flowback "$dir/fig61.mpl" --load "$dir/order.log" \
   | tail -n +2 >"$dir/fb.order.out"
 cmp "$dir/fb.content.out" "$dir/fb.order.out" || {
   echo "chaos: order-tier flowback differs from the content tier" >&2
@@ -213,11 +234,11 @@ while [ "$k" -lt "$osize" ]; do
   head -c "$k" "$dir/order.log" >"$dir/ocut.log"
 
   set +e
-  "$PPD" fsck "$dir/ocut.log" >/dev/null 2>&1
+  ppd fsck "$dir/ocut.log" >/dev/null 2>&1
   fsck_code=$?
-  "$PPD" log stats "$dir/ocut.log" >/dev/null 2>&1
+  ppd log stats "$dir/ocut.log" >/dev/null 2>&1
   stats_code=$?
-  "$PPD" flowback "$dir/fig61.mpl" --load "$dir/ocut.log" --degraded \
+  ppd flowback "$dir/fig61.mpl" --load "$dir/ocut.log" --degraded \
     >/dev/null 2>&1
   flow_code=$?
   set -e
@@ -262,14 +283,14 @@ echo "chaos: order-tier truncation sweep ok ($osize cut points)"
 
 # repair the flip artifact: bytes are lost (exit 4), the output is clean
 set +e
-"$PPD" log repair "$dir/flip.log" -o "$dir/flip.repaired" >/dev/null
+ppd log repair "$dir/flip.log" -o "$dir/flip.repaired" >/dev/null
 code=$?
 set -e
 if [ "$code" -ne 4 ]; then
   echo "chaos: repair of the flip artifact exited $code (want 4)" >&2
   exit 1
 fi
-"$PPD" fsck "$dir/flip.repaired" >/dev/null || {
+ppd fsck "$dir/flip.repaired" >/dev/null || {
   echo "chaos: repaired flip artifact does not fsck clean" >&2
   exit 1
 }
@@ -277,7 +298,7 @@ fi
 # repair a mid-page truncation: clean prefix kept, output clean
 head -c $((size / 2)) "$dir/run.log" >"$dir/half.log"
 set +e
-"$PPD" log repair "$dir/half.log" -o "$dir/half.repaired" >/dev/null
+ppd log repair "$dir/half.log" -o "$dir/half.repaired" >/dev/null
 code=$?
 set -e
 case "$code" in
@@ -287,18 +308,18 @@ case "$code" in
   exit 1
   ;;
 esac
-"$PPD" fsck "$dir/half.repaired" >/dev/null || {
+ppd fsck "$dir/half.repaired" >/dev/null || {
   echo "chaos: repaired truncation does not fsck clean" >&2
   exit 1
 }
 
 # repairing the intact log drops nothing and the repaired file answers
 # the same bytes
-"$PPD" log repair "$dir/run.log" -o "$dir/run.repaired" >/dev/null || {
+ppd log repair "$dir/run.log" -o "$dir/run.repaired" >/dev/null || {
   echo "chaos: repair of an intact log did not exit 0" >&2
   exit 1
 }
-"$PPD" flowback "$dir/fig61.mpl" --load "$dir/run.repaired" \
+ppd flowback "$dir/fig61.mpl" --load "$dir/run.repaired" \
   | tail -n +2 >"$dir/fb.repaired.out"
 cmp "$dir/fb.content.out" "$dir/fb.repaired.out" || {
   echo "chaos: repaired log changed the flowback answer" >&2
@@ -309,7 +330,7 @@ echo "chaos: repair ok (flip, truncation, intact identity)"
 # daemon SIGKILL -> --resume -> attach -> byte-identical re-query
 sock="$dir/ppd.sock"
 journal="$dir/journal.jsonl"
-"$PPD" flowback "$dir/fig61.mpl" --load "$dir/run.log" --depth 2 \
+ppd flowback "$dir/fig61.mpl" --load "$dir/run.log" --depth 2 \
   >"$dir/fb.oneshot"
 "$PPD" serve --socket "$sock" -j 2 --journal "$journal" \
   2>"$dir/daemon.log" &
@@ -372,7 +393,7 @@ PYEOF
 printf '%s\n' \
   "{\"id\":1,\"method\":\"attach\",\"params\":{\"session\":$sid}}" \
   '{"id":2,"method":"flowback","params":{"handle":1,"depth":2}}' |
-  "$PPD" connect --socket "$sock" >"$dir/after.out"
+  ppd connect --socket "$sock" >"$dir/after.out"
 python3 - "$dir/before.out" "$dir/after.out" "$dir/fb.oneshot" <<'PYEOF'
 import json, sys
 before = [json.loads(l) for l in open(sys.argv[1])]
@@ -387,3 +408,49 @@ kill -TERM "$daemon_pid" 2>/dev/null || true
 wait "$daemon_pid" 2>/dev/null || true
 daemon_pid=""
 echo "chaos: daemon SIGKILL -> --resume -> byte-identical re-query ok"
+
+# -------------------------------------------------------------------
+# 6. Racy executions. E-block replay is faithful only for race-free
+#    runs: under random:3 the writer's store lands after the reader's
+#    prelog, so the reader's replay takes the other branch and
+#    diverges from the log.
+# -------------------------------------------------------------------
+cat >"$dir/race.mpl" <<'EOF'
+shared int g = 0;
+func writer(x) { g = g + 12; return x; }
+func reader(x) { var b = g; if (b != 0) { print(b); } return x; }
+func main() { var p1 = spawn reader(1); var p2 = spawn writer(2); join(p1); join(p2); }
+EOF
+ppd log "$dir/race.mpl" --sched random:3 --save "$dir/race.content" >/dev/null
+ppd log "$dir/race.mpl" --sched random:3 --log-mode order \
+  --save "$dir/race.order" >/dev/null
+for tier in content order; do
+  for j in 1 4; do
+    set +e
+    ppd replay "$dir/race.mpl" --load "$dir/race.$tier" -j "$j" \
+      >/dev/null 2>"$dir/race.err"
+    code=$?
+    set -e
+    if [ "$code" -ne 8 ] || ! grep -q '^PPD062 error' "$dir/race.err"; then
+      echo "chaos: racy $tier replay at -j$j exited $code without PPD062" >&2
+      exit 1
+    fi
+    ppd replay "$dir/race.mpl" --load "$dir/race.$tier" -j "$j" --degraded \
+      >"$dir/race.out" || {
+      echo "chaos: degraded racy $tier replay at -j$j did not exit 0" >&2
+      exit 1
+    }
+    grep -q "replay diverged" "$dir/race.out" || {
+      echo "chaos: degraded racy $tier replay at -j$j shows no hole" >&2
+      exit 1
+    }
+  done
+done
+echo "chaos: racy executions ok (PPD062 / exit 8, degraded hole)"
+
+if [ -s "$dir/exit125" ]; then
+  echo "chaos: uncaught exceptions (exit 125):" >&2
+  cat "$dir/exit125" >&2
+  exit 1
+fi
+echo "chaos: no invocation exited 125"

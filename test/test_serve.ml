@@ -723,23 +723,18 @@ let test_quarantine_isolates () =
 
 (* One execution of [src] recorded in both tiers (DESIGN §16): the
    program file, its content-tier segment and its order-tier segment. *)
-let with_tiers ?(src = Workloads.fig61) f =
+let with_tiers ?(src = Workloads.fig61) ?(sched = Runtime.Sched.default) f =
   let mpl = Filename.temp_file "serve_tiers" ".mpl" in
   let content = Filename.temp_file "serve_tiers" ".content.seg" in
   let order = Filename.temp_file "serve_tiers" ".order.seg" in
   Out_channel.with_open_text mpl (fun oc -> Out_channel.output_string oc src);
   let eb = Analysis.Eblock.analyze (Lang.Compile.compile src) in
   let tier =
-    Trace.Log.T_order
-      {
-        Trace.Log.o_sched =
-          Runtime.Sched.string_of_policy Runtime.Sched.default;
-        o_engine = "vm";
-        o_max_steps = 1_000_000;
-      }
+    Trace.Log.order_tier ~sched ~engine:Runtime.Machine.Vm_engine
+      ~max_steps:1_000_000
   in
-  let _, c, _ = Trace.Logger.run_logged eb in
-  let _, o, _ = Trace.Logger.run_logged ~tier eb in
+  let _, c, _ = Trace.Logger.run_logged ~sched eb in
+  let _, o, _ = Trace.Logger.run_logged ~sched ~tier eb in
   Store.Segment.save content c;
   Store.Segment.save order o;
   Fun.protect
@@ -1031,6 +1026,96 @@ let test_stale_handle_ppd092 () =
           Server.end_session srv2 s2;
           Server.shutdown srv2))
 
+(* The one failure map: each exception becomes its code, and the CLI's
+   exit table has a row for every code the map returns. *)
+let test_failure_map () =
+  let cases =
+    [
+      (Trace.Log_io.Unreadable { path = "x.log"; reason = "r" }, "PPD050", 6);
+      (Ppd.Controller.Replay_overrun { pid = 0; iv_id = 1; budget = 1 },
+       "PPD060", 7);
+      (Ppd.Reconstruct.Divergence { reason = "r" }, "PPD061", 8);
+      (Ppd.Emulator.Replay_mismatch "r", "PPD062", 8);
+      (Fault.Injected { site = "s"; kind = Fault.Transient }, "PPD086", 2);
+      (Resil.Deadline.Expired, Rpc.err_deadline, 7);
+    ]
+  in
+  List.iter
+    (fun (exn, code, status) ->
+      match Serve.Query.guard (fun () -> raise exn) with
+      | Error d ->
+        Alcotest.(check string) (Printexc.to_string exn) code
+          d.Lang.Diag.d_code;
+        Alcotest.(check bool) "an error" true
+          (d.Lang.Diag.d_severity = Lang.Diag.Sev_error);
+        Alcotest.(check int) ("exit status of " ^ code) status
+          (List.assoc code Serve.Query.exit_table)
+      | Ok () -> Alcotest.fail "guard returned")
+    cases;
+  Alcotest.(check (list string)) "the table has exactly the map's codes"
+    (List.sort compare (List.map (fun (_, c, _) -> c) cases))
+    (List.sort compare (List.map fst Serve.Query.exit_table));
+  match Serve.Query.guard (fun () -> raise Exit) with
+  | exception Exit -> ()
+  | _ -> Alcotest.fail "guard swallowed an unmapped exception"
+
+(* A race that changes control flow: under random:3 the writer's store
+   lands after the reader's prelog recorded g = 0, so the recorded
+   reader reads 12 and prints, while its replay from the prelog reads 0
+   and reaches its exit one event early. *)
+let tiny_race =
+  {|shared int g = 0;
+func writer(x) { g = g + 12; return x; }
+func reader(x) { var b = g; if (b != 0) { print(b); } return x; }
+func main() { var p1 = spawn reader(1); var p2 = spawn writer(2); join(p1); join(p2); }
+|}
+
+let with_racy f =
+  with_tiers ~src:tiny_race ~sched:(Runtime.Sched.Random_seed 3) f
+
+let test_racy_replay_ppd062 () =
+  with_racy (fun ~mpl ~content ~order ->
+      List.iter
+        (fun seg ->
+          let srv = Server.create () in
+          let s = Server.session srv in
+          let h = open_handle srv s ~mpl ~seg in
+          let ask id params =
+            Server.handle_line srv s
+              (req ~id "replay" (("handle", J.Int h) :: params))
+          in
+          Alcotest.(check string) "racy replay answers PPD062" "PPD062"
+            (error_code_of (ask 2 []));
+          let r = result_of (ask 3 [ ("degraded", J.Bool true) ]) in
+          Alcotest.(check bool) "degraded: one hole" true (jint r "holes" = 1);
+          Alcotest.(check bool) "the hole says why" true
+            (Util.contains ~sub:"(replay diverged: " (jstr r "output"));
+          Server.end_session srv s;
+          Server.shutdown srv)
+        [ content; order ])
+
+let test_racy_breaker () =
+  with_racy (fun ~mpl ~content ~order:_ ->
+      let config =
+        {
+          Server.default_config with
+          breaker =
+            { Resil.Breaker.failure_threshold = 2; cooldown_ms = 3_600_000 };
+        }
+      in
+      let srv = Server.create ~config () in
+      let s = Server.session srv in
+      let h = open_handle srv s ~mpl ~seg:content in
+      let replay id =
+        error_code_of
+          (Server.handle_line srv s (req ~id "replay" [ ("handle", J.Int h) ]))
+      in
+      Alcotest.(check string) "hard fault 1" "PPD062" (replay 2);
+      Alcotest.(check string) "hard fault 2" "PPD062" (replay 3);
+      Alcotest.(check string) "breaker trips" Rpc.err_quarantined (replay 4);
+      Server.end_session srv s;
+      Server.shutdown srv)
+
 let suite =
   ( "serve",
     [
@@ -1077,4 +1162,9 @@ let suite =
         test_journal_resume_attach;
       Alcotest.test_case "stale handles answer PPD092" `Quick
         test_stale_handle_ppd092;
+      Alcotest.test_case "failure map and exit table" `Quick test_failure_map;
+      Alcotest.test_case "racy log answers PPD062" `Quick
+        test_racy_replay_ppd062;
+      Alcotest.test_case "breaker counts PPD062 as hard" `Quick
+        test_racy_breaker;
     ] )
