@@ -105,13 +105,16 @@ let run_bare_e engine prog =
   let m = Runtime.Machine.create ~engine ~sched ~max_steps:5_000_000 prog in
   ignore (Runtime.Machine.run m)
 
-(* Events materialized (nil hooks count as instrumentation) but nothing
-   consumes them: isolates the cost of producing the event stream from
-   the cost of the logger proper. *)
+(* Every event materialized but nothing consumes it: a no-op observer
+   that declares it reads local statement events, so the VM builds each
+   one. Isolates the cost of producing the full event stream, which the
+   logger alone no longer pays. *)
+let every_event _port =
+  { Runtime.Hooks.on_event = (fun ~pid:_ ~seq:_ _ -> ()); locals = true }
+
 let run_instr_vm prog =
   let m =
-    Runtime.Machine.create ~sched ~max_steps:5_000_000 ~hooks:Runtime.Hooks.nil
-      prog
+    Runtime.Machine.create ~sched ~max_steps:5_000_000 ~hooks:every_event prog
   in
   ignore (Runtime.Machine.run m)
 
@@ -208,11 +211,12 @@ let t1 () =
         (fmt_ns r.t1_interp_bare_ns) (fmt_ns r.t1_vm_bare_ns)
         (speedup r.t1_interp_bare_ns r.t1_vm_bare_ns)
         (fmt_ns r.t1_vm_instr_ns) (fmt_ns r.t1_vm_logged_ns)
-        (pct r.t1_vm_instr_ns r.t1_vm_logged_ns))
+        (pct r.t1_vm_bare_ns r.t1_vm_logged_ns))
     rows;
   print_endline
-    "(vm = default bytecode engine, interp = AST-walking oracle; log ovh\n\
-    \      compares vm+log against vm+events: the cost the paper bounds at 15%)";
+    "(vm = default bytecode engine, interp = AST-walking oracle; vm+events\n\
+    \      builds every event for a no-op observer; log ovh compares vm+log\n\
+    \      against the bare vm: the cost the paper bounds at 15%)";
   let tests =
     List.concat_map
       (fun (name, src) ->

@@ -419,9 +419,11 @@ let log_cmd =
       | Some path when not v1 -> Some (Store.Segment.Writer.to_file ~tier path)
       | Some _ | None -> None
     in
+    (* [log] never reads race sets: without their observer the logger
+       runs alone and local statements stay on the VM's bare path *)
     let s =
       Ppd.Session.of_program ~engine ~sched ~max_steps:steps
-        ~policy:(policy_of ~loops inline)
+        ~policy:(policy_of ~loops inline) ~race_sets:false
         ?log_sink:(Option.map Store.Segment.Writer.sink writer)
         ~log_order:order ~ckpt_every prog
     in

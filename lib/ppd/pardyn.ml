@@ -295,7 +295,10 @@ let obs_event o ~pid ~seq (ev : E.t) =
       if rvids <> [] || wvids <> [] then push (I_access (rvids, wvids)))
 
 let factory o _port =
-  { Runtime.Hooks.on_event = (fun ~pid ~seq ev -> obs_event o ~pid ~seq ev) }
+  {
+    Runtime.Hooks.on_event = (fun ~pid ~seq ev -> obs_event o ~pid ~seq ev);
+    locals = true;
+  }
 
 let finish o =
   build o.oprog (Array.map (fun cell -> List.rev !cell) o.ostreams)

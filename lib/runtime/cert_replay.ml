@@ -81,7 +81,9 @@ let validate ?(max_steps = 200_000) (p : P.t) (cert : Proto.cert) =
               (List.length !remaining)
           | _ -> () (* non-communication event en route to the action *))
   in
-  let hooks _port = { Hooks.on_event } in
+  (* only communication events and exits can match a step: local
+     statement events are never needed *)
+  let hooks _port = { Hooks.on_event; locals = false } in
   let fallback runnable =
     let pick = List.hd runnable in
     schedule := pick :: !schedule;

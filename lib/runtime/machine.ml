@@ -133,10 +133,11 @@ let emit t (pr : proc) ev =
   | _ -> ());
   r
 
-(* Uninstrumented fast path: account for a VM-local statement event
-   without materializing it — same seq bump and breakpoint check as
-   [emit], minus the allocation and the (nil) hook call. Every VM-local
-   event carries its own sid, so the check is exactly [emit]'s. *)
+(* Bare fast path: account for a VM-local statement event without
+   materializing it — same seq bump and breakpoint check as [emit],
+   minus the allocation and the hook call (the run is uninstrumented, or
+   no observer reads local events). Every VM-local event carries its own
+   sid, so the check is exactly [emit]'s. *)
 let fast_account t (pr : proc) sid =
   incr pr.seq;
   match t.breakpoints with
@@ -167,12 +168,18 @@ let attach_vm t (pr : proc) =
     let stop = ref false in
     (* [emit] only ever halts the machine at a breakpoint, so without
        breakpoints the host never has to re-check [t.halted] and the
-       bare fast path reduces to the inline seq bump in the VM. *)
+       bare fast path reduces to the inline seq bump in the VM. Local
+       statement events are built only for an observer that reads them;
+       loop events flow to every observer, since loop e-block prelogs
+       and postlogs hang on them. *)
+    let want = t.instrumented && t.hooks.Hooks.locals
+    and loops = t.instrumented in
     let vhost =
       match t.breakpoints with
       | None ->
         {
-          Vm.want = t.instrumented;
+          Vm.want;
+          loops;
           emit = (fun ev -> ignore (emit t pr ev));
           fast_event = (fun _sid -> incr pr.seq);
           fast_print =
@@ -191,7 +198,8 @@ let attach_vm t (pr : proc) =
           match t.halted with Some _ -> stop := true | None -> ()
         in
         {
-          Vm.want = t.instrumented;
+          Vm.want;
+          loops;
           emit =
             (fun ev ->
               ignore (emit t pr ev);
@@ -281,7 +289,13 @@ let create ?(engine = Vm_engine) ?(sched = Sched.default)
       chans;
       procs = [||];
       sched = Sched.create sched;
-      hooks = Hooks.nil { Hooks.read_var = (fun ~pid:_ _ -> Value.Vundef); now = (fun () -> 0) };
+      hooks =
+        Hooks.nil
+          {
+            Hooks.read_var = (fun ~pid:_ _ -> Value.Vundef);
+            now = (fun () -> 0);
+            seq_of = (fun ~pid:_ -> 0);
+          };
       max_steps;
       steps = ref 0;
       out = Buffer.create 256;
@@ -309,6 +323,7 @@ let create ?(engine = Vm_engine) ?(sched = Sched.default)
             | [] -> Value.Vundef
             | top :: _ -> (iframe top).Interp.slots.(slot)));
       now = (fun () -> !(t.steps));
+      seq_of = (fun ~pid -> !(t.procs.(pid).seq));
     }
   in
   t.hooks <- (match hooks with Some h -> h port | None -> Hooks.nil port);

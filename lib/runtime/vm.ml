@@ -17,13 +17,17 @@
    ([Interp.eval_int] / [Interp.write_lhs]) runs unchanged against VM
    frames.
 
-   Two execution modes share the dispatch loop. When the machine was
-   created with instrumentation, [host.want] is true and the VM
-   materializes the exact event the interpreter would have produced
-   (reads in short-circuit evaluation order, the read-modify-write
-   element read, identical fault messages). Bare runs skip event and
-   read-list allocation entirely: a completed statement costs one
-   [fast_event] callback (seq bump + breakpoint check).
+   Two execution modes share the dispatch loop. When one of the
+   machine's observers reads local statement events, [host.want] is
+   true and the VM materializes the exact event the interpreter would
+   have produced (reads in short-circuit evaluation order, the
+   read-modify-write element read, identical fault messages). Otherwise
+   the VM skips event and read-list allocation entirely: a completed
+   statement costs one inline seq bump, or one [fast_event] callback
+   (seq bump + breakpoint check) when breakpoints exist. That bare path
+   serves both uninstrumented runs and observers that decline local
+   events, such as the logger; [host.loops] still hands such observers
+   the loop enter/exit events that loop e-blocks hang on.
 
    The dispatch loop is a toplevel recursive function, not a nest of
    per-[step] closures: a step on the bare path allocates nothing. *)
@@ -53,7 +57,8 @@ type frame = {
 }
 
 type host = {
-  want : bool;  (* materialize events (instrumented machine)? *)
+  want : bool;  (* materialize local statement events? *)
+  loops : bool;  (* emit loop enter/exit events (instrumented machine)? *)
   emit : Event.t -> unit;
   fast_event : int -> unit;  (* sid: seq bump + breakpoint check *)
   fast_print : int -> int -> unit;  (* sid, value: bump + output line *)
@@ -388,7 +393,7 @@ let rec exec (vf : frame) (st : pstate) (h : host) (code : B.instr array) regs
       (chase code (if b then pc + 1 else ftarget))
   | B.Iloop_head ->
     let sid = vf.sids.!(pc) in
-    if want then h.emit (Event.E_loop_enter { sid }) else account h sid;
+    if h.loops then h.emit (Event.E_loop_enter { sid }) else account h sid;
     vf.fr.Interp.active_loops <- sid :: vf.fr.Interp.active_loops;
     next_stmt vf st h code regs base slots glb want (chase code (pc + 1))
   | B.Iloop_test (r, exit_target) ->
@@ -401,7 +406,7 @@ let rec exec (vf : frame) (st : pstate) (h : host) (code : B.instr array) regs
         (match vf.fr.Interp.active_loops with
         | l :: ls when l = sid -> ls
         | ls -> ls);
-      if want then h.emit (Event.E_loop_exit { sid; writes = None })
+      if h.loops then h.emit (Event.E_loop_exit { sid; writes = None })
       else account h sid;
       next_stmt vf st h code regs base slots glb want (chase code exit_target)
     end
@@ -415,7 +420,7 @@ let rec exec (vf : frame) (st : pstate) (h : host) (code : B.instr array) regs
         (match vf.fr.Interp.active_loops with
         | l :: ls when l = sid -> ls
         | ls -> ls);
-      if want then h.emit (Event.E_loop_exit { sid; writes = None })
+      if h.loops then h.emit (Event.E_loop_exit { sid; writes = None })
       else account h sid;
       next_stmt vf st h code regs base slots glb want (chase code exit_target)
     end

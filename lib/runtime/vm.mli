@@ -32,12 +32,15 @@ type frame = {
   mutable pc : int;
 }
 
-(** How the VM talks back to the machine. With [want] true (machine
-    instrumented) every completed statement is materialized as the exact
-    event the interpreter would emit; otherwise only [fast_event]/
-    [fast_print] fire (seq accounting, breakpoints, program output). *)
+(** How the VM talks back to the machine. With [want] true (an
+    observer reads local statement events) every completed statement is
+    materialized as the exact event the interpreter would emit;
+    otherwise only [fast_event]/[fast_print] fire (seq accounting,
+    breakpoints, program output). [loops] alone decides whether loop
+    enter/exit events are emitted; [want] implies [loops]. *)
 type host = {
   want : bool;
+  loops : bool;
   emit : Event.t -> unit;
   fast_event : int -> unit;
   fast_print : int -> int -> unit;

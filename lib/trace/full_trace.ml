@@ -22,6 +22,7 @@ let factory st port =
         in
         st.acc <- { tr_pid = pid; tr_seq = seq; tr_step = step; tr_ev = ev } :: st.acc;
         st.n <- st.n + 1);
+    locals = true;
   }
 
 let finish st = { recs = Array.of_list (List.rev st.acc) }

@@ -31,8 +31,10 @@ type t = {
       (* per pid: sync entries logged so far — the global frontier a
          checkpoint snapshots as its clock *)
   mutable pending_return : Runtime.Value.t option option array;
-      (* per pid: a return is unwinding; loop postlogs record it *)
-  mutable seq_high : int array;  (* per pid: events emitted so far *)
+      (* per pid: a return is unwinding; loop postlogs record it. Local
+         statement events never reach the logger on the VM, so only
+         driver events clear it — exactly enough, since the driver's
+         [K_call_return] always follows a nested frame's [E_leave]. *)
   (* precomputed instrumentation tables: consulting the analyses on
      every event would dominate the execution-phase overhead (T1) *)
   sync_vars_after : Lang.Prog.var list array;  (* by sid *)
@@ -72,14 +74,13 @@ let create ?sink ?(tier = Log.T_content) ?(ckpt_every = default_ckpt_every) eb =
     logs = [| ref [] |];
     sync_count = [| 0 |];
     pending_return = [| None |];
-    seq_high = [| 0 |];
     sync_vars_after;
     entry_sync_vars;
     loop_vars;
   }
 
 (* Grow geometrically: doubling keeps heavy spawners at O(pids) total
-   copying (the previous exact-fit growth re-copied all three arrays on
+   copying (the previous exact-fit growth re-copied every array on
    every single new pid — O(pids²) across an execution). [t.nprocs]
    tracks the logical count; [finish] trims the slack. *)
 let ensure_pid t pid =
@@ -92,9 +93,7 @@ let ensure_pid t pid =
     t.sync_count <-
       Array.init cap (fun i -> if i < n then t.sync_count.(i) else 0);
     t.pending_return <-
-      Array.init cap (fun i -> if i < n then t.pending_return.(i) else None);
-    t.seq_high <-
-      Array.init cap (fun i -> if i < n then t.seq_high.(i) else 0)
+      Array.init cap (fun i -> if i < n then t.pending_return.(i) else None)
   end
 
 (* Entries stream out to the sink the moment they are produced — the
@@ -181,7 +180,6 @@ let sync_unit_prelog t pid ~seq ~sid =
 
 let on_event t ~pid ~seq (ev : E.t) =
   ensure_pid t pid;
-  t.seq_high.(pid) <- seq + 1;
   match ev with
   | E.E_proc_start { fid; spawn; _ } ->
     push_sync t pid
@@ -295,15 +293,29 @@ let on_event t ~pid ~seq (ev : E.t) =
     | E.K_assert _ ->
       ())
 
+(* The logger reads only e-block boundaries and sync events, so it
+   declines local statement events: a logged VM run keeps assignments,
+   predicates, prints and asserts on the zero-allocation bare path. *)
 let factory t port =
   t.port <- Some port;
-  { Runtime.Hooks.on_event = (fun ~pid ~seq ev -> on_event t ~pid ~seq ev) }
+  {
+    Runtime.Hooks.on_event = (fun ~pid ~seq ev -> on_event t ~pid ~seq ev);
+    locals = false;
+  }
 
 let finish t =
-  (* the arrays may carry geometric-growth slack past [t.nprocs]: trim
-     it here so neither the in-memory log nor the durable store ever
-     sees phantom processes *)
-  let stops = Array.sub t.seq_high 0 t.nprocs in
+  (* A process's stop is the machine's own event count: the last event
+     the logger saw can be one short, when the run ended on a local
+     statement it never received (a failing assert, a breakpoint).
+     Only [t.nprocs] pids exist — the per-pid arrays may carry
+     geometric-growth slack, trimmed here so neither the in-memory log
+     nor the durable store ever sees phantom processes. *)
+  let stops =
+    match t.port with
+    | None -> Array.make t.nprocs 0
+    | Some port ->
+      Array.init t.nprocs (fun pid -> port.Runtime.Hooks.seq_of ~pid)
+  in
   (match t.sink with
   | None -> ()
   | Some s -> s.sink_close ~stops:(Array.copy stops));

@@ -45,10 +45,13 @@ val create :
 
 val factory : t -> Runtime.Hooks.factory
 (** Pass to {!Runtime.Machine.create}; combine with other observers via
-    {!Runtime.Hooks.both}. *)
+    {!Runtime.Hooks.both}. Declares [locals = false]: alone, the logger
+    keeps a VM run's local statements on the bare path. *)
 
 val finish : t -> Log.t
-(** Snapshot the accumulated log (callable once the run halts). *)
+(** Snapshot the accumulated log (callable once the run halts). The
+    per-process stops come from the machine's event counters
+    ([Runtime.Hooks.port.seq_of]), not from the last event seen. *)
 
 val run_logged :
   ?engine:Runtime.Machine.engine ->

@@ -29,13 +29,21 @@ B. Logged-path sanity — vm_logged_ns must stay within
    VM must not surrender its advantage once the trace logger is on
    (zero-copy prelog/postlog contract, DESIGN §15).
 C. VM tracing overhead — on the local-dominated workload the cost of
-   log writes over event materialization alone,
+   the logged run over event materialization alone,
    (vm_logged - vm_instr) / vm_instr, must stay under a loose bound.
-   Measured 7-22% across runs; the bound (50%) is a tripwire for the
-   zero-copy contract breaking (per-event allocation on the VM log
-   path shows up as 2-3x), not the paper's tight claim — wall-clock
-   ratios of two sub-100ns paths are too noisy on shared runners for
-   a tight gate.
+   vm_instr builds every event for a no-op observer, which the logger
+   alone no longer pays, so this reads negative now; the bound (50%)
+   stays a tripwire for the zero-copy contract breaking (per-event
+   allocation on the VM log path shows up as 2-3x).
+D. Logged over bare — on the local-dominated workload,
+   vm_logged_ns / vm_bare_ns - 1 must stay under T1_VM_LOG_OVH_MAX.
+   The logger declines local statement events, so a logged VM run
+   keeps them on the bare path: five runs on matmul-12 read -35% to
+   +25% (noise around zero), against +161% to +249% when every event
+   was materialized. The bound (50%) trips if the logger falls back
+   to materializing local events. Neither C nor
+   D is the paper's tight 15% claim — wall-clock ratios of two
+   sub-100ns paths are too noisy on shared runners for a tight gate.
 
 Checks on the T11 (observability overhead) table, when present:
 
@@ -156,6 +164,7 @@ T1_VM_SPEEDUP_FLOOR = {
 }
 T1_VM_LOGGED_MAX_RATIO = 1.05
 T1_VM_TRACE_OVH_MAX = {"matmul-12": 0.5}
+T1_VM_LOG_OVH_MAX = {"matmul-12": 0.5}
 
 
 def check_t1_vm(data, failures):
@@ -207,6 +216,17 @@ def check_t1_vm(data, failures):
                     f"t1/{name}: log writes cost {100 * ovh:.0f}% over "
                     f"event materialization (> {100 * ovh_max:.0f}%) — "
                     f"the zero-copy logging contract looks broken"
+                )
+        log_max = T1_VM_LOG_OVH_MAX.get(name)
+        if log_max is not None:
+            ovh = vl / vb - 1
+            print(f"perf-gate: t1/{name}: vm logged over bare "
+                  f"{100 * ovh:+.0f}%")
+            if ovh > log_max:
+                failures.append(
+                    f"t1/{name}: the logged vm costs {100 * ovh:.0f}% over "
+                    f"the bare vm (> {100 * log_max:.0f}%) — the logger "
+                    f"looks to be materializing local statement events"
                 )
     for name in T1_VM_SPEEDUP_FLOOR:
         if name not in seen:

@@ -195,9 +195,9 @@ let test_flowback_through_skipped_loop () =
     Alcotest.(check bool) "iteration detail owned by loop node" true
       (iter_assign <> None))
 
-let test_return_inside_loop () =
-  let src =
-    {|
+(* A return from inside a loop e-block. *)
+let via_return_src =
+  {|
     func find(limit) {
       var i = 0;
       while (i < limit) {
@@ -213,9 +213,10 @@ let test_return_inside_loop () =
       print(r);
     }
     |}
-  in
+
+let test_return_inside_loop () =
   let eb, halt, log, tr, m =
-    Util.run_instrumented ~policy:(policy ~loops:3) src
+    Util.run_instrumented ~policy:(policy ~loops:3) via_return_src
   in
   (match halt with
   | Runtime.Machine.Finished -> ()

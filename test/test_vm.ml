@@ -10,7 +10,12 @@
    a burst budget collapsing mid-statement, breakpoints landing inside
    a burst, and the peephole-fused instruction forms (literal operands,
    local-scalar operands, counter statements, fused loop tests) which
-   must preserve fault messages and fault points exactly. *)
+   must preserve fault messages and fault points exactly.
+
+   Events are built on demand: the logger declines local statement
+   events, so a logger-only VM run keeps them on the bare path. Its log
+   must still equal, byte for byte, the log recorded beside an observer
+   that reads every event, and the interpreter's log. *)
 
 let ( = ) : int -> int -> bool = Stdlib.( = )
 
@@ -243,6 +248,188 @@ func main() {
 }
 |}
 
+(* ------------------------------------------------------------------ *)
+(* Events on demand: the logger alone builds no local events.           *)
+(* ------------------------------------------------------------------ *)
+
+(* Record [prog] through the logger, streaming into an in-memory
+   segment. [co] adds a [Hooks.collect] co-observer, which reads local
+   events and so turns their materialization back on. Returns the
+   marshalled log and the segment bytes with the log and the machine. *)
+let record ?(co = false) ?(breakpoints = []) ~engine ~sched ~tier eb =
+  let buf = Buffer.create 1024 in
+  let w = Store.Segment.Writer.to_buffer ~tier buf in
+  let logger =
+    Trace.Logger.create ~sink:(Store.Segment.Writer.sink w) ~tier eb
+  in
+  let hooks =
+    if co then
+      Runtime.Hooks.both (Trace.Logger.factory logger)
+        (Runtime.Hooks.collect (ref []))
+    else Trace.Logger.factory logger
+  in
+  let m =
+    Runtime.Machine.create ~engine ~sched ~max_steps:200_000 ~breakpoints
+      ~hooks eb.Analysis.Eblock.prog
+  in
+  let halt = Runtime.Machine.run m in
+  let log = Trace.Logger.finish logger in
+  Store.Segment.Writer.close w;
+  (halt, Marshal.to_string log [], Buffer.contents buf, log, m)
+
+let check_same_recording what (_, la, sa, _, _) (_, lb, sb, _, _) =
+  Alcotest.(check bool)
+    (what ^ ": marshalled log bytes") true (String.equal la lb);
+  Alcotest.(check bool) (what ^ ": segment bytes") true (String.equal sa sb)
+
+(* The logger-only VM recording against the same recording with a
+   locals-reading co-observer, and against the interpreter's. *)
+let check_logger_only ?breakpoints ~sched ~tier what eb =
+  let vm = Runtime.Machine.Vm_engine in
+  let alone = record ?breakpoints ~engine:vm ~sched ~tier eb in
+  check_same_recording (what ^ " vs collect")
+    alone
+    (record ~co:true ?breakpoints ~engine:vm ~sched ~tier eb);
+  check_same_recording (what ^ " vs interp")
+    alone
+    (record ?breakpoints ~engine:Runtime.Machine.Interp_engine ~sched ~tier
+       eb);
+  alone
+
+let oracle_logger_only seed =
+  List.iter
+    (fun (kind, src) ->
+      let prog = Util.compile src in
+      List.iter
+        (fun loops ->
+          let policy =
+            Test_loop_eblock.policy ~loops:(if loops then 1 else 0)
+          in
+          let eb = Analysis.Eblock.analyze ~policy prog in
+          List.iter
+            (fun sched ->
+              List.iter
+                (fun tier ->
+                  ignore
+                    (check_logger_only ~sched ~tier
+                       (Printf.sprintf "%s loops=%b %s %s" kind loops
+                          (Runtime.Sched.string_of_policy sched)
+                          (match tier with
+                          | Trace.Log.T_content -> "content"
+                          | Trace.Log.T_order _ -> "order"))
+                       eb))
+                [
+                  Trace.Log.T_content;
+                  Trace.Log.order_tier ~sched
+                    ~engine:Runtime.Machine.Vm_engine ~max_steps:200_000;
+                ])
+            [
+              Runtime.Sched.Round_robin 1;
+              Runtime.Sched.Round_robin 4;
+              Runtime.Sched.Random_seed ((seed * 31) + 7);
+            ])
+        [ false; true ])
+    [
+      ("sequential", Gen.sequential seed);
+      ("parallel", Gen.parallel ~protect:`Sometimes seed);
+    ];
+  true
+
+let qcheck_logger_only =
+  Util.qtest ~count:15 "logger-only vm log = collect = interp"
+    QCheck2.Gen.(int_range 0 100_000)
+    oracle_logger_only
+
+(* Every process's stop is the machine's own event count, also when the
+   run ends on a local statement the logger never saw. *)
+let check_stops what (_, _, _, (log : Trace.Log.t), m) =
+  Alcotest.(check int)
+    (what ^ ": nprocs") (Runtime.Machine.nprocs m) log.Trace.Log.nprocs;
+  Array.iteri
+    (fun pid stop ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s: pid %d stop" what pid)
+        (Runtime.Machine.proc_seq m pid)
+        stop)
+    log.Trace.Log.stops
+
+(* The loop e-block programs of test_loop_eblock.ml, recorded by the
+   logger alone. *)
+let pinned ?breakpoints what src expect =
+  let eb =
+    Analysis.Eblock.analyze
+      ~policy:(Test_loop_eblock.policy ~loops:3)
+      (Util.compile src)
+  in
+  let ((halt, _, _, _, _) as r) =
+    check_logger_only ?breakpoints ~sched:Runtime.Sched.default
+      ~tier:Trace.Log.T_content what eb
+  in
+  Alcotest.(check string) (what ^ ": halt") expect (pp_halt halt);
+  check_stops what r
+
+let looped_src = Test_loop_eblock.looped_src
+
+let test_stops_failing_assert () =
+  pinned "failing assert" looped_src "fault: assertion failed"
+
+let test_stops_breakpoint () =
+  (* halt on the loop body's first assignment: the run ends on a local
+     statement *)
+  let prog = Util.compile looped_src in
+  let body =
+    Array.to_list prog.Lang.Prog.stmts
+    |> List.find (fun st ->
+           String.equal (Lang.Prog.stmt_label st) "acc = acc + (i * bias)")
+  in
+  pinned ~breakpoints:[ body.Lang.Prog.sid ] "breakpoint" looped_src
+    (Printf.sprintf "breakpoint at s%d" body.Lang.Prog.sid)
+
+let test_stops_via_return () =
+  pinned "return inside a loop e-block" Test_loop_eblock.via_return_src
+    "finished"
+
+(* What each observer is handed: the logger alone gets no assignment or
+   predicate events; beside [Hooks.collect], [collect] gets them. *)
+let test_local_events_on_demand () =
+  let eb = Analysis.Eblock.analyze (Util.compile looped_src) in
+  let local = function
+    | Runtime.Event.E_stmt
+        { kind = Runtime.Event.K_assign | Runtime.Event.K_pred _; _ } ->
+      true
+    | _ -> false
+  in
+  let run with_collect =
+    let seen = ref [] and collected = ref [] in
+    let logger = Trace.Logger.create eb in
+    let spy port =
+      let h = Trace.Logger.factory logger port in
+      {
+        h with
+        Runtime.Hooks.on_event =
+          (fun ~pid ~seq ev ->
+            seen := ev :: !seen;
+            h.Runtime.Hooks.on_event ~pid ~seq ev);
+      }
+    in
+    let hooks =
+      if with_collect then
+        Runtime.Hooks.both spy (Runtime.Hooks.collect collected)
+      else spy
+    in
+    ignore
+      (Runtime.Machine.run
+         (Runtime.Machine.create ~hooks eb.Analysis.Eblock.prog));
+    ( List.length (List.filter local !seen),
+      List.length (List.filter (fun (_, _, ev) -> local ev) !collected) )
+  in
+  let alone, _ = run false in
+  Alcotest.(check int) "logger alone: no assign/pred events" 0 alone;
+  let _, collected = run true in
+  (* 2 assignments before the loop, 11 tests, 20 body assignments, the
+     assignment after it *)
+  Alcotest.(check int) "collect: every assign/pred event" 34 collected
+
 let suite =
   ( "vm",
     [
@@ -254,4 +441,12 @@ let suite =
       Alcotest.test_case "breakpoint sweep" `Quick test_breakpoint_sweep;
       Alcotest.test_case "fused faults" `Quick test_fused_faults;
       Alcotest.test_case "fused forms" `Quick test_fused_forms;
+      qcheck_logger_only;
+      Alcotest.test_case "stops: failing assert" `Quick
+        test_stops_failing_assert;
+      Alcotest.test_case "stops: breakpoint halt" `Quick test_stops_breakpoint;
+      Alcotest.test_case "stops: return in loop e-block" `Quick
+        test_stops_via_return;
+      Alcotest.test_case "local events on demand" `Quick
+        test_local_events_on_demand;
     ] )

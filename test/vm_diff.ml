@@ -5,7 +5,13 @@
    observable behaviour: full event traces (pid, seq, step, event),
    halt state, program output, step count, per-process event counts,
    final globals, and the marshalled bytes of the saved incremental
-   trace log. The alcotest suite (test_vm.ml) runs a smaller version of
+   trace log. Those runs attach a full tracer, which reads every event.
+   A further run records the VM through the logger alone — the path
+   that `ppd log` and `record` take, where local statement events are
+   never built — and its marshalled log must equal the interpreter's
+   too, also with every loop an e-block, whose prelogs and postlogs
+   hang on the loop events the VM must still emit. The
+   alcotest suite (test_vm.ml) runs a smaller version of
    the same oracle on every `dune runtest`; this executable exists so
    the vm-differential CI job can push the count much higher and upload
    a counterexample artifact on failure.
@@ -50,6 +56,14 @@ let run_engine engine prog eb sched =
   let halt = Runtime.Machine.run m in
   (halt, Trace.Full_trace.finish ft, Trace.Logger.finish logger, m)
 
+(* The logger as the only observer: it declines local events, so the VM
+   keeps assignments, predicates, prints and asserts on its bare path. *)
+let logger_only engine eb sched =
+  let _, log, _ =
+    Trace.Logger.run_logged ~engine ~sched ~max_steps:200_000 eb
+  in
+  Marshal.to_string log []
+
 let show_rec (r : Trace.Full_trace.rec_) =
   Format.asprintf "p%d #%d @%d %a" r.tr_pid r.tr_seq r.tr_step Runtime.Event.pp
     r.tr_ev
@@ -62,7 +76,7 @@ let halt_name = function
     Printf.sprintf "breakpoint at s%d" sid
   | Runtime.Machine.Out_of_fuel -> "out of fuel"
 
-let compare_runs prog eb sched =
+let compare_runs prog eb eb_loops sched =
   let hi, ti, li, mi = run_engine Runtime.Machine.Interp_engine prog eb sched in
   let hv, tv, lv, mv = run_engine Runtime.Machine.Vm_engine prog eb sched in
   if hi <> hv then fail "halt differs: %s vs %s" (halt_name hi) (halt_name hv);
@@ -101,7 +115,18 @@ let compare_runs prog eb sched =
   let bi = Marshal.to_string li [] and bv = Marshal.to_string lv [] in
   if bi <> bv then
     fail "marshalled log bytes differ (%d vs %d bytes)" (String.length bi)
-      (String.length bv)
+      (String.length bv);
+  let bl = logger_only Runtime.Machine.Vm_engine eb sched in
+  if bi <> bl then
+    fail "logger-only vm log bytes differ from interp (%d vs %d bytes)"
+      (String.length bi) (String.length bl);
+  let il = logger_only Runtime.Machine.Interp_engine eb_loops sched
+  and vl = logger_only Runtime.Machine.Vm_engine eb_loops sched in
+  if il <> vl then
+    fail
+      "logger-only vm log bytes with loop e-blocks differ from interp (%d vs \
+       %d bytes)"
+      (String.length il) (String.length vl)
 
 let () =
   let failures = ref 0 in
@@ -126,10 +151,16 @@ let () =
       (fun (kind, src) ->
         let prog = Lang.Compile.compile src in
         let eb = Analysis.Eblock.analyze prog in
+        let eb_loops =
+          Analysis.Eblock.analyze
+            ~policy:
+              { Analysis.Eblock.default_policy with loop_block_min_body = 1 }
+            prog
+        in
         List.iter
           (fun sched ->
             incr cases;
-            try compare_runs prog eb sched
+            try compare_runs prog eb eb_loops sched
             with Mismatch why ->
               incr failures;
               Printf.eprintf
