@@ -256,6 +256,10 @@ let t1 () =
 (* T2: log volume vs trace-everything (§2/§3.1).                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Both sides are sized the same way, as marshalled OCaml values, so
+   the ratio compares what is recorded, not two encodings. *)
+let marshalled_bytes v = String.length (Marshal.to_string v [])
+
 let t2 () =
   header "T2  Log volume: incremental tracing vs trace-everything baseline";
   row "%-14s %10s %12s %12s %12s %8s\n" "workload" "log entrs" "log bytes"
@@ -264,9 +268,9 @@ let t2 () =
     (fun (name, src) ->
       let _eb, _halt, log, tr, _m = logged_artifacts src in
       let le = Trace.Log.entry_count log in
-      let lb = Trace.Log_io.measure log in
+      let lb = marshalled_bytes log in
       let te = Trace.Full_trace.nevents tr in
-      let tb = Trace.Log_io.measure_trace tr in
+      let tb = marshalled_bytes tr in
       row "%-14s %10d %12d %12d %12d %7.1fx\n" name le lb te tb
         (float_of_int tb /. float_of_int (max 1 lb)))
     workloads
@@ -611,16 +615,13 @@ let t8 () =
     (fmt_ns (time_of results "t8/eblock+prune"))
 
 (* ------------------------------------------------------------------ *)
-(* T9: durable store — v1 Marshal blob vs v2 segmented format.          *)
+(* T9: durable store — save, load and open of a segment.               *)
 (* ------------------------------------------------------------------ *)
 
 type t9_row = {
   t9_name : string;
   t9_entries : int;
-  t9_v1_bytes : int;
   t9_v2_bytes : int;
-  t9_v1_save_ns : float;
-  t9_v1_load_ns : float;
   t9_v2_save_ns : float;
   t9_v2_load_ns : float;
   t9_v2_open_ns : float;
@@ -632,24 +633,14 @@ let t9_rows () =
       let prog = compile src in
       let eb = Analysis.Eblock.analyze prog in
       let _, log, _ = Trace.Logger.run_logged ~sched eb in
-      let v1b = Trace.Log_io.measure log in
       let v2b = Store.Segment.encoded_size log in
       let path = Filename.temp_file "ppd_bench" ".log" in
-      let path1 = Filename.temp_file "ppd_bench_v1" ".log" in
       Fun.protect
-        ~finally:(fun () ->
-          Sys.remove path;
-          Sys.remove path1)
+        ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          Trace.Log_io.save path1 log;
           let tests =
             Test.make_grouped ~name:"t9"
               [
-                Test.make ~name:"v1save"
-                  (Staged.stage (fun () -> Trace.Log_io.save path1 log));
-                Test.make ~name:"v1load"
-                  (Staged.stage (fun () ->
-                       ignore (Trace.Log_io.load path1)));
                 Test.make ~name:"save"
                   (Staged.stage (fun () ->
                        Store.Segment.save path log));
@@ -667,10 +658,7 @@ let t9_rows () =
           {
             t9_name = name;
             t9_entries = Trace.Log.entry_count log;
-            t9_v1_bytes = v1b;
             t9_v2_bytes = v2b;
-            t9_v1_save_ns = time_of results "t9/v1save";
-            t9_v1_load_ns = time_of results "t9/v1load";
             t9_v2_save_ns = time_of results "t9/save";
             t9_v2_load_ns = time_of results "t9/load";
             t9_v2_open_ns = time_of results "t9/open";
@@ -678,17 +666,13 @@ let t9_rows () =
     workloads
 
 let t9 () =
-  header "T9  Durable store: v1 (Marshal) vs v2 (CRC-framed segments)";
-  row "%-14s %8s %9s %9s %7s %11s %11s %11s %11s %11s\n" "workload"
-    "entries" "v1 bytes" "v2 bytes" "v2/v1" "v1 save" "v1 load" "v2 save"
-    "v2 load" "v2 open";
+  header "T9  Durable store: CRC-framed segments (save, load, open)";
+  row "%-14s %8s %9s %11s %11s %11s\n" "workload" "entries" "bytes" "save"
+    "load" "open";
   List.iter
     (fun r ->
-      row "%-14s %8d %9d %9d %6.2fx %11s %11s %11s %11s %11s\n" r.t9_name
-        r.t9_entries r.t9_v1_bytes r.t9_v2_bytes
-        (float_of_int r.t9_v2_bytes /. float_of_int (max 1 r.t9_v1_bytes))
-        (fmt_ns r.t9_v1_save_ns) (fmt_ns r.t9_v1_load_ns)
-        (fmt_ns r.t9_v2_save_ns) (fmt_ns r.t9_v2_load_ns)
+      row "%-14s %8d %9d %11s %11s %11s\n" r.t9_name r.t9_entries
+        r.t9_v2_bytes (fmt_ns r.t9_v2_save_ns) (fmt_ns r.t9_v2_load_ns)
         (fmt_ns r.t9_v2_open_ns))
     (t9_rows ())
 
@@ -1404,12 +1388,9 @@ let t9_json () =
       (List.map
          (fun r ->
            Printf.sprintf
-             "{\"workload\":%S,\"entries\":%d,\"v1_bytes\":%d,\"v2_bytes\":%d,\
-              \"v1_save_ns\":%s,\"v1_load_ns\":%s,\"v2_save_ns\":%s,\
-              \"v2_load_ns\":%s,\"v2_open_ns\":%s}"
-             r.t9_name r.t9_entries r.t9_v1_bytes r.t9_v2_bytes
-             (jfloat r.t9_v1_save_ns) (jfloat r.t9_v1_load_ns)
-             (jfloat r.t9_v2_save_ns) (jfloat r.t9_v2_load_ns)
+             "{\"workload\":%S,\"entries\":%d,\"v2_bytes\":%d,\
+              \"v2_save_ns\":%s,\"v2_load_ns\":%s,\"v2_open_ns\":%s}"
+             r.t9_name r.t9_entries r.t9_v2_bytes (jfloat r.t9_v2_save_ns) (jfloat r.t9_v2_load_ns)
              (jfloat r.t9_v2_open_ns))
          (t9_rows ()))
   ^ "]"

@@ -387,7 +387,7 @@ let log_path_arg =
   Arg.(
     required
     & pos 0 (some string) None
-    & info [] ~docv:"LOG" ~doc:"Saved log file (v1 or v2).")
+    & info [] ~docv:"LOG" ~doc:"Saved log file.")
 
 let log_cmd =
   let save_arg =
@@ -399,12 +399,7 @@ let log_cmd =
             "Stream the log to PATH as a durable v2 segment while the \
              program runs (records are flushed as e-blocks close).")
   in
-  let v1_arg =
-    Arg.(
-      value & flag
-      & info [ "v1" ] ~doc:"With --save, write the legacy v1 marshal format.")
-  in
-  let run file sched steps engine inline loops save v1 order ckpt_every faults
+  let run file sched steps engine inline loops save order ckpt_every faults
       fseed pout ptrace =
     profile_setup pout ptrace;
     arm_faults faults fseed;
@@ -414,11 +409,7 @@ let log_cmd =
       if order then Trace.Log.order_tier ~sched ~engine ~max_steps:steps
       else Trace.Log.T_content
     in
-    let writer =
-      match save with
-      | Some path when not v1 -> Some (Store.Segment.Writer.to_file ~tier path)
-      | Some _ | None -> None
-    in
+    let writer = Option.map (Store.Segment.Writer.to_file ~tier) save in
     (* [log] never reads race sets: without their observer the logger
        runs alone and local statements stay on the VM's bare path *)
     let s =
@@ -430,29 +421,26 @@ let log_cmd =
     print_endline (Ppd.Session.explain_halt s);
     let log = Ppd.Session.log s in
     Format.printf "%a@." (Trace.Log.pp (Ppd.Session.prog s)) log;
-    Printf.printf "%d entries, %d bytes serialized (v2; %d as v1)\n"
+    Printf.printf "%d entries, %d bytes serialized\n"
       (Trace.Log.entry_count log)
-      (Store.Segment.encoded_size log)
-      (Trace.Log_io.measure log);
+      (Store.Segment.encoded_size log);
     if order then
       Printf.printf "order tier (%s, %s engine), %d checkpoint(s)\n"
         (Runtime.Sched.string_of_policy sched)
         (Runtime.Machine.engine_name engine)
         (Array.length log.Trace.Log.ckpts);
-    (match save with
-    | None -> ()
-    | Some path ->
-      (match writer with
-      | Some w -> Store.Segment.Writer.close w
-      | None -> Trace.Log_io.save path log);
+    (match (save, writer) with
+    | Some path, Some w -> (
+      Store.Segment.Writer.close w;
       Printf.printf "saved to %s\n" path;
-      match Option.bind writer Store.Segment.Writer.failure with
+      match Store.Segment.Writer.failure w with
       | None -> ()
       | Some reason ->
         Printf.printf
           "log sink died: %s; only the durable prefix reached disk (see \
            `ppd fsck %s`)\n"
-          reason path);
+          reason path)
+    | _ -> ());
     profile_write pout ptrace
   in
   let stats_cmd =
@@ -465,10 +453,9 @@ let log_cmd =
         ivs :=
           !ivs + Array.length (Store.Segment.intervals r ~stmt_fid ~pid)
       done;
-      Printf.printf "%s: v%d, %d bytes, %s\n" path (Store.Segment.version r)
-        (Store.Segment.file_bytes r)
-        (if Store.Segment.version r = 1 then "marshal blob"
-         else if Store.Segment.is_indexed r then "interval index intact"
+      Printf.printf "%s: v%d, %d bytes, %s\n" path
+        Store.Segment.format_version (Store.Segment.file_bytes r)
+        (if Store.Segment.is_indexed r then "interval index intact"
          else "recovered by salvage scan");
       Printf.printf "%d process(es), %d record(s), %d interval(s)\n"
         (Store.Segment.nprocs r)
@@ -613,7 +600,7 @@ let log_cmd =
       Printf.printf
         "%s: v%d %s tier -> %s: %d bytes, %d page(s), %d record(s), %d \
          checkpoint(s)\n"
-        path rp.Store.Segment.rp_version rp.Store.Segment.rp_tier out
+        path Store.Segment.format_version rp.Store.Segment.rp_tier out
         rp.Store.Segment.rp_out_bytes rp.Store.Segment.rp_kept_pages
         rp.Store.Segment.rp_kept_records rp.Store.Segment.rp_kept_ckpts;
       (match rp.Store.Segment.rp_dropped with
@@ -646,7 +633,7 @@ let log_cmd =
   let run_term =
     Term.(
       const run $ file_arg $ sched_arg $ steps_arg $ engine_arg $ inline_arg
-      $ loops_arg $ save_arg $ v1_arg $ log_mode_arg $ ckpt_every_arg
+      $ loops_arg $ save_arg $ log_mode_arg $ ckpt_every_arg
       $ fault_arg $ fault_seed_arg $ profile_out_arg $ profile_trace_arg)
   in
   Cmd.group ~default:run_term
@@ -669,14 +656,11 @@ let log_cmd =
 let verify_log_cmd =
   let run path =
     let rp = guarded (fun () -> Store.Segment.verify path) in
-    Printf.printf "%s: v%d, %d bytes, %d record(s)%s%s\n" path
-      rp.Store.Segment.vr_version rp.Store.Segment.vr_bytes
-      rp.Store.Segment.vr_records
-      (if rp.Store.Segment.vr_version = 1 then ""
-       else Printf.sprintf " in %d page(s)" rp.Store.Segment.vr_pages)
-      (if rp.Store.Segment.vr_version = 1 then ""
-       else if rp.Store.Segment.vr_indexed then ", index intact"
-       else ", index unusable");
+    Printf.printf "%s: v%d, %d bytes, %d record(s) in %d page(s), %s\n" path
+      Store.Segment.format_version rp.Store.Segment.vr_bytes
+      rp.Store.Segment.vr_records rp.Store.Segment.vr_pages
+      (if rp.Store.Segment.vr_indexed then "index intact"
+       else "index unusable");
     (match rp.Store.Segment.vr_damage with
     | [] -> print_endline "no damage detected"
     | dmg ->
@@ -747,7 +731,7 @@ let fsck_cmd =
       \  \"pages\": %s,\n\
       \  \"damage\": %s\n\
        }\n"
-      (json_str path) rp.Store.Segment.fk_version rp.Store.Segment.fk_bytes
+      (json_str path) Store.Segment.format_version rp.Store.Segment.fk_bytes
       rp.Store.Segment.fk_indexed rp.Store.Segment.fk_clean
       (json_str rp.Store.Segment.fk_tier)
       rp.Store.Segment.fk_ckpts rp.Store.Segment.fk_procs

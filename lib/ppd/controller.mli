@@ -105,7 +105,7 @@ val start_paged :
     which re-executes once per cache and keeps the result until it is
     evicted. Either may raise {!Reconstruct.Divergence} (PPD061/exit 8)
     when the re-execution does not match the recorded sync order, or
-    [Trace.Log_io.Unreadable] when a page of the order log cannot be
+    [Store.Segment.Unreadable] when a page of the order log cannot be
     read; neither failure is cached. *)
 
 val detach_pool : t -> unit

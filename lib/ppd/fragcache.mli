@@ -60,7 +60,7 @@ val reconstruction :
     (asking with another replaces it) and installed by compare-and-set:
     a racing second builder uses the installed copy and drops its own.
     Only successes are kept — a [Reconstruct.Divergence] or
-    [Trace.Log_io.Unreadable] propagates and the next call tries again.
+    [Store.Segment.Unreadable] propagates and the next call tries again.
     With a budget, filling charges an entry-count byte estimate and
     rebalances. *)
 

@@ -29,5 +29,5 @@ val reader :
 (** [reader eb r] decodes [r] whole, reconstructs it, and returns a
     reader over the content log ({!Store.Segment.of_log}) with the
     re-execution's step count — what rebuilding it would cost again.
-    @raise Divergence as {!reconstruct}; @raise Trace.Log_io.Unreadable
+    @raise Divergence as {!reconstruct}; @raise Store.Segment.Unreadable
     when a page of [r] cannot be read. *)

@@ -13,8 +13,8 @@ let error code message =
   }
 
 let diagnostic_of_exn = function
-  | Trace.Log_io.Unreadable { path; reason } ->
-    Some (Trace.Log_io.ppd050 ~path ~reason)
+  | Store.Segment.Unreadable { path; reason } ->
+    Some (error "PPD050" (Printf.sprintf "unreadable log %s: %s" path reason))
   | Ppd.Controller.Replay_overrun { pid; iv_id; budget } ->
     Some
       (error "PPD060"
@@ -88,7 +88,7 @@ let nprocs src = Store.Segment.nprocs src.reader
 let answer ?pool ?shared ~config sink src report =
   guard (fun () ->
       Render.header sink ~path:src.log
-        ~version:(Store.Segment.version src.reader)
+        ~version:Store.Segment.format_version
         ~nprocs:(nprocs src);
       let ctl =
         Ppd.Controller.start_paged ?pool ?shared ~config src.eb src.reader

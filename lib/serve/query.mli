@@ -12,7 +12,7 @@
 
 val guard : (unit -> 'a) -> ('a, Lang.Diag.diagnostic) result
 (** [guard f] runs [f] under the one exception → diagnostic map:
-    - [Trace.Log_io.Unreadable] → PPD050: the log cannot be read;
+    - [Store.Segment.Unreadable] → PPD050: the log cannot be read;
     - [Ppd.Controller.Replay_overrun] → PPD060: the replay watchdog
       fired;
     - [Ppd.Reconstruct.Divergence] → PPD061: order-log reconstruction

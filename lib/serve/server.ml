@@ -416,7 +416,7 @@ let m_open t s params =
       (J.Obj
          [
            ("handle", J.Int h);
-           ("version", J.Int (Store.Segment.version r));
+           ("version", J.Int Store.Segment.format_version);
            ("nprocs", J.Int (Store.Segment.nprocs r));
            ("bytes", J.Int (Store.Segment.file_bytes r));
            ("refs", J.Int e.e_refs);
@@ -675,7 +675,7 @@ let m_fsck _t _s params =
          J.Obj
              [
                ("path", J.Str log);
-               ("version", J.Int rp.Store.Segment.fk_version);
+               ("version", J.Int Store.Segment.format_version);
                ("bytes", J.Int rp.Store.Segment.fk_bytes);
                ("indexed", J.Bool rp.Store.Segment.fk_indexed);
                ("clean", J.Bool rp.Store.Segment.fk_clean);
@@ -694,7 +694,7 @@ let m_stats t s params =
     (J.Obj
        [
          ("log", J.Str e.e_src.log);
-         ("version", J.Int (Store.Segment.version r));
+         ("version", J.Int Store.Segment.format_version);
          ("nprocs", J.Int (Store.Segment.nprocs r));
          ("bytes", J.Int (Store.Segment.file_bytes r));
          ("refs", J.Int e.e_refs);

@@ -1,6 +1,10 @@
 module L = Trace.Log
 module E = Runtime.Event
 
+exception Unreadable of { path : string; reason : string }
+
+let format_version = 2
+
 let magic = "PPDLOG2\n"
 
 let trailer_magic = "PPDEND2\n"
@@ -14,9 +18,7 @@ let trailer_len = 16 (* u64-le footer offset + trailer magic *)
 let page_threshold = 4096
 
 let unreadable path fmt =
-  Printf.ksprintf
-    (fun reason -> raise (Trace.Log_io.Unreadable { path; reason }))
-    fmt
+  Printf.ksprintf (fun reason -> raise (Unreadable { path; reason })) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Fixed-width little-endian scalars (CRCs and the trailer pointer).    *)
@@ -435,6 +437,23 @@ let parse_frame raw off =
     | _ -> Ok (F_footer { fpos = ppos; flen = plen; fnext })
   with Varint.Corrupt m -> Error m
 
+(* The one page-validity check, shared by the demand pager, fsck and
+   repair: the frame at [off] must be an intact page of process [pid]
+   holding the [count] entries the index names. *)
+let check_page raw ~pid (off, count) =
+  match parse_frame raw off with
+  | Ok (F_page { fpid; fentries; _ })
+    when fpid = pid && Array.length fentries = count ->
+    Ok fentries
+  | Ok (F_page { fpid; fentries; _ }) ->
+    Error
+      (Printf.sprintf
+         "holds %d entries of process %d, the index says %d of process %d"
+         (Array.length fentries) fpid count pid)
+  | Ok (F_footer _) -> Error "index points at the footer"
+  | Ok (F_ckpt _) -> Error "index points at a checkpoint frame"
+  | Error reason -> Error reason
+
 (* The decoded footer: page table plus raw interval rows per process.
    Interval rows materialise into {!Trace.Log.interval} values only when
    queried, because the fid of a loop block needs the caller's
@@ -615,9 +634,18 @@ let materialize_intervals px ~stmt_fid ~pid =
 (* Salvage scan: walk frames forward, keep the longest valid prefix.    *)
 (* ------------------------------------------------------------------ *)
 
+(* One page frame as fsck reports it; the scan produces a row for
+   every intact page it walks. *)
+type fsck_page = {
+  fp_pid : int;
+  fp_page : int;  (* ordinal within the process *)
+  fp_offset : int;
+  fp_count : int;  (* entries the index (or frame) claims *)
+  fp_error : string option;
+}
+
 type scan_result = {
-  sc_entries : (int * L.entry array) list;  (* pages, in file order *)
-  sc_pages : int;
+  sc_pages : (fsck_page * L.entry array) list;  (* intact, in file order *)
   sc_nentries : int;
   sc_ckpts : L.ckpt list;  (* checkpoint frames, in file order *)
   sc_index : footer option;  (* the footer, when intact *)
@@ -627,7 +655,7 @@ type scan_result = {
 let scan raw =
   let len = String.length raw in
   let pages = ref [] in
-  let npages = ref 0 in
+  let ordinals = Hashtbl.create 8 in
   let nentries = ref 0 in
   let ckpts = ref [] in
   let damage = ref [] in
@@ -641,9 +669,19 @@ let scan raw =
     let off = !pos in
     match parse_frame raw off with
     | Ok (F_page { fpid; fentries; fnext }) ->
-      incr npages;
+      let ord = Option.value ~default:0 (Hashtbl.find_opt ordinals fpid) in
+      Hashtbl.replace ordinals fpid (ord + 1);
       nentries := !nentries + Array.length fentries;
-      pages := (fpid, fentries) :: !pages;
+      pages :=
+        ( {
+            fp_pid = fpid;
+            fp_page = ord;
+            fp_offset = off;
+            fp_count = Array.length fentries;
+            fp_error = None;
+          },
+          fentries )
+        :: !pages;
       pos := fnext
     | Ok (F_ckpt { fck; fnext }) ->
       ckpts := fck :: !ckpts;
@@ -671,8 +709,7 @@ let scan raw =
   done;
   if not !stop then add len "file ends without a footer frame";
   {
-    sc_entries = List.rev !pages;
-    sc_pages = !npages;
+    sc_pages = List.rev !pages;
     sc_nentries = !nentries;
     sc_ckpts = List.rev !ckpts;
     sc_index = !findex;
@@ -718,12 +755,7 @@ type mem = {
 
 type backing = B_indexed of indexed | B_mem of mem
 
-type reader = {
-  r_path : string;
-  r_version : int;
-  r_bytes : int;
-  r_backing : backing;
-}
+type reader = { r_bytes : int; r_backing : backing }
 
 let page_shards = 8
 
@@ -752,21 +784,18 @@ let fresh_shards () =
 
 let read_file path =
   try In_channel.with_open_bin path In_channel.input_all
-  with Sys_error m ->
-    raise (Trace.Log_io.Unreadable { path; reason = m })
+  with Sys_error m -> raise (Unreadable { path; reason = m })
 
-(* Returns the format version; raises on anything we cannot read. *)
+(* Raises on anything but the v2 magic: a foreign file, or a log of
+   another format version. *)
 let check_magic path raw =
   if String.length raw < 8 then
     unreadable path "file shorter than the 8-byte magic"
-  else
-    let hdr = String.sub raw 0 8 in
-    if String.equal hdr magic then 2
-    else if String.equal hdr Trace.Log_io.magic then 1
-    else if String.equal (String.sub hdr 0 6) "PPDLOG" then
+  else if not (String.equal (String.sub raw 0 8) magic) then
+    if String.equal (String.sub raw 0 6) "PPDLOG" then
       unreadable path
-        "unsupported log format version '%c' (this build reads v1 and v2)"
-        hdr.[6]
+        "unsupported log format version '%c' (this build reads v%d)" raw.[6]
+        format_version
     else unreadable path "not a PPD log file (bad magic)"
 
 let mem_backing ?(dmg = []) log =
@@ -777,16 +806,18 @@ let mem_backing ?(dmg = []) log =
    array plus the cache slot overhead. *)
 let page_cost entries = (Array.length entries * 64) + 128
 
-let salvage raw =
-  let sc = scan raw in
+(* The longest valid prefix a scan found, as a log. *)
+let salvage sc =
   let nprocs =
     List.fold_left
-      (fun a (pid, _) -> max a (pid + 1))
+      (fun a (p, _) -> max a (p.fp_pid + 1))
       (match sc.sc_index with Some ft -> Array.length ft.ft_index | None -> 0)
-      sc.sc_entries
+      sc.sc_pages
   in
   let per = Array.init nprocs (fun _ -> ref []) in
-  List.iter (fun (pid, page) -> per.(pid) := page :: !(per.(pid))) sc.sc_entries;
+  List.iter
+    (fun (p, page) -> per.(p.fp_pid) := page :: !(per.(p.fp_pid)))
+    sc.sc_pages;
   let entries =
     Array.map (fun c -> Array.concat (List.rev !c)) per
   in
@@ -807,15 +838,14 @@ let salvage raw =
   let tier =
     match sc.sc_index with Some ft -> ft.ft_tier | None -> L.T_content
   in
-  mem_backing ~dmg:sc.sc_damage
-    {
-      L.nprocs;
-      entries;
-      stops;
-      tier;
-      ckpts = Array.of_list sc.sc_ckpts;
-      base = Array.make nprocs 0;
-    }
+  {
+    L.nprocs;
+    entries;
+    stops;
+    tier;
+    ckpts = Array.of_list sc.sc_ckpts;
+    base = Array.make nprocs 0;
+  }
 
 (* Fast path: intact trailer -> footer -> index; no page is decoded. *)
 let indexed_backing ?budget path raw =
@@ -841,48 +871,33 @@ let indexed_backing ?budget path raw =
           match Array.map decode_ckpt ft.ft_ckpts with
           | ckpts ->
             Some
-              (B_indexed
-                 {
-                   ix_path = path;
-                   ix_raw = raw;
-                   ix_index = ft.ft_index;
-                   ix_tier = ft.ft_tier;
-                   ix_ckpts = ckpts;
-                   ix_shards = fresh_shards ();
-                   ix_budget = budget;
-                   ix_ivs = Array.make (Array.length ft.ft_index) None;
-                 })
+              {
+                ix_path = path;
+                ix_raw = raw;
+                ix_index = ft.ft_index;
+                ix_tier = ft.ft_tier;
+                ix_ckpts = ckpts;
+                ix_shards = fresh_shards ();
+                ix_budget = budget;
+                ix_ivs = Array.make (Array.length ft.ft_index) None;
+              }
           | exception Exit -> None)
         | exception Varint.Corrupt _ -> None)
       | Ok _ | Error _ -> None
 
 let open_file ?budget path =
   let raw = read_file path in
-  match check_magic path raw with
-  | 1 ->
-    {
-      r_path = path;
-      r_version = 1;
-      r_bytes = String.length raw;
-      r_backing = mem_backing (Trace.Log_io.load path);
-    }
-  | _ ->
-    let backing =
-      match indexed_backing ?budget path raw with
-      | Some b -> b
-      | None -> salvage raw
-    in
-    {
-      r_path = path;
-      r_version = 2;
-      r_bytes = String.length raw;
-      r_backing = backing;
-    }
+  check_magic path raw;
+  let backing =
+    match indexed_backing ?budget path raw with
+    | Some ix -> B_indexed ix
+    | None ->
+      let sc = scan raw in
+      mem_backing ~dmg:sc.sc_damage (salvage sc)
+  in
+  { r_bytes = String.length raw; r_backing = backing }
 
-let of_log log =
-  { r_path = ""; r_version = 2; r_bytes = 0; r_backing = mem_backing log }
-
-let version r = r.r_version
+let of_log log = { r_bytes = 0; r_backing = mem_backing log }
 
 let file_bytes r = r.r_bytes
 
@@ -959,11 +974,9 @@ let decode_page ix ~pid ~page =
   | None -> (
     Obs.incr c_page_faults;
     Obs.incr c_shard_faults.(shard_i);
-    let px = ix.ix_index.(pid) in
-    let off, count = px.px_pages.(page) in
-    match parse_frame ix.ix_raw off with
-    | Ok (F_page { fpid; fentries; _ })
-      when fpid = pid && Array.length fentries = count ->
+    let off, _ as slot = ix.ix_index.(pid).px_pages.(page) in
+    match check_page ix.ix_raw ~pid slot with
+    | Ok fentries ->
       let cost = page_cost fentries in
       Mutex.lock shard.ps_lock;
       let charged = ref 0 in
@@ -994,15 +1007,6 @@ let decode_page ix ~pid ~page =
         Resil.Budget.rebalance b
       | _ -> ());
       fentries
-    | Ok (F_page { fpid; fentries; _ }) ->
-      unreadable ix.ix_path
-        "page at byte %d holds %d entries of process %d, the index says %d \
-         of process %d"
-        off (Array.length fentries) fpid count pid
-    | Ok (F_footer _) ->
-      unreadable ix.ix_path "index points at the footer (byte %d)" off
-    | Ok (F_ckpt _) ->
-      unreadable ix.ix_path "index points at a checkpoint frame (byte %d)" off
     | Error reason -> unreadable ix.ix_path "page at byte %d: %s" off reason)
 
 (* Evict cached pages (LRU tails first, round-robin across shards)
@@ -1167,18 +1171,16 @@ let load path =
   let r = open_file path in
   match to_log r with
   | log -> log
-  | exception Trace.Log_io.Unreadable _ when is_indexed r ->
+  | exception Unreadable _ when is_indexed r ->
     (* the index survived but some page did not: fall back to the
        forward scan and keep the longest valid prefix *)
-    let r = { r with r_backing = salvage (read_file path) } in
-    to_log r
+    salvage (scan (read_file path))
 
 (* ------------------------------------------------------------------ *)
 (* Verification.                                                        *)
 (* ------------------------------------------------------------------ *)
 
 type report = {
-  vr_version : int;
   vr_bytes : int;
   vr_pages : int;
   vr_records : int;
@@ -1188,43 +1190,15 @@ type report = {
 
 let verify path =
   let raw = read_file path in
-  match check_magic path raw with
-  | 1 -> (
-    match Trace.Log_io.load path with
-    | log ->
-      {
-        vr_version = 1;
-        vr_bytes = String.length raw;
-        vr_pages = 0;
-        vr_records = L.entry_count log;
-        vr_indexed = false;
-        vr_damage = [];
-      }
-    | exception Trace.Log_io.Unreadable { reason; _ } ->
-      {
-        vr_version = 1;
-        vr_bytes = String.length raw;
-        vr_pages = 0;
-        vr_records = 0;
-        vr_indexed = false;
-        vr_damage =
-          [
-            {
-              dmg_offset = String.length Trace.Log_io.magic;
-              dmg_reason = reason;
-            };
-          ];
-      })
-  | _ ->
-    let sc = scan raw in
-    {
-      vr_version = 2;
-      vr_bytes = String.length raw;
-      vr_pages = sc.sc_pages;
-      vr_records = sc.sc_nentries;
-      vr_indexed = sc.sc_index <> None;
-      vr_damage = sc.sc_damage;
-    }
+  check_magic path raw;
+  let sc = scan raw in
+  {
+    vr_bytes = String.length raw;
+    vr_pages = List.length sc.sc_pages;
+    vr_records = sc.sc_nentries;
+    vr_indexed = sc.sc_index <> None;
+    vr_damage = sc.sc_damage;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* fsck: exhaustive per-page damage report.                             *)
@@ -1236,16 +1210,7 @@ let verify path =
    per-page report with the offsets of all damage, plus a summary of
    what a salvage would recover. *)
 
-type fsck_page = {
-  fp_pid : int;
-  fp_page : int;  (* ordinal within the process *)
-  fp_offset : int;
-  fp_count : int;  (* entries the index (or frame) claims *)
-  fp_error : string option;
-}
-
 type fsck_report = {
-  fk_version : int;
   fk_bytes : int;
   fk_indexed : bool;
   fk_tier : string;  (* "content" or "order" *)
@@ -1260,159 +1225,69 @@ type fsck_report = {
 
 let fsck path =
   let raw = read_file path in
-  let bytes = String.length raw in
-  match check_magic path raw with
-  | 1 -> (
-    match Trace.Log_io.load path with
-    | log ->
-      let intervals = ref 0 in
-      for pid = 0 to log.L.nprocs - 1 do
-        intervals := !intervals + Array.length (L.intervals log ~pid)
-      done;
-      {
-        fk_version = 1;
-        fk_bytes = bytes;
-        fk_indexed = false;
-        fk_tier = L.tier_name log.L.tier;
-        fk_ckpts = Array.length log.L.ckpts;
-        fk_pages = [];
-        fk_damage = [];
-        fk_procs = log.L.nprocs;
-        fk_records = L.entry_count log;
-        fk_intervals = !intervals;
-        fk_clean = true;
-      }
-    | exception Trace.Log_io.Unreadable { reason; _ } ->
-      {
-        fk_version = 1;
-        fk_bytes = bytes;
-        fk_indexed = false;
-        fk_tier = "content";
-        fk_ckpts = 0;
-        fk_pages = [];
-        fk_damage =
-          [
-            {
-              dmg_offset = String.length Trace.Log_io.magic;
-              dmg_reason = reason;
-            };
-          ];
-        fk_procs = 0;
-        fk_records = 0;
-        fk_intervals = 0;
-        fk_clean = false;
-      })
-  | _ -> (
-    match indexed_backing path raw with
-    | Some (B_indexed ix) ->
-      (* index intact: check each indexed page individually *)
-      let pages = ref [] in
-      let bad = ref 0 in
-      let good_records = ref 0 in
-      Array.iteri
-        (fun pid px ->
-          Array.iteri
-            (fun page (off, count) ->
-              let error =
-                match parse_frame raw off with
-                | Ok (F_page { fpid; fentries; _ })
-                  when fpid = pid && Array.length fentries = count ->
-                  None
-                | Ok (F_page { fpid; fentries; _ }) ->
-                  Some
-                    (Printf.sprintf
-                       "holds %d entries of process %d, the index says %d of \
-                        process %d"
-                       (Array.length fentries) fpid count pid)
-                | Ok (F_footer _) -> Some "index points at the footer"
-                | Ok (F_ckpt _) -> Some "index points at a checkpoint frame"
-                | Error reason -> Some reason
-              in
-              (match error with
-              | None -> good_records := !good_records + count
-              | Some _ -> incr bad);
-              pages :=
-                {
-                  fp_pid = pid;
-                  fp_page = page;
-                  fp_offset = off;
-                  fp_count = count;
-                  fp_error = error;
-                }
-                :: !pages)
-            px.px_pages)
-        ix.ix_index;
-      {
-        fk_version = 2;
-        fk_bytes = bytes;
-        fk_indexed = true;
-        fk_tier = L.tier_name ix.ix_tier;
-        fk_ckpts = Array.length ix.ix_ckpts;
-        fk_pages = List.rev !pages;
-        fk_damage = [];
-        fk_procs = Array.length ix.ix_index;
-        fk_records = !good_records;
-        fk_intervals =
-          Array.fold_left
-            (fun a px -> a + Array.length px.px_blocks)
-            0 ix.ix_index;
-        fk_clean = !bad = 0;
-      }
-    | Some (B_mem _) | None ->
-      (* no usable index: the valid prefix is all we can vouch for *)
-      let sc = scan raw in
-      let pages = ref [] in
-      let per_pid = Hashtbl.create 8 in
-      let pos = ref (String.length magic) in
-      let stop = ref false in
-      while (not !stop) && !pos < bytes do
-        match parse_frame raw !pos with
-        | Ok (F_page { fpid; fentries; fnext }) ->
-          let ord =
-            match Hashtbl.find_opt per_pid fpid with Some n -> n | None -> 0
-          in
-          Hashtbl.replace per_pid fpid (ord + 1);
-          pages :=
-            {
-              fp_pid = fpid;
-              fp_page = ord;
-              fp_offset = !pos;
-              fp_count = Array.length fentries;
-              fp_error = None;
-            }
-            :: !pages;
-          pos := fnext
-        | Ok (F_ckpt { fnext; _ }) -> pos := fnext
-        | Ok (F_footer _) | Error _ -> stop := true
-      done;
-      let log =
-        match salvage raw with
-        | B_mem m -> m.bm_log
-        | B_indexed _ -> assert false
-      in
-      let intervals = ref 0 in
-      for pid = 0 to log.L.nprocs - 1 do
-        intervals := !intervals + Array.length (L.intervals log ~pid)
-      done;
-      {
-        fk_version = 2;
-        fk_bytes = bytes;
-        fk_indexed = false;
-        fk_tier = L.tier_name log.L.tier;
-        fk_ckpts = List.length sc.sc_ckpts;
-        fk_pages = List.rev !pages;
-        fk_damage = sc.sc_damage;
-        fk_procs = log.L.nprocs;
-        fk_records = sc.sc_nentries;
-        fk_intervals = !intervals;
-        fk_clean = sc.sc_damage = [];
-      })
+  check_magic path raw;
+  match indexed_backing path raw with
+  | Some ix ->
+    (* index intact: check each indexed page individually *)
+    let pages =
+      Array.to_list ix.ix_index
+      |> List.mapi (fun pid px ->
+             Array.to_list px.px_pages
+             |> List.mapi (fun page ((off, count) as slot) ->
+                    {
+                      fp_pid = pid;
+                      fp_page = page;
+                      fp_offset = off;
+                      fp_count = count;
+                      fp_error =
+                        (match check_page raw ~pid slot with
+                        | Ok _ -> None
+                        | Error reason -> Some reason);
+                    }))
+      |> List.concat
+    in
+    let good = List.filter (fun p -> p.fp_error = None) pages in
+    {
+      fk_bytes = String.length raw;
+      fk_indexed = true;
+      fk_tier = L.tier_name ix.ix_tier;
+      fk_ckpts = Array.length ix.ix_ckpts;
+      fk_pages = pages;
+      fk_damage = [];
+      fk_procs = Array.length ix.ix_index;
+      fk_records = List.fold_left (fun a p -> a + p.fp_count) 0 good;
+      fk_intervals =
+        Array.fold_left
+          (fun a px -> a + Array.length px.px_blocks)
+          0 ix.ix_index;
+      fk_clean = List.compare_lengths good pages = 0;
+    }
+  | None ->
+    (* no usable index: the valid prefix is all we can vouch for *)
+    let sc = scan raw in
+    let log = salvage sc in
+    let intervals = ref 0 in
+    for pid = 0 to log.L.nprocs - 1 do
+      intervals := !intervals + Array.length (L.intervals log ~pid)
+    done;
+    {
+      fk_bytes = String.length raw;
+      fk_indexed = false;
+      fk_tier = L.tier_name log.L.tier;
+      fk_ckpts = List.length sc.sc_ckpts;
+      fk_pages = List.map fst sc.sc_pages;
+      fk_damage = sc.sc_damage;
+      fk_procs = log.L.nprocs;
+      fk_records = sc.sc_nentries;
+      fk_intervals = !intervals;
+      fk_clean = sc.sc_damage = [];
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Repair: rewrite everything salvageable into a fresh verified log.   *)
 (* ------------------------------------------------------------------ *)
 
-(* fsck *reports* damage; repair acts on the same information. For an
+(* fsck *reports* damage; repair acts on the same check. For an
    indexed file every process keeps its clean page prefix: pages after
    the first damaged page of that process are dropped even when intact,
    because entry indices shift and the rewritten interval table must
@@ -1431,7 +1306,6 @@ type repair_drop = {
 }
 
 type repair_report = {
-  rp_version : int;
   rp_tier : string;
   rp_kept_pages : int;
   rp_kept_records : int;
@@ -1440,133 +1314,75 @@ type repair_report = {
   rp_out_bytes : int;
 }
 
+(* Each process's clean page prefix, with a drop for every page from
+   its first damaged one on. *)
+let repair_indexed raw ix =
+  let dropped = ref [] in
+  let kept_pages = ref 0 in
+  let drop pid page (off, count) reason =
+    dropped :=
+      {
+        rd_pid = pid;
+        rd_page = page;
+        rd_offset = off;
+        rd_records = count;
+        rd_reason = reason;
+      }
+      :: !dropped
+  in
+  let stops = Array.map (fun px -> px.px_stop) ix.ix_index in
+  let entries =
+    Array.mapi
+      (fun pid px ->
+        let kept = ref [] in
+        let broken = ref None in
+        Array.iteri
+          (fun page slot ->
+            match !broken with
+            | Some first_bad ->
+              drop pid page slot
+                (Printf.sprintf "follows damaged page %d of this process"
+                   first_bad)
+            | None -> (
+              match check_page raw ~pid slot with
+              | Ok fentries ->
+                incr kept_pages;
+                kept := fentries :: !kept
+              | Error reason ->
+                broken := Some page;
+                drop pid page slot reason))
+          px.px_pages;
+        let es = Array.concat (List.rev !kept) in
+        (* a truncated process recomputes its stop from what survived;
+           an intact one keeps the recorded stop *)
+        if !broken <> None then
+          stops.(pid) <-
+            Array.fold_left (fun a e -> max a (L.entry_seq_at e + 1)) 0 es;
+        es)
+      ix.ix_index
+  in
+  let nprocs = Array.length ix.ix_index in
+  ( {
+      L.nprocs;
+      entries;
+      stops;
+      tier = ix.ix_tier;
+      ckpts = ix.ix_ckpts;
+      base = Array.make nprocs 0;
+    },
+    !kept_pages,
+    List.rev !dropped )
+
 let repair path ~out =
   let raw = read_file path in
-  match check_magic path raw with
-  | 1 ->
-    (* v1 is all-or-nothing Marshal: loadable means nothing to drop *)
-    let log = Trace.Log_io.load path in
-    save out log;
-    {
-      rp_version = 1;
-      rp_tier = L.tier_name log.L.tier;
-      rp_kept_pages = 0;
-      rp_kept_records = L.entry_count log;
-      rp_kept_ckpts = Array.length log.L.ckpts;
-      rp_dropped = [];
-      rp_out_bytes = (read_file out |> String.length);
-    }
-  | _ ->
-    let finish (log : L.t) ~kept_pages ~dropped =
-      save out log;
-      {
-        rp_version = 2;
-        rp_tier = L.tier_name log.L.tier;
-        rp_kept_pages = kept_pages;
-        rp_kept_records = L.entry_count log;
-        rp_kept_ckpts = Array.length log.L.ckpts;
-        rp_dropped = List.rev dropped;
-        rp_out_bytes = (read_file out |> String.length);
-      }
-    in
-    (match indexed_backing path raw with
-    | Some (B_indexed ix) ->
-      let dropped = ref [] in
-      let kept_pages = ref 0 in
-      let entries =
-        Array.mapi
-          (fun pid px ->
-            let kept = ref [] in
-            let broken = ref None in
-            Array.iteri
-              (fun page (off, count) ->
-                match !broken with
-                | Some first_bad ->
-                  dropped :=
-                    {
-                      rd_pid = pid;
-                      rd_page = page;
-                      rd_offset = off;
-                      rd_records = count;
-                      rd_reason =
-                        Printf.sprintf
-                          "follows damaged page %d of this process" first_bad;
-                    }
-                    :: !dropped
-                | None -> (
-                  match parse_frame raw off with
-                  | Ok (F_page { fpid; fentries; _ })
-                    when fpid = pid && Array.length fentries = count ->
-                    incr kept_pages;
-                    kept := fentries :: !kept
-                  | Ok (F_page { fpid; fentries; _ }) ->
-                    broken := Some page;
-                    dropped :=
-                      {
-                        rd_pid = pid;
-                        rd_page = page;
-                        rd_offset = off;
-                        rd_records = count;
-                        rd_reason =
-                          Printf.sprintf
-                            "holds %d entries of process %d, the index says \
-                             %d of process %d"
-                            (Array.length fentries) fpid count pid;
-                      }
-                      :: !dropped
-                  | Ok (F_footer _ | F_ckpt _) ->
-                    broken := Some page;
-                    dropped :=
-                      {
-                        rd_pid = pid;
-                        rd_page = page;
-                        rd_offset = off;
-                        rd_records = count;
-                        rd_reason = "index points at a non-page frame";
-                      }
-                      :: !dropped
-                  | Error reason ->
-                    broken := Some page;
-                    dropped :=
-                      {
-                        rd_pid = pid;
-                        rd_page = page;
-                        rd_offset = off;
-                        rd_records = count;
-                        rd_reason = reason;
-                      }
-                      :: !dropped))
-              px.px_pages;
-            (Array.concat (List.rev !kept), !broken = None))
-          ix.ix_index
-      in
-      let stops =
-        Array.mapi
-          (fun pid (es, intact) ->
-            (* a truncated process recomputes its stop from what
-               survived; an intact one keeps the recorded stop *)
-            if intact then ix.ix_index.(pid).px_stop
-            else Array.fold_left (fun a e -> max a (L.entry_seq_at e + 1)) 0 es)
-          entries
-      in
-      let log =
-        {
-          L.nprocs = Array.length ix.ix_index;
-          entries = Array.map fst entries;
-          stops;
-          tier = ix.ix_tier;
-          ckpts = ix.ix_ckpts;
-          base = Array.make (Array.length ix.ix_index) 0;
-        }
-      in
-      finish log ~kept_pages:!kept_pages ~dropped:!dropped
-    | Some (B_mem _) | None ->
+  check_magic path raw;
+  let log, kept_pages, dropped =
+    match indexed_backing path raw with
+    | Some ix -> repair_indexed raw ix
+    | None ->
       let sc = scan raw in
-      let backing = salvage raw in
-      let log =
-        match backing with B_mem m -> m.bm_log | B_indexed _ -> assert false
-      in
-      let dropped =
+      ( salvage sc,
+        List.length sc.sc_pages,
         List.map
           (fun d ->
             {
@@ -1576,6 +1392,14 @@ let repair path ~out =
               rd_records = 0;
               rd_reason = d.dmg_reason;
             })
-          sc.sc_damage
-      in
-      finish log ~kept_pages:sc.sc_pages ~dropped:(List.rev dropped))
+          sc.sc_damage )
+  in
+  save out log;
+  {
+    rp_tier = L.tier_name log.L.tier;
+    rp_kept_pages = kept_pages;
+    rp_kept_records = L.entry_count log;
+    rp_kept_ckpts = Array.length log.L.ckpts;
+    rp_dropped = dropped;
+    rp_out_bytes = String.length (read_file out);
+  }

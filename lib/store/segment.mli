@@ -1,10 +1,10 @@
-(** The durable segmented log store — the v2 on-disk format.
+(** The durable segmented log store — the one on-disk log format (v2),
+    and the only module that knows it.
 
-    A segment file replaces the v1 [Marshal] blob with a stream of
-    CRC-framed binary pages that the logger appends {e as the execution
-    runs} (one flush per ~4 KiB of payload or per closing top-level
-    e-block), so a crash loses at most the open tail, never the whole
-    log.
+    A segment file is a stream of CRC-framed binary pages that the
+    logger appends {e as the execution runs} (one flush per ~4 KiB of
+    payload or per closing top-level e-block), so a crash loses at most
+    the open tail, never the whole log.
 
     Layout (DESIGN.md §9, §16):
     {v
@@ -33,8 +33,16 @@
     back to a forward scan that salvages the longest valid page prefix
     and reports what was lost. *)
 
+exception Unreadable of { path : string; reason : string }
+(** The file is not a readable log: missing, foreign, of another format
+    version, or (for a single page read) damaged. *)
+
+val format_version : int
+(** [2], the format this build reads and writes. *)
+
 val magic : string
-(** ["PPDLOG2\n"]. *)
+(** ["PPDLOG2\n"]. Any other ["PPDLOG<x>"] magic names another format
+    version and is {!Unreadable}. *)
 
 val trailer_magic : string
 (** ["PPDEND2\n"], the final 8 bytes of a complete segment. *)
@@ -91,18 +99,17 @@ type reader
     (the index tables and raw bytes are immutable after open). *)
 
 val open_file : ?budget:Resil.Budget.t -> string -> reader
-(** Open any log file: a v2 segment (indexed when the trailer and
-    footer are intact, salvaged otherwise) or a v1 marshal blob (loaded
-    whole). With [budget] (DESIGN §17), every page the LRU caches is
-    charged by a byte estimate and a rebalance runs after each insert;
-    the daemon registers {!reclaim_cache} as the corresponding
-    reclaimer. @raise Trace.Log_io.Unreadable on a foreign or hopeless
+(** Open a log file: indexed when the trailer and footer are intact,
+    salvaged otherwise. With [budget] (DESIGN §17), every page the LRU
+    caches is charged by a byte estimate and a rebalance runs after
+    each insert; the daemon registers {!reclaim_cache} as the
+    corresponding reclaimer. @raise Unreadable on a foreign or hopeless
     file. *)
 
 val of_log : Trace.Log.t -> reader
 (** A reader over a log already in memory (no file behind it:
-    {!version} 2, {!file_bytes} 0). Reads never fault and never page;
-    {!intervals} are memoised per process like an indexed reader's. *)
+    {!file_bytes} 0). Reads never fault and never page; {!intervals}
+    are memoised per process like an indexed reader's. *)
 
 val reclaim_cache : reader -> int -> int
 (** [reclaim_cache r want] evicts cached pages (LRU tails first,
@@ -110,16 +117,13 @@ val reclaim_cache : reader -> int -> int
     bytes are freed or the cache is empty. Returns the bytes freed and
     releases them from the attached budget itself. Always safe: an
     evicted page is re-parsed from the raw segment on the next touch.
-    [0] for salvaged/v1 readers (they hold the log, not a cache). *)
+    [0] for salvaged readers (they hold the log, not a cache). *)
 
 val clear_cache : reader -> unit
 (** Evict every cached page (releasing the budget charge). *)
 
 val cache_bytes : reader -> int
 (** Accounted byte estimate of the pages cached right now. *)
-
-val version : reader -> int
-(** 1 or 2. *)
 
 val file_bytes : reader -> int
 (** On-disk size of the file that was opened. *)
@@ -131,8 +135,8 @@ val damage : reader -> damage list
 (** What the salvage scan found; [[]] for an intact file. *)
 
 val tier : reader -> Trace.Log.tier
-(** The logging tier recorded in the footer; [T_content] for v1 files
-    and for salvaged files whose footer was lost. *)
+(** The logging tier recorded in the footer; [T_content] for salvaged
+    files whose footer was lost. *)
 
 val ckpts : reader -> Trace.Log.ckpt array
 (** The decoded checkpoints, in step order. *)
@@ -161,8 +165,8 @@ val snapshot_step : reader -> pid:int -> reader_seq:int -> int
     possible. *)
 
 val entry : reader -> pid:int -> idx:int -> Trace.Log.entry
-(** Decode the page holding one entry and return it. @raise
-    Trace.Log_io.Unreadable if the page is damaged. *)
+(** Decode the page holding one entry and return it. @raise Unreadable
+    if the page is damaged. *)
 
 val window : reader -> pid:int -> lo:int -> hi:int -> Trace.Log.t
 (** A demand-paged view: a log whose [pid] entry array holds just the
@@ -174,25 +178,24 @@ val window : reader -> pid:int -> lo:int -> hi:int -> Trace.Log.t
     in-memory log. Decoded pages are cached in a sharded,
     lock-protected LRU keyed by [(pid, page)]; safe to call from pool
     domains.
-    @raise Trace.Log_io.Unreadable if a page in range is damaged. *)
+    @raise Unreadable if a page in range is damaged. *)
 
 val to_log : reader -> Trace.Log.t
 (** Decode everything. *)
 
 val save : string -> Trace.Log.t -> unit
-(** Write an in-memory log as a complete v2 segment. *)
+(** Write an in-memory log as a complete segment. *)
 
 val load : string -> Trace.Log.t
-(** Load any log file (v1 or v2); a damaged v2 file yields the salvaged
-    prefix. @raise Trace.Log_io.Unreadable when nothing can be read. *)
+(** Load a log file whole; a damaged file yields the salvaged prefix.
+    @raise Unreadable when nothing can be read. *)
 
 val encoded_size : Trace.Log.t -> int
-(** Exact v2 on-disk size in bytes, without touching the filesystem. *)
+(** Exact on-disk size in bytes, without touching the filesystem. *)
 
 type report = {
-  vr_version : int;  (** 1 or 2 *)
   vr_bytes : int;
-  vr_pages : int;  (** intact page frames (0 for v1) *)
+  vr_pages : int;  (** intact page frames *)
   vr_records : int;  (** intact entry records inside those pages *)
   vr_indexed : bool;  (** the footer index is usable *)
   vr_damage : damage list;  (** empty iff the file is clean *)
@@ -201,7 +204,7 @@ type report = {
 val verify : string -> report
 (** Walk every frame of the file (CRC and structural checks, trailer
     and footer validation) and report all damage found. @raise
-    Trace.Log_io.Unreadable only when the magic itself is foreign. *)
+    Unreadable only when the magic itself is not {!magic}. *)
 
 type fsck_page = {
   fp_pid : int;
@@ -212,7 +215,6 @@ type fsck_page = {
 }
 
 type fsck_report = {
-  fk_version : int;
   fk_bytes : int;
   fk_indexed : bool;  (** trailer and footer index intact *)
   fk_tier : string;  (** ["content"] or ["order"] *)
@@ -230,8 +232,8 @@ val fsck : string -> fsck_report
     stops at the first bad frame, [fsck] checks {e every} page the
     footer index names, so damage in the middle of an otherwise-intact
     file is reported per page with offsets; without a usable index it
-    reports the salvageable prefix. @raise Trace.Log_io.Unreadable only
-    when the magic itself is foreign. *)
+    reports the salvageable prefix. Either way it walks the file once.
+    @raise Unreadable only when the magic itself is not {!magic}. *)
 
 (** One page {!repair} had to leave behind. *)
 type repair_drop = {
@@ -243,9 +245,8 @@ type repair_drop = {
 }
 
 type repair_report = {
-  rp_version : int;  (** of the {e input} file (1 or 2) *)
   rp_tier : string;  (** ["content"] or ["order"] *)
-  rp_kept_pages : int;  (** intact input pages rewritten (0 for v1) *)
+  rp_kept_pages : int;  (** intact input pages rewritten *)
   rp_kept_records : int;  (** entries in the rewritten log *)
   rp_kept_ckpts : int;
   rp_dropped : repair_drop list;  (** empty iff nothing was lost *)
@@ -254,11 +255,12 @@ type repair_report = {
 
 val repair : string -> out:string -> repair_report
 (** Rewrite everything salvageable from a (possibly damaged) log into
-    a fresh, fully verified v2 segment at [out] (`ppd log repair`).
+    a fresh, fully verified segment at [out] (`ppd log repair`).
     With an intact index, each process keeps its clean page {e prefix}
     — intact pages that follow a damaged page of the same process are
     dropped too (and reported), because the rebuilt interval table
     must keep prelog/postlog nesting coherent. Without a usable index
     the salvage scan's valid prefix is kept. [rp_dropped] is empty iff
-    no bytes were lost (the CLI exits 4 otherwise). @raise
-    Trace.Log_io.Unreadable when nothing can be read at all. *)
+    no bytes were lost (the CLI exits 4 otherwise). A page is damaged
+    exactly when {!fsck} reports an error for it. @raise Unreadable
+    when nothing can be read at all. *)

@@ -1,8 +1,10 @@
 #!/bin/sh
 # Exercise the ppd verify-log exit-code contract on a freshly saved v2
 # segment: 0 for a clean file, 4 for detected damage (mid-page
-# truncation), 6 for a file that is not a PPD log at all. CI runs this
-# so the crash-recovery paths stay wired to their documented exits.
+# truncation), 6 for a file that is not a PPD log at all, and 6 with
+# PPD050 for a log of the retired v1 format, which is refused rather
+# than misread. CI runs this so the crash-recovery paths stay wired to
+# their documented exits.
 set -eu
 
 PPD=${PPD:-_build/default/bin/ppd_cli.exe}
@@ -37,4 +39,21 @@ if [ "$code" -ne 6 ]; then
   exit 1
 fi
 
-echo "verify-log: exit-code contract holds (0 clean, 4 damaged, 6 not a log)"
+printf 'PPDLOG1\n' >"$dir/v1.log"
+set +e
+out=$("$PPD" verify-log "$dir/v1.log" 2>&1)
+code=$?
+set -e
+if [ "$code" -ne 6 ]; then
+  echo "verify-log: expected exit 6 on a v1 log, got $code" >&2
+  exit 1
+fi
+case "$out" in
+  PPD050*) ;;
+  *)
+    echo "verify-log: expected PPD050 on a v1 log, got: $out" >&2
+    exit 1
+    ;;
+esac
+
+echo "verify-log: exit-code contract holds (0 clean, 4 damaged, 6 not a log or v1)"

@@ -202,31 +202,30 @@ let all_keys ctl nprocs =
 let dump ctl =
   Format.asprintf "%a" Ppd.Dyn_graph.pp (Ppd.Controller.graph ctl)
 
-let logged ?(sched = Runtime.Sched.default) src =
+let logged src =
   let prog = Lang.Compile.compile src in
   let eb = Analysis.Eblock.analyze prog in
-  let _, log, _ = Trace.Logger.run_logged ~sched eb in
+  let _, log, _ = Trace.Logger.run_logged eb in
   (eb, log)
 
-(* Batch-build every interval serially and on a pool; the graphs (full
-   deterministic dumps) and the assembly statistics must coincide, and
-   prefetch must leave the graph untouched. *)
-let par_eq_serial ?sched src =
-  let eb, log = logged ?sched src in
-  let serial = Ppd.Controller.start eb log in
-  Ppd.Controller.build_intervals_par serial
-    (all_keys serial log.L.nprocs);
-  let d1 = dump serial in
-  let s1 = Ppd.Controller.stats serial in
-  Exec.Pool.with_pool ~jobs:3 (fun pool ->
-      let ctl = Ppd.Controller.start ~pool eb log in
-      Ppd.Controller.build_intervals_par ctl (all_keys ctl log.L.nprocs);
-      ignore (Ppd.Controller.prefetch ctl);
-      let d2 = dump ctl in
-      let s2 = Ppd.Controller.stats ctl in
-      d1 = d2
-      && s1.Ppd.Controller.replays = s2.Ppd.Controller.replays
-      && s1.Ppd.Controller.replay_steps = s2.Ppd.Controller.replay_steps)
+(* Batch-build every interval serially, or on a pool of [jobs] domains
+   followed by a prefetch that must leave the graph untouched: the full
+   deterministic graph dump and the assembly statistics. *)
+let build_all ?jobs eb log =
+  let build pool =
+    let ctl = Ppd.Controller.start ?pool eb log in
+    Ppd.Controller.build_intervals_par ctl (all_keys ctl log.L.nprocs);
+    if pool <> None then ignore (Ppd.Controller.prefetch ctl);
+    let st = Ppd.Controller.stats ctl in
+    (dump ctl, st.Ppd.Controller.replays, st.Ppd.Controller.replay_steps)
+  in
+  match jobs with
+  | None -> build None
+  | Some jobs -> Exec.Pool.with_pool ~jobs (fun pool -> build (Some pool))
+
+let par_eq_serial src =
+  let eb, log = logged src in
+  build_all eb log = build_all ~jobs:3 eb log
 
 let test_par_eq_serial_fixed () =
   List.iter
@@ -329,15 +328,39 @@ let test_emulator_exception_no_deadlock () =
       let fut = Exec.Pool.submit pool (fun () -> 7) in
       Alcotest.(check int) "pool still serves" 7 (Exec.Pool.await fut))
 
-(* The ISSUE's property: over the random parallel-program corpus,
-   domain-pool replay and the serial path build byte-identical graphs. *)
+(* The random parallel-program corpus may race, and §6 assumes
+   race-freedom. A run of it gives the analysed program, the log, and
+   whether the race detector finds the execution race-free, judged on
+   the run's own observer-built graph. *)
+let logged_random ~seed ~sseed =
+  let prog = Lang.Compile.compile (Gen.parallel ~protect:`Sometimes seed) in
+  let eb = Analysis.Eblock.analyze prog in
+  let obs = Ppd.Pardyn.observer prog in
+  let _, log, _ =
+    Trace.Logger.run_logged
+      ~sched:(Runtime.Sched.Random_seed sseed)
+      ~extra_hooks:(Ppd.Pardyn.factory obs) eb
+  in
+  (eb, log, Ppd.Race.is_race_free (Ppd.Pardyn.finish obs))
+
+(* [None] when replay diverges from the log (PPD062), which only a
+   racy execution may cause. *)
+let replayed f =
+  match f () with
+  | v -> Some v
+  | exception Ppd.Emulator.Replay_mismatch _ -> None
+
+(* The contract: on a race-free execution, -j1 and -j4 build
+   byte-identical graphs; on a racy one, they either build identical
+   graphs or both raise [Replay_mismatch]. *)
 let par_serial_prop =
   Util.qtest ~count:15 "parallel = serial graphs on random programs"
     QCheck2.Gen.(pair (int_range 0 100_000) (int_range 0 1_000))
     (fun (seed, sseed) ->
-      par_eq_serial
-        ~sched:(Runtime.Sched.Random_seed sseed)
-        (Gen.parallel ~protect:`Sometimes seed))
+      let eb, log, race_free = logged_random ~seed ~sseed in
+      let serial = replayed (fun () -> build_all eb log) in
+      serial = replayed (fun () -> build_all ~jobs:4 eb log)
+      && (serial <> None || not race_free))
 
 (* ------------------------------------------------------------------ *)
 (* Assembly-order independence.                                         *)
@@ -392,15 +415,16 @@ let shuffle seed l =
 (* Assemble every interval in forward, reverse and shuffled order: the
    same nodes with the same incoming edges, sync edges included (in
    reverse order a link's source interval is built after its target). *)
-let order_independent ?sched ~seed src =
-  let eb, log = logged ?sched src in
-  let assembled order =
-    let ctl = Ppd.Controller.start eb log in
-    Ppd.Controller.build_intervals_par ctl (order (all_keys ctl log.L.nprocs));
-    picture (Ppd.Controller.graph ctl)
-  in
-  let forward = assembled Fun.id in
-  forward = assembled List.rev && forward = assembled (shuffle seed)
+let assembled eb log order =
+  let ctl = Ppd.Controller.start eb log in
+  Ppd.Controller.build_intervals_par ctl (order (all_keys ctl log.L.nprocs));
+  picture (Ppd.Controller.graph ctl)
+
+let order_independent ~seed src =
+  let eb, log = logged src in
+  let forward = assembled eb log Fun.id in
+  forward = assembled eb log List.rev
+  && forward = assembled eb log (shuffle seed)
 
 let test_order_independent_fixed () =
   List.iter
@@ -416,14 +440,19 @@ let test_order_independent_fixed () =
       ("prodcons", Workloads.producer_consumer ~items:5 ~cap:0);
     ]
 
+(* The same contract for assembly order: every order builds the same
+   picture, or, on a racy execution only, every order raises
+   [Replay_mismatch]. *)
 let order_independent_prop =
   Util.qtest ~count:15 "assembly order independence on random programs"
     QCheck2.Gen.(triple (int_range 0 100_000) (int_range 0 1_000) int)
     (fun (seed, sseed, order_seed) ->
-      order_independent
-        ~sched:(Runtime.Sched.Random_seed sseed)
-        ~seed:order_seed
-        (Gen.parallel ~protect:`Sometimes seed))
+      let eb, log, race_free = logged_random ~seed ~sseed in
+      let outcome order = replayed (fun () -> assembled eb log order) in
+      let forward = outcome Fun.id in
+      forward = outcome List.rev
+      && forward = outcome (shuffle order_seed)
+      && (forward <> None || not race_free))
 
 let suite =
   ( "exec",

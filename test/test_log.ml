@@ -1,4 +1,4 @@
-(* Log structure: entries, interval nesting, persistence. *)
+(* Log structure: entries, interval nesting, and the log file's magic. *)
 
 module L = Trace.Log
 
@@ -64,54 +64,43 @@ let test_log_much_smaller_than_trace () =
     true
     (entries * 10 < events)
 
-let test_io_roundtrip () =
-  let _eb, _h, log, _tr, _m = Util.run_instrumented Workloads.fig61 in
-  let path = Filename.temp_file "ppd_test" ".log" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Trace.Log_io.save path log;
-      let log' = Trace.Log_io.load path in
-      Alcotest.(check int) "nprocs" log.L.nprocs log'.L.nprocs;
-      Alcotest.(check int) "entries" (L.entry_count log) (L.entry_count log');
-      (* loaded intervals are identical *)
-      for pid = 0 to log.L.nprocs - 1 do
-        Alcotest.(check bool) "intervals equal" true
-          (L.intervals log ~pid = L.intervals log' ~pid)
-      done)
-
+(* The retired v1 magic, a truncated magic and a foreign file: every
+   entry point of the store refuses each one as unreadable, with a
+   reason that names what is wrong, and never misreads it. *)
 let test_io_bad_magic () =
   let path = Filename.temp_file "ppd_test" ".log" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Out_channel.with_open_bin path (fun oc -> output_string oc "not a log");
-      match Trace.Log_io.load path with
-      | exception Trace.Log_io.Unreadable { reason; _ } ->
-        Alcotest.(check bool) "mentions magic" true
-          (Util.contains ~sub:"magic" reason)
-      | _ -> Alcotest.fail "expected Unreadable on bad magic")
-
-let test_per_process_files () =
-  let _eb, _h, log, _tr, _m = Util.run_instrumented Workloads.fig61 in
-  let dir = Filename.temp_file "ppd_dir" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o700;
+  let out = Filename.temp_file "ppd_test" ".out" in
   Fun.protect
     ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir)
+      Sys.remove path;
+      Sys.remove out)
     (fun () ->
-      let paths = Trace.Log_io.save_per_process ~dir ~basename:"run" log in
-      Alcotest.(check int) "one file per process" log.L.nprocs (List.length paths);
-      List.iteri
-        (fun pid path ->
-          let one = Trace.Log_io.load path in
-          Alcotest.(check int) "single process" 1 one.L.nprocs;
-          Alcotest.(check int) "entry count preserved"
-            (Array.length log.L.entries.(pid))
-            (Array.length one.L.entries.(0)))
-        paths)
+      List.iter
+        (fun (name, bytes, sub) ->
+          Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+          let refused what f =
+            match f path with
+            | () -> Alcotest.failf "%s: %s accepted it" name what
+            | exception Store.Segment.Unreadable { reason; _ } ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s says %S" name what sub)
+                true
+                (Util.contains ~sub reason)
+          in
+          refused "open_file" (fun p -> ignore (Store.Segment.open_file p));
+          refused "verify" (fun p -> ignore (Store.Segment.verify p));
+          refused "fsck" (fun p -> ignore (Store.Segment.fsck p));
+          refused "repair" (fun p -> ignore (Store.Segment.repair p ~out)))
+        [
+          ( "v1 magic, garbage payload",
+            "PPDLOG1\n" ^ String.init 64 (fun i -> Char.chr (i * 7 mod 256)),
+            "unsupported log format version '1'" );
+          ( "v1 magic, empty body",
+            "PPDLOG1\n",
+            "unsupported log format version '1'" );
+          ("truncated magic", "PPDL", "shorter than the 8-byte magic");
+          ("foreign file", "not a log", "bad magic");
+        ])
 
 let test_sync_records_present () =
   let _eb, _h, log, _tr, _m = Util.run_instrumented Workloads.fig61 in
@@ -211,9 +200,7 @@ let suite =
       Alcotest.test_case "open interval on fault" `Quick test_open_interval_on_fault;
       Alcotest.test_case "log much smaller than trace" `Quick
         test_log_much_smaller_than_trace;
-      Alcotest.test_case "save/load round trip" `Quick test_io_roundtrip;
       Alcotest.test_case "bad magic rejected" `Quick test_io_bad_magic;
-      Alcotest.test_case "per-process files" `Quick test_per_process_files;
       Alcotest.test_case "sync records present" `Quick test_sync_records_present;
       Alcotest.test_case "geometric pid-table growth, exact nprocs" `Quick
         test_logger_geometric_growth;

@@ -135,14 +135,14 @@ let test_order_byte_flip_detected () =
         Out_channel.with_open_bin path (fun oc ->
             Out_channel.output_bytes oc b);
         (match S.verify path with
-        | exception Trace.Log_io.Unreadable _ -> ()
+        | exception Store.Segment.Unreadable _ -> ()
         | r ->
           Alcotest.(check bool)
             (Printf.sprintf "flip at %d detected" i)
             true
             (r.S.vr_damage <> []));
         match S.load path with
-        | exception Trace.Log_io.Unreadable _ -> ()
+        | exception Store.Segment.Unreadable _ -> ()
         | salvaged ->
           Alcotest.(check bool)
             (Printf.sprintf "flip at %d never mis-decodes" i)

@@ -1031,7 +1031,7 @@ let test_stale_handle_ppd092 () =
 let test_failure_map () =
   let cases =
     [
-      (Trace.Log_io.Unreadable { path = "x.log"; reason = "r" }, "PPD050", 6);
+      (Store.Segment.Unreadable { path = "x.log"; reason = "r" }, "PPD050", 6);
       (Ppd.Controller.Replay_overrun { pid = 0; iv_id = 1; budget = 1 },
        "PPD060", 7);
       (Ppd.Reconstruct.Divergence { reason = "r" }, "PPD061", 8);

@@ -35,7 +35,7 @@ let roundtrip_prop =
           S.save path log;
           let log' = S.load path in
           let r = S.verify path in
-          log' = log && r.S.vr_version = 2 && r.S.vr_indexed
+          log' = log && r.S.vr_indexed
           && r.S.vr_damage = []
           && r.S.vr_records = L.entry_count log))
 
@@ -73,27 +73,6 @@ let test_streamed_equals_memory () =
       let r = S.verify path in
       Alcotest.(check bool) "index intact" true r.S.vr_indexed;
       Alcotest.(check bool) "no damage" true (r.S.vr_damage = []))
-
-let test_v1_still_readable () =
-  let _eb, log = run_log Workloads.fig61 in
-  with_tmp (fun path ->
-      Trace.Log_io.save path log;
-      check_log_equal "v1 file loads through the store" log (S.load path);
-      let r = S.verify path in
-      Alcotest.(check int) "reported as v1" 1 r.S.vr_version;
-      Alcotest.(check bool) "v1 verifies clean" true (r.S.vr_damage = []))
-
-let test_measure_matches_disk () =
-  (* satellite: Log_io.measure must report the exact on-disk byte count *)
-  let _eb, log = run_log (Workloads.counter ~workers:2 ~incs:5 ~mutex:true) in
-  with_tmp (fun path ->
-      Trace.Log_io.save path log;
-      let size =
-        In_channel.with_open_bin path (fun ic ->
-            Int64.to_int (In_channel.length ic))
-      in
-      Alcotest.(check int) "measure = v1 file size" size
-        (Trace.Log_io.measure log))
 
 (* -------------------------------------------------------------- *)
 (* Crash recovery *)
@@ -143,7 +122,7 @@ let test_truncation_salvage () =
       (* cutting into the magic makes the file unreadable, not garbage *)
       cut 5;
       (match S.load path with
-      | exception Trace.Log_io.Unreadable _ -> ()
+      | exception S.Unreadable _ -> ()
       | _ -> Alcotest.fail "expected Unreadable on a 5-byte file"))
 
 let test_byte_flip_always_detected () =
@@ -164,19 +143,87 @@ let test_byte_flip_always_detected () =
         Out_channel.with_open_bin path (fun oc ->
             Out_channel.output_bytes oc b);
         (match S.verify path with
-        | exception Trace.Log_io.Unreadable _ -> ()
+        | exception S.Unreadable _ -> ()
         | r ->
           Alcotest.(check bool)
             (Printf.sprintf "flip at %d detected" i)
             true
             (r.S.vr_damage <> []));
         match S.load path with
-        | exception Trace.Log_io.Unreadable _ -> ()
+        | exception S.Unreadable _ -> ()
         | salvaged ->
           Alcotest.(check bool)
             (Printf.sprintf "flip at %d never mis-decodes" i)
             true (is_prefix_log log salvaged)
       done)
+
+(* Repair acts on the page check fsck reports: damage one page at a
+   time in a multi-page log, and each process's first dropped page is
+   fsck's first bad page of that process, the process keeps exactly
+   the records before it, and the rewritten log checks clean. *)
+let test_repair_keeps_clean_prefix () =
+  let _eb, log = run_log (Workloads.config_pipeline ~workers:2 ~rounds:300) in
+  with_tmp (fun path ->
+      with_tmp (fun out ->
+          S.save path log;
+          let full = In_channel.with_open_bin path In_channel.input_all in
+          let pages = (S.fsck path).S.fk_pages in
+          Alcotest.(check bool) "some process spans several pages" true
+            (List.exists (fun p -> p.S.fp_page > 0) pages);
+          List.iter
+            (fun (victim : S.fsck_page) ->
+              (* a payload byte: past the tag and the length varint *)
+              let b = Bytes.of_string full in
+              let i = victim.S.fp_offset + 4 in
+              Bytes.set b i (Char.chr (Char.code full.[i] lxor 0xFF));
+              Out_channel.with_open_bin path (fun oc ->
+                  Out_channel.output_bytes oc b);
+              let fk = S.fsck path in
+              let rp = S.repair path ~out in
+              let repaired = S.load out in
+              for pid = 0 to log.L.nprocs - 1 do
+                let first_bad =
+                  List.find_opt
+                    (fun p -> p.S.fp_pid = pid && p.S.fp_error <> None)
+                    fk.S.fk_pages
+                in
+                let first_drop =
+                  List.find_opt (fun d -> d.S.rd_pid = pid) rp.S.rp_dropped
+                in
+                let name what =
+                  Printf.sprintf "flip in pid %d page %d: pid %d %s"
+                    victim.S.fp_pid victim.S.fp_page pid what
+                in
+                Alcotest.(check (option (pair int int)))
+                  (name "first drop = first bad page")
+                  (Option.map (fun p -> (p.S.fp_page, p.S.fp_offset)) first_bad)
+                  (Option.map (fun d -> (d.S.rd_page, d.S.rd_offset)) first_drop);
+                let kept =
+                  match first_bad with
+                  | None -> Array.length log.L.entries.(pid)
+                  | Some bad ->
+                    List.fold_left
+                      (fun a p ->
+                        if p.S.fp_pid = pid && p.S.fp_page < bad.S.fp_page
+                        then a + p.S.fp_count
+                        else a)
+                      0 fk.S.fk_pages
+                in
+                (* the rewritten log ends at the last process that kept
+                   a record *)
+                let got =
+                  if pid < repaired.L.nprocs then repaired.L.entries.(pid)
+                  else [||]
+                in
+                Alcotest.(check bool)
+                  (name "keeps the records before the bad page")
+                  true
+                  (got = Array.sub log.L.entries.(pid) 0 kept)
+              done;
+              Alcotest.(check bool) "the victim is damaged" false fk.S.fk_clean;
+              Alcotest.(check bool) "the repaired log checks clean" true
+                (S.fsck out).S.fk_clean)
+            pages))
 
 (* -------------------------------------------------------------- *)
 (* Demand-paged debugging *)
@@ -401,14 +448,12 @@ let suite =
         test_fixed_corpus_roundtrip;
       Alcotest.test_case "streamed sink = in-memory log" `Quick
         test_streamed_equals_memory;
-      Alcotest.test_case "v1 readable through the store" `Quick
-        test_v1_still_readable;
-      Alcotest.test_case "measure matches disk size" `Quick
-        test_measure_matches_disk;
       Alcotest.test_case "truncation salvages longest prefix" `Quick
         test_truncation_salvage;
       Alcotest.test_case "every byte flip detected" `Quick
         test_byte_flip_always_detected;
+      Alcotest.test_case "repair keeps each process's clean prefix" `Quick
+        test_repair_keeps_clean_prefix;
       Alcotest.test_case "paged flowback = in-memory (corpus)" `Quick
         test_paged_equals_memory;
       paged_prop;
