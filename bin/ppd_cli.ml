@@ -244,13 +244,13 @@ let profile_write pout ptrace =
     Printf.printf "trace written to %s\n" path
   | None -> ()
 
-let session_of ?engine ?loops ?(breakpoints = []) ?jobs ?ctl_config ?log_order
+let session_of ?engine ?loops ?(breakpoints = []) ?race_sets ?log_order
     ?ckpt_every file sched steps inline =
   let src = read_source file in
   let prog = compile_or_die src in
   Ppd.Session.of_program ?engine ~sched ~max_steps:steps
     ~policy:(policy_of ?loops inline)
-    ~breakpoints ?jobs ?ctl_config ?log_order ?ckpt_every prog
+    ~breakpoints ?race_sets ?log_order ?ckpt_every prog
 
 (* ------------------------------------------------------------------ *)
 (* Subcommands.                                                         *)
@@ -678,23 +678,10 @@ let verify_log_cmd =
           footer index and the trailer; exit 4 when damage is found.")
     Term.(const run $ log_path_arg)
 
+(* A JSON string literal, for the hand-laid JSON reports. *)
+let json_str s = Serve.Json.to_string (Serve.Json.Str s)
+
 let fsck_cmd =
-  let json_str s =
-    let b = Buffer.create (String.length s + 2) in
-    Buffer.add_char b '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"';
-    Buffer.contents b
-  in
   let run path =
     let rp = guarded (fun () -> Store.Segment.fsck path) in
     let page (p : Store.Segment.fsck_page) =
@@ -752,29 +739,19 @@ let fsck_cmd =
           is not a log at all.")
     Term.(const run $ log_path_arg)
 
-(* The run path of flowback and replay: print how the execution halted,
-   then answer over the session's in-memory log. *)
-let debug_session s answer =
-  print_endline (Ppd.Session.explain_halt s);
-  let r =
-    Serve.Query.guard (fun () -> Obs.phase "debugging" (fun () -> answer s))
-  in
-  Ppd.Session.shutdown s;
-  ok_or_fail r
-
-(* The --load path: open the saved log and answer on a pool of [jobs]
-   domains, through the query path the daemon takes. *)
-let debug_saved file ~inline ~loops ~jobs log answer =
-  let prog = compile_or_die (read_source file) in
-  let src =
+(* What flowback and replay answer over: a fresh run of FILE recorded
+   by the logger alone (neither reads the race sets), or the saved log
+   [load] with FILE supplying the program. *)
+let debug_source file sched steps engine inline loops order ckpt_every load =
+  match load with
+  | None ->
+    Serve.Query.of_session
+      (session_of ~engine ~loops ~race_sets:false ~log_order:order ~ckpt_every
+         file sched steps inline)
+  | Some log ->
     ok_or_fail
-      (Serve.Query.open_source ~policy:(policy_of ~loops inline) ~log prog)
-  in
-  let jobs = resolve_jobs jobs in
-  let pool = if jobs > 1 then Some (Exec.Pool.create ~jobs ()) else None in
-  let r = Obs.phase "debugging" (fun () -> answer pool src) in
-  Option.iter Exec.Pool.shutdown pool;
-  ignore (ok_or_fail r)
+      (Serve.Query.open_source ~policy:(policy_of ~loops inline) ~log
+         (compile_or_die (read_source file)))
 
 let flowback_cmd =
   let depth_arg =
@@ -789,28 +766,20 @@ let flowback_cmd =
       & info [ "dot" ] ~docv:"PATH"
           ~doc:"Write the dynamic graph as Graphviz dot to PATH.")
   in
-  let run file sched steps engine inline loops depth dot jobs degraded max_rs
-      order ckpt_every faults fseed load pout ptrace =
+  let run file sched steps engine inline loops depth dot degraded max_rs order
+      ckpt_every faults fseed load pout ptrace =
     profile_setup pout ptrace;
     arm_faults faults fseed;
-    let config = ctl_config_of degraded max_rs in
-    let sink = Serve.Render.stdout_sink () in
-    (match load with
-    | None ->
-      debug_session
-        (session_of ~engine ~loops ~jobs:(resolve_jobs jobs) ~ctl_config:config
-           ~log_order:order ~ckpt_every file sched steps inline)
-        (fun s ->
-          let root = Ppd.Session.error_node s in
-          let ctl = Ppd.Session.controller s in
-          (* eager mode: the query pinned the halt interval; speculatively
-             replay its dependence frontier on the idle pool domains while
-             the explanation walks the graph (a no-op at -j1) *)
-          if root <> None then ignore (Ppd.Controller.prefetch ctl);
-          Serve.Render.flowback_report sink ~depth ~dot ctl root)
-    | Some log ->
-      debug_saved file ~inline ~loops ~jobs log (fun pool src ->
-          Serve.Query.flowback ?pool ~config sink ~depth ~dot src));
+    let src =
+      debug_source file sched steps engine inline loops order ckpt_every load
+    in
+    let r =
+      Obs.phase "debugging" (fun () ->
+          Serve.Query.flowback
+            ~config:(ctl_config_of degraded max_rs)
+            (Serve.Render.stdout_sink ()) ~depth ~dot src)
+    in
+    ignore (ok_or_fail r);
     profile_write pout ptrace
   in
   Cmd.v
@@ -821,9 +790,9 @@ let flowback_cmd =
           graph.")
     Term.(
       const run $ file_arg $ sched_arg $ steps_arg $ engine_arg $ inline_arg
-      $ loops_arg $ depth_arg $ dot_arg $ jobs_arg $ degraded_arg
-      $ replay_steps_arg $ log_mode_arg $ ckpt_every_arg $ fault_arg
-      $ fault_seed_arg $ load_arg $ profile_out_arg $ profile_trace_arg)
+      $ loops_arg $ depth_arg $ dot_arg $ degraded_arg $ replay_steps_arg
+      $ log_mode_arg $ ckpt_every_arg $ fault_arg $ fault_seed_arg $ load_arg
+      $ profile_out_arg $ profile_trace_arg)
 
 let replay_cmd =
   let dump_arg =
@@ -836,20 +805,19 @@ let replay_cmd =
       ckpt_every faults fseed load pout ptrace =
     profile_setup pout ptrace;
     arm_faults faults fseed;
-    let config = ctl_config_of degraded max_rs in
-    let sink = Serve.Render.stdout_sink () in
-    (match load with
-    | None ->
-      debug_session
-        (session_of ~engine ~loops ~jobs:(resolve_jobs jobs) ~ctl_config:config
-           ~log_order:order ~ckpt_every file sched steps inline)
-        (fun s ->
-          Serve.Render.replay_report sink ~dump
-            ~nprocs:(Ppd.Session.log s).Trace.Log.nprocs
-            (Ppd.Session.controller s))
-    | Some log ->
-      debug_saved file ~inline ~loops ~jobs log (fun pool src ->
-          Serve.Query.replay ?pool ~config sink ~dump src));
+    let src =
+      debug_source file sched steps engine inline loops order ckpt_every load
+    in
+    let jobs = resolve_jobs jobs in
+    let pool = if jobs > 1 then Some (Exec.Pool.create ~jobs ()) else None in
+    let r =
+      Obs.phase "debugging" (fun () ->
+          Serve.Query.replay ?pool
+            ~config:(ctl_config_of degraded max_rs)
+            (Serve.Render.stdout_sink ()) ~dump src)
+    in
+    Option.iter Exec.Pool.shutdown pool;
+    ignore (ok_or_fail r);
     profile_write pout ptrace
   in
   Cmd.v
@@ -901,20 +869,6 @@ let proto_cmd =
       value & flag
       & info [ "no-replay" ]
           ~doc:"Skip guided-replay validation of deadlock certificates.")
-  in
-  let json_str s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    "\"" ^ Buffer.contents b ^ "\""
   in
   let run file format dot budget bound no_replay =
     let p = compile_or_die (read_source file) in

@@ -44,10 +44,11 @@ type hole = {
   h_reason : string;
 }
 
-(* A sync link whose source event has no node yet. [l_pos] fixes its
-   place in the order {!prefetch} visits pending links: every assembly
-   and every [why] reverse that order, and the links an assembly adds
-   are visited last, latest event first. *)
+(* A sync link whose source event has no node yet. [l_pos] fixes the
+   order in which {!link_fragment} connects the links that share a
+   source event: every assembly and every [why] reverse that order, and
+   the links an assembly adds come last, latest event first. The graph
+   dumps pin the resulting edge order. *)
 type link = { l_src : E.eref; l_dst : int; l_pos : int }
 
 type t = {
@@ -63,9 +64,7 @@ type t = {
   ivs : L.interval array array;  (* per pid *)
   outcomes : (int * int, Emulator.outcome) Hashtbl.t;
       (* intervals whose fragment is in the graph *)
-  mutable pool : Exec.Pool.t option;
-      (* None = the bit-identical serial path; {!detach_pool} drops a
-         shut-down pool so later queries fall back to serial replay *)
+  pool : Exec.Pool.t option;  (* None = the bit-identical serial path *)
   shared : Fragcache.t option;
       (* cross-controller fragment cache (one per log identity in the
          `ppd serve` registry); clean outcomes are published here and
@@ -74,13 +73,8 @@ type t = {
       (* tier of the *original* source ("content"/"order") — the shared
          cache key prefix, so outcomes derived from a reconstructed
          order log never mix with directly-recorded ones *)
-  frag_lock : Mutex.t;
-  frags : (int * int, Emulator.outcome) Hashtbl.t;
-      (* raw replay outcomes produced by pool workers (batch or
-         speculative), not yet assembled into the graph; every access
-         goes through [frag_lock] *)
   inflight : (int * int, Emulator.outcome Exec.Pool.future) Hashtbl.t;
-      (* submitted to the pool, result not yet collected; main-domain
+      (* replays submitted to the pool, not yet assembled; main-domain
          state, so no lock *)
   by_src : link list IT.t;
       (* pending sync links by source event ({!event_key}): each node an
@@ -94,15 +88,6 @@ type t = {
   mutable links_desc : bool;
   mutable replays : int;
   mutable replay_steps : int;
-  mutable spec_steps : int;
-      (* replay work charged against the watchdog budget that
-         [replay_steps] does not see: steps burned by speculative
-         prefetch replays (awaited in {!prefetch}) and by overrun
-         attempts (which never assemble). [prefetch] stops submitting
-         once [replay_steps + spec_steps] reaches the budget, so a
-         [--degraded] run cannot keep burning budget-sized replays
-         silently. *)
-  mutable prefetched : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
   config : config;
@@ -114,7 +99,6 @@ type stats = {
   replays : int;
   replay_steps : int;
   intervals_total : int;
-  prefetched : int;
   cache_hits : int;
   cache_misses : int;
   holes : int;
@@ -123,14 +107,12 @@ type stats = {
 
 (* Debugging-phase counters (no-ops until [Obs.enable]). A cache
    "lookup" is one [build_interval] assembly request; it "hits" when
-   the outcome already exists (assembled, speculative fragment, or in
-   flight on the pool) and "misses" when a serial replay is forced —
+   the outcome already exists (assembled, submitted to the pool, or in
+   the shared cache) and "misses" when a serial replay is forced —
    exactly one of the two per lookup, so hits + misses = lookups. *)
 let c_replays = Obs.counter "ppd.controller.replays"
 
 let c_replay_steps = Obs.counter "ppd.controller.replay_steps"
-
-let c_prefetched = Obs.counter "ppd.controller.prefetched"
 
 let c_lookups = Obs.counter "ppd.controller.cache.lookups"
 
@@ -182,8 +164,6 @@ let start_paged ?pool ?shared ?(config = default_config) eb src =
     pool;
     shared;
     src_tier = L.tier_name tier;
-    frag_lock = Mutex.create ();
-    frags = Hashtbl.create 16;
     inflight = Hashtbl.create 16;
     by_src = IT.create 16;
     by_dst = IT.create 16;
@@ -192,8 +172,6 @@ let start_paged ?pool ?shared ?(config = default_config) eb src =
     links_desc = false;
     replays = 0;
     replay_steps = 0;
-    spec_steps = 0;
-    prefetched = 0;
     cache_hits = 0;
     cache_misses = 0;
     config;
@@ -203,13 +181,6 @@ let start_paged ?pool ?shared ?(config = default_config) eb src =
 
 let start ?pool ?shared ?config eb log =
   start_paged ?pool ?shared ?config eb (Store.Segment.of_log log)
-
-(* Forget the pool: later queries replay serially on the calling
-   domain. In-flight futures stay consumable (a shut-down pool has
-   drained every queued task, so they are already resolved); only new
-   submissions stop. This is what lets a {!Session} answer queries
-   after its pool was shut down instead of raising. *)
-let detach_pool t = t.pool <- None
 
 (* The log slice an interval's emulation touches: entries
    [iv_prelog - 1 .. iv_postlog] (the preceding sync record through the
@@ -232,7 +203,7 @@ let pardyn t = Lazy.force t.pd
 
 let intervals t ~pid = t.ivs.(pid)
 
-(* Links in the order [prefetch] visits them. *)
+(* Links in the order [link_fragment] connects them. *)
 let in_visit_order t links =
   let asc a b = Int.compare a.l_pos b.l_pos in
   List.sort (if t.links_desc then fun a b -> asc b a else asc) links
@@ -303,46 +274,18 @@ let shared_mem t (pid, iv_id) =
   | None -> false
   | Some sh -> Fragcache.mem sh (t.src_tier, pid, iv_id)
 
-(* Fetch (and drop) a worker-produced fragment, if one landed. *)
-let take_frag t key =
-  Mutex.lock t.frag_lock;
-  let o = Hashtbl.find_opt t.frags key in
-  if o <> None then Hashtbl.remove t.frags key;
-  Mutex.unlock t.frag_lock;
-  o
-
-(* Speculatively replay [iv] on the pool; the raw outcome lands in the
-   lock-protected fragment cache. Returns whether a task was submitted
-   (false without a pool, or when the interval is already assembled,
-   cached, or in flight). *)
-let submit_replay t (iv : L.interval) =
-  match t.pool with
-  | None -> false
-  | Some pool ->
-    let key = (iv.L.iv_pid, iv.L.iv_id) in
-    let cached =
-      Mutex.lock t.frag_lock;
-      let c = Hashtbl.mem t.frags key in
-      Mutex.unlock t.frag_lock;
-      c
-    in
-    if
-      Hashtbl.mem t.outcomes key
+(* Replay [iv] on the pool, unless it is already assembled, in flight
+   or in the shared cache; {!build_interval} collects the future. *)
+let submit_replay t pool (iv : L.interval) =
+  let key = (iv.L.iv_pid, iv.L.iv_id) in
+  if
+    not
+      (Hashtbl.mem t.outcomes key
       || Hashtbl.mem t.inflight key
-      || cached || shared_mem t key
-    then false
-    else begin
-      let fut =
-        Exec.Pool.submit pool (fun () ->
-            let o = replay_outcome t iv in
-            Mutex.lock t.frag_lock;
-            Hashtbl.replace t.frags key o;
-            Mutex.unlock t.frag_lock;
-            o)
-      in
-      Hashtbl.replace t.inflight key fut;
-      true
-    end
+      || shared_mem t key)
+  then
+    Hashtbl.replace t.inflight key
+      (Exec.Pool.submit pool (fun () -> replay_outcome t iv))
 
 (* An inert outcome standing in for an interval we could not replay:
    no events means no nodes, so downstream resolution simply fails to
@@ -434,26 +377,19 @@ let build_interval (t : t) ~pid ~iv_id =
   | None ->
     let iv = t.ivs.(pid).(iv_id) in
     let acquire () =
-      match take_frag t key with
-      | Some o ->
+      match Hashtbl.find_opt t.inflight key with
+      | Some fut ->
         hit ();
-        o
+        Exec.Pool.await fut
       | None -> (
-        match Hashtbl.find_opt t.inflight key with
-        | Some fut ->
+        match shared_find t key with
+        | Some o ->
           hit ();
-          let o = Exec.Pool.await fut in
-          ignore (take_frag t key);
           o
-        | None -> (
-          match shared_find t key with
-          | Some o ->
-            hit ();
-            o
-          | None ->
-            Obs.incr c_misses;
-            t.cache_misses <- t.cache_misses + 1;
-            replay_outcome t iv))
+        | None ->
+          Obs.incr c_misses;
+          t.cache_misses <- t.cache_misses + 1;
+          replay_outcome t iv)
     in
     let is_hole = ref false in
     let hole reason =
@@ -463,17 +399,11 @@ let build_interval (t : t) ~pid ~iv_id =
     let outcome =
       match with_retries t iv acquire with
       | o ->
-        if o.Emulator.overrun then begin
-          (* the attempt burned its whole budget before the watchdog
-             tripped; charge that work so eager speculation cannot keep
-             launching budget-sized replays after the cap is blown *)
-          t.spec_steps <- t.spec_steps + o.Emulator.steps;
-          if t.config.degraded then hole "replay step budget exhausted"
-          else
-            raise
-              (Replay_overrun { pid; iv_id; budget = t.config.max_replay_steps })
-        end
-        else o
+        if not o.Emulator.overrun then o
+        else if t.config.degraded then hole "replay step budget exhausted"
+        else
+          raise
+            (Replay_overrun { pid; iv_id; budget = t.config.max_replay_steps })
       | exception
           ((Fault.Injected _ | Store.Segment.Unreadable _
            | Emulator.Replay_mismatch _) as e)
@@ -513,14 +443,12 @@ let build_interval (t : t) ~pid ~iv_id =
    pool, then assemble in list order on this domain. Without a pool
    this degenerates to the serial loop and builds the same graph. *)
 let build_intervals_par t keys =
-  (match t.pool with
-  | None -> ()
-  | Some _ ->
-    List.iter
-      (fun (pid, iv_id) ->
-        if not (Hashtbl.mem t.outcomes (pid, iv_id)) then
-          ignore (submit_replay t t.ivs.(pid).(iv_id)))
-      keys);
+  Option.iter
+    (fun pool ->
+      List.iter
+        (fun (pid, iv_id) -> submit_replay t pool t.ivs.(pid).(iv_id))
+        keys)
+    t.pool;
   List.iter (fun (pid, iv_id) -> ignore (build_interval t ~pid ~iv_id)) keys
 
 let enclosing_interval t (r : E.eref) =
@@ -790,88 +718,6 @@ let resolve_external t node_id =
       else resolve_param t node_id iv)
   | _ -> None
 
-(* Eager mode: after a query pins an interval, speculatively emulate
-   its dependence frontier on idle domains — the source intervals of
-   pending sync links (the partner fragments a [why] on a sync node
-   will need), and for each unresolved external the intervals its
-   resolution would emulate: parent or spawner for parameters, the
-   DEFINED-set shared-write candidates (§6.3) for globals, most recent
-   first. Purely speculative: only raw outcomes are produced, into the
-   fragment cache; the graph is untouched, so query results stay
-   deterministic. Returns the number of replays submitted. *)
-let prefetch ?(max_candidates = 8) t =
-  match t.pool with
-  | None -> 0
-  | Some _ ->
-    let n = ref 0 in
-    let submitted = ref [] in
-    (* Speculative replays are charged against the same watchdog budget
-       as demand replays (PPD060): once the charged account — assembled
-       work plus earlier speculation and overrun attempts — reaches
-       [max_replay_steps], eager mode submits nothing more. Without the
-       charge, a [--degraded] run with a tight budget would keep
-       launching budget-sized speculative replays, silently exceeding
-       the cap it was asked to respect. *)
-    let spec iv =
-      if
-        t.replay_steps + t.spec_steps < t.config.max_replay_steps
-        && submit_replay t iv
-      then begin
-        incr n;
-        submitted := (iv.L.iv_pid, iv.L.iv_id) :: !submitted
-      end
-    in
-    List.iter
-      (fun l ->
-        match enclosing_interval t l.l_src with
-        | Some iv -> spec iv
-        | None -> ())
-      (in_visit_order t (IT.fold (fun _ l acc -> l :: acc) t.by_dst []));
-    List.iter
-      (fun (node_id, (var : P.var)) ->
-        match interval_of_node t node_id with
-        | None -> ()
-        | Some (reader, iv) ->
-          if P.is_global var then begin
-            let read_step =
-              Store.Segment.snapshot_step t.src ~pid:iv.L.iv_pid
-                ~reader_seq:reader.E.eseq
-            in
-            let cands =
-              shared_write_candidates t ~vid:var.P.vid ~read_step
-                ~reading_iv:iv
-            in
-            List.iteri (fun i c -> if i < max_candidates then spec c) cands
-          end
-          else
-            (match iv.L.iv_parent with
-            | Some parent_id -> spec t.ivs.(iv.L.iv_pid).(parent_id)
-            | None -> (
-              match spawner_ref t iv with
-              | Some r -> (
-                match enclosing_interval t r with
-                | Some siv -> spec siv
-                | None -> ())
-              | None -> ())))
-      (Dyn_graph.externals t.g);
-    (* Collect and charge the speculative work before returning, in
-       submission order, so the account (and thus later submission
-       decisions) is identical across [-jN]. A failed task charges
-       nothing here — its exception is still delivered, with retries,
-       when the interval is assembled. *)
-    List.iter
-      (fun key ->
-        match Hashtbl.find_opt t.inflight key with
-        | None -> ()
-        | Some fut -> (
-          match Exec.Pool.await fut with
-          | o -> t.spec_steps <- t.spec_steps + o.Emulator.steps
-          | exception _ -> ()))
-      (List.rev !submitted);
-    t.prefetched <- t.prefetched + !n;
-    Obs.add c_prefetched !n;
-    !n
-
 let why t node_id =
   (* build the partner fragment of a pending sync link into this node *)
   (match IT.find_opt t.by_dst node_id with
@@ -890,7 +736,6 @@ let stats (t : t) =
     replays = t.replays;
     replay_steps = t.replay_steps;
     intervals_total = Array.fold_left (fun a ivs -> a + Array.length ivs) 0 t.ivs;
-    prefetched = t.prefetched;
     cache_hits = t.cache_hits;
     cache_misses = t.cache_misses;
     holes = List.length t.holes_rev;

@@ -87,10 +87,9 @@ val start_paged :
     decoded (through the reader's window LRU). Flowback answers are
     identical to {!start} on the same execution.
 
-    With [pool], interval emulation can run on the pool's domains
-    ({!build_intervals_par}, {!prefetch}); graph assembly stays on the
-    querying domain, so the resulting graph is byte-identical to the
-    serial one. With [shared], raw replay outcomes are exchanged with
+    With [pool], {!build_intervals_par} emulates intervals on the
+    pool's domains; graph assembly stays on the querying domain, so
+    the resulting graph is byte-identical to the serial one. With [shared], raw replay outcomes are exchanged with
     every other controller bound to the same {!Fragcache} (the `ppd
     serve` registry keeps one per opened log): clean outcomes are
     published after assembly and the cache is consulted before any
@@ -107,11 +106,6 @@ val start_paged :
     when the re-execution does not match the recorded sync order, or
     [Store.Segment.Unreadable] when a page of the order log cannot be
     read; neither failure is cached. *)
-
-val detach_pool : t -> unit
-(** Forget the pool: subsequent queries replay serially on the calling
-    domain instead of raising on a shut-down pool. Used by
-    {!Session.close} so a closed session stays queryable. *)
 
 val holes : t -> hole list
 (** Holes declared so far, in assembly order (deterministic across
@@ -130,8 +124,8 @@ val intervals : t -> pid:int -> Trace.Log.interval array
 
 val build_interval : t -> pid:int -> iv_id:int -> Emulator.outcome
 (** Emulate the interval (if not already built) and add its fragment to
-    the graph. Consumes a pool-produced fragment when one is cached or
-    in flight instead of replaying again. *)
+    the graph. Awaits a replay submitted to the pool instead of
+    replaying again. *)
 
 val build_intervals_par : t -> (int * int) list -> unit
 (** Batch-emulate a set of [(pid, iv_id)] intervals: every missing
@@ -139,23 +133,6 @@ val build_intervals_par : t -> (int * int) list -> unit
     assembled into the graph in list order on the calling domain — so
     the graph equals the one a serial [build_interval] loop over the
     same list would build. *)
-
-val prefetch : ?max_candidates:int -> t -> int
-(** Eager mode: speculatively emulate the dependence frontier of what
-    is built so far on idle pool domains — pending sync-link partner
-    intervals and, per unresolved external, the intervals resolution
-    would try (parent/spawner for parameters; up to [max_candidates]
-    DEFINED-set shared-write candidates for globals, default 8). Only
-    raw outcomes are produced, never graph nodes, so queries stay
-    deterministic. Returns the number of replays submitted; [0]
-    without a pool.
-
-    Speculative work is charged against [config.max_replay_steps], the
-    same budget the PPD060 watchdog enforces on demand replays: once
-    the controller's charged account (assembled work plus earlier
-    speculation and overrun attempts) reaches the budget, no further
-    speculative replays are submitted — so a [--degraded] run with a
-    tight budget cannot silently burn unbounded speculative steps. *)
 
 val node_of_event : t -> Runtime.Event.eref -> int option
 (** Locate the graph node for an event, building its enclosing interval
@@ -184,10 +161,9 @@ type stats = {
   replays : int;  (** intervals assembled into the graph so far *)
   replay_steps : int;  (** interpreter steps spent emulating *)
   intervals_total : int;  (** intervals available in the log *)
-  prefetched : int;  (** speculative replays submitted by {!prefetch} *)
   cache_hits : int;
       (** assembly requests answered without a fresh serial replay
-          (already assembled, pool fragment, in flight, or shared
+          (already assembled, submitted to the pool, or shared
           cache) — this instance only, always live unlike the Obs
           mirror *)
   cache_misses : int;  (** assembly requests that forced a serial replay *)

@@ -609,9 +609,8 @@ let check_postlog st ~single_process =
         vals
     | _ -> [])
 
-(* Every interval emulation, whether demanded by a query or speculated
-   by the prefetcher — so this is always ≥ the controller's assembled
-   replay count. *)
+(* Every interval emulation: demand and pool replays, retries and
+   what-if runs alike. *)
 let c_replays = Obs.counter "ppd.emulator.replays"
 
 (* Chaos site: when armed with kind [budget] the Nth replay's step

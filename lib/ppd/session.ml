@@ -6,18 +6,12 @@ type t = {
   machine : M.t;
   log : Trace.Log.t;
   pardyn_rt : Pardyn.t option;
-  jobs : int;
-  ctl_config : Controller.config option;
-  mutable pool : Exec.Pool.t option;
-  mutable ctl : Controller.t option;
-  mutable closed : bool;
-      (* mirrors the Pool.shutdown joined flag: close is idempotent,
-         and a closed session never creates another pool *)
+  ctl : Controller.t Lazy.t;
 }
 
 let of_program ?(engine = M.Vm_engine) ?(sched = Runtime.Sched.default)
     ?(max_steps = 1_000_000) ?policy ?(race_sets = true) ?breakpoints
-    ?log_sink ?(log_order = false) ?ckpt_every ?(jobs = 1) ?ctl_config prog =
+    ?log_sink ?(log_order = false) ?ckpt_every prog =
   let eb = Analysis.Eblock.analyze ?policy prog in
   (* Order-tier recording (DESIGN §16) must remember how to re-execute:
      the tier metadata names the scheduler, engine and step budget. *)
@@ -34,24 +28,20 @@ let of_program ?(engine = M.Vm_engine) ?(sched = Runtime.Sched.default)
   in
   let machine = M.create ~engine ~sched ~max_steps ~hooks ?breakpoints prog in
   let halt = Obs.phase "execution" (fun () -> M.run machine) in
+  let log = Trace.Logger.finish logger in
   {
     eb;
     halt;
     machine;
-    log = Trace.Logger.finish logger;
+    log;
     pardyn_rt = Option.map Pardyn.finish obs;
-    jobs = max 1 jobs;
-    ctl_config;
-    pool = None;
-    ctl = None;
-    closed = false;
+    ctl = lazy (Controller.start eb log);
   }
 
 let run ?engine ?sched ?max_steps ?policy ?race_sets ?breakpoints ?log_sink
-    ?log_order ?ckpt_every ?jobs ?ctl_config src =
+    ?log_order ?ckpt_every src =
   of_program ?engine ?sched ?max_steps ?policy ?race_sets ?breakpoints
-    ?log_sink ?log_order ?ckpt_every ?jobs ?ctl_config
-    (Lang.Compile.compile src)
+    ?log_sink ?log_order ?ckpt_every (Lang.Compile.compile src)
 
 let prog t = t.eb.Analysis.Eblock.prog
 
@@ -65,35 +55,7 @@ let output t = M.output t.machine
 
 let log t = t.log
 
-let controller t =
-  match t.ctl with
-  | Some c -> c
-  | None ->
-    let pool =
-      if t.jobs > 1 && not t.closed then begin
-        let p = Exec.Pool.create ~jobs:t.jobs () in
-        t.pool <- Some p;
-        Some p
-      end
-      else None
-    in
-    let c = Controller.start ?pool ?config:t.ctl_config t.eb t.log in
-    t.ctl <- Some c;
-    c
-
-let shutdown t =
-  if not t.closed then begin
-    t.closed <- true;
-    (* detach before joining: once the pool is gone the controller
-       must fall back to serial replay instead of raising on submit *)
-    (match t.ctl with Some c -> Controller.detach_pool c | None -> ());
-    (match t.pool with Some p -> Exec.Pool.shutdown p | None -> ());
-    t.pool <- None
-  end
-
-let close = shutdown
-
-let closed t = t.closed
+let controller t = Lazy.force t.ctl
 
 let pardyn t =
   match t.pardyn_rt with
@@ -104,13 +66,12 @@ let races t = (Race.detect (pardyn t)).Race.races
 
 let deadlock t = Deadlock.analyze t.machine
 
-let error_node t =
-  let pid =
-    match t.halt with
-    | M.Fault { pid; _ } | M.Breakpoint { pid; _ } -> pid
-    | M.Finished | M.Deadlock _ | M.Out_of_fuel -> 0
-  in
-  Controller.last_event_node (controller t) ~pid
+let halt_pid t =
+  match t.halt with
+  | M.Fault { pid; _ } | M.Breakpoint { pid; _ } -> pid
+  | M.Finished | M.Deadlock _ | M.Out_of_fuel -> 0
+
+let error_node t = Controller.last_event_node (controller t) ~pid:(halt_pid t)
 
 let what_if t ~pid ~iv_id ~overrides =
   let p = prog t in

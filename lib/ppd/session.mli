@@ -19,25 +19,20 @@ val run :
   ?log_sink:Trace.Logger.sink ->
   ?log_order:bool ->
   ?ckpt_every:int ->
-  ?jobs:int ->
-  ?ctl_config:Controller.config ->
   string ->
   t
 (** Compile and execute MPL source with logging attached.
     [race_sets] (default [true]) also attaches the {!Pardyn.observer}
-    so races can be detected; switch it off to measure pure logging
-    overhead. [log_sink] additionally streams every log entry out as it
-    is produced (e.g. a {!Store.Segment.Writer} appending the durable
-    segment file). [jobs] (default [1]) sets the size of the domain
-    pool the debugging phase may replay intervals on; [1] is the
-    serial path and both build byte-identical graphs. [ctl_config]
-    sets the controller's degraded-mode policy (retries, watchdog,
-    hole declaration — see {!Controller.config}). [log_order] (default
-    [false]) records an order-tier log instead of a content log (DESIGN
-    §16): only the sync-event partial order plus a checkpoint every
-    [ckpt_every] machine steps ({!Trace.Logger.default_ckpt_every}) —
-    the debugging phase then reconstructs the content log by validated
-    re-execution on first use of the controller. Raises
+    so races can be detected; switch it off when nothing reads the
+    race sets, and the run records with the logger alone. [log_sink]
+    additionally streams every log entry out as it is produced (e.g. a
+    {!Store.Segment.Writer} appending the durable segment file).
+    [log_order] (default [false]) records an order-tier log instead of
+    a content log (DESIGN §16): only the sync-event partial order plus
+    a checkpoint every [ckpt_every] machine steps
+    ({!Trace.Logger.default_ckpt_every}) — the debugging phase then
+    reconstructs the content log by validated re-execution on first
+    use of the controller. Raises
     {!Lang.Diag.Error} on front-end errors, [Invalid_argument] when
     [log_order] is combined with a scripted/guided scheduler (no spec
     string to record). *)
@@ -52,8 +47,6 @@ val of_program :
   ?log_sink:Trace.Logger.sink ->
   ?log_order:bool ->
   ?ckpt_every:int ->
-  ?jobs:int ->
-  ?ctl_config:Controller.config ->
   Lang.Prog.t ->
   t
 (** [breakpoints] halt the machine after any of the given statements
@@ -73,20 +66,8 @@ val output : t -> string
 val log : t -> Trace.Log.t
 
 val controller : t -> Controller.t
-(** Created on first use; cached. When the session was created with
-    [jobs > 1], the controller gets a domain pool of that size. *)
-
-val shutdown : t -> unit
-(** Join the session's pool domains, if a pool was created. Idempotent
-    (a closed session never joins or creates a pool again), and the
-    controller keeps answering queries afterwards: the pool is detached
-    first, so later [build_interval]s replay serially instead of
-    raising on a shut-down pool. *)
-
-val close : t -> unit
-(** Alias of {!shutdown} — the registry-facing name. *)
-
-val closed : t -> bool
+(** A serial controller over the session's log with the default
+    {!Controller.config}, created on first use and cached. *)
 
 val pardyn : t -> Pardyn.t
 (** With access sets when [race_sets] was on; otherwise from the log. *)
@@ -95,10 +76,13 @@ val races : t -> Race.race list
 
 val deadlock : t -> Deadlock.analysis
 
+val halt_pid : t -> int
+(** The process debugging starts from: the faulting or breakpoint
+    process, or the main process 0 when the run did not stop in one. *)
+
 val error_node : t -> int option
 (** The dynamic-graph node at which debugging starts: the last event of
-    the faulting process (for faults), or of the main process
-    otherwise. *)
+    {!halt_pid}. *)
 
 val explain_halt : t -> string
 (** One-paragraph description of why execution stopped. *)

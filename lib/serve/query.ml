@@ -1,7 +1,7 @@
-(* The one query path: open a saved log, answer under the one failure
-   map, render through Render. The CLI and the daemon both call it, so
-   every message below is the only copy, and names no front end's flag
-   or parameter. *)
+(* The one query path: open a saved log or take a finished run's, answer
+   under the one failure map, render through Render. The CLI and the
+   daemon both call it, so every message below is the only copy, and
+   names no front end's flag or parameter. *)
 
 let error code message =
   {
@@ -71,8 +71,10 @@ let exit_table =
     ("PPD062", 8);
   ]
 
+type origin = Saved of string | Run of Ppd.Session.t
+
 type source = {
-  log : string;
+  origin : origin;
   eb : Analysis.Eblock.t;
   reader : Store.Segment.reader;
 }
@@ -80,27 +82,39 @@ type source = {
 let open_source ?budget ~policy ~log prog =
   let eb = Analysis.Eblock.analyze ~policy prog in
   guard (fun () ->
-      { log; eb; reader = Store.Segment.open_file ?budget log })
+      { origin = Saved log; eb; reader = Store.Segment.open_file ?budget log })
+
+let of_session s =
+  {
+    origin = Run s;
+    eb = Ppd.Session.eblocks s;
+    reader = Store.Segment.of_log (Ppd.Session.log s);
+  }
 
 let nprocs src = Store.Segment.nprocs src.reader
 
 (* Header, a fresh controller, the report: the shape of every answer. *)
 let answer ?pool ?shared ~config sink src report =
   guard (fun () ->
-      Render.header sink ~path:src.log
-        ~version:Store.Segment.format_version
-        ~nprocs:(nprocs src);
+      (match src.origin with
+      | Saved log ->
+        Render.header sink ~path:log ~version:Store.Segment.format_version
+          ~nprocs:(nprocs src)
+      | Run s -> sink.Render.out (Ppd.Session.explain_halt s ^ "\n"));
       let ctl =
         Ppd.Controller.start_paged ?pool ?shared ~config src.eb src.reader
       in
       report ctl;
       Ppd.Controller.stats ctl)
 
-let flowback ?pool ?shared ~config sink ~depth ~dot src =
-  answer ?pool ?shared ~config sink src (fun ctl ->
+let flowback ?shared ~config sink ~depth ~dot src =
+  answer ?shared ~config sink src (fun ctl ->
+      let pid =
+        match src.origin with Saved _ -> 0 | Run s -> Ppd.Session.halt_pid s
+      in
       let root =
         if nprocs src = 0 then None
-        else Ppd.Controller.last_event_node ctl ~pid:0
+        else Ppd.Controller.last_event_node ctl ~pid
       in
       Render.flowback_report sink ~depth ~dot ctl root)
 

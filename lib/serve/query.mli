@@ -1,8 +1,9 @@
-(** The one query path over a saved log (DESIGN §14.3).
+(** The one query path over a log (DESIGN §14.3).
 
     The one-shot CLI and the daemon both answer a debugging question
-    through this module: open a {!source}, run the question under the
-    one failure map, and render the answer through {!Render}. A failure
+    through this module: open a {!source} (a saved log, or the log of a
+    run that just finished), run the question under the one failure
+    map, and render the answer through {!Render}. A failure
     is one {!Lang.Diag.diagnostic}; the CLI prints it and exits with
     its {!exit_table} status, the daemon answers its code and message.
     So both front ends report a failure with the same message, byte for
@@ -33,8 +34,19 @@ val exit_table : (string * int) list
 
 (** {1 Sources} *)
 
+(** Where a source's log comes from. *)
+type origin =
+  | Saved of string
+      (** a log file, by path: the answer's first line is the
+          "debugging saved log …" banner and flowback starts from
+          process 0 *)
+  | Run of Ppd.Session.t
+      (** a finished run's in-memory log: the answer's first line is
+          {!Ppd.Session.explain_halt} and flowback starts from
+          {!Ppd.Session.halt_pid} *)
+
 type source = {
-  log : string;  (** the log's path, as the answer's header names it *)
+  origin : origin;
   eb : Analysis.Eblock.t;  (** the analysed program *)
   reader : Store.Segment.reader;
 }
@@ -48,16 +60,20 @@ val open_source :
 (** Analyse the program and open the log; the reader's page cache joins
     [budget] when one is given. PPD050 when the log cannot be read. *)
 
+val of_session : Ppd.Session.t -> source
+(** The session's program and its log, read through
+    {!Store.Segment.of_log}. *)
+
 (** {1 Answers}
 
     Each answer starts a fresh controller over the source ([pool] and
-    [shared] as in {!Ppd.Controller.start_paged}), writes the header
-    and the report into the sink, and returns the controller's
-    statistics. An order-tier log is reconstructed here, or taken from
-    [shared]. On a failure the sink may hold a partial answer. *)
+    [shared] as in {!Ppd.Controller.start_paged}), writes the source's
+    first line and the report into the sink, and returns the
+    controller's statistics. An order-tier log is reconstructed here,
+    or taken from [shared]. On a failure the sink may hold a partial
+    answer. *)
 
 val flowback :
-  ?pool:Exec.Pool.t ->
   ?shared:Ppd.Fragcache.t ->
   config:Ppd.Controller.config ->
   Render.sink ->
@@ -65,8 +81,10 @@ val flowback :
   dot:string option ->
   source ->
   (Ppd.Controller.stats, Lang.Diag.diagnostic) result
-(** Flowback from the last event of process 0 ("no events to debug"
-    for a log without processes). *)
+(** Flowback from the last event of the source's root process ("no
+    events to debug" for a log without processes). Flowback replays
+    only what the walk demands, on the calling domain, so it takes no
+    pool. *)
 
 val replay :
   ?pool:Exec.Pool.t ->

@@ -1,5 +1,5 @@
-(* Shared rendering for the `--load` debugging answers (CLI stdout and
-   daemon responses). The format strings here are the only copy; the
+(* Shared rendering for the debugging answers (CLI stdout and daemon
+   responses). The format strings here are the only copy; the
    cram suite pins the bytes. *)
 
 type sink = { out : string -> unit; ppf : Format.formatter }

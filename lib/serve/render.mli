@@ -1,10 +1,10 @@
-(** The one rendering path for the `--load` debugging answers.
+(** The one rendering path for the debugging answers.
 
     Both the one-shot CLI and the daemon produce their
-    `flowback`/`replay` reports through these functions, so a daemon
-    response is byte-identical to the CLI answer on the same saved log
-    {e by construction} — there is no second copy of the format
-    strings to drift. The CLI renders into stdout; the daemon renders
+    `flowback`/`replay` reports through these functions ({!Query} calls
+    them), so a daemon response is byte-identical to the CLI answer on
+    the same saved log {e by construction} — there is no second copy
+    of the format strings to drift. The CLI renders into stdout; the daemon renders
     into a buffer that becomes the JSON result's [output] field. *)
 
 type sink = {

@@ -57,6 +57,7 @@ let default_config =
    other. *)
 type entry = {
   e_key : string;
+  e_log : string;  (* the log's path *)
   e_src : Query.source;
   e_frag : Ppd.Fragcache.t;
   mutable e_refs : int;
@@ -341,6 +342,7 @@ let acquire_entry t ~log ~program ~inline ~loops : entry rpc_result =
     Ok
       {
         e_key = key;
+        e_log = log;
         e_src = src;
         e_frag = Ppd.Fragcache.create ?budget:t.budget ();
         e_refs = 0;
@@ -580,25 +582,24 @@ let query_result s ~output (st : Ppd.Controller.stats) =
 
 (* Answer a flowback or replay question into a buffer that becomes the
    result's [output]. *)
-let m_answer t s e ~deadline params ask =
+let m_answer s e ~deadline params ask =
   let* config = ctl_config s ~deadline params in
   let buf = Buffer.create 1024 in
   let* st =
     answered
-      (ask ?pool:t.pool ?shared:(Some e.e_frag) ~config (Render.buffer_sink buf)
-         e.e_src)
+      (ask ?shared:(Some e.e_frag) ~config (Render.buffer_sink buf) e.e_src)
   in
   Ok (query_result s ~output:(Buffer.contents buf) st)
 
 let m_flowback t s ~deadline params =
   let* e = p_handle t s params in
   let* depth = p_int_opt params "depth" ~default:4 in
-  m_answer t s e ~deadline params (Query.flowback ~depth ~dot:None)
+  m_answer s e ~deadline params (Query.flowback ~depth ~dot:None)
 
 let m_replay t s ~deadline params =
   let* e = p_handle t s params in
   let* dump = p_bool_opt params "dump" ~default:false in
-  m_answer t s e ~deadline params (Query.replay ~dump)
+  m_answer s e ~deadline params (Query.replay ?pool:t.pool ~dump)
 
 let m_race t s ~deadline params =
   let* e = p_handle t s params in
@@ -609,7 +610,7 @@ let m_race t s ~deadline params =
              ~max_replay_steps:max_replay_steps_cap
          in
          let ctl =
-           Ppd.Controller.start_paged ?pool:t.pool ~shared:e.e_frag ~config
+           Ppd.Controller.start_paged ~shared:e.e_frag ~config
              e.e_src.eb e.e_src.reader
          in
          let pd = Ppd.Controller.pardyn ctl in
@@ -693,7 +694,7 @@ let m_stats t s params =
   Ok
     (J.Obj
        [
-         ("log", J.Str e.e_src.log);
+         ("log", J.Str e.e_log);
          ("version", J.Int Store.Segment.format_version);
          ("nprocs", J.Int (Store.Segment.nprocs r));
          ("bytes", J.Int (Store.Segment.file_bytes r));
@@ -867,7 +868,7 @@ let heavy t s p (body : Resil.Deadline.t -> J.t rpc_result) =
         Mutex.lock t.lock;
         let st = Hashtbl.find_opt s.s_handles h in
         Mutex.unlock t.lock;
-        match st with Some (H_live e) -> Some e.e_src.log | _ -> None)
+        match st with Some (H_live e) -> Some e.e_log | _ -> None)
       | _ -> None
     in
     let r =

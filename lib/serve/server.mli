@@ -23,7 +23,9 @@
     [attach], stale handles answering PPD092. *)
 
 type config = {
-  jobs : int;  (** pool size shared by every session; 1 = serial *)
+  jobs : int;
+      (** size of the pool replay requests share across sessions;
+          1 = serial *)
   max_active : int;  (** heavy requests executing at once *)
   max_queue : int;  (** heavy requests waiting; beyond this, PPD084 *)
   max_open_logs : int;  (** per-session open handles; beyond, PPD085 *)
@@ -57,9 +59,7 @@ val create : ?config:config -> ?journal:string -> ?resume:string -> unit -> t
 val config : t -> config
 
 val shutdown : t -> unit
-(** Join the shared pool and close the journal (idempotent). Sessions
-    stay answerable on the serial path, mirroring {!Ppd.Session.close}
-    semantics. *)
+(** Join the shared pool and close the journal (idempotent). *)
 
 val session : t -> session
 (** Register a new session (one per connection). *)

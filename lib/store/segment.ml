@@ -337,6 +337,9 @@ module Writer = struct
 
   let finalize w ~stops =
     if not w.finalized then begin
+      (* a process that logged nothing still has a stop: the footer
+         covers every process the stops name *)
+      if Array.length stops > 0 then ensure_pid w (Array.length stops - 1);
       Array.iteri (fun pid pw -> flush_page w ~pid pw) w.pids;
       w.finalized <- true;
       let fpayload = Buffer.contents (encode_footer w ~stops) in

@@ -75,7 +75,9 @@ module Writer : sig
 
   val finalize : t -> stops:int array -> unit
   (** Flush open pages, then write the footer and trailer (idempotent;
-      [sink_close] calls this). *)
+      [sink_close] calls this). The footer covers every process
+      [stops] has an entry for, including trailing ones that appended
+      nothing. *)
 
   val close : t -> unit
   (** Flush and close. If the footer was never written (the run died

@@ -10,8 +10,8 @@
 #     durable prefix always recovers.
 #  3. A seeded fault matrix over the other injection points: bit flips
 #     are caught by fsck, read faults and replay-budget exhaustion
-#     degrade to holes, and a transient pool fault leaves -j4 output
-#     byte-identical to a clean -j1 run.
+#     degrade to holes, and a transient pool fault leaves the -j4
+#     replay dump byte-identical to a clean -j1 run.
 #  4. The same truncation contract over an order-tier log (sync order +
 #     checkpoint frames + tier footer), and cross-tier flowback
 #     identity on the intact file.
@@ -200,11 +200,11 @@ if [ "$code" -ne 7 ]; then
 fi
 
 # a transient pool fault is retried: -j4 under fault == clean -j1
-ppd flowback "$dir/fig61.mpl" --depth 2 -j 1 >"$dir/clean.out"
-ppd flowback "$dir/fig61.mpl" --depth 2 -j 4 \
+ppd replay "$dir/fig61.mpl" --dump -j 1 >"$dir/clean.out"
+ppd replay "$dir/fig61.mpl" --dump -j 4 \
   --fault exec.pool.task:1 >"$dir/faulted.out"
 cmp "$dir/clean.out" "$dir/faulted.out" || {
-  echo "chaos: transient pool fault changed the flowback output" >&2
+  echo "chaos: transient pool fault changed the replay output" >&2
   exit 1
 }
 

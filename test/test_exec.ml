@@ -208,14 +208,12 @@ let logged src =
   let _, log, _ = Trace.Logger.run_logged eb in
   (eb, log)
 
-(* Batch-build every interval serially, or on a pool of [jobs] domains
-   followed by a prefetch that must leave the graph untouched: the full
-   deterministic graph dump and the assembly statistics. *)
+(* Batch-build every interval serially, or on a pool of [jobs] domains:
+   the full deterministic graph dump and the assembly statistics. *)
 let build_all ?jobs eb log =
   let build pool =
     let ctl = Ppd.Controller.start ?pool eb log in
     Ppd.Controller.build_intervals_par ctl (all_keys ctl log.L.nprocs);
-    if pool <> None then ignore (Ppd.Controller.prefetch ctl);
     let st = Ppd.Controller.stats ctl in
     (dump ctl, st.Ppd.Controller.replays, st.Ppd.Controller.replay_steps)
   in
@@ -238,37 +236,6 @@ let test_par_eq_serial_fixed () =
       ("rpc", Workloads.rpc);
       ("ring", Workloads.token_ring ~procs:4 ~rounds:3);
       ("config", Workloads.config_pipeline ~workers:4 ~rounds:6);
-    ]
-
-(* Query-driven equality: the flowback slice expands intervals in
-   demand order, interleaved with external resolution — with eager
-   prefetch racing it on the pool in the parallel variant. *)
-let test_par_eq_serial_flowback () =
-  let slice_dump pool src =
-    let eb, log = logged src in
-    let ctl = Ppd.Controller.start ?pool eb log in
-    (match Ppd.Controller.last_event_node ctl ~pid:0 with
-    | Some root ->
-      if pool <> None then ignore (Ppd.Controller.prefetch ctl);
-      ignore (Ppd.Flowback.backward_slice ctl root);
-      ignore (Ppd.Controller.prefetch ctl)
-    | None -> ());
-    (dump ctl, Ppd.Controller.stats ctl)
-  in
-  List.iter
-    (fun (name, src) ->
-      let d1, s1 = slice_dump None src in
-      let d2, s2 =
-        Exec.Pool.with_pool ~jobs:4 (fun pool -> slice_dump (Some pool) src)
-      in
-      Alcotest.(check string) (name ^ " graph") d1 d2;
-      Alcotest.(check int)
-        (name ^ " replays") s1.Ppd.Controller.replays
-        s2.Ppd.Controller.replays)
-    [
-      ("config", Workloads.config_pipeline ~workers:3 ~rounds:5);
-      ("counter", Workloads.counter ~workers:3 ~incs:4 ~mutex:true);
-      ("fig61", Workloads.fig61);
     ]
 
 (* Same equality through the demand-paged segment reader: pool workers
@@ -473,8 +440,6 @@ let suite =
         test_pool_await_inside_task_rejected;
       Alcotest.test_case "parallel = serial (fixed corpus)" `Quick
         test_par_eq_serial_fixed;
-      Alcotest.test_case "parallel = serial (flowback slice)" `Quick
-        test_par_eq_serial_flowback;
       Alcotest.test_case "parallel = serial (paged reader)" `Quick
         test_par_eq_serial_paged;
       Alcotest.test_case "emulator exception does not wedge the pool" `Quick

@@ -85,35 +85,6 @@ let test_error_node_on_finish () =
       | _ -> false)
   | None -> Alcotest.fail "expected a node"
 
-(* The lifecycle regression behind the serve registry: a closed
-   session must keep answering queries (serially — the pool is
-   detached before it is joined), and closing twice must be a no-op
-   rather than a double pool join. *)
-let test_close_then_query () =
-  let s = Ppd.Session.run ~jobs:2 Workloads.fig61 in
-  let ctl = Ppd.Session.controller s in
-  Alcotest.(check bool) "open before close" false (Ppd.Session.closed s);
-  Ppd.Session.close s;
-  Alcotest.(check bool) "closed" true (Ppd.Session.closed s);
-  Ppd.Session.close s;
-  (* idempotent: a second close must not re-join the pool *)
-  let o = Ppd.Controller.build_interval ctl ~pid:1 ~iv_id:0 in
-  Alcotest.(check bool) "replay still works after close" true
-    (o.Ppd.Emulator.steps > 0);
-  let o' = Ppd.Controller.build_interval ctl ~pid:2 ~iv_id:0 in
-  Alcotest.(check bool) "repeated queries stay safe" true
-    (o'.Ppd.Emulator.steps > 0)
-
-let test_close_before_first_query () =
-  (* close before the controller ever exists: the lazy controller must
-     come up poolless instead of resurrecting domains *)
-  let s = Ppd.Session.run ~jobs:2 Workloads.fig61 in
-  Ppd.Session.close s;
-  let ctl = Ppd.Session.controller s in
-  let o = Ppd.Controller.build_interval ctl ~pid:0 ~iv_id:0 in
-  Alcotest.(check bool) "serial fallback replays" true
-    (o.Ppd.Emulator.steps > 0)
-
 let test_deadlocked_session () =
   let sched = Runtime.Sched.Scripted [ 0; 0; 0; 1; 1; 2; 2; 1; 2 ] in
   let s = Ppd.Session.run ~sched Workloads.deadlock_ab in
@@ -130,8 +101,5 @@ let suite =
         test_soundness_fixed;
       soundness_prop;
       Alcotest.test_case "error node after finish" `Quick test_error_node_on_finish;
-      Alcotest.test_case "close then query" `Quick test_close_then_query;
-      Alcotest.test_case "close before first query" `Quick
-        test_close_before_first_query;
       Alcotest.test_case "deadlocked session" `Quick test_deadlocked_session;
     ] )

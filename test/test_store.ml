@@ -54,6 +54,21 @@ let test_fixed_corpus_roundtrip () =
             (S.encoded_size log)))
     Workloads.all_fixed
 
+(* A process that logged nothing (spawned, never scheduled) is still a
+   process: the footer keeps it even when it is the highest pid. *)
+let test_trailing_empty_process () =
+  let _eb, log = run_log Workloads.fig61 in
+  let log =
+    L.content ~nprocs:(log.L.nprocs + 1)
+      ~entries:(Array.append log.L.entries [| [||] |])
+      ~stops:(Array.append log.L.stops [| 0 |])
+  in
+  with_tmp (fun path ->
+      S.save path log;
+      let r = S.open_file path in
+      Alcotest.(check int) "nprocs" log.L.nprocs (S.nprocs r);
+      Alcotest.(check (array int)) "stops" log.L.stops (S.stops r))
+
 let test_streamed_equals_memory () =
   (* the sink writes entries in execution-interleaved order; the decoded
      log must still equal the one built in memory by the logger *)
@@ -448,6 +463,8 @@ let suite =
         test_fixed_corpus_roundtrip;
       Alcotest.test_case "streamed sink = in-memory log" `Quick
         test_streamed_equals_memory;
+      Alcotest.test_case "trailing empty process survives a save" `Quick
+        test_trailing_empty_process;
       Alcotest.test_case "truncation salvages longest prefix" `Quick
         test_truncation_salvage;
       Alcotest.test_case "every byte flip detected" `Quick
