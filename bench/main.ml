@@ -442,16 +442,16 @@ let t4 () =
     "(the paper: \"bit-mask representations ... can have a large payoff\")"
 
 (* ------------------------------------------------------------------ *)
-(* T5: race detection algorithms (§7).                                  *)
+(* T5: race detection (§7): the all-pairs oracle vs the chain scan.     *)
 (* ------------------------------------------------------------------ *)
 
 let t5 () =
-  header "T5  All-pairs conflict detection (§7): naive vs per-variable index";
-  row "%-12s %8s %12s %12s %12s %12s %14s\n" "workload" "edges" "naive pairs"
-    "naive time" "index pairs" "index time" "static time";
+  header "T5  Conflicting-edge detection (§7): all-pairs oracle vs chain scan";
+  row "%-22s %8s %12s %12s %12s %12s %12s\n" "workload" "edges" "oracle tests"
+    "oracle time" "scan tests" "scan time" "static time";
   List.iter
-    (fun workers ->
-      let src = Workloads.counter ~workers ~incs:6 ~mutex:false in
+    (fun (workers, incs, mutex) ->
+      let src = Workloads.counter ~workers ~incs ~mutex in
       let prog = compile src in
       let obs = Ppd.Pardyn.observer prog in
       let m =
@@ -459,34 +459,38 @@ let t5 () =
       in
       ignore (Runtime.Machine.run m);
       let g = Ppd.Pardyn.finish obs in
-      let naive = Ppd.Race.detect ~algo:Ppd.Race.Naive g in
-      let indexed = Ppd.Race.detect ~algo:Ppd.Race.Indexed g in
-      assert (naive.Ppd.Race.races = indexed.Ppd.Race.races);
+      let oracle = Ppd.Race.all_pairs g in
+      let scan = Ppd.Race.detect g in
+      assert (oracle.Ppd.Race.races = scan.Ppd.Race.races);
       let tests =
         Test.make_grouped ~name:"t5"
           [
-            Test.make ~name:"naive"
-              (Staged.stage (fun () -> ignore (Ppd.Race.detect ~algo:Ppd.Race.Naive g)));
-            Test.make ~name:"indexed"
-              (Staged.stage (fun () ->
-                   ignore (Ppd.Race.detect ~algo:Ppd.Race.Indexed g)));
+            Test.make ~name:"oracle"
+              (Staged.stage (fun () -> ignore (Ppd.Race.all_pairs g)));
+            Test.make ~name:"scan"
+              (Staged.stage (fun () -> ignore (Ppd.Race.detect g)));
             Test.make ~name:"static"
               (Staged.stage (fun () ->
                    ignore (Analysis.Static_race.analyze prog)));
           ]
       in
       let results = measure_tests ~quota:0.25 tests in
-      row "%-12s %8d %12d %12s %12d %12s %14s\n"
-        (Printf.sprintf "%d workers" workers)
+      row "%-22s %8d %12d %12s %12d %12s %12s\n"
+        (Printf.sprintf "%dx%d %s" workers incs
+           (if mutex then "protected" else "racy"))
         (Array.length g.Ppd.Pardyn.iedges)
-        naive.Ppd.Race.pairs_examined
-        (fmt_ns (time_of results "t5/naive"))
-        indexed.Ppd.Race.pairs_examined
-        (fmt_ns (time_of results "t5/indexed"))
+        oracle.Ppd.Race.pairs_examined
+        (fmt_ns (time_of results "t5/oracle"))
+        scan.Ppd.Race.pairs_examined
+        (fmt_ns (time_of results "t5/scan"))
         (fmt_ns (time_of results "t5/static")))
-    [ 2; 4; 8; 16 ];
+    [
+      (2, 6, false); (4, 6, false); (8, 6, false); (16, 6, false);
+      (2, 150, true); (4, 150, true); (8, 150, true);
+    ];
   print_endline
-    "(static = text-only lockset analysis: schedule-independent, \
+    "(tests = Pardyn.edge_before calls for the scan, edge pairs for the \
+     oracle; static = text-only lockset analysis: schedule-independent, \
      over-approximate)"
 
 (* ------------------------------------------------------------------ *)

@@ -977,13 +977,6 @@ let proto_cmd =
       $ no_replay_arg)
 
 let race_cmd =
-  let algo_arg =
-    Arg.(
-      value
-      & opt (enum [ ("naive", Ppd.Race.Naive); ("indexed", Ppd.Race.Indexed) ])
-          Ppd.Race.Indexed
-      & info [ "algo" ] ~docv:"ALGO" ~doc:"naive or indexed detector.")
-  in
   let static_arg =
     Arg.(
       value & flag
@@ -1001,17 +994,16 @@ let race_cmd =
              communication-protocol facts first (must-orderings and \
              state exclusion), discharging more pairs.")
   in
-  let run file sched steps algo static proto format =
+  let run file sched steps static proto format =
     if static then begin
       let p = compile_or_die (read_source file) in
+      let ctx = Analysis.Lint.make_ctx p in
       let mhp =
-        let base = Analysis.Mhp.compute p in
-        if not proto then base
+        if not proto then ctx.mhp
         else begin
-          let r = Analysis.Proto.analyze ~mhp:base p in
-          match r.Analysis.Proto.refined with
+          match (Lazy.force ctx.proto).Analysis.Proto.refined with
           | Some refined ->
-            let _, d0 = Analysis.Proto.discharged_pairs p base in
+            let _, d0 = Analysis.Proto.discharged_pairs p ctx.mhp in
             let _, d1 = Analysis.Proto.discharged_pairs p refined in
             Printf.eprintf
               "protocol refinement: %d conflicting pair(s) discharged \
@@ -1022,7 +1014,7 @@ let race_cmd =
             Printf.eprintf
               "protocol refinement unavailable (exploration incomplete); \
                using the base MHP relation\n%!";
-            base
+            ctx.mhp
         end
       in
       (match format with
@@ -1031,34 +1023,21 @@ let race_cmd =
         Format.printf "%a@." (Analysis.Static_race.pp_report p) reports;
         if reports <> [] then exit 3
       | `Json ->
-        let diags =
-          if not proto then Analysis.Lint.run ~only:[ "races" ] p
-          else
-            (* the lint pass runs on the base relation; with --proto,
-               rebuild the same diagnostics over the refined one *)
-            List.map
-              (fun (r : Analysis.Static_race.report) ->
-                {
-                  Lang.Diag.d_code =
-                    (if r.pr_write_write then "PPD011" else "PPD010");
-                  d_severity = Lang.Diag.Sev_warning;
-                  d_loc = p.Lang.Prog.stmts.(r.pr_a1.acc_sid).Lang.Prog.loc;
-                  d_message =
-                    Printf.sprintf "potential %s race on shared '%s'"
-                      (if r.pr_write_write then "write/write"
-                       else "read/write")
-                      r.pr_var.Lang.Prog.vname;
-                  d_related = [];
-                })
-              (Analysis.Static_race.analyze ~mhp p)
+        let races =
+          List.find
+            (fun q -> q.Analysis.Lint.pass_name = "races")
+            Analysis.Lint.passes
         in
+        let c = Lang.Diag.create () in
+        races.pass_run { ctx with mhp } c;
+        let diags = Lang.Diag.diagnostics c in
         print_endline (Lang.Diag.json_of_diagnostics diags);
         if diags <> [] then exit 3)
     end
     else begin
       let s = session_of file sched steps 0 in
       let pd = Ppd.Session.pardyn s in
-      let stats = Ppd.Race.detect ~algo pd in
+      let stats = Ppd.Race.detect pd in
       match format with
       | `Human ->
         print_endline (Ppd.Session.explain_halt s);
@@ -1094,8 +1073,8 @@ let race_cmd =
           (\u{00A7}6.4) or statically from the text (--static, \
           \u{00A7}7).")
     Term.(
-      const run $ file_arg $ sched_arg $ steps_arg $ algo_arg $ static_arg
-      $ proto_arg $ format_arg)
+      const run $ file_arg $ sched_arg $ steps_arg $ static_arg $ proto_arg
+      $ format_arg)
 
 let lint_cmd =
   let passes_arg =

@@ -12,12 +12,12 @@ let analyse name src =
     (Ppd.Session.output session);
   let pd = Ppd.Session.pardyn session in
   Format.printf "%a@.@." Ppd.Pardyn.pp pd;
-  let naive = Ppd.Race.detect ~algo:Ppd.Race.Naive pd in
-  let indexed = Ppd.Race.detect ~algo:Ppd.Race.Indexed pd in
-  assert (naive.Ppd.Race.races = indexed.Ppd.Race.races);
-  Printf.printf "edge pairs examined: %d naive vs %d indexed\n"
-    naive.Ppd.Race.pairs_examined indexed.Ppd.Race.pairs_examined;
-  Format.printf "%a@.@." (Ppd.Race.pp_report pd) indexed.Ppd.Race.races
+  let oracle = Ppd.Race.all_pairs pd in
+  let stats = Ppd.Race.detect pd in
+  assert (oracle.Ppd.Race.races = stats.Ppd.Race.races);
+  Printf.printf "ordering tests: %d all-pairs oracle vs %d chain scan\n"
+    oracle.Ppd.Race.pairs_examined stats.Ppd.Race.pairs_examined;
+  Format.printf "%a@.@." (Ppd.Race.pp_report pd) stats.Ppd.Race.races
 
 let () =
   analyse "racy bank account" Workloads.racy_bank;

@@ -12,10 +12,8 @@ type race = {
 
 type stats = { pairs_examined : int; races : race list }
 
-type algo = Naive | Indexed
-
-(* Canonicalise so the two algorithms produce literally equal lists:
-   edge ids ordered within a race, then races sorted. *)
+(* Canonicalise so the detector and the oracle produce literally equal
+   lists: edge ids ordered within a race, then races sorted. *)
 let norm r =
   if r.rc_edge1 <= r.rc_edge2 then r
   else { r with rc_edge1 = r.rc_edge2; rc_edge2 = r.rc_edge1 }
@@ -34,52 +32,25 @@ let compare_race a b =
 let dedup_sort races =
   List.sort_uniq compare_race (List.map norm races)
 
-(* Conflicts between one ordered pair of edges, as (var, kind). The
-   write/write conflict is reported once; read/write in either
-   direction. *)
-let conflicts (g : Pardyn.t) (e1 : Pardyn.iedge) (e2 : Pardyn.iedge) =
-  let p = g.Pardyn.prog in
-  let ww = VS.inter e1.ie_writes e2.ie_writes in
-  let rw = VS.inter e1.ie_writes e2.ie_reads in
-  let wr = VS.inter e1.ie_reads e2.ie_writes in
-  List.concat
-    [
-      List.map
-        (fun vid ->
-          {
-            rc_var = p.vars.(vid);
-            rc_edge1 = e1.ie_id;
-            rc_edge2 = e2.ie_id;
-            rc_kind = Write_write;
-          })
-        (VS.elements ww);
-      List.map
-        (fun vid ->
-          {
-            rc_var = p.vars.(vid);
-            rc_edge1 = e1.ie_id;
-            rc_edge2 = e2.ie_id;
-            rc_kind = Read_write;
-          })
-        (VS.elements rw);
-      List.map
-        (fun vid ->
-          {
-            rc_var = p.vars.(vid);
-            rc_edge1 = e2.ie_id;
-            rc_edge2 = e1.ie_id;
-            rc_kind = Read_write;
-          })
-        (VS.elements wr);
-    ]
+let make (g : Pardyn.t) vid kind (e1 : Pardyn.iedge) (e2 : Pardyn.iedge) =
+  {
+    rc_var = g.Pardyn.prog.P.vars.(vid);
+    rc_edge1 = e1.ie_id;
+    rc_edge2 = e2.ie_id;
+    rc_kind = kind;
+  }
 
-let may_conflict e1 e2 =
-  let open Pardyn in
-  (not (VS.disjoint e1.ie_writes e2.ie_writes))
-  || (not (VS.disjoint e1.ie_writes e2.ie_reads))
-  || not (VS.disjoint e1.ie_reads e2.ie_writes)
+(* Conflicts between one pair of edges: write/write once, read/write in
+   either direction. *)
+let conflicts g (e1 : Pardyn.iedge) (e2 : Pardyn.iedge) =
+  let each kind set a b =
+    List.map (fun vid -> make g vid kind a b) (VS.elements set)
+  in
+  each Write_write (VS.inter e1.ie_writes e2.ie_writes) e1 e2
+  @ each Read_write (VS.inter e1.ie_writes e2.ie_reads) e1 e2
+  @ each Read_write (VS.inter e1.ie_reads e2.ie_writes) e2 e1
 
-let detect_naive (g : Pardyn.t) =
+let all_pairs (g : Pardyn.t) =
   let pairs = ref 0 in
   let races = ref [] in
   let edges = g.Pardyn.iedges in
@@ -90,60 +61,74 @@ let detect_naive (g : Pardyn.t) =
       (* edges of one process are totally ordered by their chain *)
       if e1.ie_pid <> e2.ie_pid then begin
         incr pairs;
-        if Pardyn.simultaneous g e1 e2 && may_conflict e1 e2 then
-          races := conflicts g e1 e2 @ !races
+        if Pardyn.simultaneous g e1 e2 then races := conflicts g e1 e2 @ !races
       end
     done
   done;
   { pairs_examined = !pairs; races = dedup_sort !races }
 
-let detect_indexed (g : Pardyn.t) =
-  let p = g.Pardyn.prog in
+let detect (g : Pardyn.t) =
   let edges = g.Pardyn.iedges in
-  (* per shared variable: which edges write / read it *)
-  let writers = Array.make p.nvars [] in
-  let readers = Array.make p.nvars [] in
+  let nprocs = Array.length g.Pardyn.iedges_of_pid in
+  (* accessors.(vid).(pid): the edges of process [pid] that read or
+     write [vid], in chain order *)
+  let accessors =
+    Array.init g.Pardyn.prog.P.nvars (fun _ -> Array.make nprocs [])
+  in
+  Array.iter
+    (fun chain ->
+      List.iter
+        (fun eid ->
+          let e = edges.(eid) in
+          VS.fold
+            (fun vid () ->
+              accessors.(vid).(e.ie_pid) <- eid :: accessors.(vid).(e.ie_pid))
+            (VS.union e.ie_reads e.ie_writes)
+            ())
+        (List.rev chain))
+    g.Pardyn.iedges_of_pid;
+  let accessors = Array.map (Array.map Array.of_list) accessors in
+  let tests = ref 0 in
+  let before e1 e2 =
+    incr tests;
+    Pardyn.edge_before g e1 e2
+  in
+  (* the first index of [acc] in [lo, hi) whose edge satisfies
+     [holds], else [hi], for a [holds] that is false on a prefix of the
+     chain and true on the rest *)
+  let rec search acc lo hi holds =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi) / 2 in
+      if holds edges.(acc.(mid)) then search acc lo mid holds
+      else search acc (mid + 1) hi holds
+  in
+  let races = ref [] in
   Array.iter
     (fun (e : Pardyn.iedge) ->
-      List.iter (fun vid -> writers.(vid) <- e.ie_id :: writers.(vid))
-        (VS.elements e.ie_writes);
-      List.iter (fun vid -> readers.(vid) <- e.ie_id :: readers.(vid))
-        (VS.elements e.ie_reads))
+      VS.fold
+        (fun vid () ->
+          Array.iteri
+            (fun pid acc ->
+              if pid <> e.ie_pid then begin
+                (* the accessors before [e] are a prefix of the chain and
+                   those after it a suffix: the run between them is
+                   simultaneous with [e] *)
+                let n = Array.length acc in
+                let first = search acc 0 n (fun f -> not (before f e)) in
+                let last = search acc first n (fun f -> before e f) in
+                for i = first to last - 1 do
+                  let f = edges.(acc.(i)) in
+                  if VS.mem vid f.ie_writes then
+                    races := make g vid Write_write e f :: !races;
+                  if VS.mem vid f.ie_reads then
+                    races := make g vid Read_write e f :: !races
+                done
+              end)
+            accessors.(vid))
+        e.ie_writes ())
     edges;
-  let pairs = ref 0 in
-  let races = ref [] in
-  let seen = Hashtbl.create 64 in
-  let test vid i j kind =
-    let e1 = edges.(i) and e2 = edges.(j) in
-    if e1.ie_pid <> e2.ie_pid then begin
-      let key = (vid, min i j, max i j, kind) in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen key ();
-        incr pairs;
-        if Pardyn.simultaneous g e1 e2 then
-          races :=
-            {
-              rc_var = p.vars.(vid);
-              rc_edge1 = i;
-              rc_edge2 = j;
-              rc_kind = (match kind with `Ww -> Write_write | `Rw -> Read_write);
-            }
-            :: !races
-      end
-    end
-  in
-  for vid = 0 to p.nvars - 1 do
-    let ws = writers.(vid) and rs = readers.(vid) in
-    List.iter
-      (fun i ->
-        List.iter (fun j -> if i < j then test vid i j `Ww) ws;
-        List.iter (fun j -> if i <> j then test vid i j `Rw) rs)
-      ws
-  done;
-  { pairs_examined = !pairs; races = dedup_sort !races }
-
-let detect ?(algo = Indexed) g =
-  match algo with Naive -> detect_naive g | Indexed -> detect_indexed g
+  { pairs_examined = !tests; races = dedup_sort !races }
 
 let is_race_free g = (detect g).races = []
 

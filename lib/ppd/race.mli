@@ -5,13 +5,19 @@
     write/write or read/write intersection. An execution instance is
     race-free when all simultaneous edge pairs are race-free.
 
-    Two algorithms, property-tested to agree (the §7 "we are currently
-    investigating algorithms to reduce the cost" ablation, benchmark
-    T5):
-    - {b naive}: examine every cross-process edge pair;
-    - {b indexed}: per shared variable, examine only pairs drawn from
-      the edges that actually access it (writers × accessors), skipping
-      same-process pairs before the ordering test. *)
+    Each process's internal edges are totally ordered by its chain, so
+    the edges of another process [A] that happen before an edge [e] are
+    a prefix of [A]'s chain and those that happen after [e] a suffix:
+    the edges simultaneous with [e] are one contiguous run. {!detect}
+    keeps, per shared variable and process, the edges that access the
+    variable in chain order; for every edge [e] writing the variable it
+    finds the simultaneous run of each other process's accessors with
+    two binary searches on {!Pardyn.edge_before}, and reports each
+    accessor in it — write/write if it writes, read/write if it reads.
+    The cost is [O(W · P · log A)] ordering tests for [W] writes, [P]
+    processes and [A] accessors per process, against the [O(E²)] of
+    {!all_pairs} (§7 asks for cheaper conflict detection; benchmark
+    T5). *)
 
 type conflict = Write_write | Read_write
 
@@ -27,9 +33,13 @@ type stats = {
   races : race list;  (** deduplicated, deterministic order *)
 }
 
-type algo = Naive | Indexed
+val detect : Pardyn.t -> stats
+(** The chain scan; [pairs_examined] counts its {!Pardyn.edge_before}
+    tests. *)
 
-val detect : ?algo:algo -> Pardyn.t -> stats
+val all_pairs : Pardyn.t -> stats
+(** Tests every cross-process edge pair — semantically equal to
+    {!detect} (property-tested); quadratic, kept as the oracle. *)
 
 val is_race_free : Pardyn.t -> bool
 (** Definition 6.4 over the whole execution instance. *)

@@ -1,5 +1,5 @@
-(* Race detection: Definitions 6.1–6.4 plus the naive/indexed agreement
-   ablation (§7). *)
+(* Race detection: Definitions 6.1–6.4, with the chain scan checked
+   against the all-pairs oracle (§7). *)
 
 let detect ?sched src =
   let prog = Util.compile src in
@@ -7,39 +7,43 @@ let detect ?sched src =
   let m = Runtime.Machine.create ?sched ~hooks:(Ppd.Pardyn.factory obs) prog in
   ignore (Runtime.Machine.run m);
   let g = Ppd.Pardyn.finish obs in
-  (g, Ppd.Race.detect ~algo:Ppd.Race.Naive g, Ppd.Race.detect ~algo:Ppd.Race.Indexed g)
+  (g, Ppd.Race.all_pairs g, Ppd.Race.detect g)
+
+(* Named programs: the chain scan must report the oracle's races. *)
+let checked src =
+  let g, oracle, scan = detect src in
+  Alcotest.(check bool) "detect = all_pairs" true
+    (oracle.Ppd.Race.races = scan.Ppd.Race.races);
+  (g, scan)
 
 let var_names races =
   List.map (fun r -> r.Ppd.Race.rc_var.Lang.Prog.vname) races
   |> List.sort_uniq compare
 
 let test_racy_bank () =
-  let g, naive, indexed = detect Workloads.racy_bank in
-  Alcotest.(check bool) "races found" true (naive.Ppd.Race.races <> []);
-  Alcotest.(check bool) "algorithms agree" true
-    (naive.Ppd.Race.races = indexed.Ppd.Race.races);
+  let g, scan = checked Workloads.racy_bank in
+  Alcotest.(check bool) "races found" true (scan.Ppd.Race.races <> []);
   Alcotest.(check (list string)) "on balance" [ "balance" ]
-    (var_names naive.Ppd.Race.races);
+    (var_names scan.Ppd.Race.races);
   Alcotest.(check bool) "both conflict kinds present" true
-    (List.exists (fun r -> r.Ppd.Race.rc_kind = Ppd.Race.Write_write) naive.races
-    && List.exists (fun r -> r.Ppd.Race.rc_kind = Ppd.Race.Read_write) naive.races);
+    (List.exists (fun r -> r.Ppd.Race.rc_kind = Ppd.Race.Write_write) scan.races
+    && List.exists (fun r -> r.Ppd.Race.rc_kind = Ppd.Race.Read_write) scan.races);
   Alcotest.(check bool) "not race free" false (Ppd.Race.is_race_free g)
 
 let test_fixed_bank () =
-  let g, naive, indexed = detect Workloads.fixed_bank in
-  Alcotest.(check (list string)) "no races" [] (var_names naive.Ppd.Race.races);
-  Alcotest.(check bool) "agree" true (naive.Ppd.Race.races = indexed.Ppd.Race.races);
+  let g, scan = checked Workloads.fixed_bank in
+  Alcotest.(check (list string)) "no races" [] (var_names scan.Ppd.Race.races);
   Alcotest.(check bool) "race free" true (Ppd.Race.is_race_free g)
 
 let test_sv_race_section_6_3 () =
   (* two writers and one reader, all concurrent: W/W between writers,
      R/W between the reader and each writer *)
-  let _g, naive, _ = detect Workloads.sv_race in
+  let _g, scan = checked Workloads.sv_race in
   let ww =
-    List.filter (fun r -> r.Ppd.Race.rc_kind = Ppd.Race.Write_write) naive.races
+    List.filter (fun r -> r.Ppd.Race.rc_kind = Ppd.Race.Write_write) scan.races
   in
   let rw =
-    List.filter (fun r -> r.Ppd.Race.rc_kind = Ppd.Race.Read_write) naive.races
+    List.filter (fun r -> r.Ppd.Race.rc_kind = Ppd.Race.Read_write) scan.races
   in
   Alcotest.(check int) "one W/W race" 1 (List.length ww);
   Alcotest.(check int) "two R/W races" 2 (List.length rw)
@@ -57,8 +61,8 @@ let test_join_removes_race () =
     }
     |}
   in
-  let _g, naive, _ = detect src in
-  Alcotest.(check (list string)) "no race through join" [] (var_names naive.races)
+  let _g, scan = checked src in
+  Alcotest.(check (list string)) "no race through join" [] (var_names scan.races)
 
 let test_message_removes_race () =
   (* the send->recv edge orders the write before the read *)
@@ -76,9 +80,9 @@ let test_message_removes_race () =
     }
     |}
   in
-  let _g, naive, _ = detect src in
+  let _g, scan = checked src in
   Alcotest.(check (list string)) "no race through message" []
-    (var_names naive.races)
+    (var_names scan.races)
 
 let test_read_read_not_a_race () =
   let src =
@@ -92,36 +96,54 @@ let test_read_read_not_a_race () =
     }
     |}
   in
-  let _g, naive, _ = detect src in
-  Alcotest.(check (list string)) "read/read is fine" [] (var_names naive.races)
+  let _g, scan = checked src in
+  Alcotest.(check (list string)) "read/read is fine" [] (var_names scan.races)
 
 let test_counter_scaling_agreement () =
   List.iter
     (fun workers ->
-      let _g, naive, indexed =
+      let _g, oracle, scan =
         detect (Workloads.counter ~workers ~incs:3 ~mutex:false)
       in
       Alcotest.(check bool)
         (Printf.sprintf "%d workers agree" workers)
         true
-        (naive.Ppd.Race.races = indexed.Ppd.Race.races);
+        (oracle.Ppd.Race.races = scan.Ppd.Race.races);
       Alcotest.(check bool)
         (Printf.sprintf "%d workers race" workers)
-        true (naive.Ppd.Race.races <> []);
-      Alcotest.(check bool) "indexed examines fewer pairs" true
-        (indexed.Ppd.Race.pairs_examined <= naive.Ppd.Race.pairs_examined))
+        true (scan.Ppd.Race.races <> []);
+      Alcotest.(check bool) "detect tests no more pairs" true
+        (scan.Ppd.Race.pairs_examined <= oracle.Ppd.Race.pairs_examined))
     [ 2; 3; 4; 5 ]
 
-let naive_indexed_agree =
-  Util.qtest ~count:30 "naive = indexed on random programs"
-    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 0 1_000))
-    (fun (seed, sseed) ->
-      let _g, naive, indexed =
-        detect
-          ~sched:(Runtime.Sched.Random_seed sseed)
-          (Gen.parallel ~protect:`Sometimes seed)
+let test_protected_counter_scale () =
+  (* ~2.4k internal edges, all ordered through the mutex: the scan's
+     binary searches make a small fraction of the oracle's tests *)
+  let _g, oracle, scan =
+    detect (Workloads.counter ~workers:8 ~incs:150 ~mutex:true)
+  in
+  Alcotest.(check bool) "detect = all_pairs" true
+    (oracle.Ppd.Race.races = scan.Ppd.Race.races);
+  Alcotest.(check (list string)) "race-free" [] (var_names scan.Ppd.Race.races);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d tests < 1/10 of %d" scan.Ppd.Race.pairs_examined
+       oracle.Ppd.Race.pairs_examined)
+    true
+    (scan.Ppd.Race.pairs_examined * 10 < oracle.Ppd.Race.pairs_examined)
+
+let detect_matches_oracle =
+  Util.qtest ~count:200 "detect = oracle on random programs"
+    QCheck2.Gen.(
+      quad (int_range 0 100_000)
+        (oneofl [ `Always; `Sometimes; `Never ])
+        bool (int_range 0 1_000))
+    (fun (seed, protect, random, s) ->
+      let sched =
+        if random then Runtime.Sched.Random_seed s
+        else Runtime.Sched.Round_robin (1 + (s mod 8))
       in
-      naive.Ppd.Race.races = indexed.Ppd.Race.races)
+      let _g, oracle, scan = detect ~sched (Gen.parallel ~protect seed) in
+      oracle.Ppd.Race.races = scan.Ppd.Race.races)
 
 let protected_is_race_free =
   Util.qtest ~count:30 "fully protected programs are race-free"
@@ -144,6 +166,8 @@ let suite =
       Alcotest.test_case "message orders" `Quick test_message_removes_race;
       Alcotest.test_case "read/read ok" `Quick test_read_read_not_a_race;
       Alcotest.test_case "scaling agreement" `Quick test_counter_scaling_agreement;
-      naive_indexed_agree;
+      Alcotest.test_case "protected counter scale" `Quick
+        test_protected_counter_scale;
+      detect_matches_oracle;
       protected_is_race_free;
     ] )
