@@ -1,5 +1,4 @@
 module L = Trace.Log
-module E = Runtime.Event
 
 exception Unreadable of { path : string; reason : string }
 
@@ -24,11 +23,6 @@ let unreadable path fmt =
 (* Fixed-width little-endian scalars (CRCs and the trailer pointer).    *)
 (* ------------------------------------------------------------------ *)
 
-let add_u32_le buf v =
-  for i = 0 to 3 do
-    Buffer.add_char buf (Char.chr ((v lsr (8 * i)) land 0xff))
-  done
-
 let add_u64_le buf v =
   for i = 0 to 7 do
     Buffer.add_char buf (Char.chr ((v lsr (8 * i)) land 0xff))
@@ -44,20 +38,6 @@ let get_u64_le s pos =
     v := (!v lsl 8) lor Char.code s.[pos + i]
   done;
   !v
-
-(* The writer keeps a skeleton of every entry (positions and counters,
-   no snapshots) so closing can run [Log.intervals] for the footer index
-   without holding the real log in memory. *)
-let strip = function
-  | L.Prelog { block; seq_at; step_at; _ } ->
-    L.Prelog { block; caller_sid = None; seq_at; step_at; vals = [] }
-  | L.Postlog { block; seq_at; step_at; _ } ->
-    L.Postlog
-      { block; seq_at; step_at; vals = []; ret = None; via_return = None }
-  | L.Sync_prelog { point; seq_at; step_at; _ } ->
-    L.Sync_prelog { point; seq_at; step_at; vals = [] }
-  | L.Sync { sid; seq; step_at; _ } ->
-    L.Sync { sid; seq; step_at; data = L.S_kind E.K_assign }
 
 type damage = { dmg_offset : int; dmg_reason : string }
 
@@ -75,17 +55,78 @@ let f_read = Fault.site "store.segment.read"
 (* Writer.                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* One frame, built with a single copy of its payload: tag, payload
+   length, payload ([head] as varints, then [body]), and the payload's
+   CRC-32, computed where the payload lies in the frame. *)
+let frame tag ?(head = []) body =
+  let h = Buffer.create 16 in
+  List.iter (Varint.write h) head;
+  let hlen = Buffer.length h and blen = Buffer.length body in
+  let plen = hlen + blen in
+  let pre = Buffer.create 8 in
+  Buffer.add_char pre tag;
+  Varint.write pre plen;
+  let ppos = Buffer.length pre in
+  let b = Bytes.create (ppos + plen + 4) in
+  Buffer.blit pre 0 b 0 ppos;
+  Buffer.blit h 0 b ppos hlen;
+  Buffer.blit body 0 b (ppos + hlen) blen;
+  let crc = Crc32.digest ~pos:ppos ~len:plen (Bytes.unsafe_to_string b) in
+  Bytes.set_int32_le b (ppos + plen) (Int32.of_int crc);
+  Bytes.unsafe_to_string b
+
 module Writer = struct
   type dest = D_channel of out_channel | D_buffer of Buffer.t
+
+  (* A growable flat int array. *)
+  type ints = { mutable a : int array; mutable n : int }
+
+  let ints () = { a = [||]; n = 0 }
+
+  let push v x =
+    if v.n = Array.length v.a then begin
+      let a = Array.make (max 16 (2 * v.n)) 0 in
+      Array.blit v.a 0 a 0 v.n;
+      v.a <- a
+    end;
+    v.a.(v.n) <- x;
+    v.n <- v.n + 1
+
+  (* The footer's interval table, built as entries arrive: one row per
+     interval in prelog (= iv_id) order, exactly the intervals
+     [Log.intervals] derives. A postlog fills in its row's [postlog]
+     and [seq_end]; -1 marks them open, and a root's [parent]. *)
+  type ivcols = {
+    block : ints;  (* [block_code] *)
+    prelog : ints;
+    postlog : ints;
+    seq_start : ints;
+    seq_end : ints;
+    parent : ints;
+    step : ints;  (* the prelog's step, its restore-snapshot coordinate *)
+  }
+
+  let block_code = function
+    | L.Bfunc fid -> fid lsl 1
+    | L.Bloop sid -> (sid lsl 1) lor 1
+
+  let block_of_code c =
+    if c land 1 = 0 then L.Bfunc (c asr 1) else L.Bloop (c asr 1)
 
   (* Per-process state: the open page plus the footer bookkeeping. *)
   type pidw = {
     pbuf : Buffer.t;  (* encoded entries of the open page *)
     mutable pcount : int;
     mutable pctx : Wire.ctx;
-    mutable depth : int;  (* open interval nesting *)
     mutable pages : (int * int) list;  (* (offset, count), reversed *)
-    mutable skel : L.entry list;  (* stripped, reversed *)
+    mutable nentries : int;  (* entries appended: the next one's index *)
+    ivs : ivcols;
+    open_ivs : ints;  (* rows of the open intervals, innermost last *)
+    snaps : ints;  (* (seq, step) of each sync prelog, flattened *)
+    mutable stop : int;  (* one past the largest seq: the default stop *)
+    mutable broken : string option;
+        (* why the intervals do not nest; finalize raises it, as
+           [Log.intervals] would *)
   }
 
   type t = {
@@ -160,7 +201,18 @@ module Writer = struct
     emit w magic;
     w
 
-  let to_file ?tier path = make ?tier (D_channel (open_out_bin path))
+  (* An existing regular file is replaced, not truncated: overwriting
+     a just-written file in place can make the filesystem write the old
+     blocks back at close (ext4's auto_da_alloc), which costs tens of
+     milliseconds per save. A symlink, or any other kind of file, is
+     still opened and truncated in place. *)
+  let to_file ?tier path =
+    (match Unix.lstat path with
+    | { Unix.st_kind = Unix.S_REG; _ } -> (
+      try Sys.remove path with Sys_error _ -> ())
+    | _ -> ()
+    | exception Unix.Unix_error _ -> ());
+    make ?tier (D_channel (open_out_bin path))
 
   let to_buffer ?tier buf = make ?tier (D_buffer buf)
 
@@ -175,30 +227,74 @@ module Writer = struct
                 pbuf = Buffer.create 256;
                 pcount = 0;
                 pctx = Wire.ctx ();
-                depth = 0;
                 pages = [];
-                skel = [];
+                nentries = 0;
+                ivs =
+                  {
+                    block = ints ();
+                    prelog = ints ();
+                    postlog = ints ();
+                    seq_start = ints ();
+                    seq_end = ints ();
+                    parent = ints ();
+                    step = ints ();
+                  };
+                open_ivs = ints ();
+                snaps = ints ();
+                stop = 0;
+                broken = None;
               })
 
   let flush_page w ~pid pw =
     if pw.pcount > 0 then begin
-      let payload = Buffer.create (Buffer.length pw.pbuf + 8) in
-      Varint.write payload pid;
-      Varint.write payload pw.pcount;
-      Buffer.add_buffer payload pw.pbuf;
-      let p = Buffer.contents payload in
-      let frame = Buffer.create (String.length p + 10) in
-      Buffer.add_char frame '\001';
-      Varint.write frame (String.length p);
-      Buffer.add_string frame p;
-      add_u32_le frame (Crc32.digest p);
       pw.pages <- (w.pos, pw.pcount) :: pw.pages;
-      emit w (Buffer.contents frame);
+      emit w (frame '\001' ~head:[ pid; pw.pcount ] pw.pbuf);
       Buffer.clear pw.pbuf;
       pw.pcount <- 0;
       pw.pctx <- Wire.ctx ();
       match w.dest with D_channel oc -> flush oc | D_buffer _ -> ()
     end
+
+  (* Interval bookkeeping for entry [idx]: a prelog opens a row under
+     the innermost open interval; a postlog closes the innermost one,
+     which must be of the same block. *)
+  let open_interval pw ~idx ~block ~seq_at ~step_at =
+    let iv = pw.ivs and o = pw.open_ivs in
+    push o iv.prelog.n;
+    push iv.parent (if o.n = 1 then -1 else o.a.(o.n - 2));
+    push iv.block (block_code block);
+    push iv.prelog idx;
+    push iv.postlog (-1);
+    push iv.seq_start seq_at;
+    push iv.seq_end (-1);
+    push iv.step step_at
+
+  let close_interval pw ~idx ~block ~seq_at =
+    let iv = pw.ivs and o = pw.open_ivs in
+    if o.n = 0 then pw.broken <- Some "Log.intervals: postlog without prelog"
+    else
+      let row = o.a.(o.n - 1) in
+      if iv.block.a.(row) <> block_code block then
+        pw.broken <- Some "Log.intervals: mismatched postlog"
+      else begin
+        iv.postlog.a.(row) <- idx;
+        iv.seq_end.a.(row) <- seq_at;
+        o.n <- o.n - 1
+      end
+
+  let index pw entry =
+    let idx = pw.nentries in
+    pw.nentries <- idx + 1;
+    pw.stop <- max pw.stop (L.entry_seq_at entry + 1);
+    match entry with
+    | L.Prelog { block; seq_at; step_at; _ } ->
+      if pw.broken = None then open_interval pw ~idx ~block ~seq_at ~step_at
+    | L.Postlog { block; seq_at; _ } ->
+      if pw.broken = None then close_interval pw ~idx ~block ~seq_at
+    | L.Sync_prelog { seq_at; step_at; _ } ->
+      push pw.snaps seq_at;
+      push pw.snaps step_at
+    | L.Sync _ -> ()
 
   let append w ~pid entry =
     if w.finalized then invalid_arg "Segment.Writer.append: writer is closed";
@@ -206,17 +302,13 @@ module Writer = struct
     let pw = w.pids.(pid) in
     Wire.encode_entry pw.pbuf pw.pctx entry;
     pw.pcount <- pw.pcount + 1;
-    pw.skel <- strip entry :: pw.skel;
-    (match entry with
-    | L.Prelog _ -> pw.depth <- pw.depth + 1
-    | L.Postlog _ -> pw.depth <- pw.depth - 1
-    | L.Sync_prelog _ | L.Sync _ -> ());
+    index pw entry;
     (* durability points: the page is full, or a top-level e-block of
        this process just closed (§5.6) *)
     if Buffer.length pw.pbuf >= page_threshold then flush_page w ~pid pw
     else
       match entry with
-      | L.Postlog _ when pw.depth <= 0 -> flush_page w ~pid pw
+      | L.Postlog _ when pw.open_ivs.n = 0 -> flush_page w ~pid pw
       | _ -> ()
 
   (* A checkpoint gets its own frame (tag 3) so the salvage scan can
@@ -228,33 +320,17 @@ module Writer = struct
       invalid_arg "Segment.Writer.append_ckpt: writer is closed";
     let payload = Buffer.create 64 in
     Wire.put_ckpt payload ck;
-    let p = Buffer.contents payload in
-    let frame = Buffer.create (String.length p + 10) in
-    Buffer.add_char frame '\003';
-    Varint.write frame (String.length p);
-    Buffer.add_string frame p;
-    add_u32_le frame (Crc32.digest p);
     w.ckpts <- (w.pos, ck.L.ck_step) :: w.ckpts;
-    emit w (Buffer.contents frame);
+    emit w (frame '\003' payload);
     match w.dest with D_channel oc -> flush oc | D_buffer _ -> ()
 
-  let skeleton_log w ~stops =
-    L.content
-      ~nprocs:(Array.length w.pids)
-      ~entries:(Array.map (fun pw -> Array.of_list (List.rev pw.skel)) w.pids)
-      ~stops
-
   (* Stops when the run died before [finish]: everything we saw. *)
-  let default_stops w =
-    Array.map
-      (fun pw ->
-        List.fold_left (fun acc e -> max acc (L.entry_seq_at e + 1)) 0 pw.skel)
-      w.pids
+  let default_stops w = Array.map (fun pw -> pw.stop) w.pids
 
   let encode_footer w ~stops =
-    let log = skeleton_log w ~stops in
+    let nprocs = Array.length w.pids in
     let buf = Buffer.create 256 in
-    Varint.write buf log.L.nprocs;
+    Varint.write buf nprocs;
     (* logging tier, then the checkpoint table: (offset delta, step
        delta) pairs in file order, so seek-to-step restores can find
        the nearest checkpoint without touching any page *)
@@ -269,9 +345,8 @@ module Writer = struct
         Varint.write buf (step - !prev_step);
         prev_step := step)
       cks;
-    for pid = 0 to log.L.nprocs - 1 do
+    for pid = 0 to nprocs - 1 do
       let pw = w.pids.(pid) in
-      let entries = log.L.entries.(pid) in
       Varint.write buf stops.(pid);
       (* page table: (offset delta, entry count) per page *)
       let pages = Array.of_list (List.rev pw.pages) in
@@ -283,55 +358,45 @@ module Writer = struct
           prev := off;
           Varint.write buf count)
         pages;
+      Option.iter invalid_arg pw.broken;
       (* interval table: rows in iv_id (= prelog) order. The fid is not
          stored — it derives from the block and the reader's stmt_fid
          map, exactly as [Log.intervals] computes it. Each row doubles
          as the prelog's restore-snapshot coordinate (seq_start, step),
          so no separate snapshot table is needed for prelogs. *)
-      let ivs = L.intervals log ~pid in
-      Varint.write buf (Array.length ivs);
+      let iv = pw.ivs in
+      let nivs = iv.prelog.n in
+      Varint.write buf nivs;
       let prev_prelog = ref 0 and prev_seq = ref 0 and prev_step = ref 0 in
-      Array.iteri
-        (fun i (iv : L.interval) ->
-          Wire.put_block buf iv.L.iv_block;
-          Varint.write buf (iv.L.iv_prelog - !prev_prelog);
-          prev_prelog := iv.L.iv_prelog;
-          Varint.write buf
-            (match iv.L.iv_postlog with
-            | None -> 0
-            | Some p -> p - iv.L.iv_prelog);
-          Varint.write_signed buf (iv.L.iv_seq_start - !prev_seq);
-          prev_seq := iv.L.iv_seq_start;
-          Varint.write buf
-            (match iv.L.iv_seq_end with
-            | None -> 0
-            | Some e -> e - iv.L.iv_seq_start + 1);
-          Varint.write buf
-            (match iv.L.iv_parent with None -> 0 | Some p -> i - p);
-          let step =
-            match entries.(iv.L.iv_prelog) with
-            | L.Prelog { step_at; _ } -> step_at
-            | _ -> 0
-          in
-          Varint.write_signed buf (step - !prev_step);
-          prev_step := step)
-        ivs;
+      for i = 0 to nivs - 1 do
+        let prelog = iv.prelog.a.(i)
+        and postlog = iv.postlog.a.(i)
+        and seq_start = iv.seq_start.a.(i)
+        and parent = iv.parent.a.(i)
+        and step = iv.step.a.(i) in
+        Wire.put_block buf (block_of_code iv.block.a.(i));
+        Varint.write buf (prelog - !prev_prelog);
+        prev_prelog := prelog;
+        Varint.write buf (if postlog < 0 then 0 else postlog - prelog);
+        Varint.write_signed buf (seq_start - !prev_seq);
+        prev_seq := seq_start;
+        Varint.write buf
+          (if postlog < 0 then 0 else iv.seq_end.a.(i) - seq_start + 1);
+        Varint.write buf (if parent < 0 then 0 else i - parent);
+        Varint.write_signed buf (step - !prev_step);
+        prev_step := step
+      done;
       (* sync-unit prelogs also carry restore snapshots (§6.2) *)
-      let snaps =
-        Array.to_list entries
-        |> List.filter_map (function
-             | L.Sync_prelog { seq_at; step_at; _ } -> Some (seq_at, step_at)
-             | L.Prelog _ | L.Postlog _ | L.Sync _ -> None)
-      in
-      Varint.write buf (List.length snaps);
+      let sn = pw.snaps in
+      Varint.write buf (sn.n / 2);
       let prev_seq = ref 0 and prev_step = ref 0 in
-      List.iter
-        (fun (seq, step) ->
-          Varint.write_signed buf (seq - !prev_seq);
-          prev_seq := seq;
-          Varint.write_signed buf (step - !prev_step);
-          prev_step := step)
-        snaps
+      for k = 0 to (sn.n / 2) - 1 do
+        let seq = sn.a.(2 * k) and step = sn.a.((2 * k) + 1) in
+        Varint.write_signed buf (seq - !prev_seq);
+        prev_seq := seq;
+        Varint.write_signed buf (step - !prev_step);
+        prev_step := step
+      done
     done;
     buf
 
@@ -342,16 +407,11 @@ module Writer = struct
       if Array.length stops > 0 then ensure_pid w (Array.length stops - 1);
       Array.iteri (fun pid pw -> flush_page w ~pid pw) w.pids;
       w.finalized <- true;
-      let fpayload = Buffer.contents (encode_footer w ~stops) in
       let footer_pos = w.pos in
-      let tail = Buffer.create (String.length fpayload + 24) in
-      Buffer.add_char tail '\002';
-      Varint.write tail (String.length fpayload);
-      Buffer.add_string tail fpayload;
-      add_u32_le tail (Crc32.digest fpayload);
-      add_u64_le tail footer_pos;
-      Buffer.add_string tail trailer_magic;
-      emit w (Buffer.contents tail);
+      let trailer = Buffer.create trailer_len in
+      add_u64_le trailer footer_pos;
+      Buffer.add_string trailer trailer_magic;
+      emit w (frame '\002' (encode_footer w ~stops) ^ Buffer.contents trailer);
       match w.dest with D_channel oc -> flush oc | D_buffer _ -> ()
     end
 

@@ -60,7 +60,9 @@ module Writer : sig
 
   val to_file : ?tier:Trace.Log.tier -> string -> t
   (** Open a segment at the path and write the magic. [tier] (default
-      content) is recorded in the footer. *)
+      content) is recorded in the footer. An existing regular file at
+      the path is removed and created afresh; a symlink is written
+      through to its target. *)
 
   val to_buffer : ?tier:Trace.Log.tier -> Buffer.t -> t
   (** Same, into a buffer — used to measure encoded sizes. *)
@@ -77,7 +79,8 @@ module Writer : sig
   (** Flush open pages, then write the footer and trailer (idempotent;
       [sink_close] calls this). The footer covers every process
       [stops] has an entry for, including trailing ones that appended
-      nothing. *)
+      nothing. @raise Invalid_argument with {!Trace.Log.intervals}'s
+      message if a process's prelogs and postlogs do not nest. *)
 
   val close : t -> unit
   (** Flush and close. If the footer was never written (the run died

@@ -455,6 +455,239 @@ let test_salvaged_reader_still_debugs () =
       Alcotest.(check bool) "graph non-empty" true
         (DG.nnodes (Ppd.Controller.graph ctl) > 0))
 
+(* -------------------------------------------------------------- *)
+(* CRC-32 *)
+
+(* One byte at a time, bit by bit: the definition the sliced tables
+   must agree with. *)
+let crc_reference ~pos ~len s =
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      crc :=
+        if !crc land 1 = 1 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+    done
+  done;
+  !crc lxor 0xFFFFFFFF
+
+let test_crc_check_values () =
+  Alcotest.(check int)
+    "check value" 0xCBF43926
+    (Store.Crc32.digest "123456789");
+  Alcotest.(check int) "empty" 0 (Store.Crc32.digest "");
+  Alcotest.(check int)
+    "slice" 0xCBF43926
+    (Store.Crc32.digest ~pos:2 ~len:9 "xx123456789yy")
+
+let crc_prop =
+  Util.qtest ~count:200 "crc32 = byte-wise reference (every pos, len)"
+    QCheck2.Gen.(string_size ~gen:char (int_range 0 80))
+    (fun s ->
+      let n = String.length s in
+      Store.Crc32.digest s = crc_reference ~pos:0 ~len:n s
+      && List.for_all
+           (fun pos ->
+             List.for_all
+               (fun len ->
+                 pos + len > n
+                 || Store.Crc32.digest ~pos ~len s = crc_reference ~pos ~len s)
+               (List.init 25 Fun.id))
+           (List.init 9 Fun.id))
+
+let test_crc_range_checked () =
+  let raises name f =
+    Alcotest.(check bool)
+      name true
+      (match f () with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  let s = "abcdefgh" in
+  raises "negative pos" (fun () -> Store.Crc32.digest ~pos:(-1) ~len:2 s);
+  raises "negative len" (fun () -> Store.Crc32.digest ~pos:0 ~len:(-1) s);
+  raises "len past the end" (fun () -> Store.Crc32.digest ~pos:4 ~len:5 s);
+  raises "pos past the end" (fun () -> Store.Crc32.digest ~pos:9 s);
+  raises "huge len" (fun () -> Store.Crc32.digest ~pos:1 ~len:max_int s)
+
+(* -------------------------------------------------------------- *)
+(* The streamed footer index *)
+
+(* Record [src] with the logger streaming into a segment file, as
+   `ppd log --save` does. Without [finish], the writer is closed before
+   the logger finishes, as when the run dies: the footer then falls back
+   to its default stops. Returns the program and the in-memory log. *)
+let stream ?(sched = Runtime.Sched.default) ?(finish = true) ~order src path
+    =
+  let prog = Lang.Compile.compile src in
+  let eb =
+    Analysis.Eblock.analyze
+      ~policy:
+        { Analysis.Eblock.leaf_inline_max_stmts = 0; loop_block_min_body = 2 }
+      prog
+  in
+  let tier =
+    if order then
+      L.order_tier ~sched ~engine:Runtime.Machine.Vm_engine
+        ~max_steps:200_000
+    else L.T_content
+  in
+  let w = S.Writer.to_file ~tier path in
+  let logger = Trace.Logger.create ~sink:(S.Writer.sink w) ~tier eb in
+  let m =
+    Runtime.Machine.create ~sched ~max_steps:200_000
+      ~hooks:(Trace.Logger.factory logger) prog
+  in
+  ignore (Runtime.Machine.run m);
+  if not finish then S.Writer.close w;
+  let log = Trace.Logger.finish logger in
+  S.Writer.close w;
+  (prog, log)
+
+(* The streamed footer answers every index query as [Log.intervals]
+   over the in-memory log does, and holds [stops]. *)
+let index_matches prog (log : L.t) ~stops path =
+  let stmt_fid sid = prog.Lang.Prog.stmt_fid.(sid) in
+  let file = S.open_file path and mem = S.of_log log in
+  S.is_indexed file
+  && S.stops file = stops
+  && S.nprocs file = log.L.nprocs
+  && List.for_all
+       (fun pid ->
+         let ivs = S.intervals file ~stmt_fid ~pid in
+         ivs = S.intervals mem ~stmt_fid ~pid
+         && Array.for_all
+              (fun iv -> S.interval_step file iv = S.interval_step mem iv)
+              ivs
+         && List.for_all
+              (fun reader_seq ->
+                S.snapshot_step file ~pid ~reader_seq
+                = S.snapshot_step mem ~pid ~reader_seq)
+              (List.init (stops.(pid) + 2) (fun k -> k - 1)))
+       (List.init log.L.nprocs Fun.id)
+
+let footer_prop =
+  Util.qtest ~count:40 "streamed footer = Log.intervals (tiers x schedulers)"
+    QCheck2.Gen.(triple (int_range 0 100_000) (int_range 0 1000) bool)
+    (fun (seed, sseed, order) ->
+      let src = Gen.parallel ~protect:`Sometimes seed in
+      List.for_all
+        (fun sched ->
+          with_tmp (fun path ->
+              let prog, log = stream ~sched ~order src path in
+              index_matches prog log ~stops:log.L.stops path))
+        [ Runtime.Sched.default; Runtime.Sched.Random_seed sseed ])
+
+(* What the footer records when the run never reaches [finish]: one
+   past the largest seq each process logged. *)
+let seen_stops (log : L.t) =
+  Array.map
+    (Array.fold_left (fun acc e -> max acc (L.entry_seq_at e + 1)) 0)
+    log.L.entries
+
+let test_footer_without_finish () =
+  List.iter
+    (fun (name, src) ->
+      with_tmp (fun path ->
+          let prog, log = stream ~finish:false ~order:false src path in
+          Alcotest.(check bool)
+            (name ^ " default stops") true
+            (index_matches prog log ~stops:(seen_stops log) path)))
+    [ ("fig61", Workloads.fig61); ("racy_bank", Workloads.racy_bank) ]
+
+(* A worker faults two calls deep: its intervals stay open, and the
+   footer must keep them open, parented as [Log.intervals] leaves
+   them. *)
+let test_footer_open_intervals () =
+  let src =
+    {|
+      shared int g = 0;
+      func leaf(x) { assert(x < 3); return x; }
+      func mid(x) { var y = 0; y = leaf(x + 1); return y; }
+      func worker(n) {
+        var i = 0;
+        var k = 0;
+        for (i = 0; i < n; i = i + 1) { k = mid(i); g = g + k; }
+      }
+      func main() { var p = spawn worker(5); join(p); print(g); }
+    |}
+  in
+  with_tmp (fun path ->
+      let prog, log = stream ~order:false src path in
+      let stmt_fid sid = prog.Lang.Prog.stmt_fid.(sid) in
+      let open_ivs =
+        List.concat_map
+          (fun pid ->
+            Array.to_list (S.intervals (S.open_file path) ~stmt_fid ~pid)
+            |> List.filter (fun iv -> iv.L.iv_postlog = None))
+          (List.init log.L.nprocs Fun.id)
+      in
+      Alcotest.(check bool)
+        "intervals left open" true
+        (List.length open_ivs >= 3);
+      Alcotest.(check bool)
+        "index = Log.intervals" true
+        (index_matches prog log ~stops:log.L.stops path))
+
+(* A stream whose intervals do not nest is refused when the footer is
+   written, with [Log.intervals]'s message. *)
+let test_footer_rejects_bad_nesting () =
+  let post block =
+    L.Postlog
+      {
+        block;
+        seq_at = 1;
+        step_at = 1;
+        vals = [];
+        ret = None;
+        via_return = None;
+      }
+  in
+  let pre block =
+    L.Prelog { block; caller_sid = None; seq_at = 0; step_at = 0; vals = [] }
+  in
+  let log entries = L.content ~nprocs:1 ~entries:[| entries |] ~stops:[| 2 |] in
+  Alcotest.check_raises "postlog without prelog"
+    (Invalid_argument "Log.intervals: postlog without prelog") (fun () ->
+      ignore (S.encoded_size (log [| post (L.Bfunc 0) |])));
+  Alcotest.check_raises "mismatched postlog"
+    (Invalid_argument "Log.intervals: mismatched postlog") (fun () ->
+      ignore (S.encoded_size (log [| pre (L.Bfunc 0); post (L.Bloop 3) |])))
+
+(* -------------------------------------------------------------- *)
+(* Overwriting a saved log *)
+
+let read_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+let test_overwrite_equals_fresh () =
+  let _eb, big = run_log (Workloads.fib 8) in
+  let _eb, small = run_log Workloads.fig61 in
+  with_tmp (fun path ->
+      with_tmp (fun fresh ->
+          S.save path big;
+          S.save path small;
+          S.save fresh small;
+          Alcotest.(check string)
+            "same bytes" (read_bytes fresh) (read_bytes path);
+          Alcotest.(check bool) "clean" true ((S.verify path).S.vr_damage = []);
+          check_log_equal "loads" small (S.load path)))
+
+let test_overwrite_through_symlink () =
+  let _eb, big = run_log (Workloads.fib 8) in
+  let _eb, small = run_log Workloads.fig61 in
+  with_tmp (fun target ->
+      let link = target ^ ".link" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove link with Sys_error _ -> ())
+        (fun () ->
+          S.save target big;
+          Unix.symlink target link;
+          S.save link small;
+          Alcotest.(check bool)
+            "still a link" true
+            ((Unix.lstat link).Unix.st_kind = Unix.S_LNK);
+          check_log_equal "target rewritten" small (S.load target)))
+
 let suite =
   ( "store",
     [
@@ -478,4 +711,18 @@ let suite =
         test_offset_windows;
       Alcotest.test_case "salvaged file still debugs" `Quick
         test_salvaged_reader_still_debugs;
+      Alcotest.test_case "crc32 check values" `Quick test_crc_check_values;
+      crc_prop;
+      Alcotest.test_case "crc32 range checked" `Quick test_crc_range_checked;
+      footer_prop;
+      Alcotest.test_case "footer without finish uses seen stops" `Quick
+        test_footer_without_finish;
+      Alcotest.test_case "footer keeps a fault's open intervals" `Quick
+        test_footer_open_intervals;
+      Alcotest.test_case "footer refuses intervals that do not nest" `Quick
+        test_footer_rejects_bad_nesting;
+      Alcotest.test_case "overwritten log = fresh save" `Quick
+        test_overwrite_equals_fresh;
+      Alcotest.test_case "save through a symlink writes its target" `Quick
+        test_overwrite_through_symlink;
     ] )
