@@ -244,13 +244,13 @@ let profile_write pout ptrace =
     Printf.printf "trace written to %s\n" path
   | None -> ()
 
-let session_of ?engine ?loops ?(breakpoints = []) ?race_sets ?log_order
-    ?ckpt_every file sched steps inline =
+let session_of ?engine ?loops ?(breakpoints = []) ?log_order ?ckpt_every file
+    sched steps inline =
   let src = read_source file in
   let prog = compile_or_die src in
   Ppd.Session.of_program ?engine ~sched ~max_steps:steps
     ~policy:(policy_of ?loops inline)
-    ~breakpoints ?race_sets ?log_order ?ckpt_every prog
+    ~breakpoints ?log_order ?ckpt_every prog
 
 (* ------------------------------------------------------------------ *)
 (* Subcommands.                                                         *)
@@ -410,11 +410,9 @@ let log_cmd =
       else Trace.Log.T_content
     in
     let writer = Option.map (Store.Segment.Writer.to_file ~tier) save in
-    (* [log] never reads race sets: without their observer the logger
-       runs alone and local statements stay on the VM's bare path *)
     let s =
       Ppd.Session.of_program ~engine ~sched ~max_steps:steps
-        ~policy:(policy_of ~loops inline) ~race_sets:false
+        ~policy:(policy_of ~loops inline)
         ?log_sink:(Option.map Store.Segment.Writer.sink writer)
         ~log_order:order ~ckpt_every prog
     in
@@ -739,15 +737,15 @@ let fsck_cmd =
           is not a log at all.")
     Term.(const run $ log_path_arg)
 
-(* What flowback and replay answer over: a fresh run of FILE recorded
-   by the logger alone (neither reads the race sets), or the saved log
-   [load] with FILE supplying the program. *)
+(* What flowback, replay and race answer over: a fresh run of FILE
+   recorded by the logger, or the saved log [load] with FILE supplying
+   the program. *)
 let debug_source file sched steps engine inline loops order ckpt_every load =
   match load with
   | None ->
     Serve.Query.of_session
-      (session_of ~engine ~loops ~race_sets:false ~log_order:order ~ckpt_every
-         file sched steps inline)
+      (session_of ~engine ~loops ~log_order:order ~ckpt_every file sched steps
+         inline)
   | Some log ->
     ok_or_fail
       (Serve.Query.open_source ~policy:(policy_of ~loops inline) ~log
@@ -994,7 +992,7 @@ let race_cmd =
              communication-protocol facts first (must-orderings and \
              state exclusion), discharging more pairs.")
   in
-  let run file sched steps static proto format =
+  let run file sched steps static proto format load =
     if static then begin
       let p = compile_or_die (read_source file) in
       let ctx = Analysis.Lint.make_ctx p in
@@ -1035,18 +1033,27 @@ let race_cmd =
         if diags <> [] then exit 3)
     end
     else begin
-      let s = session_of file sched steps 0 in
-      let pd = Ppd.Session.pardyn s in
-      let stats = Ppd.Race.detect pd in
+      (* race takes no engine, inlining, loop-block or tier option *)
+      let src =
+        debug_source file sched steps Runtime.Machine.Vm_engine 0 0 false
+          Trace.Logger.default_ckpt_every load
+      in
+      let race sink =
+        fst
+          (ok_or_fail
+             (Serve.Query.race ~config:Ppd.Controller.default_config sink src))
+      in
       match format with
       | `Human ->
-        print_endline (Ppd.Session.explain_halt s);
-        Format.printf "%a@." (Ppd.Race.pp_report pd) stats.Ppd.Race.races;
+        let sink = Serve.Render.stdout_sink () in
+        Serve.Query.header sink src;
+        let stats = race sink in
         Printf.printf "(%d edge pairs examined)\n"
           stats.Ppd.Race.pairs_examined;
         if stats.Ppd.Race.races <> [] then exit 3
       | `Json ->
-        let p = Ppd.Session.prog s in
+        let stats = race (Serve.Render.buffer_sink (Buffer.create 256)) in
+        let p = src.Serve.Query.eb.Analysis.Eblock.prog in
         let diags =
           List.map
             (fun (r : Ppd.Race.race) ->
@@ -1069,12 +1076,13 @@ let race_cmd =
   Cmd.v
     (Cmd.info "race"
        ~doc:
-         "Detect data races: dynamically over one execution \
-          (\u{00A7}6.4) or statically from the text (--static, \
+         "Detect data races: dynamically over one execution's log \
+          (\u{00A7}6.4) \u{2014} run the program, or $(b,--load) a \
+          saved log \u{2014} or statically from the text (--static, \
           \u{00A7}7).")
     Term.(
       const run $ file_arg $ sched_arg $ steps_arg $ static_arg $ proto_arg
-      $ format_arg)
+      $ format_arg $ load_arg)
 
 let lint_cmd =
   let passes_arg =

@@ -11,7 +11,7 @@ let () =
     (Ppd.Session.output session);
 
   print_endline "=== parallel dynamic graph (Figure 6.1) ===";
-  let pd = Ppd.Session.pardyn session in
+  let pd = Ppd.Controller.pardyn (Ppd.Session.controller session) in
   Format.printf "%a@.@." Ppd.Pardyn.pp pd;
 
   (* Find p3's print node and flow back across processes. *)

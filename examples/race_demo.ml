@@ -10,7 +10,9 @@ let analyse name src =
   let session = Ppd.Session.run ~sched:(Runtime.Sched.Random_seed 11) src in
   Printf.printf "%s; final balance: %s" (Ppd.Session.explain_halt session)
     (Ppd.Session.output session);
-  let pd = Ppd.Session.pardyn session in
+  (* the graph the debugging phase builds from the log: access sets from
+     replaying every e-block interval *)
+  let pd = Ppd.Controller.pardyn (Ppd.Session.controller session) in
   Format.printf "%a@.@." Ppd.Pardyn.pp pd;
   let oracle = Ppd.Race.all_pairs pd in
   let stats = Ppd.Race.detect pd in

@@ -57,8 +57,9 @@ type t = {
       (* where the entries come from: an open segment decoded interval
          by interval as queries touch it (the demand-paged debugging
          phase), or a log already in memory *)
-  pd : Pardyn.t Lazy.t;
-      (* race queries force a full decode, once per shared cache *)
+  mutable race_answer : (Pardyn.t * Race.stats) option;
+      (* built on the first race query, from the replays of the
+         intervals that may touch a shared variable *)
   g : Dyn_graph.t;
   asm : Builder.t;  (* assembles fragments into [g] *)
   ivs : L.interval array array;  (* per pid *)
@@ -150,11 +151,7 @@ let start_paged ?pool ?shared ?(config = default_config) eb src =
   {
     eb;
     src;
-    pd =
-      lazy
-        (match shared with
-        | Some f -> Fragcache.pardyn f prog src
-        | None -> Pardyn.of_log prog (Store.Segment.to_log src));
+    race_answer = None;
     g;
     asm = Builder.create bp g;
     ivs =
@@ -198,8 +195,6 @@ let interval_log t (iv : L.interval) =
 let graph t = t.g
 
 let prog t = t.eb.Analysis.Eblock.prog
-
-let pardyn t = Lazy.force t.pd
 
 let intervals t ~pid = t.ivs.(pid)
 
@@ -359,7 +354,10 @@ let reason_of_failure = function
   | Emulator.Replay_mismatch m -> Printf.sprintf "replay diverged: %s" m
   | e -> Printexc.to_string e
 
-let build_interval (t : t) ~pid ~iv_id =
+(* An interval's outcome through the caches, the retries and the
+   watchdog. [assemble:false] serves race detection, which reads the
+   events only: the outcome is published but not assembled. *)
+let interval_outcome ~assemble (t : t) ~pid ~iv_id =
   (* the e-block boundary is the deadline propagation point: a query
      that expires mid-flowback stops before the next replay instead of
      holding its slot to completion (DESIGN §17) *)
@@ -416,6 +414,12 @@ let build_interval (t : t) ~pid ~iv_id =
       Hashtbl.replace t.outcomes key outcome;
       outcome
     end
+    else if not assemble then begin
+      (match t.shared with
+      | Some sh -> Fragcache.publish sh (t.src_tier, pid, iv_id) outcome
+      | None -> ());
+      outcome
+    end
     else begin
       (* Graph assembly always happens here, on the querying domain, in
          query order: replay never reads the graph, so feeding a
@@ -439,17 +443,96 @@ let build_interval (t : t) ~pid ~iv_id =
       outcome
     end
 
-(* Batch-emulate a set of intervals: submit every missing one to the
-   pool, then assemble in list order on this domain. Without a pool
-   this degenerates to the serial loop and builds the same graph. *)
-let build_intervals_par t keys =
+let build_interval t ~pid ~iv_id = interval_outcome ~assemble:true t ~pid ~iv_id
+
+let submit_all t keys =
   Option.iter
     (fun pool ->
       List.iter
         (fun (pid, iv_id) -> submit_replay t pool t.ivs.(pid).(iv_id))
         keys)
-    t.pool;
+    t.pool
+
+(* Batch-emulate a set of intervals: submit every missing one to the
+   pool, then assemble in list order on this domain. Without a pool
+   this degenerates to the serial loop and builds the same graph. *)
+let build_intervals_par t keys =
+  submit_all t keys;
   List.iter (fun (pid, iv_id) -> ignore (build_interval t ~pid ~iv_id)) keys
+
+(* The events a diverged interval replayed before its mismatch. The
+   interval is not assembled, and its outcome is not cached. *)
+let diverged_events t (iv : L.interval) =
+  let evs = ref [] in
+  (try
+     ignore
+       (Emulator.replay
+          ~on_event:(fun ~seq ev -> evs := (seq, ev) :: !evs)
+          ~max_steps:t.config.max_replay_steps t.eb (interval_log t iv)
+          ~interval:iv)
+   with Emulator.Replay_mismatch _ -> ());
+  !evs
+
+(* Whether an interval's replay can show a shared access. A function
+   block's USED and DEFINED sets (§5.1) cover every variable it and its
+   inlined callees may read or write, so a block naming no shared
+   variable adds nothing to the race sets and is not replayed for them.
+   Loop blocks are always replayed. *)
+let may_touch_shared t (iv : L.interval) =
+  match iv.L.iv_block with
+  | L.Bloop _ -> true
+  | L.Bfunc fid ->
+    let vars = (prog t).P.vars in
+    let shared set =
+      Analysis.Varset.fold (fun vid acc -> acc || P.is_shared vars.(vid)) set false
+    in
+    shared t.eb.Analysis.Eblock.used.(fid)
+    || shared t.eb.Analysis.Eblock.defined.(fid)
+
+(* The events of every interval that may touch a shared variable,
+   through the usual path (pool, caches, retries, deadline) without
+   assembling them; then the graph with the replayed access sets, its
+   race stats and the replay steps they took. *)
+let build_race t =
+  let keys =
+    Array.to_list t.ivs
+    |> List.concat_map (fun ivs ->
+           Array.to_list ivs
+           |> List.filter (may_touch_shared t)
+           |> List.map (fun iv -> (iv.L.iv_pid, iv.L.iv_id)))
+  in
+  submit_all t keys;
+  let steps = ref 0 in
+  let replay add =
+    List.iter
+      (fun (pid, iv_id) ->
+        add ~pid
+          (match interval_outcome ~assemble:false t ~pid ~iv_id with
+          | o ->
+            steps := !steps + o.Emulator.steps;
+            o.Emulator.events
+          | exception Emulator.Replay_mismatch _ ->
+            diverged_events t t.ivs.(pid).(iv_id)))
+      keys
+  in
+  let pd = Pardyn.of_replay (prog t) (Store.Segment.to_log t.src) replay in
+  (pd, Race.detect pd, !steps)
+
+let race t =
+  match t.race_answer with
+  | Some r -> r
+  | None ->
+    let r =
+      match t.shared with
+      | Some f -> Fragcache.race f (prog t) t.src (fun () -> build_race t)
+      | None ->
+        let pd, st, _ = build_race t in
+        (pd, st)
+    in
+    t.race_answer <- Some r;
+    r
+
+let pardyn t = fst (race t)
 
 let enclosing_interval t (r : E.eref) =
   L.find_enclosing t.ivs.(r.epid) ~seq:r.eseq

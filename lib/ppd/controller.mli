@@ -115,10 +115,24 @@ val graph : t -> Dyn_graph.t
 
 val prog : t -> Lang.Prog.t
 
+val race : t -> Pardyn.t * Race.stats
+(** The log's race answer (§6.4): its parallel dynamic graph and
+    {!Race.detect}'s stats over it, built on first use. The structure
+    comes from the log's sync records, each internal edge's READ/WRITE
+    sets from the replays of the intervals that cover it, run like
+    {!build_intervals_par} (pool, caches, retries, deadline; clean
+    outcomes are published to the shared cache) but not assembled. An
+    interval whose block's USED and DEFINED sets name no shared
+    variable cannot add an access and is not replayed. An interval whose
+    replay diverges ({!Emulator.Replay_mismatch}, which a data race
+    causes) keeps the accesses it replayed before the mismatch, so the
+    answer is exact up to the first race. In degraded mode a hole
+    contributes no accesses. A controller started with a shared cache
+    takes the answer from there ({!Fragcache.race}), so it is built
+    once per registry entry. *)
+
 val pardyn : t -> Pardyn.t
-(** The log's parallel dynamic graph, decoded and built on first use; a
-    controller started with a shared cache takes it from there
-    ({!Fragcache.pardyn}), so it is built once per registry entry. *)
+(** The graph of {!race}. *)
 
 val intervals : t -> pid:int -> Trace.Log.interval array
 

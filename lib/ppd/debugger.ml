@@ -231,8 +231,8 @@ let eval t line =
         Printf.sprintf "unknown lint pass '%s'; available: %s" n
           (String.concat ", " Analysis.Lint.pass_names))
     | "races" :: _ ->
-      let pd = Session.pardyn t.session in
-      fmt "%a" (Race.pp_report pd) (Session.races t.session)
+      let pd, st = Controller.race (Session.controller t.session) in
+      fmt "%a" (Race.pp_report pd) st.Race.races
     | "proto" :: _ ->
       let p = Session.prog t.session in
       fmt "%a" Analysis.Proto.pp (Analysis.Proto.analyze p)

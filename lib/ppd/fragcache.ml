@@ -15,9 +15,10 @@
    the outcomes that are big but cheap to recompute go first, the
    small expensive ones are kept. Eviction is always safe: a future
    lookup just replays the interval again. An order-tier log's
-   reconstruction (DESIGN §16.2) and the log's parallel dynamic graph
-   (the race detector's input) are held, charged and evicted the same
-   way, their cost being what rebuilding them takes.
+   reconstruction (DESIGN §16.2) and the log's race answer (its
+   parallel dynamic graph and the detector's stats) are held, charged
+   and evicted the same way, their cost being what rebuilding them
+   takes.
 
    The hit/miss counters are plain atomics, always live (unlike the
    Obs mirrors, which are no-ops until profiling is enabled): the T13
@@ -66,8 +67,9 @@ type t = {
   recon : (Store.Segment.reader * Analysis.Eblock.t, Store.Segment.reader) slot;
       (* the content reader reconstructed from an order-tier source
          reader (DESIGN §16.2), for one e-block analysis *)
-  race : (Lang.Prog.t * Store.Segment.reader, Pardyn.t) slot;
-      (* the parallel dynamic graph of one content reader *)
+  race : (Lang.Prog.t * Store.Segment.reader, Pardyn.t * Race.stats) slot;
+      (* the parallel dynamic graph of one content reader and its
+         detector stats *)
 }
 
 let create ?budget () =
@@ -248,27 +250,35 @@ let reconstruction t eb src =
         d_steps = steps;
       })
 
-(* A coarse in-memory cost for a parallel dynamic graph: per sync node
-   its record, sync data, vector clock, index entry and adjacency, per
-   internal edge its record (~380 and ~100 bytes on the e2e ledger,
-   [Obj.reachable_words]). *)
-let race_cost (pd : Pardyn.t) =
-  (Array.length pd.Pardyn.nodes * 380) + (Array.length pd.Pardyn.iedges * 100) + 128
+(* A coarse in-memory cost for a race answer: per sync node its record,
+   sync data, vector clock, index entry and adjacency, per internal edge
+   its record (~380 and ~100 bytes on the e2e ledger,
+   [Obj.reachable_words]), per non-empty access set its bit words, per
+   race its record. *)
+let race_cost ((pd : Pardyn.t), (st : Race.stats)) =
+  let sets =
+    Array.fold_left
+      (fun n (e : Pardyn.iedge) ->
+        let one s = if Analysis.Varset.is_empty s then 0 else 1 in
+        n + one e.Pardyn.ie_reads + one e.Pardyn.ie_writes)
+      0 pd.Pardyn.iedges
+  in
+  (Array.length pd.Pardyn.nodes * 380)
+  + (Array.length pd.Pardyn.iedges * 100)
+  + (sets * 48)
+  + (List.length st.Race.races * 48)
+  + 128
 
-let pardyn t prog src =
+let race t prog src build =
   derive t t.race
     ~same:(fun (p, s) -> p == prog && s == src)
     (fun () ->
-      let pd =
-        Obs.phase "race-graph" (fun () ->
-            Pardyn.of_log prog (Store.Segment.to_log src))
-      in
-      (* rebuilding decodes every entry of the log; count one step each *)
+      let pd, st, steps = Obs.phase "race-graph" build in
       {
         d_key = (prog, src);
-        d_value = pd;
-        d_bytes = race_cost pd;
-        d_steps = Store.Segment.entry_count src;
+        d_value = (pd, st);
+        d_bytes = race_cost (pd, st);
+        d_steps = steps;
       })
 
 let evictions t = Atomic.get t.evictions

@@ -9,7 +9,7 @@
     The same instance holds what those controllers would otherwise
     each rebuild: the program's assembly tables ({!program}), an
     order-tier log's reconstruction ({!reconstruction}) and the log's
-    parallel dynamic graph ({!pardyn}).
+    race answer ({!race}).
 
     Thread- and domain-safe: the table is mutex-protected and the
     counters are atomics. Only clean outcomes (no injected fault, no
@@ -42,7 +42,7 @@ val size : t -> int
 
 val bytes : t -> int
 (** Accounted byte estimate of everything cached right now, the
-    reconstruction and the parallel dynamic graph included. *)
+    reconstruction and the race answer included. *)
 
 val program : t -> Lang.Prog.t -> Builder.program
 (** The assembly tables for the program debugged over this cache,
@@ -64,24 +64,31 @@ val reconstruction :
     With a budget, filling charges an entry-count byte estimate and
     rebalances. *)
 
-val pardyn : t -> Lang.Prog.t -> Store.Segment.reader -> Pardyn.t
-(** [pardyn t prog src] is the parallel dynamic graph of the content
-    reader [src] ([Pardyn.of_log] over the decoded log), the race
-    detector's input, held like {!reconstruction}: built once per
-    registry entry, keyed physically on [prog] and [src], installed by
-    compare-and-set, successes only, charged to the budget and
-    evictable. The build runs in an [Obs] phase span named
-    ["race-graph"]. *)
+val race :
+  t ->
+  Lang.Prog.t ->
+  Store.Segment.reader ->
+  (unit -> Pardyn.t * Race.stats * int) ->
+  Pardyn.t * Race.stats
+(** [race t prog src build] is the race answer of the content reader
+    [src]: its parallel dynamic graph, with access sets from e-block
+    replay, and {!Race.detect}'s stats over it. It is held like
+    {!reconstruction}: [build ()] runs once per registry entry, so a
+    warm race request only renders. The slot is keyed physically on
+    [prog] and [src], installed by compare-and-set, successes only,
+    charged to the budget and evictable. [build] returns the replay
+    steps the answer took as its third component, which is the slot's
+    rebuild cost; it runs in an [Obs] phase span named ["race-graph"]. *)
 
 val reclaim : t -> int -> int
 (** [reclaim t want] evicts cached outcomes, the reconstruction and the
-    parallel dynamic graph until at least [want] accounted bytes are
+    race answer until at least [want] accounted bytes are
     freed (or the cache is empty), in ascending replay-cost-per-byte
     order — big-but-cheap-to-recompute entries go first; the
     reconstruction's cost is its re-execution's step count, the
-    parallel graph's the log's entry count. Returns the bytes freed;
+    race answer's its replays' step count. Returns the bytes freed;
     releases them from the attached budget itself. An evicted value is
-    rebuilt by the next {!reconstruction} or {!pardyn}. *)
+    rebuilt by the next {!reconstruction} or {!race}. *)
 
 val clear : t -> unit
 (** Evict everything (releasing the budget charge). *)

@@ -193,29 +193,111 @@ let build (prog : P.t) (streams : item list array) =
 (* Constructors.                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let of_log (prog : P.t) (log : Trace.Log.t) =
-  let streams =
-    Array.mapi
-      (fun pid entries ->
-        Array.to_list entries
-        |> List.filter_map (fun entry ->
-               match entry with
-               | Trace.Log.Sync { sid; seq; data; _ } ->
-                 Some
-                   (I_sync
-                      {
-                        r_ref = { E.epid = pid; eseq = seq };
-                        r_sid = sid;
-                        r_data = data;
-                        r_reads = [];
-                        r_writes = [];
-                      })
-               | Trace.Log.Prelog _ | Trace.Log.Postlog _
-               | Trace.Log.Sync_prelog _ ->
-                 None))
-      log.Trace.Log.entries
+let shared_vids rws =
+  List.filter_map
+    (fun (rw : E.rw) ->
+      if P.is_shared rw.var then Some rw.var.P.vid else None)
+    rws
+
+let sync_item ~pid ~seq sid data reads writes =
+  Some
+    (I_sync
+       {
+         r_ref = { E.epid = pid; eseq = seq };
+         r_sid = sid;
+         r_data = data;
+         r_reads = reads;
+         r_writes = writes;
+       })
+
+(* One event as builder input: a sync node carrying the event's own
+   shared reads and writes ({!build} splits them between the incoming
+   and outgoing edges), a plain access, or nothing. The loop-exit event
+   a replay emits for a skipped nested loop e-block carries that block's
+   postlog writes as a stand-in; it is dropped, because the nested
+   block's own replay supplies its accesses at their true seqs. *)
+let item_of_event ~pid ~seq (ev : E.t) =
+  match ev with
+  | E.E_proc_start { fid; spawn; _ } ->
+    sync_item ~pid ~seq None (Trace.Log.S_proc_start { fid; spawn }) [] []
+  | E.E_proc_exit { fid; result } ->
+    sync_item ~pid ~seq None (Trace.Log.S_proc_exit { fid; result }) [] []
+  | E.E_enter _ | E.E_leave _ | E.E_loop_enter _ | E.E_loop_exit _ -> None
+  | E.E_stmt { sid; reads; write; kind } -> (
+    let rvids = shared_vids reads in
+    let wvids =
+      match write with
+      | Some { var; _ } when P.is_shared var -> [ var.P.vid ]
+      | Some _ | None -> []
+    in
+    match kind with
+    | E.K_p _ | E.K_v _ | E.K_send _ | E.K_send_unblocked _ | E.K_recv _
+    | E.K_spawn _ | E.K_join _ ->
+      sync_item ~pid ~seq (Some sid) (Trace.Log.S_kind kind) rvids wvids
+    | E.K_assign | E.K_pred _ | E.K_call _ | E.K_call_return _ | E.K_return _
+    | E.K_print _ | E.K_assert _ ->
+      if rvids <> [] || wvids <> [] then Some (I_access (rvids, wvids))
+      else None)
+
+let of_replay (prog : P.t) (log : Trace.Log.t) replay =
+  (* per process, the replayed accesses: plain ones, and the sync events
+     that read or write shared variables themselves; each interval's
+     events are reduced to these as they arrive, so no more than one
+     interval's events are held here *)
+  let accesses = Array.make (Array.length log.Trace.Log.entries) [] in
+  replay (fun ~pid events ->
+      List.iter
+        (fun (seq, ev) ->
+          match item_of_event ~pid ~seq ev with
+          | Some (I_access _ as a) -> accesses.(pid) <- (seq, a) :: accesses.(pid)
+          | Some (I_sync r as a) when r.r_reads <> [] || r.r_writes <> [] ->
+            accesses.(pid) <- (seq, a) :: accesses.(pid)
+          | Some (I_sync _) | None -> ())
+        events);
+  (* the log's sync records in order, each with its replayed event's
+     own accesses, and the plain accesses between them (a replayed sync
+     event always has its record, having been checked against it; one
+     without would count as a plain access) *)
+  let stream pid entries =
+    let rec before s out = function
+      | (seq, a) :: rest when seq < s ->
+        let a =
+          match a with I_sync r -> I_access (r.r_reads, r.r_writes) | I_access _ -> a
+        in
+        before s (a :: out) rest
+      | rest -> (out, rest)
+    in
+    let items, rest =
+      Array.fold_left
+        (fun (out, pending) entry ->
+          match entry with
+          | Trace.Log.Sync { sid; seq; data; _ } ->
+            let out, pending = before seq out pending in
+            let reads, writes, pending =
+              match pending with
+              | (s, I_sync r) :: rest when s = seq -> (r.r_reads, r.r_writes, rest)
+              | _ -> ([], [], pending)
+            in
+            ( I_sync
+                {
+                  r_ref = { E.epid = pid; eseq = seq };
+                  r_sid = sid;
+                  r_data = data;
+                  r_reads = reads;
+                  r_writes = writes;
+                }
+              :: out,
+              pending )
+          | Trace.Log.Prelog _ | Trace.Log.Postlog _ | Trace.Log.Sync_prelog _ ->
+            (out, pending))
+        ([], List.sort (fun (a, _) (b, _) -> Int.compare a b) accesses.(pid))
+        entries
+    in
+    List.rev (fst (before max_int items rest))
   in
-  build prog streams
+  build prog (Array.mapi stream log.Trace.Log.entries)
+
+let of_log prog log = of_replay prog log ignore
 
 type obs = {
   oprog : P.t;
@@ -230,69 +312,10 @@ let ensure_pid o pid =
     o.ostreams <-
       Array.init (pid + 1) (fun i -> if i < n then o.ostreams.(i) else ref [])
 
-let shared_vids rws =
-  List.filter_map
-    (fun (rw : E.rw) ->
-      if P.is_shared rw.var then Some rw.var.P.vid else None)
-    rws
-
-let obs_event o ~pid ~seq (ev : E.t) =
+let obs_event o ~pid ~seq ev =
   ensure_pid o pid;
   let cell = o.ostreams.(pid) in
-  let push item = cell := item :: !cell in
-  let r = { E.epid = pid; eseq = seq } in
-  match ev with
-  | E.E_proc_start { fid; spawn; _ } ->
-    push
-      (I_sync
-         {
-           r_ref = r;
-           r_sid = None;
-           r_data = Trace.Log.S_proc_start { fid; spawn };
-           r_reads = [];
-           r_writes = [];
-         })
-  | E.E_proc_exit { fid; result } ->
-    push
-      (I_sync
-         {
-           r_ref = r;
-           r_sid = None;
-           r_data = Trace.Log.S_proc_exit { fid; result };
-           r_reads = [];
-           r_writes = [];
-         })
-  | E.E_enter _ | E.E_leave _ | E.E_loop_enter _ -> ()
-  | E.E_loop_exit { writes; _ } -> (
-    (* a skipped loop e-block's writes still count as this edge's shared
-       accesses (the collapsed block wrote them) *)
-    match writes with
-    | None -> ()
-    | Some ws ->
-      let wvids =
-        List.filter_map
-          (fun ((v : P.var), _) -> if P.is_shared v then Some v.P.vid else None)
-          ws
-      in
-      if wvids <> [] then push (I_access ([], wvids)))
-  | E.E_stmt { sid; reads; write; kind } -> (
-    let rvids = shared_vids reads in
-    let wvids = shared_vids (Option.to_list write) in
-    match kind with
-    | E.K_p _ | E.K_v _ | E.K_send _ | E.K_send_unblocked _ | E.K_recv _
-    | E.K_spawn _ | E.K_join _ ->
-      push
-        (I_sync
-           {
-             r_ref = r;
-             r_sid = Some sid;
-             r_data = Trace.Log.S_kind kind;
-             r_reads = rvids;
-             r_writes = wvids;
-           })
-    | E.K_assign | E.K_pred _ | E.K_call _ | E.K_call_return _ | E.K_return _
-    | E.K_print _ | E.K_assert _ ->
-      if rvids <> [] || wvids <> [] then push (I_access (rvids, wvids)))
+  Option.iter (fun item -> cell := item :: !cell) (item_of_event ~pid ~seq ev)
 
 let factory o _port =
   {

@@ -5,12 +5,11 @@ type t = {
   halt : M.halt;
   machine : M.t;
   log : Trace.Log.t;
-  pardyn_rt : Pardyn.t option;
   ctl : Controller.t Lazy.t;
 }
 
 let of_program ?(engine = M.Vm_engine) ?(sched = Runtime.Sched.default)
-    ?(max_steps = 1_000_000) ?policy ?(race_sets = true) ?breakpoints
+    ?(max_steps = 1_000_000) ?policy ?breakpoints
     ?log_sink ?(log_order = false) ?ckpt_every prog =
   let eb = Analysis.Eblock.analyze ?policy prog in
   (* Order-tier recording (DESIGN §16) must remember how to re-execute:
@@ -20,12 +19,7 @@ let of_program ?(engine = M.Vm_engine) ?(sched = Runtime.Sched.default)
     else Trace.Log.T_content
   in
   let logger = Trace.Logger.create ?sink:log_sink ~tier ?ckpt_every eb in
-  let obs = if race_sets then Some (Pardyn.observer prog) else None in
-  let hooks =
-    match obs with
-    | None -> Trace.Logger.factory logger
-    | Some o -> Runtime.Hooks.both (Trace.Logger.factory logger) (Pardyn.factory o)
-  in
+  let hooks = Trace.Logger.factory logger in
   let machine = M.create ~engine ~sched ~max_steps ~hooks ?breakpoints prog in
   let halt = Obs.phase "execution" (fun () -> M.run machine) in
   let log = Trace.Logger.finish logger in
@@ -34,14 +28,13 @@ let of_program ?(engine = M.Vm_engine) ?(sched = Runtime.Sched.default)
     halt;
     machine;
     log;
-    pardyn_rt = Option.map Pardyn.finish obs;
     ctl = lazy (Controller.start eb log);
   }
 
-let run ?engine ?sched ?max_steps ?policy ?race_sets ?breakpoints ?log_sink
-    ?log_order ?ckpt_every src =
-  of_program ?engine ?sched ?max_steps ?policy ?race_sets ?breakpoints
-    ?log_sink ?log_order ?ckpt_every (Lang.Compile.compile src)
+let run ?engine ?sched ?max_steps ?policy ?breakpoints ?log_sink ?log_order
+    ?ckpt_every src =
+  of_program ?engine ?sched ?max_steps ?policy ?breakpoints ?log_sink
+    ?log_order ?ckpt_every (Lang.Compile.compile src)
 
 let prog t = t.eb.Analysis.Eblock.prog
 
@@ -56,13 +49,6 @@ let output t = M.output t.machine
 let log t = t.log
 
 let controller t = Lazy.force t.ctl
-
-let pardyn t =
-  match t.pardyn_rt with
-  | Some pd -> pd
-  | None -> Controller.pardyn (controller t)
-
-let races t = (Race.detect (pardyn t)).Race.races
 
 let deadlock t = Deadlock.analyze t.machine
 

@@ -1,11 +1,11 @@
 (** One-stop debugging sessions: the three phases of §3.2 in one call.
 
     [run src] performs the preparatory phase (compile + semantic
-    analyses + e-block construction), the execution phase (instrumented
-    run producing the log, and optionally the runtime parallel-dynamic
-    -graph observer with shared access sets), and hands back everything
-    the debugging phase needs: the halt status, the log, a lazily
-    created {!Controller}, race detection and deadlock analysis. *)
+    analyses + e-block construction), the execution phase (a run
+    recorded by the logger alone), and hands back everything the
+    debugging phase needs: the halt status, the log, a lazily created
+    {!Controller} and deadlock analysis. Race answers come from the log,
+    through the controller ({!Controller.race}), as for a saved log. *)
 
 type t
 
@@ -14,17 +14,13 @@ val run :
   ?sched:Runtime.Sched.policy ->
   ?max_steps:int ->
   ?policy:Analysis.Eblock.policy ->
-  ?race_sets:bool ->
   ?breakpoints:int list ->
   ?log_sink:Trace.Logger.sink ->
   ?log_order:bool ->
   ?ckpt_every:int ->
   string ->
   t
-(** Compile and execute MPL source with logging attached.
-    [race_sets] (default [true]) also attaches the {!Pardyn.observer}
-    so races can be detected; switch it off when nothing reads the
-    race sets, and the run records with the logger alone. [log_sink]
+(** Compile and execute MPL source with logging attached. [log_sink]
     additionally streams every log entry out as it is produced (e.g. a
     {!Store.Segment.Writer} appending the durable segment file).
     [log_order] (default [false]) records an order-tier log instead of
@@ -42,7 +38,6 @@ val of_program :
   ?sched:Runtime.Sched.policy ->
   ?max_steps:int ->
   ?policy:Analysis.Eblock.policy ->
-  ?race_sets:bool ->
   ?breakpoints:int list ->
   ?log_sink:Trace.Logger.sink ->
   ?log_order:bool ->
@@ -68,11 +63,6 @@ val log : t -> Trace.Log.t
 val controller : t -> Controller.t
 (** A serial controller over the session's log with the default
     {!Controller.config}, created on first use and cached. *)
-
-val pardyn : t -> Pardyn.t
-(** With access sets when [race_sets] was on; otherwise from the log. *)
-
-val races : t -> Race.race list
 
 val deadlock : t -> Deadlock.analysis
 

@@ -93,22 +93,25 @@ let of_session s =
 
 let nprocs src = Store.Segment.nprocs src.reader
 
-(* Header, a fresh controller, the report: the shape of every answer. *)
-let answer ?pool ?shared ~config sink src report =
+let header sink src =
+  match src.origin with
+  | Saved log ->
+    Render.header sink ~path:log ~version:Store.Segment.format_version
+      ~nprocs:(nprocs src)
+  | Run s -> sink.Render.out (Ppd.Session.explain_halt s ^ "\n")
+
+(* A fresh controller, the report: the shape of every answer. *)
+let answer ?pool ?shared ~config src report =
   guard (fun () ->
-      (match src.origin with
-      | Saved log ->
-        Render.header sink ~path:log ~version:Store.Segment.format_version
-          ~nprocs:(nprocs src)
-      | Run s -> sink.Render.out (Ppd.Session.explain_halt s ^ "\n"));
       let ctl =
         Ppd.Controller.start_paged ?pool ?shared ~config src.eb src.reader
       in
-      report ctl;
-      Ppd.Controller.stats ctl)
+      let v = report ctl in
+      (v, Ppd.Controller.stats ctl))
 
 let flowback ?shared ~config sink ~depth ~dot src =
-  answer ?shared ~config sink src (fun ctl ->
+  header sink src;
+  answer ?shared ~config src (fun ctl ->
       let pid =
         match src.origin with Saved _ -> 0 | Run s -> Ppd.Session.halt_pid s
       in
@@ -117,7 +120,17 @@ let flowback ?shared ~config sink ~depth ~dot src =
         else Ppd.Controller.last_event_node ctl ~pid
       in
       Render.flowback_report sink ~depth ~dot ctl root)
+  |> Result.map snd
 
 let replay ?pool ?shared ~config sink ~dump src =
-  answer ?pool ?shared ~config sink src (fun ctl ->
+  header sink src;
+  answer ?pool ?shared ~config src (fun ctl ->
       Render.replay_report sink ~dump ~nprocs:(nprocs src) ctl)
+  |> Result.map snd
+
+let race ?shared ~config sink src =
+  answer ?shared ~config src (fun ctl ->
+      let pd, st = Ppd.Controller.race ctl in
+      Format.fprintf sink.Render.ppf "%a@." (Ppd.Race.pp_report pd)
+        st.Ppd.Race.races;
+      st)

@@ -67,11 +67,15 @@ val of_session : Ppd.Session.t -> source
 (** {1 Answers}
 
     Each answer starts a fresh controller over the source ([pool] and
-    [shared] as in {!Ppd.Controller.start_paged}), writes the source's
-    first line and the report into the sink, and returns the
-    controller's statistics. An order-tier log is reconstructed here,
-    or taken from [shared]. On a failure the sink may hold a partial
-    answer. *)
+    [shared] as in {!Ppd.Controller.start_paged}), writes its report
+    into the sink, and returns the controller's statistics. An
+    order-tier log is reconstructed here, or taken from [shared]. On a
+    failure the sink may hold a partial answer. *)
+
+val header : Render.sink -> source -> unit
+(** The first line of a CLI answer: the "debugging saved log …" banner
+    of a saved log, or the halt explanation of a run. {!flowback} and
+    {!replay} write it themselves; {!race} does not. *)
 
 val flowback :
   ?shared:Ppd.Fragcache.t ->
@@ -81,10 +85,10 @@ val flowback :
   dot:string option ->
   source ->
   (Ppd.Controller.stats, Lang.Diag.diagnostic) result
-(** Flowback from the last event of the source's root process ("no
-    events to debug" for a log without processes). Flowback replays
-    only what the walk demands, on the calling domain, so it takes no
-    pool. *)
+(** {!header}, then flowback from the last event of the source's root
+    process ("no events to debug" for a log without processes).
+    Flowback replays only what the walk demands, on the calling domain,
+    so it takes no pool. *)
 
 val replay :
   ?pool:Exec.Pool.t ->
@@ -94,4 +98,21 @@ val replay :
   dump:bool ->
   source ->
   (Ppd.Controller.stats, Lang.Diag.diagnostic) result
-(** Replay every interval of every process and report the graph. *)
+(** {!header}, then replay every interval of every process and report
+    the graph. *)
+
+val race :
+  ?shared:Ppd.Fragcache.t ->
+  config:Ppd.Controller.config ->
+  Render.sink ->
+  source ->
+  (Ppd.Race.stats * Ppd.Controller.stats, Lang.Diag.diagnostic) result
+(** Race detection from the log (§6.4, {!Ppd.Controller.race}): writes
+    {!Ppd.Race.pp_report}'s text, with no header line, and returns the
+    detector's stats with the controller's. With [shared] the answer is
+    built once per cache and the replays' outcomes are published there.
+    Like flowback it takes no pool: it replays only the intervals that
+    may touch a shared variable, most of them already in [shared], and
+    a hand-off to a worker domain costs more than such a replay. A
+    diverged replay is evidence of a race, not a failure: the race is
+    reported. *)

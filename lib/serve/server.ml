@@ -561,8 +561,8 @@ let ctl_config s ~deadline params =
 
 (* Post-query accounting: fold the controller's exact per-instance
    counters into the session (plain ints) and the Obs namespaces, and
-   build the answer. *)
-let query_result s ~output (st : Ppd.Controller.stats) =
+   build the answer: the method's own [fields], then the common ones. *)
+let query_result s ?(fields = []) ~output (st : Ppd.Controller.stats) =
   s.s_cache_hits <- s.s_cache_hits + st.Ppd.Controller.cache_hits;
   s.s_cache_misses <- s.s_cache_misses + st.Ppd.Controller.cache_misses;
   s.s_replay_steps <- s.s_replay_steps + st.Ppd.Controller.replay_steps;
@@ -571,14 +571,15 @@ let query_result s ~output (st : Ppd.Controller.stats) =
   Obs.add c_misses st.Ppd.Controller.cache_misses;
   Obs.add s.sc_misses st.Ppd.Controller.cache_misses;
   J.Obj
-    [
+    (fields
+    @ [
       ("output", J.Str output);
       ("replays", J.Int st.Ppd.Controller.replays);
       ("replaySteps", J.Int st.Ppd.Controller.replay_steps);
       ("holes", J.Int st.Ppd.Controller.holes);
       ("cacheHits", J.Int st.Ppd.Controller.cache_hits);
       ("cacheMisses", J.Int st.Ppd.Controller.cache_misses);
-    ]
+    ])
 
 (* Answer a flowback or replay question into a buffer that becomes the
    result's [output]. *)
@@ -603,27 +604,24 @@ let m_replay t s ~deadline params =
 
 let m_race t s ~deadline params =
   let* e = p_handle t s params in
-  answered
-    (Query.guard (fun () ->
-         let config =
-           request_config s ~deadline ~degraded:false
-             ~max_replay_steps:max_replay_steps_cap
-         in
-         let ctl =
-           Ppd.Controller.start_paged ~shared:e.e_frag ~config
-             e.e_src.eb e.e_src.reader
-         in
-         let pd = Ppd.Controller.pardyn ctl in
-         let stats = Ppd.Race.detect pd in
-         let output =
-           Format.asprintf "%a@." (Ppd.Race.pp_report pd) stats.Ppd.Race.races
-         in
-         J.Obj
-           [
-             ("races", J.Int (List.length stats.Ppd.Race.races));
-             ("pairsExamined", J.Int stats.Ppd.Race.pairs_examined);
-             ("output", J.Str output);
-           ]))
+  let config =
+    request_config s ~deadline ~degraded:false
+      ~max_replay_steps:max_replay_steps_cap
+  in
+  let buf = Buffer.create 1024 in
+  let* race, st =
+    answered
+      (Query.race ~shared:e.e_frag ~config
+         (Render.buffer_sink buf) e.e_src)
+  in
+  Ok
+    (query_result s
+       ~fields:
+         [
+           ("races", J.Int (List.length race.Ppd.Race.races));
+           ("pairsExamined", J.Int race.Ppd.Race.pairs_examined);
+         ]
+       ~output:(Buffer.contents buf) st)
 
 let m_proto _t _s params =
   let* program = p_str params "program" in
@@ -680,6 +678,8 @@ let m_fsck _t _s params =
                ("bytes", J.Int rp.Store.Segment.fk_bytes);
                ("indexed", J.Bool rp.Store.Segment.fk_indexed);
                ("clean", J.Bool rp.Store.Segment.fk_clean);
+               ("tier", J.Str rp.Store.Segment.fk_tier);
+               ("checkpoints", J.Int rp.Store.Segment.fk_ckpts);
                ("procs", J.Int rp.Store.Segment.fk_procs);
                ("records", J.Int rp.Store.Segment.fk_records);
                ("intervals", J.Int rp.Store.Segment.fk_intervals);

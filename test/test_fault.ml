@@ -199,7 +199,7 @@ let test_fsck_finds_mid_file_damage () =
          frame header so the length field stays sane) *)
       let off = victim.S.fp_offset + 12 in
       Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor 0x40));
-      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+      Util.overwrite path (Bytes.to_string b);
       let rp' = S.fsck path in
       Alcotest.(check bool) "damage found" false rp'.S.fk_clean;
       Alcotest.(check bool) "the victim page is the one flagged" true
@@ -318,8 +318,7 @@ let test_truncation_sweep_degraded_debug () =
       S.save path log;
       let full = In_channel.with_open_bin path In_channel.input_all in
       for len = 0 to String.length full - 1 do
-        Out_channel.with_open_bin path (fun oc ->
-            Out_channel.output_string oc (String.sub full 0 len));
+        Util.overwrite path (String.sub full 0 len);
         (match S.fsck path with
         | rp -> Alcotest.(check bool) "truncation is never clean" false
                   rp.S.fk_clean
@@ -353,16 +352,12 @@ let expect_ppd050 name path =
 
 let test_v1_garbage_is_ppd050 () =
   with_tmp (fun path ->
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc "PPDLOG1\n";
-          Out_channel.output_string oc
-            (String.init 64 (fun i -> Char.chr (i * 7 mod 256))));
+      Util.overwrite path
+        ("PPDLOG1\n" ^ String.init 64 (fun i -> Char.chr (i * 7 mod 256)));
       expect_ppd050 "garbage after v1 magic" path;
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc "PPDL");
+      Util.overwrite path "PPDL";
       expect_ppd050 "truncated magic" path;
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc "PPDLOG1\n");
+      Util.overwrite path "PPDLOG1\n";
       expect_ppd050 "v1 magic, empty body" path)
 
 let suite =

@@ -77,7 +77,7 @@ let test_io_bad_magic () =
     (fun () ->
       List.iter
         (fun (name, bytes, sub) ->
-          Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+          Util.overwrite path bytes;
           let refused what f =
             match f path with
             | () -> Alcotest.failf "%s: %s accepted it" name what

@@ -101,10 +101,7 @@ let test_order_truncation_salvage () =
       S.save path order;
       let full = In_channel.with_open_bin path In_channel.input_all in
       let n = String.length full in
-      let cut len =
-        Out_channel.with_open_bin path (fun oc ->
-            Out_channel.output_string oc (String.sub full 0 len))
-      in
+      let cut len = Util.overwrite path (String.sub full 0 len) in
       for len = 8 to n - 1 do
         cut len;
         let r = S.verify path in
@@ -132,8 +129,7 @@ let test_order_byte_flip_detected () =
       for i = 0 to String.length full - 1 do
         let b = Bytes.of_string full in
         Bytes.set b i (Char.chr (Char.code full.[i] lxor 0xFF));
-        Out_channel.with_open_bin path (fun oc ->
-            Out_channel.output_bytes oc b);
+        Util.overwrite path (Bytes.to_string b);
         (match S.verify path with
         | exception Store.Segment.Unreadable _ -> ()
         | r ->

@@ -156,6 +156,126 @@ let protected_is_race_free =
       in
       Ppd.Race.is_race_free g)
 
+(* The debugging phase answers from the log: structure from its sync
+   records, access sets from replaying its e-block intervals. On any
+   execution whose replays all complete, that answer is the one the
+   runtime observer builds live; a racy execution's replay may diverge,
+   but the answer stays exact up to the first race, so a race the
+   observer sees is still reported. An order-tier log is reconstructed
+   first, which a racy execution may refuse (PPD061). *)
+let log_race_agrees ?policy ~sched ~order src =
+  let prog = Util.compile src in
+  let eb = Analysis.Eblock.analyze ?policy prog in
+  let tier =
+    if order then
+      Trace.Log.order_tier ~sched ~engine:Runtime.Machine.Vm_engine
+        ~max_steps:1_000_000
+    else Trace.Log.T_content
+  in
+  let obs = Ppd.Pardyn.observer prog in
+  let _, log, _ =
+    Trace.Logger.run_logged ~sched ~max_steps:1_000_000 ~tier
+      ~extra_hooks:(Ppd.Pardyn.factory obs) eb
+  in
+  let oracle = Ppd.Race.detect (Ppd.Pardyn.finish obs) in
+  match Ppd.Controller.race (Ppd.Controller.start eb log) with
+  | exception Ppd.Reconstruct.Divergence _ -> order
+  | _, got ->
+    let ctl = Ppd.Controller.start eb log in
+    let keys =
+      List.concat_map
+        (fun pid ->
+          Array.to_list (Ppd.Controller.intervals ctl ~pid)
+          |> List.map (fun iv -> (pid, iv.Trace.Log.iv_id)))
+        (List.init log.Trace.Log.nprocs Fun.id)
+    in
+    let diverged =
+      match Ppd.Controller.build_intervals_par ctl keys with
+      | () -> false
+      | exception Ppd.Emulator.Replay_mismatch _ -> true
+    in
+    ((not diverged) || oracle.Ppd.Race.races <> [])
+    && (diverged || got = oracle)
+    && (oracle.Ppd.Race.races = [] || got.Ppd.Race.races <> [])
+
+let from_log_matches_observer =
+  Util.qtest ~count:300 "log-built race report = observer-built"
+    QCheck2.Gen.(
+      quad (int_range 0 100_000)
+        (oneofl [ `Always; `Sometimes; `Never ])
+        (pair bool (int_range 0 1_000))
+        bool)
+    (fun (seed, protect, (random, s), order) ->
+      let sched =
+        if random then Runtime.Sched.Random_seed s
+        else Runtime.Sched.Round_robin (1 + (s mod 8))
+      in
+      log_race_agrees ~sched ~order (Gen.parallel ~protect seed))
+
+(* Named programs, including messages whose payloads and targets are
+   shared variables: a sync event's own reads belong to its incoming
+   edge and its writes to its outgoing edge, on the log path as in the
+   observer. *)
+let test_from_log_named () =
+  let sync_accesses =
+    {|
+    shared int g = 4;
+    shared int h = 0;
+    chan c[0];
+    func w() { send(c, g); recv(c, h); }
+    func main() {
+      var p = spawn w();
+      var x = 0;
+      recv(c, x);
+      g = x + 1;
+      send(c, g);
+      join(p);
+      print(h);
+    }
+    |}
+  in
+  (* every loop an e-block: a replay skips the nested loop blocks and
+     marks each with a stand-in carrying its writes, which must not
+     count again at the loop's exit *)
+  let loops =
+    { Analysis.Eblock.leaf_inline_max_stmts = 0; loop_block_min_body = 1 }
+  in
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun sched ->
+          List.iter
+            (fun (order, policy) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %s %s%s" name
+                   (Runtime.Sched.string_of_policy sched)
+                   (if order then "order" else "content")
+                   (if policy = None then "" else " loop-blocks"))
+                true
+                (log_race_agrees ?policy ~sched ~order src))
+            [
+              (false, None); (true, None); (false, Some loops); (true, Some loops);
+            ])
+        [
+          Runtime.Sched.Round_robin 1;
+          Runtime.Sched.Round_robin 3;
+          Runtime.Sched.Random_seed 3;
+          Runtime.Sched.Random_seed 11;
+        ])
+    [
+      ("sync accesses", sync_accesses);
+      ("fig61", Workloads.fig61);
+      ("rpc", Workloads.rpc);
+      ("racy bank", Workloads.racy_bank);
+      ("fixed bank", Workloads.fixed_bank);
+      ("sv race", Workloads.sv_race);
+      ("producer/consumer", Workloads.producer_consumer ~items:6 ~cap:2);
+      ("token ring", Workloads.token_ring ~procs:3 ~rounds:2);
+      ("locked hist", Workloads.locked_hist ~workers:3 ~rounds:4 ~cells:4);
+      ("counter", Workloads.counter ~workers:3 ~incs:3 ~mutex:true);
+      ("racy counter", Workloads.counter ~workers:2 ~incs:3 ~mutex:false);
+    ]
+
 let suite =
   ( "race",
     [
@@ -170,4 +290,7 @@ let suite =
         test_protected_counter_scale;
       detect_matches_oracle;
       protected_is_race_free;
+      Alcotest.test_case "log-built = observer on named programs" `Quick
+        test_from_log_named;
+      from_log_matches_observer;
     ] )

@@ -7,8 +7,17 @@ let test_session_surface () =
   let s = Ppd.Session.run Workloads.fixed_bank in
   Alcotest.(check string) "output" "20\n" (Ppd.Session.output s);
   Alcotest.(check bool) "halt" true (Ppd.Session.halt s = Runtime.Machine.Finished);
+  let races =
+    match
+      Serve.Query.race ~config:Ppd.Controller.default_config
+        (Serve.Render.buffer_sink (Buffer.create 64))
+        (Serve.Query.of_session s)
+    with
+    | Ok (st, _) -> st.Ppd.Race.races
+    | Error d -> Alcotest.failf "race: %s" d.Lang.Diag.d_message
+  in
   Alcotest.(check (list int)) "no races" []
-    (List.map (fun r -> r.Ppd.Race.rc_edge1) (Ppd.Session.races s));
+    (List.map (fun r -> r.Ppd.Race.rc_edge1) races);
   Alcotest.(check bool) "explain mentions finished" true
     (Util.contains ~sub:"finished" (Ppd.Session.explain_halt s))
 

@@ -116,10 +116,7 @@ let test_truncation_salvage () =
       let n = String.length full in
       (* every cut point: the salvaged log is always a per-pid prefix,
          and cutting only the trailer/footer loses no record at all *)
-      let cut len =
-        Out_channel.with_open_bin path (fun oc ->
-            Out_channel.output_string oc (String.sub full 0 len))
-      in
+      let cut len = Util.overwrite path (String.sub full 0 len) in
       for len = 8 to n - 1 do
         cut len;
         let r = S.verify path in
@@ -155,8 +152,7 @@ let test_byte_flip_always_detected () =
       for i = 0 to String.length full - 1 do
         let b = Bytes.of_string full in
         Bytes.set b i (Char.chr (Char.code full.[i] lxor 0xFF));
-        Out_channel.with_open_bin path (fun oc ->
-            Out_channel.output_bytes oc b);
+        Util.overwrite path (Bytes.to_string b);
         (match S.verify path with
         | exception S.Unreadable _ -> ()
         | r ->
@@ -191,8 +187,7 @@ let test_repair_keeps_clean_prefix () =
               let b = Bytes.of_string full in
               let i = victim.S.fp_offset + 4 in
               Bytes.set b i (Char.chr (Char.code full.[i] lxor 0xFF));
-              Out_channel.with_open_bin path (fun oc ->
-                  Out_channel.output_bytes oc b);
+              Util.overwrite path (Bytes.to_string b);
               let fk = S.fsck path in
               let rp = S.repair path ~out in
               let repaired = S.load out in
@@ -437,9 +432,7 @@ let test_salvaged_reader_still_debugs () =
   with_tmp (fun path ->
       S.save path log;
       let full = In_channel.with_open_bin path In_channel.input_all in
-      Out_channel.with_open_bin path (fun oc ->
-          Out_channel.output_string oc
-            (String.sub full 0 (String.length full * 2 / 3)));
+      Util.overwrite path (String.sub full 0 (String.length full * 2 / 3));
       let reader = S.open_file path in
       Alcotest.(check bool) "salvage path" true (not (S.is_indexed reader));
       Alcotest.(check bool) "damage reported" true (S.damage reader <> []);

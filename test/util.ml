@@ -13,6 +13,14 @@ let compile_err src =
   | Ok _ -> None
   | Error (_, msg) -> Some msg
 
+(* Replace a file's contents. Removing it first gives the new bytes
+   fresh blocks: truncating in place makes ext4 write the old blocks
+   back at close, which dominates loops that rewrite one file hundreds
+   of times. *)
+let overwrite path contents =
+  (try Sys.remove path with Sys_error _ -> ());
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
+
 (* Run a program bare and return (halt, output). *)
 let run ?(sched = Runtime.Sched.default) ?(max_steps = 200_000) src =
   let m = Runtime.Machine.create ~sched ~max_steps (compile src) in
