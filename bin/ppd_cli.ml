@@ -199,25 +199,6 @@ let arm_faults specs seed =
       Format.eprintf "ppd: --fault: %s@." e;
       exit 124)
 
-let degraded_arg =
-  Arg.(
-    value & flag
-    & info [ "degraded" ]
-        ~doc:
-          "Degrade instead of aborting: a damaged or unreplayable log \
-           interval becomes an explicit hole node in the dynamic \
-           graph, and flowback answers report the unavailable history \
-           instead of failing.")
-
-let replay_steps_arg =
-  Arg.(
-    value
-    & opt int Ppd.Controller.default_config.Ppd.Controller.max_replay_steps
-    & info [ "max-replay-steps" ] ~docv:"N"
-        ~doc:
-          "Watchdog budget per replayed interval: a replay exceeding N \
-           steps is PPD060 (exit 7), or a hole under $(b,--degraded).")
-
 let load_arg =
   Arg.(
     value
@@ -227,9 +208,6 @@ let load_arg =
           "Skip the execution phase: debug over the saved log LOG \
            (demand-paged for v2 segments), with FILE supplying the \
            program for the preparatory analyses.")
-
-let ctl_config_of degraded max_replay_steps =
-  { Ppd.Controller.default_config with degraded; max_replay_steps }
 
 let profile_write pout ptrace =
   (match pout with
@@ -737,26 +715,90 @@ let fsck_cmd =
           is not a log at all.")
     Term.(const run $ log_path_arg)
 
-(* What flowback, replay and race answer over: a fresh run of FILE
-   recorded by the logger, or the saved log [load] with FILE supplying
-   the program. *)
-let debug_source file sched steps engine inline loops order ckpt_every load =
-  match load with
-  | None ->
-    Serve.Query.of_session
-      (session_of ~engine ~loops ~log_order:order ~ckpt_every file sched steps
-         inline)
-  | Some log ->
-    ok_or_fail
-      (Serve.Query.open_source ~policy:(policy_of ~loops inline) ~log
-         (compile_or_die (read_source file)))
+(* ------------------------------------------------------------------ *)
+(* The log-debugging commands: one per Serve.Query row.                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The shared source flags: FILE, and a runner that arms the fault
+   and profile flags, opens what a debugging command answers over (FILE
+   run fresh under the logger, or the saved log --load names with FILE
+   supplying the program), hands it to its argument, writes the profile
+   and exits with the status the argument returns. *)
+let source_term =
+  let make file sched steps engine inline loops order ckpt_every load faults
+      fault_seed pout ptrace =
+    let with_source f =
+      profile_setup pout ptrace;
+      arm_faults faults fault_seed;
+      let src =
+        match load with
+        | None ->
+          Serve.Query.of_session
+            (session_of ~engine ~loops ~log_order:order ~ckpt_every file
+               sched steps inline)
+        | Some log ->
+          ok_or_fail
+            (Serve.Query.open_source ~policy:(policy_of ~loops inline) ~log
+               (compile_or_die (read_source file)))
+      in
+      let status = f src in
+      profile_write pout ptrace;
+      if status <> 0 then exit status
+    in
+    (file, with_source)
+  in
+  Term.(
+    const make $ file_arg $ sched_arg $ steps_arg $ engine_arg $ inline_arg
+    $ loops_arg $ log_mode_arg $ ckpt_every_arg $ load_arg $ fault_arg
+    $ fault_seed_arg $ profile_out_arg $ profile_trace_arg)
+
+(* A row parameter as a flag: the kebab-case of its key. *)
+let param_term (p : Serve.Query.param) =
+  let flag_info =
+    Arg.info [ Serve.Query.kebab p.key ] ~docv:p.docv ~doc:p.doc
+  in
+  match p.default with
+  | Serve.Query.Int d ->
+    Term.(
+      const (fun v -> Serve.Query.Int v) $ Arg.(value & opt int d flag_info))
+  | Serve.Query.Flag _ ->
+    Term.(const (fun v -> Serve.Query.Flag v) $ Arg.(value & flag flag_info))
+  | Serve.Query.Assigns _ ->
+    Term.(
+      const (fun v -> Serve.Query.Assigns v)
+      $ Arg.(value & opt_all (pair ~sep:'=' string int) [] flag_info))
+
+let args_term (row : Serve.Query.row) =
+  List.fold_right
+    (fun (p : Serve.Query.param) rest ->
+      Term.(const (fun v rest -> (p.key, v) :: rest) $ param_term p $ rest))
+    (row.params @ Serve.Query.common)
+    (Term.const [])
+
+(* Answer [row] over [src] into a sink. *)
+let ask (row : Serve.Query.row) args src ?pool ?dot sink =
+  let ctx =
+    { Serve.Query.config = Serve.Query.config args; pool; shared = None; dot }
+  in
+  Obs.phase "debugging" (fun () -> row.run ctx args sink src)
+
+(* The subcommand of a row: its parameters and the common ones as
+   flags, beside the shared source flags. [front] adds the flags only
+   this front end has; [present] prints the answer and returns the exit
+   status. *)
+let query_cmd name front present =
+  let row = Option.get (Serve.Query.find name) in
+  Cmd.v
+    (Cmd.info name
+       ~doc:
+         ("Run the program (or $(b,--load) a saved log), then "
+         ^ String.uncapitalize_ascii row.doc))
+    Term.(
+      const (fun (_, with_source) args x ->
+          with_source (fun src -> present x src (ask row args src)))
+      $ source_term $ args_term row $ front)
 
 let flowback_cmd =
-  let depth_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "depth" ] ~docv:"N" ~doc:"Dependence tree depth.")
-  in
   let dot_arg =
     Arg.(
       value
@@ -764,72 +806,28 @@ let flowback_cmd =
       & info [ "dot" ] ~docv:"PATH"
           ~doc:"Write the dynamic graph as Graphviz dot to PATH.")
   in
-  let run file sched steps engine inline loops depth dot degraded max_rs order
-      ckpt_every faults fseed load pout ptrace =
-    profile_setup pout ptrace;
-    arm_faults faults fseed;
-    let src =
-      debug_source file sched steps engine inline loops order ckpt_every load
-    in
-    let r =
-      Obs.phase "debugging" (fun () ->
-          Serve.Query.flowback
-            ~config:(ctl_config_of degraded max_rs)
-            (Serve.Render.stdout_sink ()) ~depth ~dot src)
-    in
-    ignore (ok_or_fail r);
-    profile_write pout ptrace
-  in
-  Cmd.v
-    (Cmd.info "flowback"
-       ~doc:
-         "Run the program (or $(b,--load) a saved log), then explain \
-          the halt by flowback analysis over the dynamic dependence \
-          graph.")
-    Term.(
-      const run $ file_arg $ sched_arg $ steps_arg $ engine_arg $ inline_arg
-      $ loops_arg $ depth_arg $ dot_arg $ degraded_arg $ replay_steps_arg
-      $ log_mode_arg $ ckpt_every_arg $ fault_arg $ fault_seed_arg $ load_arg
-      $ profile_out_arg $ profile_trace_arg)
+  query_cmd "flowback" dot_arg (fun dot _src ask ->
+      ignore (ok_or_fail (ask ?dot (Serve.Render.stdout_sink ())));
+      0)
 
 let replay_cmd =
-  let dump_arg =
-    Arg.(
-      value & flag
-      & info [ "dump" ]
-          ~doc:"Print the assembled dynamic graph (deterministic dump).")
-  in
-  let run file sched steps engine inline loops jobs dump degraded max_rs order
-      ckpt_every faults fseed load pout ptrace =
-    profile_setup pout ptrace;
-    arm_faults faults fseed;
-    let src =
-      debug_source file sched steps engine inline loops order ckpt_every load
-    in
-    let jobs = resolve_jobs jobs in
-    let pool = if jobs > 1 then Some (Exec.Pool.create ~jobs ()) else None in
-    let r =
-      Obs.phase "debugging" (fun () ->
-          Serve.Query.replay ?pool
-            ~config:(ctl_config_of degraded max_rs)
-            (Serve.Render.stdout_sink ()) ~dump src)
-    in
-    Option.iter Exec.Pool.shutdown pool;
-    ignore (ok_or_fail r);
-    profile_write pout ptrace
-  in
-  Cmd.v
-    (Cmd.info "replay"
-       ~doc:
-         "Run the program (or $(b,--load) a saved log), then \
-          batch-emulate every log interval (across the domain pool \
-          with -j > 1) and assemble the full dynamic dependence graph. \
-          Output is byte-identical for every -j value.")
-    Term.(
-      const run $ file_arg $ sched_arg $ steps_arg $ engine_arg $ inline_arg
-      $ loops_arg $ jobs_arg $ dump_arg $ degraded_arg $ replay_steps_arg
-      $ log_mode_arg $ ckpt_every_arg $ fault_arg $ fault_seed_arg $ load_arg
-      $ profile_out_arg $ profile_trace_arg)
+  query_cmd "replay" jobs_arg (fun jobs _src ask ->
+      let jobs = resolve_jobs jobs in
+      let pool = if jobs > 1 then Some (Exec.Pool.create ~jobs ()) else None in
+      let r = ask ?pool (Serve.Render.stdout_sink ()) in
+      Option.iter Exec.Pool.shutdown pool;
+      ignore (ok_or_fail r);
+      0)
+
+(* A row with no front-end flags of its own. *)
+let report_cmd name =
+  query_cmd name (Term.const ()) (fun () _src ask ->
+      ignore (ok_or_fail (ask (Serve.Render.stdout_sink ())));
+      0)
+
+let restore_cmd = report_cmd "restore"
+
+let whatif_cmd = report_cmd "whatif"
 
 let format_arg =
   Arg.(
@@ -992,86 +990,69 @@ let race_cmd =
              communication-protocol facts first (must-orderings and \
              state exclusion), discharging more pairs.")
   in
-  let run file sched steps static proto format load =
-    if static then begin
-      let p = compile_or_die (read_source file) in
-      let ctx = Analysis.Lint.make_ctx p in
-      let mhp =
-        if not proto then ctx.mhp
-        else begin
-          match (Lazy.force ctx.proto).Analysis.Proto.refined with
-          | Some refined ->
-            let _, d0 = Analysis.Proto.discharged_pairs p ctx.mhp in
-            let _, d1 = Analysis.Proto.discharged_pairs p refined in
-            Printf.eprintf
-              "protocol refinement: %d conflicting pair(s) discharged \
-               (vs %d by spawn/join structure alone)\n%!"
-              d1 d0;
-            refined
-          | None ->
-            Printf.eprintf
-              "protocol refinement unavailable (exploration incomplete); \
-               using the base MHP relation\n%!";
-            ctx.mhp
-        end
+  let static_race file proto format =
+    let p = compile_or_die (read_source file) in
+    let ctx = Analysis.Lint.make_ctx p in
+    let mhp =
+      if not proto then ctx.mhp
+      else begin
+        match (Lazy.force ctx.proto).Analysis.Proto.refined with
+        | Some refined ->
+          let _, d0 = Analysis.Proto.discharged_pairs p ctx.mhp in
+          let _, d1 = Analysis.Proto.discharged_pairs p refined in
+          Printf.eprintf
+            "protocol refinement: %d conflicting pair(s) discharged \
+             (vs %d by spawn/join structure alone)\n%!"
+            d1 d0;
+          refined
+        | None ->
+          Printf.eprintf
+            "protocol refinement unavailable (exploration incomplete); \
+             using the base MHP relation\n%!";
+          ctx.mhp
+      end
+    in
+    match format with
+    | `Human ->
+      let reports = Analysis.Static_race.analyze ~mhp p in
+      Format.printf "%a@." (Analysis.Static_race.pp_report p) reports;
+      if reports <> [] then exit 3
+    | `Json ->
+      let races =
+        List.find
+          (fun q -> q.Analysis.Lint.pass_name = "races")
+          Analysis.Lint.passes
       in
-      (match format with
-      | `Human ->
-        let reports = Analysis.Static_race.analyze ~mhp p in
-        Format.printf "%a@." (Analysis.Static_race.pp_report p) reports;
-        if reports <> [] then exit 3
-      | `Json ->
-        let races =
-          List.find
-            (fun q -> q.Analysis.Lint.pass_name = "races")
-            Analysis.Lint.passes
-        in
-        let c = Lang.Diag.create () in
-        races.pass_run { ctx with mhp } c;
-        let diags = Lang.Diag.diagnostics c in
-        print_endline (Lang.Diag.json_of_diagnostics diags);
-        if diags <> [] then exit 3)
-    end
-    else begin
-      (* race takes no engine, inlining, loop-block or tier option *)
-      let src =
-        debug_source file sched steps Runtime.Machine.Vm_engine 0 0 false
-          Trace.Logger.default_ckpt_every load
-      in
-      let race sink =
-        fst
-          (ok_or_fail
-             (Serve.Query.race ~config:Ppd.Controller.default_config sink src))
-      in
+      let c = Lang.Diag.create () in
+      races.pass_run { ctx with mhp } c;
+      let diags = Lang.Diag.diagnostics c in
+      print_endline (Lang.Diag.json_of_diagnostics diags);
+      if diags <> [] then exit 3
+  in
+  (* the log's race report: after the source's first line, and closed
+     by the number of edge pairs examined; or the races as JSON
+     findings *)
+  let present format src ask =
+    let a =
       match format with
       | `Human ->
         let sink = Serve.Render.stdout_sink () in
         Serve.Query.header sink src;
-        let stats = race sink in
+        let a = ok_or_fail (ask sink) in
         Printf.printf "(%d edge pairs examined)\n"
-          stats.Ppd.Race.pairs_examined;
-        if stats.Ppd.Race.races <> [] then exit 3
+          (List.assoc "pairsExamined" a.Serve.Query.fields);
+        a
       | `Json ->
-        let stats = race (Serve.Render.buffer_sink (Buffer.create 256)) in
-        let p = src.Serve.Query.eb.Analysis.Eblock.prog in
-        let diags =
-          List.map
-            (fun (r : Ppd.Race.race) ->
-              {
-                Lang.Diag.d_code =
-                  (match r.rc_kind with
-                  | Ppd.Race.Write_write -> "PPD011"
-                  | Ppd.Race.Read_write -> "PPD010");
-                d_severity = Lang.Diag.Sev_warning;
-                d_loc = Lang.Loc.none;
-                d_message = Format.asprintf "%a" (Ppd.Race.pp_race p) r;
-                d_related = [];
-              })
-            stats.Ppd.Race.races
-        in
-        print_endline (Lang.Diag.json_of_diagnostics diags);
-        if diags <> [] then exit 3
-    end
+        let a = ok_or_fail (ask (Serve.Render.buffer_sink (Buffer.create 256))) in
+        print_endline (Lang.Diag.json_of_diagnostics a.Serve.Query.findings);
+        a
+    in
+    if a.Serve.Query.findings <> [] then 3 else 0
+  in
+  let row = Option.get (Serve.Query.find "race") in
+  let run (file, with_source) args static proto format =
+    if static then static_race file proto format
+    else with_source (fun src -> present format src (ask row args src))
   in
   Cmd.v
     (Cmd.info "race"
@@ -1081,8 +1062,8 @@ let race_cmd =
           saved log \u{2014} or statically from the text (--static, \
           \u{00A7}7).")
     Term.(
-      const run $ file_arg $ sched_arg $ steps_arg $ static_arg $ proto_arg
-      $ format_arg $ load_arg)
+      const run $ source_term $ args_term row $ static_arg $ proto_arg
+      $ format_arg)
 
 let lint_cmd =
   let passes_arg =
@@ -1163,89 +1144,6 @@ let deadlock_cmd =
   Cmd.v
     (Cmd.info "deadlock" ~doc:"Run the program and analyze deadlock causes.")
     Term.(const run $ file_arg $ sched_arg $ steps_arg)
-
-let restore_cmd =
-  let step_arg =
-    Arg.(
-      value & opt int max_int
-      & info [ "at-step" ] ~docv:"N"
-          ~doc:"Machine step to restore to (default: end of execution).")
-  in
-  let run file sched steps at_step =
-    let s = session_of file sched steps 0 in
-    print_endline (Ppd.Session.explain_halt s);
-    let p = Ppd.Session.prog s in
-    let snap = Ppd.Restore.shared_at p (Ppd.Session.log s) ~step:at_step in
-    Printf.printf "shared store at step %s:\n"
-      (if at_step = max_int then "end" else string_of_int at_step);
-    Array.iteri
-      (fun slot v ->
-        Printf.printf "  %s = %s\n" p.Lang.Prog.globals.(slot).vname
-          (Runtime.Value.to_string v))
-      snap.Ppd.Restore.globals
-  in
-  Cmd.v
-    (Cmd.info "restore"
-       ~doc:"Reconstruct the shared store from postlogs (\u{00A7}5.7).")
-    Term.(const run $ file_arg $ sched_arg $ steps_arg $ step_arg)
-
-let whatif_cmd =
-  let pid_arg =
-    Arg.(value & opt int 0 & info [ "pid" ] ~docv:"PID" ~doc:"Process id.")
-  in
-  let iv_arg =
-    Arg.(
-      value & opt int (-1)
-      & info [ "interval" ] ~docv:"N"
-          ~doc:"Log interval id (default: the process's root block).")
-  in
-  let set_arg =
-    Arg.(
-      value
-      & opt_all (pair ~sep:'=' string int) []
-      & info [ "set" ] ~docv:"VAR=N"
-          ~doc:"Force a variable to a value at the restored prelog state \
-                (repeatable).")
-  in
-  let run file sched steps pid iv sets =
-    let s = session_of file sched steps 0 in
-    print_endline (Ppd.Session.explain_halt s);
-    let iv_id =
-      if iv >= 0 then iv
-      else
-        let ivs = Trace.Log.intervals (Ppd.Session.log s) ~pid in
-        (Array.to_list ivs
-        |> List.find (fun i -> i.Trace.Log.iv_parent = None))
-          .Trace.Log.iv_id
-    in
-    match Ppd.Session.what_if s ~pid ~iv_id ~overrides:sets with
-    | Error e ->
-      prerr_endline e;
-      exit 1
-    | Ok o ->
-      Printf.printf "what-if replay of process %d interval %d with %s:\n" pid
-        iv_id
-        (if sets = [] then "no changes"
-         else
-           String.concat ", "
-             (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) sets));
-      (match o.Ppd.Emulator.fault with
-      | Some f -> Printf.printf "  halted: %s\n" f
-      | None -> Printf.printf "  completed (%d events)\n"
-          (List.length o.Ppd.Emulator.events));
-      if o.Ppd.Emulator.output <> "" then
-        Printf.printf "  output:\n%s"
-          (String.concat ""
-             (List.map (fun l -> "    " ^ l ^ "\n")
-                (String.split_on_char '\n'
-                   (String.trim o.Ppd.Emulator.output))))
-  in
-  Cmd.v
-    (Cmd.info "whatif"
-       ~doc:
-         "Re-execute one log interval with modified values (\u{00A7}5.7's \
-          experiment) and report the divergent behaviour.")
-    Term.(const run $ file_arg $ sched_arg $ steps_arg $ pid_arg $ iv_arg $ set_arg)
 
 let debug_cmd =
   let script_arg =
@@ -1374,8 +1272,8 @@ let serve_cmd =
       value
       & opt int Serve.Server.default_config.Serve.Server.max_active
       & info [ "max-active" ] ~docv:"N"
-          ~doc:"Heavy requests (flowback/replay/race/proto/fsck) running \
-                at once; more wait in the admission queue.")
+          ~doc:"Heavy requests (the debugging commands, proto and fsck) \
+                running at once; more wait in the admission queue.")
   in
   let max_queue_arg =
     Arg.(
@@ -1484,16 +1382,17 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run the long-lived debugging daemon: a registry of opened \
-          logs served to many concurrent sessions over line-delimited \
-          JSON-RPC (methods: open, close, attach, flowback, replay, \
-          race, proto, fsck, profile, stats, serverStats), sharing one \
+         ("Run the long-lived debugging daemon: a registry of opened \
+           logs served to many concurrent sessions over line-delimited \
+           JSON-RPC (methods: "
+         ^ String.concat ", " Serve.Server.methods
+         ^ "), sharing one \
           domain pool and one replayed-fragment cache per log across \
           sessions, with per-session quotas, request deadlines \
           (PPD090), per-log quarantine (PPD091), a shared memory \
           budget, crash-recoverable sessions (--journal/--resume, \
           PPD092 for stale handles) and a bounded admission queue \
-          that sheds overload with the PPD084 busy error.")
+          that sheds overload with the PPD084 busy error."))
     Term.(
       const run $ socket_arg $ port_arg $ rpc_arg $ jobs_arg $ max_active_arg
       $ max_queue_arg $ max_open_arg $ step_quota_arg $ deadline_arg

@@ -37,8 +37,11 @@ let () =
   Printf.printf "original run: %s\n\n" (Ppd.Session.explain_halt session);
 
   let what_if overrides =
-    match Ppd.Session.what_if session ~pid:0 ~iv_id:0 ~overrides with
-    | Ok o -> o
+    match
+      Ppd.Controller.what_if ~iv_id:0 (Ppd.Session.controller session) ~pid:0
+        ~overrides
+    with
+    | Ok (_, o) -> o
     | Error e -> failwith e
   in
 
@@ -64,10 +67,10 @@ let () =
     |> fun l -> List.nth l 1
   in
   (match
-     Ppd.Session.what_if session ~pid:0 ~iv_id:grade_iv.Trace.Log.iv_id
-       ~overrides:[ ("score", 11) ]
+     Ppd.Controller.what_if ~iv_id:grade_iv.Trace.Log.iv_id
+       (Ppd.Session.controller session) ~pid:0 ~overrides:[ ("score", 11) ]
    with
-  | Ok o ->
+  | Ok (_, o) ->
     let ret =
       List.fold_left
         (fun acc (_, ev) ->

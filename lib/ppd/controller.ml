@@ -402,10 +402,12 @@ let interval_outcome ~assemble (t : t) ~pid ~iv_id =
         else
           raise
             (Replay_overrun { pid; iv_id; budget = t.config.max_replay_steps })
-      | exception
-          ((Fault.Injected _ | Store.Segment.Unreadable _
-           | Emulator.Replay_mismatch _) as e)
+      | exception ((Fault.Injected _ | Store.Segment.Unreadable _) as e)
         when t.config.degraded ->
+        hole (reason_of_failure e)
+      (* to race detection a divergence is evidence, not damage *)
+      | exception (Emulator.Replay_mismatch _ as e)
+        when t.config.degraded && assemble ->
         hole (reason_of_failure e)
     in
     Hashtbl.remove t.inflight key;
@@ -492,7 +494,12 @@ let may_touch_shared t (iv : L.interval) =
 (* The events of every interval that may touch a shared variable,
    through the usual path (pool, caches, retries, deadline) without
    assembling them; then the graph with the replayed access sets, its
-   race stats and the replay steps they took. *)
+   race stats and the replay steps they took. The replays are charged
+   to this controller's statistics, like assembled ones. A diverged
+   replay is evidence of a race, in degraded mode too. A build that saw
+   one and still reports no race has not shown the run race-free: it
+   re-raises the first mismatch, or in degraded mode declares each
+   diverged interval a hole. *)
 let build_race t =
   let keys =
     Array.to_list t.ivs
@@ -503,29 +510,48 @@ let build_race t =
   in
   submit_all t keys;
   let steps = ref 0 in
+  let diverged = ref [] in
   let replay add =
     List.iter
       (fun (pid, iv_id) ->
         add ~pid
           (match interval_outcome ~assemble:false t ~pid ~iv_id with
           | o ->
+            t.replays <- t.replays + 1;
             steps := !steps + o.Emulator.steps;
             o.Emulator.events
-          | exception Emulator.Replay_mismatch _ ->
+          | exception (Emulator.Replay_mismatch _ as e) ->
+            diverged := (pid, iv_id, e) :: !diverged;
             diverged_events t t.ivs.(pid).(iv_id)))
       keys
   in
   let pd = Pardyn.of_replay (prog t) (Store.Segment.to_log t.src) replay in
-  (pd, Race.detect pd, !steps)
+  t.replay_steps <- t.replay_steps + !steps;
+  let st = Race.detect pd in
+  (if st.Race.races = [] then
+     match List.rev !diverged with
+     | (_, _, e) :: _ when not t.config.degraded -> raise e
+     | diverged ->
+       List.iter
+         (fun (pid, iv_id, e) ->
+           ignore
+             (declare_hole t ~pid ~iv:t.ivs.(pid).(iv_id) (reason_of_failure e)))
+         diverged);
+  (pd, st, !steps)
 
+(* A degraded answer may hold holes, so it stays private to the
+   request; a clean one is shared per watchdog budget, since a tighter
+   budget must see the overrun a fresh build would report. *)
 let race t =
   match t.race_answer with
   | Some r -> r
   | None ->
     let r =
       match t.shared with
-      | Some f -> Fragcache.race f (prog t) t.src (fun () -> build_race t)
-      | None ->
+      | Some f when not t.config.degraded ->
+        Fragcache.race f (prog t) t.src
+          ~max_replay_steps:t.config.max_replay_steps (fun () -> build_race t)
+      | Some _ | None ->
         let pd, st, _ = build_race t in
         (pd, st)
     in
@@ -533,6 +559,59 @@ let race t =
     r
 
 let pardyn t = fst (race t)
+
+let content_log t = Store.Segment.to_log t.src
+
+(* The interval a what-if names: [iv_id] of process [pid], or its root
+   block when none is given. *)
+let what_if_target t ~pid iv_id =
+  let ivs =
+    if pid >= 0 && pid < Array.length t.ivs then t.ivs.(pid) else [||]
+  in
+  match iv_id with
+  | Some i when i >= 0 && i < Array.length ivs -> Ok ivs.(i)
+  | Some i -> Error (Printf.sprintf "process %d has no interval %d" pid i)
+  | None -> (
+    match Array.find_opt (fun iv -> iv.L.iv_parent = None) ivs with
+    | Some iv -> Ok iv
+    | None ->
+      Error
+        (Printf.sprintf "process %d has no interval (the log records %d \
+                         process(es))"
+           pid (Array.length t.ivs)))
+
+(* A name resolves to the interval's function locals first, then the
+   shared globals. *)
+let resolve_override p ~fid (name, value) =
+  let named (v : P.var) = v.P.vname = name in
+  let local (v : P.var) = named v && v.P.vfid = fid in
+  match (Array.find_opt local p.P.vars, Array.find_opt named p.P.globals) with
+  | Some v, _ | None, Some v -> Ok (v, Runtime.Value.Vint value)
+  | None, None ->
+    Error
+      (Printf.sprintf "no variable '%s' in %s or the globals" name
+         p.P.funcs.(fid).P.fname)
+
+let what_if ?iv_id t ~pid ~overrides =
+  let ( let* ) = Result.bind in
+  let* iv = what_if_target t ~pid iv_id in
+  let fid = iv.L.iv_fid in
+  let* overrides =
+    List.fold_right
+      (fun o acc ->
+        let* rest = acc in
+        let* v = resolve_override (prog t) ~fid o in
+        Ok (v :: rest))
+      overrides (Ok [])
+  in
+  (* validation is off, so the replay may leave the interval's window:
+     it reads the whole content log, the restored store included *)
+  let o =
+    Emulator.replay ~max_steps:t.config.max_replay_steps ~overrides
+      ~validate:false t.eb (content_log t) ~interval:iv
+  in
+  t.replay_steps <- t.replay_steps + o.Emulator.steps;
+  Ok (iv.L.iv_id, o)
 
 let enclosing_interval t (r : E.eref) =
   L.find_enclosing t.ivs.(r.epid) ~seq:r.eseq

@@ -126,13 +126,39 @@ val race : t -> Pardyn.t * Race.stats
     variable cannot add an access and is not replayed. An interval whose
     replay diverges ({!Emulator.Replay_mismatch}, which a data race
     causes) keeps the accesses it replayed before the mismatch, so the
-    answer is exact up to the first race. In degraded mode a hole
-    contributes no accesses. A controller started with a shared cache
-    takes the answer from there ({!Fragcache.race}), so it is built
-    once per registry entry. *)
+    answer is exact up to the first race, in degraded mode too. In
+    degraded mode a damaged interval is a hole and contributes no
+    accesses. A build in which an interval diverged but that reports no
+    race raises that {!Emulator.Replay_mismatch} (the divergence is
+    unexplained, not race-free), or in degraded mode declares each
+    diverged interval a hole. The replays are counted in {!stats} ([replays],
+    [replay_steps]) by the controller that builds the answer. A
+    controller started with a shared cache takes a clean answer from
+    there ({!Fragcache.race}, per watchdog budget), so it is built once
+    per registry entry; a degraded one builds its own. *)
 
 val pardyn : t -> Pardyn.t
 (** The graph of {!race}. *)
+
+val content_log : t -> Trace.Log.t
+(** The whole content log the controller debugs: the source's own, or
+    the reconstruction of an order-tier source. *)
+
+val what_if :
+  ?iv_id:int ->
+  t ->
+  pid:int ->
+  overrides:(string * int) list ->
+  (int * Emulator.outcome, string) result
+(** §5.7's experiment: re-execute one log interval ([iv_id], by default
+    the process's root block) from its restored prelog state with some
+    variables forced to new values, and observe the divergent behaviour
+    (output, fault, final values) without touching the recorded
+    execution. Returns the interval id replayed. Variable names resolve
+    to the interval's function locals first, then shared globals. A
+    process or interval the log does not record, or an unknown name,
+    is [Error] with the reason. The replay runs under the watchdog
+    budget, and its steps count in {!stats}' [replay_steps]. *)
 
 val intervals : t -> pid:int -> Trace.Log.interval array
 

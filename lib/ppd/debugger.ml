@@ -120,21 +120,16 @@ let show_whatif t words =
     | rest -> (None, rest)
   in
   let pid, iv_id =
-    match target with
-    | Some (pid, iv) -> (pid, iv)
-    | None -> (
-      ( 0,
-        let ivs = Trace.Log.intervals (Session.log t.session) ~pid:0 in
-        (Array.to_list ivs
-        |> List.find (fun iv -> iv.Trace.Log.iv_parent = None))
-          .Trace.Log.iv_id ))
+    match target with Some (pid, iv) -> (pid, Some iv) | None -> (0, None)
   in
   match parse_overrides overrides_words with
   | Error e -> e
   | Ok overrides -> (
-    match Session.what_if t.session ~pid ~iv_id ~overrides with
+    match
+      Controller.what_if ?iv_id (Session.controller t.session) ~pid ~overrides
+    with
     | Error e -> e
-    | Ok o ->
+    | Ok (iv_id, o) ->
       let lines =
         [
           Printf.sprintf "what-if on p%d#%d: %d events" pid iv_id

@@ -67,9 +67,9 @@ type t = {
   recon : (Store.Segment.reader * Analysis.Eblock.t, Store.Segment.reader) slot;
       (* the content reader reconstructed from an order-tier source
          reader (DESIGN §16.2), for one e-block analysis *)
-  race : (Lang.Prog.t * Store.Segment.reader, Pardyn.t * Race.stats) slot;
+  race : (Lang.Prog.t * Store.Segment.reader * int, Pardyn.t * Race.stats) slot;
       (* the parallel dynamic graph of one content reader and its
-         detector stats *)
+         detector stats, built under one watchdog budget *)
 }
 
 let create ?budget () =
@@ -269,13 +269,13 @@ let race_cost ((pd : Pardyn.t), (st : Race.stats)) =
   + (List.length st.Race.races * 48)
   + 128
 
-let race t prog src build =
+let race t prog src ~max_replay_steps build =
   derive t t.race
-    ~same:(fun (p, s) -> p == prog && s == src)
+    ~same:(fun (p, s, m) -> p == prog && s == src && m = max_replay_steps)
     (fun () ->
       let pd, st, steps = Obs.phase "race-graph" build in
       {
-        d_key = (prog, src);
+        d_key = (prog, src, max_replay_steps);
         d_value = (pd, st);
         d_bytes = race_cost (pd, st);
         d_steps = steps;

@@ -68,14 +68,18 @@ val race :
   t ->
   Lang.Prog.t ->
   Store.Segment.reader ->
+  max_replay_steps:int ->
   (unit -> Pardyn.t * Race.stats * int) ->
   Pardyn.t * Race.stats
-(** [race t prog src build] is the race answer of the content reader
-    [src]: its parallel dynamic graph, with access sets from e-block
+(** [race t prog src ~max_replay_steps build] is the race answer of the
+    content reader [src], built under that per-interval watchdog
+    budget: its parallel dynamic graph, with access sets from e-block
     replay, and {!Race.detect}'s stats over it. It is held like
     {!reconstruction}: [build ()] runs once per registry entry, so a
     warm race request only renders. The slot is keyed physically on
-    [prog] and [src], installed by compare-and-set, successes only,
+    [prog] and [src] and by value on the budget (a request under
+    another budget rebuilds it, so a tighter one sees its own
+    overrun), installed by compare-and-set, successes only,
     charged to the budget and evictable. [build] returns the replay
     steps the answer took as its third component, which is the slot's
     rebuild cost; it runs in an [Obs] phase span named ["race-graph"]. *)

@@ -59,50 +59,6 @@ let halt_pid t =
 
 let error_node t = Controller.last_event_node (controller t) ~pid:(halt_pid t)
 
-let what_if t ~pid ~iv_id ~overrides =
-  let p = prog t in
-  let ivs =
-    Trace.Log.intervals
-      ~stmt_fid:(fun sid -> p.Lang.Prog.stmt_fid.(sid))
-      t.log ~pid
-  in
-  if iv_id < 0 || iv_id >= Array.length ivs then
-    Error (Printf.sprintf "process %d has no interval %d" pid iv_id)
-  else begin
-    let iv = ivs.(iv_id) in
-    let fid = iv.Trace.Log.iv_fid in
-    let resolve name =
-      let local =
-        Array.to_list p.Lang.Prog.vars
-        |> List.find_opt (fun (v : Lang.Prog.var) ->
-               v.vname = name && v.vfid = fid)
-      in
-      match local with
-      | Some v -> Ok v
-      | None -> (
-        match
-          Array.to_list p.Lang.Prog.globals
-          |> List.find_opt (fun (v : Lang.Prog.var) -> v.vname = name)
-        with
-        | Some v -> Ok v
-        | None ->
-          Error
-            (Printf.sprintf "no variable '%s' in %s or the globals" name
-               p.Lang.Prog.funcs.(fid).fname))
-    in
-    let rec resolve_all acc = function
-      | [] -> Ok (List.rev acc)
-      | (name, value) :: rest -> (
-        match resolve name with
-        | Ok v -> resolve_all ((v, Runtime.Value.Vint value) :: acc) rest
-        | Error e -> Error e)
-    in
-    match resolve_all [] overrides with
-    | Error e -> Error e
-    | Ok overrides ->
-      Ok (Emulator.replay ~overrides ~validate:false t.eb t.log ~interval:iv)
-  end
-
 let explain_halt t =
   match t.halt with
   | M.Finished -> "execution finished normally"

@@ -76,16 +76,3 @@ val error_node : t -> int option
 
 val explain_halt : t -> string
 (** One-paragraph description of why execution stopped. *)
-
-val what_if :
-  t ->
-  pid:int ->
-  iv_id:int ->
-  overrides:(string * int) list ->
-  (Emulator.outcome, string) result
-(** §5.7's experiment: re-execute one log interval from its restored
-    prelog state with some variables forced to new values, and observe
-    the divergent behaviour (output, fault, final values) — without
-    touching the recorded execution. Variable names resolve to the
-    interval's function locals first, then shared globals; unknown
-    names yield [Error]. *)

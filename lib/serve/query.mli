@@ -28,9 +28,11 @@ val guard : (unit -> 'a) -> ('a, Lang.Diag.diagnostic) result
     Any other exception propagates. *)
 
 val exit_table : (string * int) list
-(** The one code → exit-status table of the CLI: PPD086 → 2,
-    PPD050 → 6, PPD060 and PPD090 → 7, PPD061 and PPD062 → 8. Every
-    code {!guard} returns has a row. *)
+(** The one code → exit-status table of the CLI: PPD082 → 1,
+    PPD086 → 2, PPD050 → 6, PPD060 and PPD090 → 7, PPD061 and
+    PPD062 → 8. Every code {!guard} returns has a row; PPD082 is the
+    answer to a question the log cannot answer as asked (a what-if on a
+    process, interval or variable it does not record). *)
 
 (** {1 Sources} *)
 
@@ -74,32 +76,8 @@ val of_session : Ppd.Session.t -> source
 
 val header : Render.sink -> source -> unit
 (** The first line of a CLI answer: the "debugging saved log …" banner
-    of a saved log, or the halt explanation of a run. {!flowback} and
-    {!replay} write it themselves; {!race} does not. *)
-
-val flowback :
-  ?shared:Ppd.Fragcache.t ->
-  config:Ppd.Controller.config ->
-  Render.sink ->
-  depth:int ->
-  dot:string option ->
-  source ->
-  (Ppd.Controller.stats, Lang.Diag.diagnostic) result
-(** {!header}, then flowback from the last event of the source's root
-    process ("no events to debug" for a log without processes).
-    Flowback replays only what the walk demands, on the calling domain,
-    so it takes no pool. *)
-
-val replay :
-  ?pool:Exec.Pool.t ->
-  ?shared:Ppd.Fragcache.t ->
-  config:Ppd.Controller.config ->
-  Render.sink ->
-  dump:bool ->
-  source ->
-  (Ppd.Controller.stats, Lang.Diag.diagnostic) result
-(** {!header}, then replay every interval of every process and report
-    the graph. *)
+    of a saved log, or the halt explanation of a run. Every row but
+    [race] writes it itself. *)
 
 val race :
   ?shared:Ppd.Fragcache.t ->
@@ -107,12 +85,94 @@ val race :
   Render.sink ->
   source ->
   (Ppd.Race.stats * Ppd.Controller.stats, Lang.Diag.diagnostic) result
-(** Race detection from the log (§6.4, {!Ppd.Controller.race}): writes
-    {!Ppd.Race.pp_report}'s text, with no header line, and returns the
-    detector's stats with the controller's. With [shared] the answer is
-    built once per cache and the replays' outcomes are published there.
-    Like flowback it takes no pool: it replays only the intervals that
-    may touch a shared variable, most of them already in [shared], and
-    a hand-off to a worker domain costs more than such a replay. A
-    diverged replay is evidence of a race, not a failure: the race is
-    reported. *)
+(** The [race] row's answer with the detector's stats (§6.4,
+    {!Ppd.Controller.race}): writes {!Ppd.Race.pp_report}'s text, with
+    no header line, then the degraded-mode holes. With [shared] the answer is built once per cache
+    and the replays' outcomes are published there. Like flowback it
+    takes no pool: it replays only the intervals that may touch a
+    shared variable, most of them already in [shared], and a hand-off
+    to a worker domain costs more than such a replay. A diverged replay
+    is evidence of a race, not a failure: the race is reported. A
+    diverged build that reports no race is PPD062, or a hole in
+    degraded mode. *)
+
+(** {1 The command table}
+
+    Every log-debugging command is one {!row}: its name, its typed
+    parameters and its answer over a {!source}. The CLI derives one
+    subcommand per row (each parameter's flag is the kebab-case of its
+    key) and the daemon one method (the key itself), so both front ends
+    take the same parameters with the same defaults and answer through
+    the same function. *)
+
+type value =
+  | Int of int
+  | Flag of bool
+  | Assigns of (string * int) list  (** [VAR=N] pairs, in order *)
+
+type param = {
+  key : string;  (** the RPC key, camelCase; {!kebab} of it is the CLI flag *)
+  default : value;  (** also the parameter's type *)
+  docv : string;  (** the value's name in the CLI help *)
+  doc : string;
+}
+
+type args = (string * value) list
+(** A value for each parameter of a row and of {!common}, by key. *)
+
+val kebab : string -> string
+(** ["maxReplaySteps"] → ["max-replay-steps"]. *)
+
+val common : param list
+(** The parameters every row takes: [degraded] and [maxReplaySteps]. *)
+
+val config : args -> Ppd.Controller.config
+(** {!Ppd.Controller.default_config} with {!common}'s values. *)
+
+(** What a front end supplies beside the parameters. *)
+type ctx = {
+  config : Ppd.Controller.config;
+  pool : Exec.Pool.t option;  (** replay's domain pool *)
+  shared : Ppd.Fragcache.t option;  (** the daemon's per-log cache *)
+  dot : string option;  (** flowback's Graphviz file (CLI only) *)
+}
+
+type answer = {
+  stats : Ppd.Controller.stats;
+  fields : (string * int) list;
+      (** the row's own result fields (race: [races], [pairsExamined]) *)
+  findings : Lang.Diag.diagnostic list;
+      (** what the answer found (race: one warning per race); the CLI
+          exits 3 when there is any *)
+}
+
+type row = {
+  name : string;
+  doc : string;
+  params : param list;  (** the row's own, beside {!common} *)
+  run :
+    ctx -> args -> Render.sink -> source -> (answer, Lang.Diag.diagnostic) result;
+      (** writes the answer's text into the sink *)
+}
+
+val table : row list
+(** In order:
+    - [flowback] (depth): {!header}, then flowback from the last event
+      of the source's root process (the halted one for a run, process 0
+      for a saved log; "no events to debug" for a log without
+      processes). It replays only what the walk demands, on the calling
+      domain, so it takes no pool.
+    - [replay] (dump): {!header}, then replay every interval of every
+      process (on the pool, when there is one) and report the graph.
+    - [race]: {!race}; its fields are [races] and [pairsExamined], its
+      findings one PPD010/PPD011 warning per race.
+    - [restore] (atStep): {!header}, then the shared store restored from
+      the controller's content log ({!Ppd.Restore.shared_at}, §5.7) at
+      that machine step ([max_int], the default: the end).
+    - [whatif] (pid, interval, set): {!header}, then
+      {!Ppd.Controller.what_if}'s replay of that interval (a negative
+      one, the default: the process's root block) with the overrides.
+      A process, interval or variable the log does not record is
+      PPD082. *)
+
+val find : string -> row option

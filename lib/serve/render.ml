@@ -66,3 +66,28 @@ let replay_report sink ~dump ~nprocs ctl =
      else "");
   Ppd.Flowback.pp_holes ctl sink.ppf;
   if dump then Format.fprintf sink.ppf "%a@." Ppd.Dyn_graph.pp g
+
+let restore_report sink (prog : Lang.Prog.t) ~at_step (snap : Ppd.Restore.snapshot) =
+  pf sink "shared store at step %s:\n"
+    (if at_step = max_int then "end" else string_of_int at_step);
+  Array.iteri
+    (fun slot v ->
+      pf sink "  %s = %s\n" prog.Lang.Prog.globals.(slot).vname
+        (Runtime.Value.to_string v))
+    snap.Ppd.Restore.globals
+
+let whatif_report sink ~pid ~iv_id ~sets (o : Ppd.Emulator.outcome) =
+  pf sink "what-if replay of process %d interval %d with %s:\n" pid iv_id
+    (if sets = [] then "no changes"
+     else
+       String.concat ", "
+         (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) sets));
+  (match o.Ppd.Emulator.fault with
+  | Some f -> pf sink "  halted: %s\n" f
+  | None -> pf sink "  completed (%d events)\n" (List.length o.Ppd.Emulator.events));
+  if o.Ppd.Emulator.output <> "" then begin
+    sink.out "  output:\n";
+    List.iter
+      (fun l -> pf sink "    %s\n" l)
+      (String.split_on_char '\n' (String.trim o.Ppd.Emulator.output))
+  end

@@ -1,7 +1,6 @@
 (** The one rendering path for the debugging answers.
 
-    Both the one-shot CLI and the daemon produce their
-    `flowback`/`replay` reports through these functions ({!Query} calls
+    Both the one-shot CLI and the daemon produce their reports through these functions ({!Query} calls
     them), so a daemon response is byte-identical to the CLI answer on
     the same saved log {e by construction} — there is no second copy
     of the format strings to drift. The CLI renders into stdout; the daemon renders
@@ -41,3 +40,18 @@ val replay_report :
 (** Batch-build every interval of every process (through the
     controller's pool when it has one) and report the graph totals,
     holes, and the optional deterministic graph dump. *)
+
+val restore_report :
+  sink -> Lang.Prog.t -> at_step:int -> Ppd.Restore.snapshot -> unit
+(** The shared store of a restored snapshot (§5.7), one global a line;
+    [at_step = max_int] reads "end". *)
+
+val whatif_report :
+  sink ->
+  pid:int ->
+  iv_id:int ->
+  sets:(string * int) list ->
+  Ppd.Emulator.outcome ->
+  unit
+(** A what-if replay's outcome: the overrides, how it ended, and the
+    output it printed. *)

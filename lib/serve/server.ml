@@ -1,9 +1,10 @@
 (* The daemon core. Transport-independent: `handle_line` is the whole
    protocol, so cram (--rpc over stdin/stdout), the unix/tcp listeners
    and the in-process T13/T17 benches all share one dispatcher. Opening
-   a log, answering flowback/replay and mapping a failure to its PPD
-   code go through Query, the path the one-shot CLI takes too, so
-   answers and error messages match the CLI byte for byte.
+   a log, answering a debugging command and mapping a failure to its
+   PPD code go through Query, the path the one-shot CLI takes too: each
+   row of its command table is one method here, so answers, parameters
+   and error messages match the CLI by construction.
 
    Locking: [t.lock] guards the registry, session and recovered-session
    tables (open, close, session bookkeeping — all O(1) critical
@@ -271,12 +272,6 @@ let p_int_opt params name ~default : int rpc_result =
   | Some (J.Int i) -> Ok i
   | Some _ -> bad_params (Printf.sprintf "param \"%s\" must be an integer" name)
 
-let p_bool_opt params name ~default : bool rpc_result =
-  match J.member name params with
-  | None -> Ok default
-  | Some (J.Bool b) -> Ok b
-  | Some _ -> bad_params (Printf.sprintf "param \"%s\" must be a boolean" name)
-
 let p_handle t s params : entry rpc_result =
   match J.member "handle" params with
   | Some (J.Int h) -> (
@@ -524,9 +519,36 @@ let m_attach t s params =
   | Some _ -> bad_params "param \"session\" must be an integer"
   | None -> bad_params "missing param \"session\""
 
-(* The largest per-request [maxReplaySteps] a client may ask for; also
-   the budget of a [race] request, which has no such parameter. *)
+(* The largest per-request [maxReplaySteps] a client may ask for. *)
 let max_replay_steps_cap = 10_000_000
+
+(* A row's parameters (its own and the common ones) from the request:
+   the default where absent, PPD082 where ill-typed. *)
+let p_args params (ps : Query.param list) : Query.args rpc_result =
+  let one (p : Query.param) =
+    let must what =
+      bad_params (Printf.sprintf "param \"%s\" must be %s" p.key what)
+    in
+    match (p.default, J.member p.key params) with
+    | d, None -> Ok d
+    | Query.Int _, Some (J.Int i) -> Ok (Query.Int i)
+    | Query.Int _, Some _ -> must "an integer"
+    | Query.Flag _, Some (J.Bool b) -> Ok (Query.Flag b)
+    | Query.Flag _, Some _ -> must "a boolean"
+    | Query.Assigns _, Some (J.Obj kvs) ->
+      let ints =
+        List.filter_map (function n, J.Int v -> Some (n, v) | _ -> None) kvs
+      in
+      if List.length ints = List.length kvs then Ok (Query.Assigns ints)
+      else must "an object of integers"
+    | Query.Assigns _, Some _ -> must "an object of integers"
+  in
+  List.fold_right
+    (fun p acc ->
+      let* rest = acc in
+      let* v = one p in
+      Ok ((p.Query.key, v) :: rest))
+    ps (Ok [])
 
 (* The per-request controller config. A fresh controller per request
    keeps graph, stats and holes private to the request, while the
@@ -536,33 +558,27 @@ let max_replay_steps_cap = 10_000_000
    under the controller's retry budget with jittered backoff, seeded
    per request from the (session, request) ordinal pair so the schedule
    is deterministic and delays never change the answer. *)
-let request_config s ~deadline ~degraded ~max_replay_steps =
-  {
-    Ppd.Controller.default_config with
-    degraded;
-    max_replay_steps;
-    deadline;
-    backoff = Some Resil.Backoff.default;
-    retry_seed = (s.s_id * 1_000_003) + s.s_requests;
-  }
-
-let ctl_config s ~deadline params =
-  let* degraded = p_bool_opt params "degraded" ~default:false in
-  let* max_replay_steps =
-    p_int_opt params "maxReplaySteps"
-      ~default:Ppd.Controller.default_config.Ppd.Controller.max_replay_steps
-  in
-  if max_replay_steps > max_replay_steps_cap then
+let request_config s ~deadline args =
+  let config = Query.config args in
+  if config.Ppd.Controller.max_replay_steps > max_replay_steps_cap then
     Error
       ( Rpc.err_quota,
         Printf.sprintf "maxReplaySteps %d exceeds the server cap %d"
-          max_replay_steps max_replay_steps_cap )
-  else Ok (request_config s ~deadline ~degraded ~max_replay_steps)
+          config.Ppd.Controller.max_replay_steps max_replay_steps_cap )
+  else
+    Ok
+      {
+        config with
+        deadline;
+        backoff = Some Resil.Backoff.default;
+        retry_seed = (s.s_id * 1_000_003) + s.s_requests;
+      }
 
 (* Post-query accounting: fold the controller's exact per-instance
    counters into the session (plain ints) and the Obs namespaces, and
-   build the answer: the method's own [fields], then the common ones. *)
-let query_result s ?(fields = []) ~output (st : Ppd.Controller.stats) =
+   build the answer: the row's own [fields], then the common ones. *)
+let query_result s ~output (a : Query.answer) =
+  let st = a.Query.stats in
   s.s_cache_hits <- s.s_cache_hits + st.Ppd.Controller.cache_hits;
   s.s_cache_misses <- s.s_cache_misses + st.Ppd.Controller.cache_misses;
   s.s_replay_steps <- s.s_replay_steps + st.Ppd.Controller.replay_steps;
@@ -571,57 +587,31 @@ let query_result s ?(fields = []) ~output (st : Ppd.Controller.stats) =
   Obs.add c_misses st.Ppd.Controller.cache_misses;
   Obs.add s.sc_misses st.Ppd.Controller.cache_misses;
   J.Obj
-    (fields
+    (List.map (fun (k, v) -> (k, J.Int v)) a.Query.fields
     @ [
-      ("output", J.Str output);
-      ("replays", J.Int st.Ppd.Controller.replays);
-      ("replaySteps", J.Int st.Ppd.Controller.replay_steps);
-      ("holes", J.Int st.Ppd.Controller.holes);
-      ("cacheHits", J.Int st.Ppd.Controller.cache_hits);
-      ("cacheMisses", J.Int st.Ppd.Controller.cache_misses);
-    ])
+        ("output", J.Str output);
+        ("replays", J.Int st.Ppd.Controller.replays);
+        ("replaySteps", J.Int st.Ppd.Controller.replay_steps);
+        ("holes", J.Int st.Ppd.Controller.holes);
+        ("cacheHits", J.Int st.Ppd.Controller.cache_hits);
+        ("cacheMisses", J.Int st.Ppd.Controller.cache_misses);
+      ])
 
-(* Answer a flowback or replay question into a buffer that becomes the
+(* One method per command-table row: the handle's source, the row's
+   parameters, the answer rendered into a buffer that becomes the
    result's [output]. *)
-let m_answer s e ~deadline params ask =
-  let* config = ctl_config s ~deadline params in
+let m_query t s ~deadline (row : Query.row) params =
+  let* e = p_handle t s params in
+  let* args = p_args params (row.Query.params @ Query.common) in
+  let* config = request_config s ~deadline args in
   let buf = Buffer.create 1024 in
-  let* st =
+  let* a =
     answered
-      (ask ?shared:(Some e.e_frag) ~config (Render.buffer_sink buf) e.e_src)
+      (row.Query.run
+         { Query.config; pool = t.pool; shared = Some e.e_frag; dot = None }
+         args (Render.buffer_sink buf) e.e_src)
   in
-  Ok (query_result s ~output:(Buffer.contents buf) st)
-
-let m_flowback t s ~deadline params =
-  let* e = p_handle t s params in
-  let* depth = p_int_opt params "depth" ~default:4 in
-  m_answer s e ~deadline params (Query.flowback ~depth ~dot:None)
-
-let m_replay t s ~deadline params =
-  let* e = p_handle t s params in
-  let* dump = p_bool_opt params "dump" ~default:false in
-  m_answer s e ~deadline params (Query.replay ?pool:t.pool ~dump)
-
-let m_race t s ~deadline params =
-  let* e = p_handle t s params in
-  let config =
-    request_config s ~deadline ~degraded:false
-      ~max_replay_steps:max_replay_steps_cap
-  in
-  let buf = Buffer.create 1024 in
-  let* race, st =
-    answered
-      (Query.race ~shared:e.e_frag ~config
-         (Render.buffer_sink buf) e.e_src)
-  in
-  Ok
-    (query_result s
-       ~fields:
-         [
-           ("races", J.Int (List.length race.Ppd.Race.races));
-           ("pairsExamined", J.Int race.Ppd.Race.pairs_examined);
-         ]
-       ~output:(Buffer.contents buf) st)
+  Ok (query_result s ~output:(Buffer.contents buf) a)
 
 let m_proto _t _s params =
   let* program = p_str params "program" in
@@ -902,6 +892,11 @@ let heavy t s p (body : Resil.Deadline.t -> J.t rpc_result) =
       jrec t (Journal.Quota { sid = s.s_id; steps = s.s_replay_steps });
     r
 
+let methods =
+  [ "ping"; "open"; "close"; "attach" ]
+  @ List.map (fun r -> r.Query.name) Query.table
+  @ [ "proto"; "fsck"; "profile"; "stats"; "serverStats" ]
+
 let dispatch t s (rq : Rpc.request) : J.t rpc_result =
   let p = rq.Rpc.rq_params in
   match rq.Rpc.rq_method with
@@ -912,18 +907,16 @@ let dispatch t s (rq : Rpc.request) : J.t rpc_result =
   | "stats" -> m_stats t s p
   | "profile" -> m_profile t s p
   | "serverStats" -> m_server_stats t s p
-  | "flowback" -> heavy t s p (fun deadline -> m_flowback t s ~deadline p)
-  | "replay" -> heavy t s p (fun deadline -> m_replay t s ~deadline p)
-  | "race" -> heavy t s p (fun deadline -> m_race t s ~deadline p)
   | "proto" -> heavy t s p (fun _deadline -> m_proto t s p)
   | "fsck" -> heavy t s p (fun _deadline -> m_fsck t s p)
-  | m ->
-    Error
-      ( Rpc.err_unknown_method,
-        Printf.sprintf
-          "unknown method \"%s\" (known: ping open close attach flowback \
-           replay race proto fsck profile stats serverStats)"
-          m )
+  | m -> (
+    match Query.find m with
+    | Some row -> heavy t s p (fun deadline -> m_query t s ~deadline row p)
+    | None ->
+      Error
+        ( Rpc.err_unknown_method,
+          Printf.sprintf "unknown method \"%s\" (known: %s)" m
+            (String.concat " " methods) ))
 
 let handle_line t s line =
   s.s_requests <- s.s_requests + 1;

@@ -71,6 +71,11 @@ val end_session : t -> session -> unit
     the registry with its last handle and its caches leave the byte
     budget). Idempotent. *)
 
+val methods : string list
+(** Every method name, in the order the PPD081 answer lists them: one
+    per {!Query.table} row among the registry, analysis and inspection
+    methods. *)
+
 val handle_line : t -> session -> string -> string
 (** One protocol round-trip: parse the request line, dispatch, and
     return the response line (no trailing newline). Never raises —

@@ -311,11 +311,11 @@ let test_whatif_on_loop_interval () =
            | _ -> false)
   in
   match
-    Ppd.Session.what_if s ~pid:0 ~iv_id:loop_iv.Trace.Log.iv_id
-      ~overrides:[ ("n", 3) ]
+    Ppd.Controller.what_if ~iv_id:loop_iv.Trace.Log.iv_id
+      (Ppd.Session.controller s) ~pid:0 ~overrides:[ ("n", 3) ]
   with
   | Error e -> Alcotest.fail e
-  | Ok o ->
+  | Ok (_, o) ->
     (* fewer iterations: count the true predicates *)
     let trues =
       List.length

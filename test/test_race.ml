@@ -161,8 +161,9 @@ let protected_is_race_free =
    execution whose replays all complete, that answer is the one the
    runtime observer builds live; a racy execution's replay may diverge,
    but the answer stays exact up to the first race, so a race the
-   observer sees is still reported. An order-tier log is reconstructed
-   first, which a racy execution may refuse (PPD061). *)
+   observer sees is still reported, and an interval that diverged
+   always comes with a reported race. An order-tier log is
+   reconstructed first, which a racy execution may refuse (PPD061). *)
 let log_race_agrees ?policy ~sched ~order src =
   let prog = Util.compile src in
   let eb = Analysis.Eblock.analyze ?policy prog in
@@ -195,6 +196,7 @@ let log_race_agrees ?policy ~sched ~order src =
       | exception Ppd.Emulator.Replay_mismatch _ -> true
     in
     ((not diverged) || oracle.Ppd.Race.races <> [])
+    && ((not diverged) || got.Ppd.Race.races <> [])
     && (diverged || got = oracle)
     && (oracle.Ppd.Race.races = [] || got.Ppd.Race.races <> [])
 

@@ -384,6 +384,30 @@ let test_dispatch_basics () =
   Server.end_session srv s;
   Server.shutdown srv
 
+(* A table row's parameters are typed from its declaration: a value of
+   the wrong JSON type is PPD082, like a missing handle. *)
+let test_row_params_typed () =
+  with_fixture (fun ~mpl ~seg ->
+      let srv = Server.create () in
+      let s = Server.session srv in
+      let h = open_handle srv s ~mpl ~seg in
+      List.iter
+        (fun (meth, param) ->
+          Alcotest.(check string)
+            (meth ^ " " ^ J.to_string (J.Obj [ param ]))
+            Rpc.err_bad_params
+            (error_code_of
+               (Server.handle_line srv s
+                  (req ~id:2 meth [ ("handle", J.Int h); param ]))))
+        [
+          ("restore", ("atStep", J.Str "end"));
+          ("race", ("degraded", J.Int 1));
+          ("whatif", ("set", J.Obj [ ("limit", J.Str "3") ]));
+          ("whatif", ("set", J.List [ J.Str "limit=3" ]));
+        ];
+      Server.end_session srv s;
+      Server.shutdown srv)
+
 let test_registry_refcounts () =
   with_fixture (fun ~mpl ~seg ->
       let srv = Server.create () in
@@ -1027,7 +1051,8 @@ let test_stale_handle_ppd092 () =
           Server.shutdown srv2))
 
 (* The one failure map: each exception becomes its code, and the CLI's
-   exit table has a row for every code the map returns. *)
+   exit table has a row for every code the map returns, plus PPD082
+   (exit 1): a what-if the log cannot answer as asked. *)
 let test_failure_map () =
   let cases =
     [
@@ -1052,8 +1077,11 @@ let test_failure_map () =
           (List.assoc code Serve.Query.exit_table)
       | Ok () -> Alcotest.fail "guard returned")
     cases;
+  Alcotest.(check int) "a what-if the log cannot answer exits 1" 1
+    (List.assoc Rpc.err_bad_params Serve.Query.exit_table);
   Alcotest.(check (list string)) "the table has exactly the map's codes"
-    (List.sort compare (List.map (fun (_, c, _) -> c) cases))
+    (List.sort compare
+       (Rpc.err_bad_params :: List.map (fun (_, c, _) -> c) cases))
     (List.sort compare (List.map fst Serve.Query.exit_table));
   match Serve.Query.guard (fun () -> raise Exit) with
   | exception Exit -> ()
@@ -1094,6 +1122,40 @@ let test_racy_replay_ppd062 () =
           Server.shutdown srv)
         [ content; order ])
 
+(* A race answer's replays are charged to the session like any other:
+   the request that builds it reports them, a request answered from the
+   registry entry's race slot reports none, and the steps count against
+   the lifetime quota. *)
+let test_race_charged () =
+  with_racy (fun ~mpl ~content ~order:_ ->
+      let race srv s id =
+        Server.handle_line srv s (req ~id "race" [ ("handle", J.Int 1) ])
+      in
+      let srv = Server.create () in
+      let s = Server.session srv in
+      ignore (open_handle srv s ~mpl ~seg:content);
+      let first = result_of (race srv s 2) in
+      let steps = jint first "replaySteps" in
+      Alcotest.(check bool) "the build reports its replays" true
+        (steps > 0 && jint first "replays" > 0);
+      Alcotest.(check bool) "the race is reported" true (jint first "races" > 0);
+      let second = result_of (race srv s 3) in
+      Alcotest.(check int) "a warm answer replays nothing" 0
+        (jint second "replaySteps");
+      Alcotest.(check string) "same answer" (jstr first "output")
+        (jstr second "output");
+      Server.end_session srv s;
+      Server.shutdown srv;
+      let config = { Server.default_config with step_quota = steps - 1 } in
+      let srv = Server.create ~config () in
+      let s = Server.session srv in
+      ignore (open_handle srv s ~mpl ~seg:content);
+      ignore (result_of (race srv s 2));
+      Alcotest.(check string) "the build's steps spend the quota" Rpc.err_quota
+        (error_code_of (race srv s 3));
+      Server.end_session srv s;
+      Server.shutdown srv)
+
 let test_racy_breaker () =
   with_racy (fun ~mpl ~content ~order:_ ->
       let config =
@@ -1116,6 +1178,79 @@ let test_racy_breaker () =
       Server.end_session srv s;
       Server.shutdown srv)
 
+(* The command table's gate over random programs: every row answers a
+   run, its saved content log, its saved order-tier log and the
+   daemon's handle on either log alike from line 2 on (line 1 names the
+   source; race writes none), and a failure is the same diagnostic
+   everywhere. A run that halts in another process than 0 roots its
+   flowback there, so only its other rows are compared; an order-tier
+   log of a racy run may refuse reconstruction (PPD061) instead. *)
+let table_rows_agree =
+  Util.qtest ~count:12 "every table row: run = saved content = saved order = daemon"
+    QCheck2.Gen.(
+      triple (int_range 0 100_000)
+        (oneofl [ `Always; `Sometimes; `Never ])
+        (int_range 0 1_000))
+    (fun (seed, protect, s) ->
+      let sched = Runtime.Sched.Random_seed s in
+      let src = Gen.parallel ~protect seed in
+      with_tiers ~src ~sched (fun ~mpl ~content ~order ->
+          let module Q = Serve.Query in
+          let body (row : Q.row) out =
+            match String.index_opt out '\n' with
+            | Some i when row.name <> "race" ->
+              String.sub out (i + 1) (String.length out - i - 1)
+            | _ -> out
+          in
+          let direct (row : Q.row) source =
+            let buf = Buffer.create 256 in
+            let args =
+              List.map (fun (p : Q.param) -> (p.key, p.default)) (row.params @ Q.common)
+            in
+            let ctx =
+              { Q.config = Q.config args; pool = None; shared = None; dot = None }
+            in
+            match row.run ctx args (Serve.Render.buffer_sink buf) source with
+            | Ok _ -> Ok (body row (Buffer.contents buf))
+            | Error d -> Error d.Lang.Diag.d_code
+          in
+          let saved log =
+            match
+              Q.open_source ~policy:Analysis.Eblock.default_policy ~log
+                (Lang.Compile.compile src)
+            with
+            | Ok source -> source
+            | Error d -> Alcotest.fail d.Lang.Diag.d_message
+          in
+          let session = Ppd.Session.run ~sched src in
+          let srv = Server.create () in
+          let sess = Server.session srv in
+          let hc = open_handle srv sess ~mpl ~seg:content in
+          let ho = open_handle srv sess ~mpl ~seg:order in
+          let daemon (row : Q.row) h =
+            let line =
+              Server.handle_line srv sess (req ~id:2 row.name [ ("handle", J.Int h) ])
+            in
+            match J.member "result" (parsed line) with
+            | Some r -> Ok (body row (jstr r "output"))
+            | None -> Error (error_code_of line)
+          in
+          let agree =
+            List.for_all
+              (fun (row : Q.row) ->
+                let want = direct row (Q.of_session session) in
+                let order_ok got = got = want || got = Error "PPD061" in
+                (row.name = "flowback" && Ppd.Session.halt_pid session <> 0)
+                || direct row (saved content) = want
+                   && daemon row hc = want
+                   && order_ok (direct row (saved order))
+                   && order_ok (daemon row ho))
+              Q.table
+          in
+          Server.end_session srv sess;
+          Server.shutdown srv;
+          agree))
+
 let suite =
   ( "serve",
     [
@@ -1133,6 +1268,8 @@ let suite =
         test_gate_fifo_order;
       Alcotest.test_case "gate abandons on deadline" `Quick test_gate_deadline;
       Alcotest.test_case "dispatch basics" `Quick test_dispatch_basics;
+      Alcotest.test_case "table row params are typed" `Quick
+        test_row_params_typed;
       Alcotest.test_case "registry refcounts" `Quick test_registry_refcounts;
       Alcotest.test_case "open-log quota" `Quick test_open_quota;
       Alcotest.test_case "shared cache across sessions" `Quick
@@ -1163,6 +1300,8 @@ let suite =
       Alcotest.test_case "stale handles answer PPD092" `Quick
         test_stale_handle_ppd092;
       Alcotest.test_case "failure map and exit table" `Quick test_failure_map;
+      Alcotest.test_case "race replays are charged" `Quick test_race_charged;
+      table_rows_agree;
       Alcotest.test_case "racy log answers PPD062" `Quick
         test_racy_replay_ppd062;
       Alcotest.test_case "breaker counts PPD062 as hard" `Quick

@@ -9,6 +9,11 @@
 
 let session ?sched src = Ppd.Session.run ?sched src
 
+(* The controller's what-if over a session's log: the outcome only. *)
+let what_if s ~pid ~iv_id ~overrides =
+  Ppd.Controller.what_if ~iv_id (Ppd.Session.controller s) ~pid ~overrides
+  |> Result.map snd
+
 let iv_of_func s pid fname =
   let p = Ppd.Session.prog s in
   let ivs = Trace.Log.intervals (Ppd.Session.log s) ~pid in
@@ -36,7 +41,7 @@ let return_value o =
 let test_identity_whatif () =
   (* overriding nothing reproduces the original behaviour *)
   let s = session Workloads.foo3 in
-  match Ppd.Session.what_if s ~pid:0 ~iv_id:(root_iv_id s 0) ~overrides:[] with
+  match what_if s ~pid:0 ~iv_id:(root_iv_id s 0) ~overrides:[] with
   | Error e -> Alcotest.fail e
   | Ok o ->
     Alcotest.(check (option string)) "no fault" None o.Ppd.Emulator.fault;
@@ -48,12 +53,12 @@ let test_perturb_parameter () =
      recomputed minimum becomes 2 instead of 3 *)
   let s = session Workloads.buggy_min in
   let iv = iv_of_func s 0 "min3" in
-  (match Ppd.Session.what_if s ~pid:0 ~iv_id:iv ~overrides:[] with
+  (match what_if s ~pid:0 ~iv_id:iv ~overrides:[] with
   | Ok o ->
     Alcotest.(check bool) "baseline returns 3" true
       (return_value o = Some (Runtime.Value.Vint 3))
   | Error e -> Alcotest.fail e);
-  match Ppd.Session.what_if s ~pid:0 ~iv_id:iv ~overrides:[ ("y", 2) ] with
+  match what_if s ~pid:0 ~iv_id:iv ~overrides:[ ("y", 2) ] with
   | Ok o ->
     Alcotest.(check bool) "what-if returns 2" true
       (return_value o = Some (Runtime.Value.Vint 2))
@@ -89,7 +94,7 @@ let test_whatif_changes_control_flow () =
   let s = session branchy_shared_src in
   Alcotest.(check string) "original output" "4\n" (Ppd.Session.output s);
   match
-    Ppd.Session.what_if s ~pid:0 ~iv_id:(root_iv_id s 0)
+    what_if s ~pid:0 ~iv_id:(root_iv_id s 0)
       ~overrides:[ ("a0", 50) ]
   with
   | Error e -> Alcotest.fail e
@@ -124,7 +129,7 @@ let test_whatif_shared_override () =
   let s = session src in
   Alcotest.(check string) "original sum" "45\n" (Ppd.Session.output s);
   match
-    Ppd.Session.what_if s ~pid:0 ~iv_id:(root_iv_id s 0)
+    what_if s ~pid:0 ~iv_id:(root_iv_id s 0)
       ~overrides:[ ("limit", 3) ]
   with
   | Error e -> Alcotest.fail e
@@ -153,7 +158,7 @@ let test_whatif_away_from_sync () =
   let s = session sync_branch_src in
   Alcotest.(check string) "original" "-1\n" (Ppd.Session.output s);
   match
-    Ppd.Session.what_if s ~pid:0 ~iv_id:(root_iv_id s 0)
+    what_if s ~pid:0 ~iv_id:(root_iv_id s 0)
       ~overrides:[ ("gate", -5) ]
   with
   | Error e -> Alcotest.fail e
@@ -165,7 +170,7 @@ let test_whatif_sync_divergence_detected () =
      fabricating synchronization *)
   let s = session sync_branch_src in
   match
-    Ppd.Session.what_if s ~pid:0 ~iv_id:(root_iv_id s 0)
+    what_if s ~pid:0 ~iv_id:(root_iv_id s 0)
       ~overrides:[ ("gate", 5) ]
   with
   | Error e -> Alcotest.fail e
@@ -191,7 +196,7 @@ let test_whatif_fault_injection () =
   let s = session src in
   Alcotest.(check string) "original" "25\n" (Ppd.Session.output s);
   match
-    Ppd.Session.what_if s ~pid:0 ~iv_id:(root_iv_id s 0)
+    what_if s ~pid:0 ~iv_id:(root_iv_id s 0)
       ~overrides:[ ("divisor", 0) ]
   with
   | Error e -> Alcotest.fail e
@@ -205,7 +210,7 @@ let test_whatif_fault_injection () =
 let test_unknown_variable () =
   let s = session Workloads.foo3 in
   match
-    Ppd.Session.what_if s ~pid:0 ~iv_id:(root_iv_id s 0)
+    what_if s ~pid:0 ~iv_id:(root_iv_id s 0)
       ~overrides:[ ("nonexistent", 1) ]
   with
   | Error e ->
@@ -215,10 +220,23 @@ let test_unknown_variable () =
 
 let test_bad_interval () =
   let s = session Workloads.foo3 in
-  match Ppd.Session.what_if s ~pid:0 ~iv_id:99 ~overrides:[] with
+  match what_if s ~pid:0 ~iv_id:99 ~overrides:[] with
   | Error e ->
     Alcotest.(check bool) "mentions the interval" true (Util.contains ~sub:"99" e)
   | Ok _ -> Alcotest.fail "expected an error"
+
+(* A process the log does not record is an answer, not a crash, with
+   or without an interval named. *)
+let test_bad_process () =
+  let ctl = Ppd.Session.controller (session Workloads.foo3) in
+  List.iter
+    (fun iv_id ->
+      match Ppd.Controller.what_if ?iv_id ctl ~pid:5 ~overrides:[] with
+      | Error e ->
+        Alcotest.(check bool) e true
+          (Util.contains ~sub:"process 5 has no interval" e)
+      | Ok _ -> Alcotest.fail "expected an error")
+    [ None; Some 0 ]
 
 (* The strongest identity property: a what-if replay with no overrides
    regenerates the root interval's complete event stream — including
@@ -270,5 +288,6 @@ let suite =
       Alcotest.test_case "fault injection" `Quick test_whatif_fault_injection;
       Alcotest.test_case "unknown variable" `Quick test_unknown_variable;
       Alcotest.test_case "bad interval" `Quick test_bad_interval;
+      Alcotest.test_case "bad process" `Quick test_bad_process;
       whatif_identity_prop;
     ] )
