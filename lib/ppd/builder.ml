@@ -319,8 +319,16 @@ let feed t ~seq (ev : E.t) =
   | E.E_loop_enter { sid } ->
     let sc = cur_scope t in
     let node =
-      Dyn_graph.add_node t.g ~ref_ ?owner:sc.sc_owner ~pid:t.pid
-        ~kind:(Dyn_graph.N_loop sid) ~label:t.bp.loop_label.(sid) ()
+      (* the loop's own interval, assembled first, made this event's
+         node in {!prepare}: adopt it, so an event has one node
+         whatever the assembly order *)
+      match Dyn_graph.find_ref t.g ref_ with
+      | Some n ->
+        Dyn_graph.set_owner t.g n sc.sc_owner;
+        n
+      | None ->
+        Dyn_graph.add_node t.g ~ref_ ?owner:sc.sc_owner ~pid:t.pid
+          ~kind:(Dyn_graph.N_loop sid) ~label:t.bp.loop_label.(sid) ()
     in
     control_edge t node sid;
     flow_to t node;

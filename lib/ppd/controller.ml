@@ -44,13 +44,13 @@ type hole = {
   h_reason : string;
 }
 
-(* A sync link whose source event has no node yet. [l_pos] fixes the
-   order in which {!link_fragment} connects the links that share a
-   source event: every assembly and every [why] reverse that order, and
-   the links an assembly adds come last, latest event first. The graph
-   dumps pin the resulting edge order. *)
-type link = { l_src : E.eref; l_dst : int; l_pos : int }
-
+(* The per-request state over an {!Assembly}: the graph is the
+   assembly's, private or borrowed from the registry entry; what this
+   request has seen of it is [touched] (per interval: 0 not yet, 1
+   assembled, 2 a hole), [expanded] and [settled], and every answer the
+   request gives reads the graph through them, so a borrowed graph
+   answers as a private one assembled by this request alone would
+   (DESIGN §14.6). *)
 type t = {
   eb : Analysis.Eblock.t;
   src : Store.Segment.reader;
@@ -60,11 +60,16 @@ type t = {
   mutable race_answer : (Pardyn.t * Race.stats) option;
       (* built on the first race query, from the replays of the
          intervals that may touch a shared variable *)
-  g : Dyn_graph.t;
-  asm : Builder.t;  (* assembles fragments into [g] *)
+  mutable asm : Assembly.t option;  (* a private one is made on first use *)
+  mutable borrowed : bool;  (* [asm] is the registry entry's *)
+  make_asm : unit -> Assembly.t;
   ivs : L.interval array array;  (* per pid *)
-  outcomes : (int * int, Emulator.outcome) Hashtbl.t;
-      (* intervals whose fragment is in the graph *)
+  base : int array;  (* per pid: the index of its interval 0 *)
+  touched : Bytes.t;  (* by interval index *)
+  expanded : unit IT.t;  (* sub-graph nodes this request expanded *)
+  settled : unit IT.t;  (* externals this request resolved *)
+  mutable trail : int list option;
+      (* the intervals a resolution in progress visits, latest first *)
   pool : Exec.Pool.t option;  (* None = the bit-identical serial path *)
   shared : Fragcache.t option;
       (* cross-controller fragment cache (one per log identity in the
@@ -77,16 +82,6 @@ type t = {
   inflight : (int * int, Emulator.outcome Exec.Pool.future) Hashtbl.t;
       (* replays submitted to the pool, not yet assembled; main-domain
          state, so no lock *)
-  by_src : link list IT.t;
-      (* pending sync links by source event ({!event_key}): each node an
-         assembly adds is looked up here, so a link resolves once its
-         source exists *)
-  by_dst : link IT.t;
-      (* the same links by target node; a node has at most one sync
-         source *)
-  mutable link_lo : int;
-  mutable link_hi : int;
-  mutable links_desc : bool;
   mutable replays : int;
   mutable replay_steps : int;
   mutable cache_hits : int;
@@ -107,10 +102,11 @@ type stats = {
 }
 
 (* Debugging-phase counters (no-ops until [Obs.enable]). A cache
-   "lookup" is one [build_interval] assembly request; it "hits" when
-   the outcome already exists (assembled, submitted to the pool, or in
-   the shared cache) and "misses" when a serial replay is forced —
-   exactly one of the two per lookup, so hits + misses = lookups. *)
+   "lookup" is one interval request of the walk; it "hits" when the
+   interval is already there (assembled, submitted to the pool, or in
+   the shared cache or graph) and "misses" when a serial replay is
+   forced — exactly one of the two per lookup, so hits + misses =
+   lookups. *)
 let c_replays = Obs.counter "ppd.controller.replays"
 
 let c_replay_steps = Obs.counter "ppd.controller.replay_steps"
@@ -125,48 +121,56 @@ let c_holes = Obs.counter "ctl.holes"
 
 let c_retries = Obs.counter "ctl.retries"
 
-let start_paged ?pool ?shared ?(config = default_config) eb src =
-  (* An order-tier log carries no value snapshots, so nothing here can
-     emulate from it directly. Debug the equivalent content log instead
-     (DESIGN §16): the reconstruction is validated against the recorded
-     sync order, so every downstream answer is byte-identical to
-     debugging a content recording of the same execution. A shared
-     cache reconstructs once for every controller it serves. *)
+(* An order-tier log carries no value snapshots, so nothing here can
+   emulate from it directly. Debug the equivalent content log instead
+   (DESIGN §16): the reconstruction is validated against the recorded
+   sync order, so every downstream answer is byte-identical to
+   debugging a content recording of the same execution. A shared cache
+   reconstructs once for every controller it serves. *)
+let content_source ?shared eb src =
+  if Store.Segment.tier src = L.T_content then src
+  else
+    match shared with
+    | Some f -> Fragcache.reconstruction f eb src
+    | None -> fst (Reconstruct.reader eb src)
+
+let make ?pool ?shared ?(config = default_config) eb src =
   let tier = Store.Segment.tier src in
-  let src =
-    if tier = L.T_content then src
-    else
-      match shared with
-      | Some f -> Fragcache.reconstruction f eb src
-      | None -> fst (Reconstruct.reader eb src)
-  in
+  let src = content_source ?shared eb src in
   let prog = eb.Analysis.Eblock.prog in
   let stmt_fid sid = prog.P.stmt_fid.(sid) in
-  let bp =
-    match shared with
-    | Some f -> Fragcache.program f prog
-    | None -> Builder.program prog
+  let ivs =
+    Array.init (Store.Segment.nprocs src) (fun pid ->
+        Store.Segment.intervals src ~stmt_fid ~pid)
   in
-  let g = Dyn_graph.create () in
+  let base = Array.make (Array.length ivs + 1) 0 in
+  Array.iteri (fun pid a -> base.(pid + 1) <- base.(pid) + Array.length a) ivs;
+  let make_asm () =
+    let bp =
+      match shared with
+      | Some f -> Fragcache.program f prog
+      | None -> Builder.program prog
+    in
+    Assembly.create bp ~intervals:base.(Array.length ivs)
+      ~nprocs:(Array.length ivs)
+  in
   {
     eb;
     src;
     race_answer = None;
-    g;
-    asm = Builder.create bp g;
-    ivs =
-      Array.init (Store.Segment.nprocs src) (fun pid ->
-          Store.Segment.intervals src ~stmt_fid ~pid);
-    outcomes = Hashtbl.create 16;
+    asm = None;
+    borrowed = false;
+    make_asm;
+    ivs;
+    base;
+    touched = Bytes.make base.(Array.length ivs) '\000';
+    expanded = IT.create 8;
+    settled = IT.create 8;
+    trail = None;
     pool;
     shared;
     src_tier = L.tier_name tier;
     inflight = Hashtbl.create 16;
-    by_src = IT.create 16;
-    by_dst = IT.create 16;
-    link_lo = 0;
-    link_hi = 0;
-    links_desc = false;
     replays = 0;
     replay_steps = 0;
     cache_hits = 0;
@@ -176,8 +180,26 @@ let start_paged ?pool ?shared ?(config = default_config) eb src =
     retried = 0;
   }
 
+let start_paged ?pool ?shared ?config eb src = make ?pool ?shared ?config eb src
+
 let start ?pool ?shared ?config eb log =
   start_paged ?pool ?shared ?config eb (Store.Segment.of_log log)
+
+let borrow ?pool ?config shared eb src f =
+  let t = make ?pool ~shared ?config eb src in
+  let a = Fragcache.assembly shared ~eb ~src:t.src t.make_asm in
+  Assembly.locked a (fun () ->
+      t.asm <- Some a;
+      t.borrowed <- true;
+      Fun.protect ~finally:(fun () -> Fragcache.grown shared a) (fun () -> f t))
+
+let asm t =
+  match t.asm with
+  | Some a -> a
+  | None ->
+    let a = t.make_asm () in
+    t.asm <- Some a;
+    a
 
 (* The log slice an interval's emulation touches: entries
    [iv_prelog - 1 .. iv_postlog] (the preceding sync record through the
@@ -192,58 +214,13 @@ let interval_log t (iv : L.interval) =
   in
   Store.Segment.window t.src ~pid ~lo:(iv.L.iv_prelog - 1) ~hi
 
-let graph t = t.g
+let graph t = Assembly.graph (asm t)
 
 let prog t = t.eb.Analysis.Eblock.prog
 
 let intervals t ~pid = t.ivs.(pid)
 
-(* Links in the order [link_fragment] connects them. *)
-let in_visit_order t links =
-  let asc a b = Int.compare a.l_pos b.l_pos in
-  List.sort (if t.links_desc then fun a b -> asc b a else asc) links
-
-(* An event as one int, for the pending-link table. *)
-let event_key t ~pid ~seq = (seq * Array.length t.ivs) + pid
-
-(* After an assembly added nodes [first ..]: connect the pending links
-   whose source is among them, then file the fragment's own unresolved
-   [links] (in event order). *)
-let link_fragment t ~first links =
-  if IT.length t.by_src > 0 then
-    for src = first to Dyn_graph.nnodes t.g - 1 do
-      let seq = Dyn_graph.node_seq t.g src in
-      if seq >= 0 then
-        let key = event_key t ~pid:(Dyn_graph.node_pid t.g src) ~seq in
-        match IT.find_opt t.by_src key with
-        | None -> ()
-        | Some ls ->
-          IT.remove t.by_src key;
-          List.iter
-            (fun l ->
-              IT.remove t.by_dst l.l_dst;
-              Dyn_graph.add_edge t.g ~src ~dst:l.l_dst ~kind:Dyn_graph.Sync)
-            (in_visit_order t ls)
-    done;
-  t.links_desc <- not t.links_desc;
-  List.iter
-    (fun (src, dst) ->
-      let pos =
-        if t.links_desc then begin
-          t.link_lo <- t.link_lo - 1;
-          t.link_lo
-        end
-        else begin
-          t.link_hi <- t.link_hi + 1;
-          t.link_hi
-        end
-      in
-      let l = { l_src = src; l_dst = dst; l_pos = pos } in
-      let key = event_key t ~pid:src.E.epid ~seq:src.E.eseq in
-      IT.replace t.by_dst dst l;
-      IT.replace t.by_src key
-        (l :: Option.value ~default:[] (IT.find_opt t.by_src key)))
-    (List.rev links)
+let index t ~pid ~iv_id = t.base.(pid) + iv_id
 
 (* Replay an interval on the calling domain. Safe on a pool worker:
    the emulator touches only its own state, and a paged source's page
@@ -269,28 +246,34 @@ let shared_mem t (pid, iv_id) =
   | None -> false
   | Some sh -> Fragcache.mem sh (t.src_tier, pid, iv_id)
 
-(* Replay [iv] on the pool, unless it is already assembled, in flight
-   or in the shared cache; {!build_interval} collects the future. *)
+let publish t (pid, iv_id) o =
+  match t.shared with
+  | Some sh -> Fragcache.publish sh (t.src_tier, pid, iv_id) o
+  | None -> ()
+
+(* Replay [iv] on the pool, unless this request has it, the graph holds
+   it, or it is in flight or in the shared cache; {!visit} collects the
+   future. *)
 let submit_replay t pool (iv : L.interval) =
-  let key = (iv.L.iv_pid, iv.L.iv_id) in
+  let pid = iv.L.iv_pid and iv_id = iv.L.iv_id in
+  let i = index t ~pid ~iv_id in
   if
     not
-      (Hashtbl.mem t.outcomes key
-      || Hashtbl.mem t.inflight key
-      || shared_mem t key)
+      (Bytes.get t.touched i <> '\000'
+      || (match t.asm with Some a -> Assembly.assembled a i | None -> false)
+      || Hashtbl.mem t.inflight (pid, iv_id)
+      || shared_mem t (pid, iv_id))
   then
-    Hashtbl.replace t.inflight key
+    Hashtbl.replace t.inflight (pid, iv_id)
       (Exec.Pool.submit pool (fun () -> replay_outcome t iv))
 
-(* An inert outcome standing in for an interval we could not replay:
-   no events means no nodes, so downstream resolution simply fails to
-   find writers there and moves on. *)
-let hole_outcome reason =
+(* What race detection reads of a hole: no events, so no accesses. *)
+let hole_outcome =
   {
     Emulator.events = [];
     steps = 0;
     output = "";
-    fault = Some reason;
+    fault = None;
     overrun = false;
     postlog_mismatches = [];
   }
@@ -298,7 +281,8 @@ let hole_outcome reason =
 (* Degraded mode's answer to a damaged or unreplayable interval: an
    explicit hole node in the graph (flowback annotates it instead of
    raising), recorded in assembly order on the querying domain, so
-   -jN output stays identical to -j1. *)
+   -jN output stays identical to -j1. A degraded request's graph is
+   private, so no hole reaches a graph another request reads. *)
 let declare_hole t ~pid ~(iv : L.interval) reason =
   let lo = iv.L.iv_seq_start in
   let hi =
@@ -311,15 +295,15 @@ let declare_hole t ~pid ~(iv : L.interval) reason =
       reason
   in
   ignore
-    (Dyn_graph.add_node t.g ~pid
+    (Dyn_graph.add_node (graph t) ~pid
        ~kind:(Dyn_graph.N_hole { hole_lo = lo; hole_hi = hi })
        ~label ());
   t.holes_rev <-
     { h_pid = pid; h_iv_id = iv.L.iv_id; h_seq_lo = lo; h_seq_hi = hi;
       h_reason = reason }
     :: t.holes_rev;
-  Obs.incr c_holes;
-  hole_outcome reason
+  Bytes.set t.touched (index t ~pid ~iv_id:iv.L.iv_id) '\002';
+  Obs.incr c_holes
 
 let holes t = List.rev t.holes_rev
 
@@ -354,98 +338,111 @@ let reason_of_failure = function
   | Emulator.Replay_mismatch m -> Printf.sprintf "replay diverged: %s" m
   | e -> Printexc.to_string e
 
-(* An interval's outcome through the caches, the retries and the
-   watchdog. [assemble:false] serves race detection, which reads the
-   events only: the outcome is published but not assembled. *)
-let interval_outcome ~assemble (t : t) ~pid ~iv_id =
-  (* the e-block boundary is the deadline propagation point: a query
-     that expires mid-flowback stops before the next replay instead of
-     holding its slot to completion (DESIGN §17) *)
-  Resil.Deadline.check t.config.deadline;
-  let key = (pid, iv_id) in
-  Obs.incr c_lookups;
-  let hit () =
-    Obs.incr c_hits;
-    t.cache_hits <- t.cache_hits + 1
-  in
-  match Hashtbl.find_opt t.outcomes key with
-  | Some o ->
-    hit ();
-    o
-  | None ->
-    let iv = t.ivs.(pid).(iv_id) in
-    let acquire () =
-      match Hashtbl.find_opt t.inflight key with
-      | Some fut ->
-        hit ();
-        Exec.Pool.await fut
-      | None -> (
-        match shared_find t key with
-        | Some o ->
-          hit ();
-          o
-        | None ->
-          Obs.incr c_misses;
-          t.cache_misses <- t.cache_misses + 1;
-          replay_outcome t iv)
-    in
-    let is_hole = ref false in
-    let hole reason =
-      is_hole := true;
-      declare_hole t ~pid ~iv reason
-    in
-    let outcome =
-      match with_retries t iv acquire with
-      | o ->
-        if not o.Emulator.overrun then o
-        else if t.config.degraded then hole "replay step budget exhausted"
-        else
-          raise
-            (Replay_overrun { pid; iv_id; budget = t.config.max_replay_steps })
-      | exception ((Fault.Injected _ | Store.Segment.Unreadable _) as e)
-        when t.config.degraded ->
-        hole (reason_of_failure e)
-      (* to race detection a divergence is evidence, not damage *)
-      | exception (Emulator.Replay_mismatch _ as e)
-        when t.config.degraded && assemble ->
-        hole (reason_of_failure e)
-    in
-    Hashtbl.remove t.inflight key;
-    if !is_hole then begin
-      (* a hole: nothing to assemble, and it does not count as a replay *)
-      Hashtbl.replace t.outcomes key outcome;
-      outcome
-    end
-    else if not assemble then begin
-      (match t.shared with
-      | Some sh -> Fragcache.publish sh (t.src_tier, pid, iv_id) outcome
-      | None -> ());
-      outcome
-    end
-    else begin
-      (* Graph assembly always happens here, on the querying domain, in
-         query order: replay never reads the graph, so feeding a
-         worker-produced outcome builds the same fragment a serial replay
-         would, and parallel and serial runs yield identical graphs. The
-         counters are bumped the same way on every path, so [-jN]
-         statistics match [-j1] byte for byte. *)
-      let first = Dyn_graph.nnodes t.g in
-      let links = Builder.build_from_outcome t.asm ~interval:iv outcome in
-      t.replays <- t.replays + 1;
-      t.replay_steps <- t.replay_steps + outcome.Emulator.steps;
-      Obs.incr c_replays;
-      Obs.add c_replay_steps outcome.Emulator.steps;
-      link_fragment t ~first links;
-      Hashtbl.replace t.outcomes key outcome;
-      (* publish clean outcomes for sibling sessions on the same log
-         ([Fragcache.publish] drops faulted/overrun ones itself) *)
-      (match t.shared with
-      | Some sh -> Fragcache.publish sh (t.src_tier, pid, iv_id) outcome
-      | None -> ());
-      outcome
-    end
+let hit (t : t) =
+  Obs.incr c_hits;
+  t.cache_hits <- t.cache_hits + 1
 
-let build_interval t ~pid ~iv_id = interval_outcome ~assemble:true t ~pid ~iv_id
+(* An interval's outcome through the pool, the shared cache, the
+   retries and the watchdog, or [None] when degraded mode made it a
+   hole. To race detection ([assembling:false]) a divergence is
+   evidence, not damage. *)
+let replayed ~assembling t ~pid ~iv_id =
+  let key = (pid, iv_id) in
+  let iv = t.ivs.(pid).(iv_id) in
+  let acquire () =
+    match Hashtbl.find_opt t.inflight key with
+    | Some fut ->
+      hit t;
+      Exec.Pool.await fut
+    | None -> (
+      match shared_find t key with
+      | Some o ->
+        hit t;
+        o
+      | None ->
+        Obs.incr c_misses;
+        t.cache_misses <- t.cache_misses + 1;
+        replay_outcome t iv)
+  in
+  let hole reason =
+    declare_hole t ~pid ~iv reason;
+    None
+  in
+  let r =
+    match with_retries t iv acquire with
+    | o ->
+      if not o.Emulator.overrun then Some o
+      else if t.config.degraded then hole "replay step budget exhausted"
+      else
+        raise
+          (Replay_overrun { pid; iv_id; budget = t.config.max_replay_steps })
+    | exception ((Fault.Injected _ | Store.Segment.Unreadable _) as e)
+      when t.config.degraded ->
+      hole (reason_of_failure e)
+    | exception (Emulator.Replay_mismatch _ as e)
+      when t.config.degraded && assembling ->
+      hole (reason_of_failure e)
+  in
+  Hashtbl.remove t.inflight key;
+  r
+
+(* An interval counted as this request's, like an assembly. *)
+let count (t : t) i steps =
+  Bytes.set t.touched i '\001';
+  t.replays <- t.replays + 1;
+  t.replay_steps <- t.replay_steps + steps;
+  Obs.incr c_replays;
+  Obs.add c_replay_steps steps
+
+(* Make interval [(pid, iv_id)] this request's: the one rule by which
+   every read of the graph is answered as a private graph would answer
+   it (DESIGN §14.6). A [full] visit is one interval lookup, as
+   assembling on demand always was: the deadline is checked (the e-block
+   boundary is the deadline propagation point, so a query that expires
+   mid-flowback stops before the next replay), then the interval is
+   this request's already (a hit), or the graph holds it (a hit, under
+   this request's watchdog budget), or it is replayed and assembled
+   here. A visit that is not [full] looks up only an interval the
+   request lacks or holds as a hole. A resolution in progress records
+   every visit. *)
+let visit t ~full ~pid ~iv_id =
+  let i = index t ~pid ~iv_id in
+  (match t.trail with
+  | Some l -> t.trail <- Some ((if full then i else -i - 1) :: l)
+  | None -> ());
+  let mine = Bytes.get t.touched i in
+  if full || mine <> '\001' then begin
+    Resil.Deadline.check t.config.deadline;
+    Obs.incr c_lookups;
+    let a = asm t in
+    if mine <> '\000' then hit t
+    else if Assembly.assembled a i then begin
+      let steps = Assembly.steps a i in
+      if steps > t.config.max_replay_steps then
+        raise
+          (Replay_overrun { pid; iv_id; budget = t.config.max_replay_steps });
+      hit t;
+      Option.iter Fragcache.note_hit t.shared;
+      count t i steps
+    end
+    else
+      match replayed ~assembling:true t ~pid ~iv_id with
+      | None -> ()
+      | Some o ->
+        (* Graph assembly always happens here, on the querying domain,
+           in query order: replay never reads the graph, so feeding a
+           worker-produced outcome builds the same fragment a serial
+           replay would, and parallel and serial runs yield identical
+           graphs. *)
+        Assembly.add a ~interval:t.ivs.(pid).(iv_id) i o;
+        count t i o.Emulator.steps;
+        (* publish clean outcomes for sibling sessions on the same log
+           ([Fragcache.publish] drops faulted/overrun ones itself); in
+           the entry's own graph the fragment stands for the outcome *)
+        if not t.borrowed then publish t (pid, iv_id) o
+  end
+
+let build_interval t ~pid ~iv_id = visit t ~full:true ~pid ~iv_id
 
 let submit_all t keys =
   Option.iter
@@ -460,7 +457,7 @@ let submit_all t keys =
    this degenerates to the serial loop and builds the same graph. *)
 let build_intervals_par t keys =
   submit_all t keys;
-  List.iter (fun (pid, iv_id) -> ignore (build_interval t ~pid ~iv_id)) keys
+  List.iter (fun (pid, iv_id) -> build_interval t ~pid ~iv_id) keys
 
 (* The events a diverged interval replayed before its mismatch. The
    interval is not assembled, and its outcome is not cached. *)
@@ -491,6 +488,27 @@ let may_touch_shared t (iv : L.interval) =
     shared t.eb.Analysis.Eblock.used.(fid)
     || shared t.eb.Analysis.Eblock.defined.(fid)
 
+(* An interval's events for race detection, through the usual path
+   (pool, caches, retries, deadline), not assembled. A hole has none. *)
+let race_events t ~pid ~iv_id =
+  Resil.Deadline.check t.config.deadline;
+  Obs.incr c_lookups;
+  if Bytes.get t.touched (index t ~pid ~iv_id) = '\002' then begin
+    hit t;
+    hole_outcome
+  end
+  else
+    match replayed ~assembling:false t ~pid ~iv_id with
+    | None -> hole_outcome
+    | Some o ->
+      publish t (pid, iv_id) o;
+      o
+
+let content_log t =
+  match t.shared with
+  | Some f -> Fragcache.content_log f t.src
+  | None -> Store.Segment.to_log t.src
+
 (* The events of every interval that may touch a shared variable,
    through the usual path (pool, caches, retries, deadline) without
    assembling them; then the graph with the replayed access sets, its
@@ -515,7 +533,7 @@ let build_race t =
     List.iter
       (fun (pid, iv_id) ->
         add ~pid
-          (match interval_outcome ~assemble:false t ~pid ~iv_id with
+          (match race_events t ~pid ~iv_id with
           | o ->
             t.replays <- t.replays + 1;
             steps := !steps + o.Emulator.steps;
@@ -525,7 +543,13 @@ let build_race t =
             diverged_events t t.ivs.(pid).(iv_id)))
       keys
   in
-  let pd = Pardyn.of_replay (prog t) (Store.Segment.to_log t.src) replay in
+  (* built once per entry: the content log is read, not kept for it *)
+  let log =
+    match t.shared with
+    | Some f -> Fragcache.content_log ~hold:false f t.src
+    | None -> Store.Segment.to_log t.src
+  in
+  let pd = Pardyn.of_replay (prog t) log replay in
   t.replay_steps <- t.replay_steps + !steps;
   let st = Race.detect pd in
   (if st.Race.races = [] then
@@ -534,8 +558,7 @@ let build_race t =
      | diverged ->
        List.iter
          (fun (pid, iv_id, e) ->
-           ignore
-             (declare_hole t ~pid ~iv:t.ivs.(pid).(iv_id) (reason_of_failure e)))
+           declare_hole t ~pid ~iv:t.ivs.(pid).(iv_id) (reason_of_failure e))
          diverged);
   (pd, st, !steps)
 
@@ -559,8 +582,6 @@ let race t =
     r
 
 let pardyn t = fst (race t)
-
-let content_log t = Store.Segment.to_log t.src
 
 (* The interval a what-if names: [iv_id] of process [pid], or its root
    block when none is given. *)
@@ -616,15 +637,15 @@ let what_if ?iv_id t ~pid ~overrides =
 let enclosing_interval t (r : E.eref) =
   L.find_enclosing t.ivs.(r.epid) ~seq:r.eseq
 
+(* A request that has an event's node has its interval; one that lacks
+   the node looks the interval up, which assembles it. *)
 let node_of_event t (r : E.eref) =
-  match Dyn_graph.find_ref t.g r with
-  | Some n -> Some n
-  | None -> (
-    match enclosing_interval t r with
-    | None -> None
-    | Some iv ->
-      ignore (build_interval t ~pid:r.epid ~iv_id:iv.L.iv_id);
-      Dyn_graph.find_ref t.g r)
+  match enclosing_interval t r with
+  | None -> Dyn_graph.find_ref (graph t) r
+  | Some iv ->
+    let found = Dyn_graph.find_ref (graph t) r <> None in
+    visit t ~full:(not found) ~pid:r.epid ~iv_id:iv.L.iv_id;
+    Dyn_graph.find_ref (graph t) r
 
 let last_event_node t ~pid =
   let ivs = t.ivs.(pid) in
@@ -654,73 +675,70 @@ let last_event_node t ~pid =
     match last with
     | None -> None
     | Some iv ->
-      let outcome = build_interval t ~pid ~iv_id:iv.L.iv_id in
-      let rec last_ref acc = function
-        | [] -> acc
-        | (seq, _) :: rest -> last_ref (Some seq) rest
+      let iv_id = iv.L.iv_id in
+      build_interval t ~pid ~iv_id;
+      (* a hole has no events *)
+      let i = index t ~pid ~iv_id in
+      let seq =
+        if Bytes.get t.touched i = '\001' then Assembly.last_seq (asm t) i
+        else -1
       in
-      (match last_ref None outcome.Emulator.events with
-      | None -> None
-      | Some seq -> Dyn_graph.find_ref t.g { E.epid = pid; eseq = seq })
+      if seq < 0 then None
+      else Dyn_graph.find_ref (graph t) { E.epid = pid; eseq = seq }
   end
 
+(* The nested interval behind a sub-graph or loop node: it starts right
+   after the call or loop-enter event. *)
+let nested_interval t (r : E.eref) ~loop =
+  let child_seq = r.E.eseq + 1 in
+  match L.find_enclosing t.ivs.(r.E.epid) ~seq:child_seq with
+  | Some iv
+    when iv.L.iv_seq_start = child_seq
+         && ((not loop)
+            || match iv.L.iv_block with L.Bloop _ -> true | _ -> false) ->
+    Some iv
+  | Some _ | None -> None
+
 let expand_subgraph t node_id =
-  let node = Dyn_graph.node t.g node_id in
+  let node = Dyn_graph.node (graph t) node_id in
+  let expand (r : E.eref) (iv : L.interval) =
+    let pid = r.E.epid and iv_id = iv.L.iv_id in
+    let fresh = Bytes.get t.touched (index t ~pid ~iv_id) = '\000' in
+    if fresh then build_interval t ~pid ~iv_id;
+    fresh
+  in
   match (node.Dyn_graph.nd_kind, node.Dyn_graph.nd_ref) with
   | Dyn_graph.N_loop _, Some enter_ref -> (
-    (* loop e-block: the nested interval starts right after the
-       loop-enter event; the fragment's nodes attach to this node *)
-    let child_seq = enter_ref.E.eseq + 1 in
-    match L.find_enclosing t.ivs.(enter_ref.E.epid) ~seq:child_seq with
-    | Some iv
-      when iv.L.iv_seq_start = child_seq
-           && (match iv.L.iv_block with L.Bloop _ -> true | _ -> false) ->
-      if Hashtbl.mem t.outcomes (enter_ref.E.epid, iv.L.iv_id) then None
-      else Some (build_interval t ~pid:enter_ref.E.epid ~iv_id:iv.L.iv_id)
-    | Some _ | None -> None)
+    (* loop e-block: the fragment's nodes attach to this node *)
+    match nested_interval t enter_ref ~loop:true with
+    | Some iv -> expand enter_ref iv
+    | None -> false)
   | Dyn_graph.N_subgraph _, Some call_ref -> (
-    (* the nested interval starts right after the call event *)
-    let child_seq = call_ref.E.eseq + 1 in
-    match
-      L.find_enclosing t.ivs.(call_ref.E.epid) ~seq:child_seq
-    with
-    | Some iv when iv.L.iv_seq_start = child_seq ->
-      if Hashtbl.mem t.outcomes (call_ref.E.epid, iv.L.iv_id) then None
-      else begin
-        let outcome = build_interval t ~pid:call_ref.E.epid ~iv_id:iv.L.iv_id in
-        (* stitch: the call node governs the callee's entry, and the
-           callee's returned value flows back into the sub-graph node
-           (the %0 mapping of §4.2) *)
-        (match
-           Dyn_graph.find_ref t.g
-             { E.epid = call_ref.E.epid; eseq = child_seq }
-         with
-        | Some entry ->
-          Dyn_graph.add_edge t.g ~src:node_id ~dst:entry
-            ~kind:Dyn_graph.Control
-        | None -> ());
-        let return_seq =
-          List.fold_left
-            (fun acc (seq, ev) ->
-              match ev with
-              | E.E_stmt { kind = E.K_return _; _ } -> Some seq
-              | _ -> acc)
-            None outcome.Emulator.events
-        in
-        (match return_seq with
-        | Some seq -> (
-          match
-            Dyn_graph.find_ref t.g { E.epid = call_ref.E.epid; eseq = seq }
-          with
-          | Some ret_node ->
-            Dyn_graph.add_edge t.g ~src:ret_node ~dst:node_id
-              ~kind:(Dyn_graph.Dparam 0)
-          | None -> ())
-        | None -> ());
-        Some outcome
-      end
-    | Some _ | None -> None)
-  | _, _ -> None
+    match nested_interval t call_ref ~loop:false with
+    | Some iv ->
+      let fresh = expand call_ref iv in
+      (* stitch, whenever both ends exist: the call node governs the
+         callee's entry, and the callee's returned value flows back into
+         the sub-graph node (the %0 mapping of §4.2) *)
+      let a = asm t and g = graph t in
+      let pid = call_ref.E.epid in
+      let node_at seq = Dyn_graph.find_ref g { E.epid = pid; eseq = seq } in
+      Option.iter
+        (fun entry ->
+          Assembly.stitch a ~sub:node_id ~src:node_id ~dst:entry
+            ~kind:Dyn_graph.Control)
+        (node_at iv.L.iv_seq_start);
+      let i = index t ~pid ~iv_id:iv.L.iv_id in
+      (if Assembly.assembled a i && Assembly.return_seq a i >= 0 then
+         Option.iter
+           (fun ret ->
+             Assembly.stitch a ~sub:node_id ~src:ret ~dst:node_id
+               ~kind:(Dyn_graph.Dparam 0))
+           (node_at (Assembly.return_seq a i)));
+      IT.replace t.expanded node_id ();
+      fresh
+    | None -> false)
+  | _, _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* External (frontier) resolution.                                      *)
@@ -730,37 +748,32 @@ let expand_subgraph t node_id =
    event right after it in the same process. We recover it from the
    graph: external nodes have no ref, but their successors do. *)
 let interval_of_node t node_id =
+  let g = graph t in
   let rec find_ref n seen =
     if List.mem n seen then None
     else
-      match (Dyn_graph.node t.g n).Dyn_graph.nd_ref with
+      match (Dyn_graph.node g n).Dyn_graph.nd_ref with
       | Some r -> Some r
       | None ->
         List.fold_left
           (fun acc (s, _) ->
             match acc with Some _ -> acc | None -> find_ref s (n :: seen))
-          None
-          (Dyn_graph.succs t.g n)
+          None (Dyn_graph.succs g n)
   in
   match find_ref node_id [] with
   | None -> None
   | Some r -> Option.map (fun iv -> (r, iv)) (enclosing_interval t r)
 
-(* The last node in the (already built) graph writing [vid] within the
-   given interval: scan the builder outcome's events. *)
+(* The node of the last write of [vid] in an interval this request has
+   assembled, with the value written. *)
 let last_write_node t (iv : L.interval) vid =
-  match Hashtbl.find_opt t.outcomes (iv.L.iv_pid, iv.L.iv_id) with
-  | None -> None
-  | Some outcome ->
-    List.fold_left
-      (fun acc (seq, ev) ->
-        match ev with
-        | E.E_stmt { write = Some { var; value }; _ } when var.P.vid = vid ->
-          Some (seq, value)
-        | _ -> acc)
-      None outcome.Emulator.events
+  let i = index t ~pid:iv.L.iv_pid ~iv_id:iv.L.iv_id in
+  if Bytes.get t.touched i <> '\001' then None
+  else
+    Assembly.last_write (asm t) i vid
     |> Option.map (fun (seq, value) ->
-           (Dyn_graph.find_ref t.g { E.epid = iv.L.iv_pid; eseq = seq }, value))
+           ( Dyn_graph.find_ref (graph t) { E.epid = iv.L.iv_pid; eseq = seq },
+             value ))
 
 (* The spawn event of a process-root interval, from the proc-start
    sync record just before its prelog (a single-record seek on a paged
@@ -778,27 +791,24 @@ let spawner_ref t (iv : L.interval) =
       None
   else None
 
+(* Link a resolved external to its writer: a query edge. *)
+let link_external t node_id writer var =
+  Assembly.add_query_edge (asm t) ~src:writer ~dst:node_id
+    ~kind:(Dyn_graph.Data var);
+  Dyn_graph.resolve_external (graph t) node_id;
+  Some writer
+
 (* Resolve a parameter external: the defining event is the caller's
    call (parent interval) or the spawner's spawn. *)
-let resolve_param t node_id (iv : L.interval) =
+let resolve_param t node_id var (iv : L.interval) =
   let pid = iv.L.iv_pid in
-  let link writer =
-    let var =
-      match (Dyn_graph.node t.g node_id).Dyn_graph.nd_kind with
-      | Dyn_graph.N_external v -> v
-      | _ -> assert false
-    in
-    Dyn_graph.add_edge t.g ~src:writer ~dst:node_id ~kind:(Dyn_graph.Data var);
-    Dyn_graph.resolve_external t.g node_id;
-    Some writer
-  in
   match iv.L.iv_parent with
-  | Some parent_id ->
-    ignore (build_interval t ~pid ~iv_id:parent_id);
+  | Some parent_id -> (
+    build_interval t ~pid ~iv_id:parent_id;
     (* the call event immediately precedes this interval's E_enter *)
     let call_ref = { E.epid = pid; eseq = iv.L.iv_seq_start - 1 } in
-    (match Dyn_graph.find_ref t.g call_ref with
-    | Some writer -> link writer
+    match Dyn_graph.find_ref (graph t) call_ref with
+    | Some writer -> link_external t node_id writer var
     | None -> None)
   | None -> (
     (* process root: the spawner wrote the parameter *)
@@ -806,7 +816,7 @@ let resolve_param t node_id (iv : L.interval) =
     | None -> None
     | Some r -> (
       match node_of_event t r with
-      | Some writer -> link writer
+      | Some writer -> link_external t node_id writer var
       | None -> None))
 
 (* Intervals that may have produced the value of shared [vid] read at
@@ -844,7 +854,7 @@ let shared_write_candidates t ~vid ~read_step ~(reading_iv : L.interval) =
    until a fragment's last write matches the observed value. *)
 let resolve_shared t node_id var ~reader (reading_iv : L.interval) =
   let vid = var.P.vid in
-  let observed = (Dyn_graph.node t.g node_id).Dyn_graph.nd_value in
+  let observed = (Dyn_graph.node (graph t) node_id).Dyn_graph.nd_value in
   let read_step =
     Store.Segment.snapshot_step t.src ~pid:reading_iv.L.iv_pid
       ~reader_seq:reader.Runtime.Event.eseq
@@ -853,51 +863,119 @@ let resolve_shared t node_id var ~reader (reading_iv : L.interval) =
   let rec try_candidates = function
     | [] -> None
     | iv :: rest -> (
-      ignore (build_interval t ~pid:iv.L.iv_pid ~iv_id:iv.L.iv_id);
+      build_interval t ~pid:iv.L.iv_pid ~iv_id:iv.L.iv_id;
       match last_write_node t iv vid with
       | Some (Some writer, value)
         when match observed with
              | None -> true
-             | Some o -> Runtime.Value.equal o value -> (
+             | Some o -> Runtime.Value.equal o value ->
         (* only accept writers not ordered after the read (race-free
            executions have a unique such maximal writer) *)
-        Dyn_graph.add_edge t.g ~src:writer ~dst:node_id
-          ~kind:(Dyn_graph.Data var);
-        Dyn_graph.resolve_external t.g node_id;
-        match observed with _ -> Some writer)
+        link_external t node_id writer var
       | Some _ | None -> try_candidates rest)
   in
   try_candidates candidates
 
+(* Resolve an external, remembering what the resolution visited: a
+   request that finds it resolved by another visits the same intervals
+   (DESIGN §14.6). *)
 let resolve_external t node_id =
-  let node = Dyn_graph.node t.g node_id in
-  match node.Dyn_graph.nd_kind with
+  match (Dyn_graph.node (graph t) node_id).Dyn_graph.nd_kind with
   | Dyn_graph.N_external var -> (
-    match interval_of_node t node_id with
-    | None -> None
-    | Some (reader, iv) ->
-      if P.is_global var then resolve_shared t node_id var ~reader iv
-      else resolve_param t node_id iv)
+    t.trail <- Some [];
+    let resolve () =
+      match interval_of_node t node_id with
+      | None -> None
+      | Some (reader, iv) ->
+        if P.is_global var then resolve_shared t node_id var ~reader iv
+        else resolve_param t node_id var iv
+    in
+    match resolve () with
+    | writer ->
+      (match (writer, t.trail) with
+      | Some _, Some trail ->
+        Assembly.remember (asm t) node_id trail;
+        IT.replace t.settled node_id ()
+      | _ -> ());
+      t.trail <- None;
+      writer
+    | exception e ->
+      t.trail <- None;
+      raise e)
   | _ -> None
 
+(* An external another request resolved: visit what its resolution
+   visited, in the same order. *)
+let replay_resolution t node_id =
+  if not (IT.mem t.settled node_id) then
+    match Assembly.memo (asm t) node_id with
+    | None -> ()
+    | Some trail ->
+      IT.replace t.settled node_id ();
+      List.iter
+        (fun code ->
+          let full = code >= 0 in
+          let i = if full then code else -code - 1 in
+          let rec pid_of p = if t.base.(p + 1) > i then p else pid_of (p + 1) in
+          let pid = pid_of 0 in
+          visit t ~full ~pid ~iv_id:(i - t.base.(pid)))
+        (List.rev trail)
+
+(* The edges into a node that this request's own graph would hold. A
+   loop node's come from its parent's fragment: none until the request
+   has the parent. A call stitch exists once the request expanded its
+   sub-graph node. *)
+let visible t node_id preds =
+  let g = graph t in
+  let n = Dyn_graph.node g node_id in
+  match (n.Dyn_graph.nd_kind, n.Dyn_graph.nd_ref) with
+  | Dyn_graph.N_loop _, Some r -> (
+    match enclosing_interval t r with
+    | Some iv
+      when Bytes.get t.touched (index t ~pid:r.E.epid ~iv_id:iv.L.iv_id)
+           = '\001' ->
+      preds
+    | Some _ | None -> [])
+  | _ -> (
+    match Assembly.stitch_into (asm t) node_id with
+    | Some (src, sub) when not (IT.mem t.expanded sub) ->
+      List.filter (fun (s, _) -> s <> src) preds
+    | Some _ | None -> preds)
+
 let why t node_id =
-  (* build the partner fragment of a pending sync link into this node *)
-  (match IT.find_opt t.by_dst node_id with
-  | Some l -> ignore (node_of_event t l.l_src)
-  | None -> ());
-  t.links_desc <- not t.links_desc;
+  let g = graph t in
+  (* the partner fragment of the sync link into this node: built when
+     the link is pending, this request's already when it is linked *)
+  (match Assembly.pending_source (asm t) node_id with
+  | Some src -> ignore (node_of_event t src)
+  | None ->
+    List.iter
+      (fun (p, (kind : Dyn_graph.edge_kind)) ->
+        match kind with
+        | Sync ->
+          let seq = Dyn_graph.node_seq g p in
+          if seq >= 0 then
+            ignore
+              (node_of_event t { E.epid = Dyn_graph.node_pid g p; eseq = seq })
+        | _ -> ())
+      (Dyn_graph.preds g node_id));
   (* resolve external predecessors *)
   List.iter
     (fun (p, _) ->
-      if Dyn_graph.is_external t.g p then ignore (resolve_external t p))
-    (Dyn_graph.preds t.g node_id);
-  Dyn_graph.preds t.g node_id
+      if Dyn_graph.is_external g p then ignore (resolve_external t p)
+      else replay_resolution t p)
+    (Dyn_graph.preds g node_id);
+  visible t node_id (Dyn_graph.preds g node_id)
+
+let graph_size t =
+  let a = asm t in
+  (Assembly.nodes a, Assembly.fragment_edges a)
 
 let stats (t : t) =
   {
     replays = t.replays;
     replay_steps = t.replay_steps;
-    intervals_total = Array.fold_left (fun a ivs -> a + Array.length ivs) 0 t.ivs;
+    intervals_total = t.base.(Array.length t.ivs);
     cache_hits = t.cache_hits;
     cache_misses = t.cache_misses;
     holes = List.length t.holes_rev;

@@ -107,11 +107,45 @@ val start_paged :
     [Store.Segment.Unreadable] when a page of the order log cannot be
     read; neither failure is cached. *)
 
+val borrow :
+  ?pool:Exec.Pool.t ->
+  ?config:config ->
+  Fragcache.t ->
+  Analysis.Eblock.t ->
+  Store.Segment.reader ->
+  (t -> 'a) ->
+  'a
+(** [borrow shared eb src f] answers [f] on a controller over the
+    dynamic graph that [shared] keeps for this log ({!Fragcache.assembly},
+    DESIGN §14.6), holding its lock for the whole of [f]. The graph
+    grows append-only as requests assemble intervals, so a request
+    walks what earlier ones built instead of assembling it again, and
+    its growth is charged to the cache's budget once [f] returns. The
+    outcomes it assembles are not published: the graph holds them.
+
+    Every answer equals that of a controller from {!start_paged}, byte
+    for byte: the statistics count the intervals {e this} controller
+    visits, and every read of the graph visits the interval that owns
+    what it reads, so [replays], [replay_steps], the watchdog budget and
+    the deadline behave as on a private graph. A visit the shared graph
+    answers is a cache hit ({!Fragcache.note_hit}). A request in
+    degraded mode must not borrow: its holes would enter the shared
+    graph. *)
+
 val holes : t -> hole list
 (** Holes declared so far, in assembly order (deterministic across
     [-jN]). Empty unless running with [config.degraded]. *)
 
 val graph : t -> Dyn_graph.t
+(** The graph this controller assembles into. A borrowed one may hold
+    more than this controller assembled; {!why} and {!node_of_event}
+    read it as this controller's own. *)
+
+val graph_size : t -> int * int
+(** The graph's nodes and edges, without the edges that queries added
+    (call stitches and external resolutions): after every interval is
+    assembled, the size of the graph assembly alone builds, however the
+    graph was grown. *)
 
 val prog : t -> Lang.Prog.t
 
@@ -142,7 +176,8 @@ val pardyn : t -> Pardyn.t
 
 val content_log : t -> Trace.Log.t
 (** The whole content log the controller debugs: the source's own, or
-    the reconstruction of an order-tier source. *)
+    the reconstruction of an order-tier source. With [shared], decoded
+    once per cache ({!Fragcache.content_log}). *)
 
 val what_if :
   ?iv_id:int ->
@@ -162,10 +197,10 @@ val what_if :
 
 val intervals : t -> pid:int -> Trace.Log.interval array
 
-val build_interval : t -> pid:int -> iv_id:int -> Emulator.outcome
+val build_interval : t -> pid:int -> iv_id:int -> unit
 (** Emulate the interval (if not already built) and add its fragment to
     the graph. Awaits a replay submitted to the pool instead of
-    replaying again. *)
+    replaying again. One cache lookup, counted in {!stats}. *)
 
 val build_intervals_par : t -> (int * int) list -> unit
 (** Batch-emulate a set of [(pid, iv_id)] intervals: every missing
@@ -176,29 +211,40 @@ val build_intervals_par : t -> (int * int) list -> unit
 
 val node_of_event : t -> Runtime.Event.eref -> int option
 (** Locate the graph node for an event, building its enclosing interval
-    on demand. *)
+    on demand. The interval becomes this controller's even when a
+    borrowed graph already holds the node. *)
 
 val last_event_node : t -> pid:int -> int option
 (** The node of the last event process [pid] executed — the root of the
     inverted tree the debugger first presents (§3.2.3). Builds the
     process's final (possibly open/faulted) interval. *)
 
-val expand_subgraph : t -> int -> Emulator.outcome option
-(** Emulate the nested interval behind an unexpanded sub-graph node and
-    stitch its detail graph in. [None] if the node is not a sub-graph
-    node or has no nested interval (inlined callees are already
-    expanded). *)
+val expand_subgraph : t -> int -> bool
+(** Emulate the nested interval behind an unexpanded sub-graph or loop
+    node and stitch a callee's detail graph in: a [Control] edge from
+    the call node to the callee's entry and a [Dparam 0] edge from its
+    return, whenever both ends exist, whichever was assembled first.
+    [false] if the node is not a sub-graph or loop node, has no nested
+    interval (inlined callees are already expanded), or this controller
+    has that interval already. *)
 
 val resolve_external : t -> int -> int option
 (** Find the definition behind a frontier node and link it with a data
-    edge; returns the writer node. *)
+    edge; returns the writer node. The graph remembers the intervals
+    the resolution visited, and a controller that finds the node
+    resolved by another visits them in {!why}. *)
 
 val why : t -> int -> (int * Dyn_graph.edge_kind) list
 (** Immediate dependence predecessors (data/control/sync), after
-    resolving this node's external reads and pending sync links. *)
+    resolving this node's external reads and pending sync links: the
+    edges a graph that this controller assembled alone would hold (a
+    call stitch once it expanded the call, a loop node's edges once it
+    has the loop's parent). *)
 
 type stats = {
-  replays : int;  (** intervals assembled into the graph so far *)
+  replays : int;
+      (** intervals this controller visited: assembled, or found in a
+          borrowed graph *)
   replay_steps : int;  (** interpreter steps spent emulating *)
   intervals_total : int;  (** intervals available in the log *)
   cache_hits : int;

@@ -199,8 +199,8 @@ let eval t line =
     | "expand" :: rest ->
       with_node rest (fun id ->
           match Controller.expand_subgraph (Session.controller t.session) id with
-          | Some _ -> "expanded:\n" ^ show_why t id
-          | None -> "nothing to expand (not a collapsed call/loop node)")
+          | true -> "expanded:\n" ^ show_why t id
+          | false -> "nothing to expand (not a collapsed call/loop node)")
     | "graph" :: _ ->
       fmt "%a" Dyn_graph.pp (Controller.graph (Session.controller t.session))
     | "node" :: rest -> with_node rest (fun id -> node_line t id)

@@ -257,6 +257,15 @@ let add_node t ?ref_ ?owner ?value ~pid ~kind ~label () =
 
 let nnodes t = t.n
 
+(* Eleven node columns and five edge columns, in whole chunks, plus the
+   event index, the frontier and the kind and variable tables. *)
+let bytes t =
+  let chunks c = Array.length c.ic * chunk in
+  8
+  * ((11 * chunks t.pid) + (5 * chunks t.e_src) + Array.length t.buckets
+    + (2 * Array.length t.mark_node)
+    + Array.length t.kinds + Array.length t.vars)
+
 let nedges t = t.ne
 
 let check t i name = if i < 0 || i >= t.n then invalid_arg name
@@ -302,6 +311,10 @@ let node_seq t i =
 let set_value t i v =
   check t i "Dyn_graph.set_value";
   rset t.value i v
+
+let set_owner t i o =
+  check t i "Dyn_graph.set_owner";
+  iset t.owner i (match o with Some o -> o | None -> -1)
 
 (* ------------------------------------------------------------------ *)
 (* Edges.                                                               *)

@@ -86,6 +86,9 @@ val nnodes : t -> int
 
 val nedges : t -> int
 
+val bytes : t -> int
+(** The memory the graph's columns and tables take, in bytes. *)
+
 val node : t -> int -> node
 
 val node_pid : t -> int -> int
@@ -106,6 +109,8 @@ val find_ref : t -> Runtime.Event.eref -> int option
 (** The node of an event; the latest one if several were added. *)
 
 val set_value : t -> int -> Runtime.Value.t -> unit
+
+val set_owner : t -> int -> int option -> unit
 
 val externals : t -> (int * Lang.Prog.var) list
 (** Unresolved frontier nodes, the most recently marked first. *)

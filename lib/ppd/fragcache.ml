@@ -1,9 +1,10 @@
 (* Shared replayed-fragment cache (DESIGN §14, §17).
 
    One instance per opened log identity: every controller debugging
-   that log — across daemon sessions, across requests — publishes the
-   raw replay outcomes it produces and consults the cache before
-   replaying. Outcomes are pure functions of (log, e-block analysis,
+   that log — across daemon sessions, across requests — consults the
+   cache before replaying and publishes the raw replay outcomes it
+   produces, except those it assembles into the log's shared graph,
+   whose fragments stand for them. Outcomes are pure functions of (log, e-block analysis,
    interval), so sharing them across sessions is safe; only *clean*
    outcomes are published (no injected fault, no watchdog overrun), so
    one session's degraded holes can never leak into another session's
@@ -15,8 +16,9 @@
    the outcomes that are big but cheap to recompute go first, the
    small expensive ones are kept. Eviction is always safe: a future
    lookup just replays the interval again. An order-tier log's
-   reconstruction (DESIGN §16.2) and the log's race answer (its
-   parallel dynamic graph and the detector's stats) are held, charged
+   reconstruction (DESIGN §16.2), the decoded content log, the log's
+   race answer (its parallel dynamic graph and the detector's stats)
+   and its dynamic graph ({!Assembly}, DESIGN §14.6) are held, charged
    and evicted the same way, their cost being what rebuilding them
    takes.
 
@@ -70,6 +72,12 @@ type t = {
   race : (Lang.Prog.t * Store.Segment.reader * int, Pardyn.t * Race.stats) slot;
       (* the parallel dynamic graph of one content reader and its
          detector stats, built under one watchdog budget *)
+  content : (Store.Segment.reader, Trace.Log.t) slot;
+      (* an indexed content reader decoded whole *)
+  graph : (Analysis.Eblock.t * Store.Segment.reader, Assembly.t) slot;
+      (* the dynamic graph of one content reader, for one e-block
+         analysis; its charge follows its growth ({!grown}) *)
+  graph_evictions : int Atomic.t;
 }
 
 let create ?budget () =
@@ -77,6 +85,9 @@ let create ?budget () =
     bp = Atomic.make None;
     recon = Atomic.make None;
     race = Atomic.make None;
+    content = Atomic.make None;
+    graph = Atomic.make None;
+    graph_evictions = Atomic.make 0;
     lock = Mutex.create ();
     tbl = Hashtbl.create 64;
     budget;
@@ -131,10 +142,18 @@ let publish t key (o : Emulator.outcome) =
 
 (* An eviction candidate: its rebuild cost, its bytes, and how to evict
    it (false if a racing transition got there first). *)
-let candidate slot acc =
+let candidate ?(evicted = ignore) slot acc =
   match Atomic.get slot with
   | Some d as cur ->
-    (d.d_steps, d.d_bytes, fun () -> Atomic.compare_and_set slot cur None) :: acc
+    ( d.d_steps,
+      d.d_bytes,
+      fun () ->
+        Atomic.compare_and_set slot cur None
+        && begin
+             evicted ();
+             true
+           end )
+    :: acc
   | None -> acc
 
 (* Evict up to [want] accounted bytes, cheapest-to-recompute-per-byte
@@ -162,7 +181,12 @@ let reclaim t want =
           compare
             (float_of_int sa /. float_of_int ba)
             (float_of_int sb /. float_of_int bb))
-        (candidate t.recon (candidate t.race frags))
+        (candidate t.recon
+           (candidate t.race
+              (candidate t.content
+                 (candidate
+                    ~evicted:(fun () -> Atomic.incr t.graph_evictions)
+                    t.graph frags))))
     in
     let freed = ref 0 in
     List.iter
@@ -280,6 +304,85 @@ let race t prog src ~max_replay_steps build =
         d_bytes = race_cost (pd, st);
         d_steps = steps;
       })
+
+(* The whole content log, for the questions that read all of it
+   (restore, what-if, the race graph's structure). A log in memory is
+   its own decoding; an indexed one is decoded once and kept. *)
+let content_log ?(hold = true) t src =
+  if not (Store.Segment.is_indexed src) then Store.Segment.to_log src
+  else if not hold then
+    match Atomic.get t.content with
+    | Some d when d.d_key == src -> d.d_value
+    | Some _ | None -> Store.Segment.to_log src
+  else
+    derive t t.content
+      ~same:(fun s -> s == src)
+      (fun () ->
+        {
+          d_key = src;
+          d_value = Store.Segment.to_log src;
+          d_bytes = recon_cost src;
+          d_steps = Store.Segment.entry_count src;
+        })
+
+let assembly t ~eb ~src make =
+  derive t t.graph
+    ~same:(fun (e, s) -> e == eb && s == src)
+    (fun () ->
+      let a = make () in
+      {
+        d_key = (eb, src);
+        d_value = a;
+        d_bytes = Assembly.bytes a;
+        d_steps = Assembly.assembled_steps a;
+      })
+
+(* Charge what the assembly grew by since it was last charged. One that
+   was evicted meanwhile is garbage once its borrower is done, and is
+   not charged. *)
+let grown t a =
+  match Atomic.get t.graph with
+  | Some d as cur when d.d_value == a ->
+    let bytes = Assembly.bytes a and steps = Assembly.assembled_steps a in
+    if
+      (bytes <> d.d_bytes || steps <> d.d_steps)
+      && Atomic.compare_and_set t.graph cur
+           (Some { d with d_bytes = bytes; d_steps = steps })
+    then begin
+      let delta = bytes - d.d_bytes in
+      ignore (Atomic.fetch_and_add t.bytes delta);
+      match t.budget with
+      | Some b ->
+        Resil.Budget.charge b delta;
+        Resil.Budget.rebalance b
+      | None -> ()
+    end
+  | Some _ | None -> ()
+
+let note_hit t = Atomic.incr t.hits
+
+type graph_stats = {
+  g_nodes : int;
+  g_edges : int;
+  g_intervals : int;
+  g_bytes : int;
+  g_evictions : int;
+}
+
+let graph_stats t =
+  let g_evictions = Atomic.get t.graph_evictions in
+  match Atomic.get t.graph with
+  | Some d ->
+    let a = d.d_value in
+    {
+      g_nodes = Assembly.nodes a;
+      g_edges = Assembly.edges a;
+      g_intervals = Assembly.intervals_assembled a;
+      g_bytes = d.d_bytes;
+      g_evictions;
+    }
+  | None ->
+    { g_nodes = 0; g_edges = 0; g_intervals = 0; g_bytes = 0; g_evictions }
 
 let evictions t = Atomic.get t.evictions
 

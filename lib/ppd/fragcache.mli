@@ -8,8 +8,9 @@
 
     The same instance holds what those controllers would otherwise
     each rebuild: the program's assembly tables ({!program}), an
-    order-tier log's reconstruction ({!reconstruction}) and the log's
-    race answer ({!race}).
+    order-tier log's reconstruction ({!reconstruction}), the decoded
+    content log ({!content_log}), the log's race answer ({!race}) and
+    its dynamic graph ({!assembly}).
 
     Thread- and domain-safe: the table is mutex-protected and the
     counters are atomics. Only clean outcomes (no injected fault, no
@@ -84,15 +85,60 @@ val race :
     steps the answer took as its third component, which is the slot's
     rebuild cost; it runs in an [Obs] phase span named ["race-graph"]. *)
 
+val content_log : ?hold:bool -> t -> Store.Segment.reader -> Trace.Log.t
+(** The whole content log of a content reader ({!Store.Segment.to_log}),
+    for the questions that read all of it: state restoration, what-if
+    and the race graph's structure. An indexed reader is decoded by the
+    first caller and kept until evicted, held like {!reconstruction}
+    (keyed physically on the reader, charged like a reconstruction of
+    the same entries, its cost the entry count); a reader over a log in
+    memory is returned as it is. With [~hold:false] (a question asked
+    once per entry) the held log is read when there is one, and
+    otherwise decoded without being kept. *)
+
+val assembly :
+  t ->
+  eb:Analysis.Eblock.t ->
+  src:Store.Segment.reader ->
+  (unit -> Assembly.t) ->
+  Assembly.t
+(** [assembly t ~eb ~src make] is the dynamic graph of the content
+    reader [src] under the e-block analysis [eb] (DESIGN §14.6), made by
+    the first caller and kept until evicted, held like {!reconstruction}
+    (keyed physically on [eb] and [src]). It grows as its borrowers
+    assemble intervals; {!grown} charges the growth. Its rebuild cost is
+    the replay steps of the intervals it holds. *)
+
+val grown : t -> Assembly.t -> unit
+(** Charge the assembly's growth since it was last charged to the budget
+    and rebalance, which may evict it. Nothing when it is no longer the
+    one held. *)
+
+val note_hit : t -> unit
+(** Count a lookup that an assembled interval of the held graph
+    answered, so [hits + misses] stays the number of lookups. *)
+
+type graph_stats = {
+  g_nodes : int;
+  g_edges : int;
+  g_intervals : int;  (** intervals assembled *)
+  g_bytes : int;  (** charged *)
+  g_evictions : int;  (** lifetime evictions of the graph *)
+}
+
+val graph_stats : t -> graph_stats
+(** The held graph's size (zeros when none is held). Read without its
+    lock, so a request growing it may make it one interval stale. *)
+
 val reclaim : t -> int -> int
-(** [reclaim t want] evicts cached outcomes, the reconstruction and the
-    race answer until at least [want] accounted bytes are
-    freed (or the cache is empty), in ascending replay-cost-per-byte
-    order — big-but-cheap-to-recompute entries go first; the
-    reconstruction's cost is its re-execution's step count, the
-    race answer's its replays' step count. Returns the bytes freed;
-    releases them from the attached budget itself. An evicted value is
-    rebuilt by the next {!reconstruction} or {!race}. *)
+(** [reclaim t want] evicts cached outcomes, the reconstruction, the
+    content log, the race answer and the graph until at least [want]
+    accounted bytes are freed (or the cache is empty), in ascending
+    replay-cost-per-byte order — big-but-cheap-to-recompute entries go
+    first; the reconstruction's cost is its re-execution's step count,
+    the race answer's and the graph's their replays' step count. Returns
+    the bytes freed; releases them from the attached budget itself. An
+    evicted value is rebuilt by its next caller. *)
 
 val clear : t -> unit
 (** Evict everything (releasing the budget charge). *)

@@ -101,14 +101,22 @@ let header sink src =
       ~nprocs:(nprocs src)
   | Run s -> sink.Render.out (Ppd.Session.explain_halt s ^ "\n")
 
-(* A fresh controller, the report: the shape of every answer. *)
-let answer ?pool ?shared ~config src report =
+(* A controller, the report: the shape of every answer. A [walk] over
+   the dynamic graph borrows the one [shared] keeps, unless the answer
+   may hold holes (degraded), which must not enter a graph other
+   requests read. *)
+let answer ?pool ?shared ?(walk = false) ~config src report =
   guard (fun () ->
-      let ctl =
-        Ppd.Controller.start_paged ?pool ?shared ~config src.eb src.reader
+      let run ctl =
+        let v = report ctl in
+        (v, Ppd.Controller.stats ctl)
       in
-      let v = report ctl in
-      (v, Ppd.Controller.stats ctl))
+      match shared with
+      | Some f when walk && not config.Ppd.Controller.degraded ->
+        Ppd.Controller.borrow ?pool ~config f src.eb src.reader run
+      | Some _ | None ->
+        run
+          (Ppd.Controller.start_paged ?pool ?shared ~config src.eb src.reader))
 
 let race ?shared ~config sink src =
   answer ?shared ~config src (fun ctl ->
@@ -194,11 +202,11 @@ type row = {
 
 let plain stats = { stats; fields = []; findings = [] }
 
-(* {!header}, then [report] over a fresh controller: the shape of every
-   row but race. *)
-let reported ?pool c sink src report =
+(* {!header}, then [report] over a controller: the shape of every row
+   but race. *)
+let reported ?pool ?walk c sink src report =
   header sink src;
-  answer ?pool ?shared:c.shared ~config:c.config src report
+  answer ?pool ?shared:c.shared ?walk ~config:c.config src report
   |> Result.map (fun (_, stats) -> plain stats)
 
 (* A race as the finding the CLI's JSON report lists. *)
@@ -224,8 +232,9 @@ let table =
       params = [ param "depth" (Int 4) ~docv:"N" "Dependence tree depth." ];
       run =
         (fun c args sink src ->
-          (* replays only what the walk demands, on this domain: no pool *)
-          reported c sink src (fun ctl ->
+          (* replays only what the walk demands, on this domain: no
+             pool; a Graphviz file prints the graph itself: a private one *)
+          reported ~walk:(c.dot = None) c sink src (fun ctl ->
               let pid =
                 match src.origin with
                 | Saved _ -> 0
@@ -251,8 +260,10 @@ let table =
         ];
       run =
         (fun c args sink src ->
-          reported ?pool:c.pool c sink src (fun ctl ->
-              Render.replay_report sink ~dump:(flag_arg args "dump")
+          (* a dump prints the graph itself: a private one *)
+          let dump = flag_arg args "dump" in
+          reported ?pool:c.pool ~walk:(not dump) c sink src (fun ctl ->
+              Render.replay_report sink ~dump
                 ~nprocs:(nprocs src) ctl));
     };
     {

@@ -68,9 +68,12 @@ val of_session : Ppd.Session.t -> source
 
 (** {1 Answers}
 
-    Each answer starts a fresh controller over the source ([pool] and
+    Each answer starts a controller over the source ([pool] and
     [shared] as in {!Ppd.Controller.start_paged}), writes its report
-    into the sink, and returns the controller's statistics. An
+    into the sink, and returns the controller's statistics. With
+    [shared], a clean [flowback] or [replay] that does not print the
+    graph itself borrows the dynamic graph [shared] keeps
+    ({!Ppd.Controller.borrow}, DESIGN §14.6); its answer is the same. An
     order-tier log is reconstructed here, or taken from [shared]. On a
     failure the sink may hold a partial answer. *)
 

@@ -54,18 +54,18 @@ let replay_report sink ~dump ~nprocs ctl =
   in
   Ppd.Controller.build_intervals_par ctl keys;
   let st = Ppd.Controller.stats ctl in
-  let g = Ppd.Controller.graph ctl in
+  let nodes, edges = Ppd.Controller.graph_size ctl in
   pf sink
     "replayed %d of %d log intervals (%d replay steps); graph: %d nodes, %d \
      edges%s\n"
     st.Ppd.Controller.replays st.Ppd.Controller.intervals_total
-    st.Ppd.Controller.replay_steps (Ppd.Dyn_graph.nnodes g)
-    (Ppd.Dyn_graph.nedges g)
+    st.Ppd.Controller.replay_steps nodes edges
     (if st.Ppd.Controller.holes > 0 then
        Printf.sprintf ", %d hole(s)" st.Ppd.Controller.holes
      else "");
   Ppd.Flowback.pp_holes ctl sink.ppf;
-  if dump then Format.fprintf sink.ppf "%a@." Ppd.Dyn_graph.pp g
+  if dump then
+    Format.fprintf sink.ppf "%a@." Ppd.Dyn_graph.pp (Ppd.Controller.graph ctl)
 
 let restore_report sink (prog : Lang.Prog.t) ~at_step (snap : Ppd.Restore.snapshot) =
   pf sink "shared store at step %s:\n"

@@ -46,7 +46,10 @@ let default_config =
     max_active = 4;
     max_queue = 16;
     max_open_logs = 8;
-    step_quota = 50_000_000;
+    (* the replay steps of every interval a request reads count, also
+       those a warm request finds in the entry's graph: two sessions
+       busy on the e2e ledger read ~10^8 steps in 30 s *)
+    step_quota = 1_000_000_000;
     default_deadline_ms = 0;
     mem_budget = 0;
     breaker = Resil.Breaker.default_config;
@@ -677,6 +680,18 @@ let m_fsck _t _s params =
                ("damage", J.List (List.map dmg rp.Store.Segment.fk_damage));
              ]))
 
+(* The entry's dynamic graph (DESIGN §14.6): its size, what it is
+   charged, and how often the budget evicted it. *)
+let graph_fields e =
+  let g = Ppd.Fragcache.graph_stats e.e_frag in
+  [
+    ("nodes", J.Int g.Ppd.Fragcache.g_nodes);
+    ("edges", J.Int g.Ppd.Fragcache.g_edges);
+    ("intervals", J.Int g.Ppd.Fragcache.g_intervals);
+    ("bytes", J.Int g.Ppd.Fragcache.g_bytes);
+    ("evictions", J.Int g.Ppd.Fragcache.g_evictions);
+  ]
+
 let m_stats t s params =
   let* e = p_handle t s params in
   let fs = Ppd.Fragcache.stats e.e_frag in
@@ -698,6 +713,7 @@ let m_stats t s params =
                ("inserts", J.Int fs.Ppd.Fragcache.inserts);
                ("hitRate", J.Float (Ppd.Fragcache.hit_rate e.e_frag));
              ] );
+         ("graph", J.Obj (graph_fields e));
        ])
 
 let m_profile _t _s _params =
@@ -718,7 +734,10 @@ let m_server_stats t _s _params =
   let n_handles =
     List.fold_left (fun acc s -> acc + Hashtbl.length s.s_handles) 0 sessions
   in
-  let entries = Hashtbl.fold (fun _ e acc -> e :: acc) t.entries [] in
+  let entries =
+    Hashtbl.fold (fun _ e acc -> e :: acc) t.entries []
+    |> List.sort (fun a b -> String.compare a.e_key b.e_key)
+  in
   let n_recoverable = Hashtbl.length t.recovered in
   Mutex.unlock t.lock;
   let page_bytes =
@@ -795,6 +814,11 @@ let m_server_stats t _s _params =
                ("pageBytes", J.Int page_bytes);
                ("fragBytes", J.Int frag_bytes);
              ] );
+         ( "graphs",
+           J.List
+             (List.map
+                (fun e -> J.Obj (("log", J.Str e.e_log) :: graph_fields e))
+                entries) );
          ("sessions", J.List (List.map session_json sessions));
        ])
 

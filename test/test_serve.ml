@@ -746,13 +746,18 @@ let test_quarantine_isolates () =
           Server.shutdown srv))
 
 (* One execution of [src] recorded in both tiers (DESIGN §16): the
-   program file, its content-tier segment and its order-tier segment. *)
-let with_tiers ?(src = Workloads.fig61) ?(sched = Runtime.Sched.default) f =
-  let mpl = Filename.temp_file "serve_tiers" ".mpl" in
-  let content = Filename.temp_file "serve_tiers" ".content.seg" in
-  let order = Filename.temp_file "serve_tiers" ".order.seg" in
+   program file, its content-tier segment and its order-tier segment.
+   The files are new names in a fresh directory: saving over an
+   existing file (as [Filename.temp_file] leaves one) makes ext4 flush
+   it, ~80 ms a file. *)
+let with_tiers ?(src = Workloads.fig61) ?(sched = Runtime.Sched.default) ?policy
+    f =
+  let dir = Filename.temp_dir "serve_tiers" "" in
+  let mpl = Filename.concat dir "prog.mpl" in
+  let content = Filename.concat dir "content.seg" in
+  let order = Filename.concat dir "order.seg" in
   Out_channel.with_open_text mpl (fun oc -> Out_channel.output_string oc src);
-  let eb = Analysis.Eblock.analyze (Lang.Compile.compile src) in
+  let eb = Analysis.Eblock.analyze ?policy (Lang.Compile.compile src) in
   let tier =
     Trace.Log.order_tier ~sched ~engine:Runtime.Machine.Vm_engine
       ~max_steps:1_000_000
@@ -765,7 +770,8 @@ let with_tiers ?(src = Workloads.fig61) ?(sched = Runtime.Sched.default) f =
     ~finally:(fun () ->
       List.iter
         (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ mpl; content; order ])
+        [ mpl; content; order ];
+      try Sys.rmdir dir with Sys_error _ -> ())
     (fun () -> f ~mpl ~content ~order)
 
 (* The program re-executions Obs has seen since the last reset. *)
@@ -1251,6 +1257,432 @@ let table_rows_agree =
           Server.shutdown srv;
           agree))
 
+(* -------------------------------------------------------------- *)
+(* One dynamic graph per registry entry (DESIGN §14.6) *)
+
+(* A call whose callee a shared-variable resolution assembles before
+   flowback expands the call, and a loop e-block assembled before its
+   parent: the two assembly orders the shared graph must not show. *)
+let stitch_program =
+  "shared int g = 0;\n\
+   func f() { g = 5; return 3; }\n\
+   func main() { var x = f(); var y = g + x; assert(y == 0); }\n"
+
+let loop_program =
+  "shared int g = 0;\n\
+   func worker(n) { var i = 0; while (i < n) { g = g + i; i = i + 1; } }\n\
+   func main() { var p = spawn worker(3); join(p); assert(g == 0); }\n"
+
+(* The e2e benchmark's ledger at a test's size: workers fold a mixing
+   call into shared accumulators under a semaphore, and main's assert is
+   wrong, so flowback crosses calls, processes and shared-variable
+   resolutions. *)
+let ledger_program =
+  {|
+shared int hist[8];
+shared int total = 0;
+sem lock = 1;
+
+func mix(x, r) {
+  var h = x * 31 + r * 17 + 7;
+  h = h - (h / 8) * 8;
+  return h;
+}
+
+func worker(w, n) {
+  var i = 0;
+  var acc = w;
+  for (i = 0; i < n; i = i + 1) {
+    var k = mix(acc, i);
+    acc = acc + k;
+    P(lock);
+    hist[k] = hist[k] + 1;
+    total = total + k;
+    V(lock);
+  }
+}
+
+func main() {
+  var p0 = spawn worker(0, 5);
+  var p1 = spawn worker(1, 5);
+  var p2 = spawn worker(2, 5);
+  join(p0);
+  join(p1);
+  join(p2);
+  assert(total == 0);
+}
+|}
+
+(* A rendezvous whose sender is spawned by a process the walk otherwise
+   never reads: flowback reaches the sender through a sync edge, and
+   the sender's parameter through its spawner. *)
+let relay_program =
+  "chan c[0];\n\
+   func leaf(n) { var v = n * 2; send(c, v); }\n\
+   func mid(m) { var q = spawn leaf(m + 1); join(q); }\n\
+   func main() { var p = spawn mid(3); var x = 0; recv(c, x); join(p); \
+   assert(x == 0); }\n"
+
+(* A random parallel program that halts at a failed assertion over its
+   shared variables, so that flowback from its last event reads them. *)
+let faulting src =
+  let close = String.rindex src '}' in
+  String.sub src 0 close ^ "  assert(g0 + g1 == -1);\n}\n"
+
+type oracle_request = O_flowback of int | O_replay | O_race
+
+let oracle_name = function
+  | O_flowback d -> Printf.sprintf "flowback depth %d" d
+  | O_replay -> "replay"
+  | O_race -> "race"
+
+let oracle_requests rng =
+  List.init
+    (6 + Random.State.int rng 8)
+    (fun _ ->
+      match Random.State.int rng 8 with
+      | 0 | 1 -> O_replay
+      | 2 -> O_race
+      | 3 | 4 -> O_flowback (1 + Random.State.int rng 8)
+      | _ -> O_flowback (1 + Random.State.int rng 64))
+
+let oracle_params = function
+  | O_flowback d -> ("flowback", [ ("depth", Serve.Query.Int d) ])
+  | O_replay -> ("replay", [])
+  | O_race -> ("race", [])
+
+(* A request answered as a private controller answers it: a fresh
+   source and controller, no shared cache. *)
+let fresh_row ?(policy = Analysis.Eblock.default_policy) ~log prog name given =
+  let module Q = Serve.Query in
+  match Q.open_source ~policy ~log prog with
+  | Error d -> Error d.Lang.Diag.d_code
+  | Ok source -> (
+    let row = Option.get (Q.find name) in
+    let args =
+      List.map
+        (fun (p : Q.param) ->
+          (p.key, Option.value (List.assoc_opt p.key given) ~default:p.default))
+        (row.params @ Q.common)
+    in
+    let buf = Buffer.create 256 in
+    let ctx = { Q.config = Q.config args; pool = None; shared = None; dot = None } in
+    match row.run ctx args (Serve.Render.buffer_sink buf) source with
+    | Ok a ->
+      Ok
+        ( Buffer.contents buf,
+          a.Q.stats.Ppd.Controller.replays,
+          a.Q.stats.Ppd.Controller.replay_steps )
+    | Error d -> Error d.Lang.Diag.d_code)
+
+let fresh_answer ?policy ~log prog r =
+  let name, given = oracle_params r in
+  fresh_row ?policy ~log prog name given
+
+let daemon_row srv s ~h ~id name given =
+  let params =
+    List.map
+      (function
+        | k, Serve.Query.Int i -> (k, J.Int i)
+        | k, Serve.Query.Flag b -> (k, J.Bool b)
+        | k, Serve.Query.Assigns l ->
+          (k, J.Obj (List.map (fun (n, v) -> (n, J.Int v)) l)))
+      given
+  in
+  let line = Server.handle_line srv s (req ~id name (("handle", J.Int h) :: params)) in
+  match J.member "result" (parsed line) with
+  | Some r -> Ok (jstr r "output", jint r "replays", jint r "replaySteps")
+  | None -> Error (error_code_of line)
+
+let daemon_answer srv s ~h ~id r =
+  let name, given = oracle_params r in
+  daemon_row srv s ~h ~id name given
+
+(* A race answer comes from the entry's race slot, whose replays the
+   request that built it was charged (DESIGN §14.5): its text is
+   compared, not its counts. *)
+let comparable r = function
+  | Ok (out, _, _) when r = O_race -> Ok (out, 0, 0)
+  | a -> a
+
+let show_answer = function
+  | Ok (out, replays, steps) ->
+    Printf.sprintf "%s[replays %d, replaySteps %d]" out replays steps
+  | Error code -> "error " ^ code
+
+(* Both tiers of one execution, each opened by two sessions of one
+   daemon with the policy's loop blocks: every request of the script,
+   sent by the two sessions in turn, answers what a private controller
+   answers. The first difference is the counterexample. *)
+let shared_equals_fresh ~src ~sched ~loops requests =
+  let policy = { Analysis.Eblock.default_policy with loop_block_min_body = loops } in
+  let prog = Lang.Compile.compile src in
+  with_tiers ~src ~sched ~policy (fun ~mpl ~content ~order ->
+      let srv = Server.create () in
+      let sessions = [| Server.session srv; Server.session srv |] in
+      let first_difference =
+        List.find_map
+          (fun log ->
+            let handles =
+              Array.map
+                (fun s ->
+                  jint
+                    (result_of
+                       (Server.handle_line srv s
+                          (req ~id:1 "open"
+                             [
+                               ("log", J.Str log);
+                               ("program", J.Str mpl);
+                               ("loops", J.Int loops);
+                             ])))
+                    "handle")
+                sessions
+            in
+            List.find_map
+              (fun (k, r) ->
+                let got =
+                  daemon_answer srv sessions.(k mod 2) ~h:handles.(k mod 2)
+                    ~id:(k + 2) r
+                in
+                let want = fresh_answer ~policy ~log prog r in
+                if comparable r got = comparable r want then None
+                else
+                  Some
+                    (Printf.sprintf
+                       "request %d (%s) on %s, loop blocks %d:\n\
+                        shared graph: %s\n\
+                        private: %s"
+                       k (oracle_name r) log loops (show_answer got)
+                       (show_answer want)))
+              (List.mapi (fun k r -> (k, r)) requests))
+          [ content; order ]
+      in
+      Array.iter (Server.end_session srv) sessions;
+      Server.shutdown srv;
+      first_difference)
+
+let shared_graph_oracle =
+  Util.qtest ~count:25 "shared graph = private controller (random programs)"
+    QCheck2.Gen.(
+      quad (int_range 0 100_000)
+        (oneofl [ `Always; `Sometimes; `Never ])
+        (int_range 0 1_000) (pair (int_range 0 1) int))
+    (fun (seed, protect, s, (loops, rseed)) ->
+      let src = faulting (Gen.parallel ~protect seed) in
+      let requests = oracle_requests (Random.State.make [| rseed |]) in
+      match
+        shared_equals_fresh ~src ~sched:(Runtime.Sched.Random_seed s) ~loops
+          requests
+      with
+      | None -> true
+      | Some diff -> QCheck2.Test.fail_reportf "%s\nprogram:\n%s" diff src)
+
+let test_shared_graph_fixed () =
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun loops ->
+          let requests = oracle_requests (Random.State.make [| Hashtbl.hash name |]) in
+          match
+            shared_equals_fresh ~src ~sched:Runtime.Sched.default ~loops
+              (* the call before its callee's writer and the reverse *)
+              (O_flowback 6 :: O_replay :: O_flowback 12 :: requests)
+          with
+          | None -> ()
+          | Some diff -> Alcotest.failf "%s: %s" name diff)
+        [ 0; 1 ])
+    (("stitch", stitch_program) :: ("loop", loop_program)
+     :: ("relay", relay_program) :: ("ledger", ledger_program)
+     :: Workloads.all_fixed)
+
+(* One saved content log of [src] and a daemon with a handle on it for
+   each of [n] sessions. *)
+let with_entry ?(config = Server.default_config) ?(src = ledger_program) ~n f =
+  with_tiers ~src (fun ~mpl ~content ~order:_ ->
+      let srv = Server.create ~config () in
+      let sessions = List.init n (fun _ -> Server.session srv) in
+      let handles =
+        List.map (fun s -> (s, open_handle srv s ~mpl ~seg:content)) sessions
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (Server.end_session srv) sessions;
+          Server.shutdown srv)
+        (fun () -> f srv handles ~log:content (Lang.Compile.compile src)))
+
+let check_answer what r want got =
+  Alcotest.(check string) what
+    (show_answer (comparable r want))
+    (show_answer (comparable r got))
+
+(* Four sessions querying one entry at once each get the private
+   controller's answer: the entry's lock keeps their walks apart. Each
+   session starts the script at another request. *)
+let test_shared_graph_threads () =
+  with_entry ~n:4 (fun srv handles ~log prog ->
+      let script =
+        [ O_flowback 8; O_replay; O_flowback 64; O_flowback 2; O_race; O_flowback 16 ]
+      in
+      let rotate k l = List.filteri (fun i _ -> i >= k) l @ List.filteri (fun i _ -> i < k) l in
+      let asked = List.mapi (fun k _ -> rotate k script) handles in
+      let got = Array.make (List.length handles) [] in
+      List.mapi
+        (fun k (s, h) ->
+          Thread.create
+            (fun () ->
+              got.(k) <- List.mapi (fun i r -> daemon_answer srv s ~h ~id:(i + 2) r) (List.nth asked k))
+            ())
+        handles
+      |> List.iter Thread.join;
+      List.iteri
+        (fun k script ->
+          List.iter2
+            (fun r g -> check_answer (Printf.sprintf "session %d" k) r (fresh_answer ~log prog r) g)
+            script got.(k))
+        asked)
+
+(* A degraded request takes a private graph, so the hole an injected
+   fault makes there never reaches the entry's: the clean request after
+   it answers as a private controller does. *)
+let test_shared_graph_no_persisted_hole () =
+  with_entry ~n:1 (fun srv handles ~log prog ->
+      let s, h = List.hd handles in
+      (match Fault.arm "ppd.emulator.replay:1" with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "fault spec: %s" e);
+      let holed =
+        Fun.protect ~finally:Fault.disarm (fun () ->
+            result_of
+              (Server.handle_line srv s
+                 (req ~id:2 "flowback"
+                    [ ("handle", J.Int h); ("depth", J.Int 8); ("degraded", J.Bool true) ])))
+      in
+      Alcotest.(check bool) "the fault made a hole" true (jint holed "holes" > 0);
+      List.iteri
+        (fun i r ->
+          check_answer "clean request after the hole" r
+            (fresh_answer ~log prog r)
+            (daemon_answer srv s ~h ~id:(i + 3) r))
+        [ O_flowback 8; O_replay; O_flowback 8 ])
+
+(* A tight watchdog budget on a warm graph is PPD060 with the message a
+   cold graph gives: the graph holds the interval, but not under this
+   request's budget. *)
+let test_shared_graph_tight_budget () =
+  let tight srv s h =
+    let line =
+      Server.handle_line srv s
+        (req ~id:3 "flowback" [ ("handle", J.Int h); ("depth", J.Int 8); ("maxReplaySteps", J.Int 1) ])
+    in
+    (error_code_of line, Option.bind (J.member "error" (parsed line)) (J.member "message"))
+  in
+  let cold = with_entry ~n:1 (fun srv handles ~log:_ _ -> let s, h = List.hd handles in tight srv s h) in
+  with_entry ~n:1 (fun srv handles ~log prog ->
+      let s, h = List.hd handles in
+      ignore (daemon_answer srv s ~h ~id:2 O_replay);
+      let code, message = tight srv s h in
+      Alcotest.(check string) "warm graph, tight budget" "PPD060" code;
+      Alcotest.(check bool) "the private controller agrees" true
+        (fresh_row ~log prog "flowback"
+           [ ("depth", Serve.Query.Int 8); ("maxReplaySteps", Serve.Query.Int 1) ]
+        = Error "PPD060");
+      Alcotest.(check bool) "same message as on a cold graph" true ((code, message) = cold))
+
+(* Under a budget too small to keep it, the graph is evicted after
+   every request and the next one assembles a new one; answers do not
+   change, and stats count the evictions. The decoded content log that
+   restore and what-if read is evicted too, and their answers stay the
+   CLI's. *)
+let test_shared_graph_evicted () =
+  let config = { Server.default_config with mem_budget = 1 } in
+  with_entry ~config ~n:1 (fun srv handles ~log prog ->
+      let s, h = List.hd handles in
+      List.iteri
+        (fun i r ->
+          check_answer "answer after an eviction" r
+            (fresh_answer ~log prog r)
+            (daemon_answer srv s ~h ~id:(i + 2) r))
+        [ O_flowback 8; O_replay; O_flowback 8; O_flowback 64 ];
+      let st = result_of (Server.handle_line srv s (req ~id:9 "stats" [ ("handle", J.Int h) ])) in
+      (match J.member "graph" st with
+      | Some g -> Alcotest.(check bool) "graph evictions counted" true (jint g "evictions" >= 3)
+      | None -> Alcotest.fail "stats without graph");
+      List.iteri
+        (fun i (name, given) ->
+          check_answer (name ^ " after the content log's eviction") O_replay
+            (fresh_row ~log prog name given)
+            (daemon_row srv s ~h ~id:(i + 10) name given))
+        [
+          ("restore", [ ("atStep", Serve.Query.Int 40) ]);
+          ("restore", []);
+          ("whatif", [ ("pid", Serve.Query.Int 1); ("set", Serve.Query.Assigns [ ("acc", 2) ]) ]);
+          ("whatif", [ ("pid", Serve.Query.Int 1) ]);
+        ])
+
+(* What [why] returns on a borrowed graph is what a private graph that
+   assembled the same intervals holds, even where another request grew
+   the shared one further: a loop node's edges from a parent this
+   request lacks, and a call stitch into a callee's entry this request
+   did not expand, stay out of the answer. *)
+let test_shared_graph_why_private_view () =
+  let module C = Ppd.Controller in
+  let module G = Ppd.Dyn_graph in
+  let policy = { Analysis.Eblock.default_policy with loop_block_min_body = 1 } in
+  let view ~src ~first ~pick ~keys =
+    with_tiers ~src ~policy (fun ~mpl:_ ~content ~order:_ ->
+        let source =
+          match Serve.Query.open_source ~policy ~log:content (Lang.Compile.compile src) with
+          | Ok s -> s
+          | Error d -> Alcotest.fail d.Lang.Diag.d_message
+        in
+        let eb = source.Serve.Query.eb and r = source.Serve.Query.reader in
+        let answer ctl =
+          List.iter (fun (pid, iv_id) -> C.build_interval ctl ~pid ~iv_id) (keys ctl);
+          let g = C.graph ctl in
+          let n = List.find (fun i -> pick (G.node g i)) (List.init (G.nnodes g) Fun.id) in
+          List.map (fun (p, _) -> (G.node g p).G.nd_label) (C.why ctl n)
+        in
+        let private_ = answer (C.start_paged eb r) in
+        let frag = Ppd.Fragcache.create () in
+        C.borrow frag eb r first;
+        (private_, C.borrow frag eb r answer))
+  in
+  let rec intervals ?(pid = 0) ctl =
+    match C.intervals ctl ~pid with
+    | ivs ->
+      List.mapi (fun iv_id iv -> (pid, iv_id, iv)) (Array.to_list ivs)
+      @ intervals ~pid:(pid + 1) ctl
+    | exception Invalid_argument _ -> []
+  in
+  let all ctl =
+    C.build_intervals_par ctl (List.map (fun (pid, i, _) -> (pid, i)) (intervals ctl))
+  in
+  let loop_only ctl =
+    List.filter_map
+      (fun (pid, i, (iv : Trace.Log.interval)) ->
+        match iv.Trace.Log.iv_block with Trace.Log.Bloop _ -> Some (pid, i) | _ -> None)
+      (intervals ctl)
+  in
+  let is_loop n = match n.G.nd_kind with G.N_loop _ -> true | _ -> false in
+  let private_, shared = view ~src:loop_program ~first:all ~pick:is_loop ~keys:loop_only in
+  Alcotest.(check (list string)) "loop node without its parent" private_ shared;
+  let expand_all ctl =
+    all ctl;
+    let g = C.graph ctl in
+    List.iter
+      (fun i ->
+        match (G.node g i).G.nd_kind with
+        | G.N_subgraph _ -> ignore (C.expand_subgraph ctl i)
+        | _ -> ())
+      (List.init (G.nnodes g) Fun.id)
+  in
+  let callee_entry n = n.G.nd_label = "ENTRY f" in
+  let every ctl = List.map (fun (pid, i, _) -> (pid, i)) (intervals ctl) in
+  let private_, shared =
+    view ~src:stitch_program ~first:expand_all ~pick:callee_entry ~keys:every
+  in
+  Alcotest.(check (list string)) "callee entry without its call expanded" private_ shared
+
 let suite =
   ( "serve",
     [
@@ -1302,6 +1734,19 @@ let suite =
       Alcotest.test_case "failure map and exit table" `Quick test_failure_map;
       Alcotest.test_case "race replays are charged" `Quick test_race_charged;
       table_rows_agree;
+      shared_graph_oracle;
+      Alcotest.test_case "shared graph = private controller (examples)" `Quick
+        test_shared_graph_fixed;
+      Alcotest.test_case "shared graph: four threads on one entry" `Quick
+        test_shared_graph_threads;
+      Alcotest.test_case "shared graph: no hole persists" `Quick
+        test_shared_graph_no_persisted_hole;
+      Alcotest.test_case "shared graph: tight budget is PPD060" `Quick
+        test_shared_graph_tight_budget;
+      Alcotest.test_case "shared graph: evicted between requests" `Quick
+        test_shared_graph_evicted;
+      Alcotest.test_case "shared graph: why reads a private view" `Quick
+        test_shared_graph_why_private_view;
       Alcotest.test_case "racy log answers PPD062" `Quick
         test_racy_replay_ppd062;
       Alcotest.test_case "breaker counts PPD062 as hard" `Quick
