@@ -974,8 +974,12 @@ let t12 () =
 (* ------------------------------------------------------------------ *)
 
 (* N client threads drive the in-process dispatcher over one recorded
-   log: each registers a session, opens a handle, issues a fixed mix
-   of flowback and replay requests, and closes. Latency is measured
+   log: each registers a session, opens a handle, waits until all N
+   have opened, issues a fixed mix of flowback and replay requests, and
+   closes. The wait keeps the log's registry entry open across the
+   sessions: without it a session could run to completion before the
+   next one opens, its close would drop the entry, and every session
+   would start cold. Latency is measured
    around [handle_line] per heavy request. The shared fragment cache
    is what makes N sessions cheaper than N one-shot CLI runs, so its
    hit rate is the headline number; the admission queue is sized so
@@ -1050,6 +1054,18 @@ let t13_rows () =
           let lats = ref [] in
           let hits = ref 0 in
           let misses = ref 0 in
+          let opened = ref 0 in
+          let all_opened = Condition.create () in
+          let await_all_opened () =
+            Mutex.lock lock;
+            incr opened;
+            if !opened = n then Condition.broadcast all_opened
+            else
+              while !opened < n do
+                Condition.wait all_opened lock
+              done;
+            Mutex.unlock lock
+          in
           let client () =
             let s = Serve.Server.session srv in
             let say line = Serve.Server.handle_line srv s line in
@@ -1075,6 +1091,7 @@ let t13_rows () =
               in
               match r with Some r -> t13_jint r "handle" | None -> -1
             in
+            await_all_opened ();
             let my_lats = ref [] in
             let my_hits = ref 0 in
             let my_misses = ref 0 in

@@ -276,12 +276,29 @@ let close_scope t sc rest =
   sm_restore t.last_pred ~mark:sc.sc_preds_mark;
   t.scopes <- rest
 
+(* The node of a statement event with one result: its data, control
+   and flow edges. *)
+let singular t ~seq ~sid ~reads value =
+  let sc = cur_scope t in
+  let node =
+    Dyn_graph.add_event_node t.g ~seq ?owner:sc.sc_owner ?value ~pid:t.pid
+      ~kind:(Dyn_graph.N_singular sid)
+      ~label:t.bp.stmt_label.(sid) ()
+  in
+  data_edges t node reads;
+  control_edge t node sid;
+  flow_to t node;
+  node
+
+let int_value n = Some (V.Vint n)
+
+let bool_value b = int_value (if b then 1 else 0)
+
 let feed t ~seq (ev : E.t) =
-  let ref_ = { E.epid = t.pid; eseq = seq } in
   match ev with
   | E.E_proc_start { fid; binds; spawn } ->
     let entry =
-      Dyn_graph.add_node t.g ~ref_ ~pid:t.pid ~kind:(Dyn_graph.N_entry fid)
+      Dyn_graph.add_event_node t.g ~seq ~pid:t.pid ~kind:(Dyn_graph.N_entry fid)
         ~label:t.bp.entry_label.(fid) ()
     in
     (match spawn with Some r -> sync_link t ~src:r ~dst:entry | None -> ());
@@ -294,7 +311,7 @@ let feed t ~seq (ev : E.t) =
       | _, _ -> None
     in
     let entry =
-      Dyn_graph.add_node t.g ~ref_ ?owner:sub ~pid:t.pid
+      Dyn_graph.add_event_node t.g ~seq ?owner:sub ~pid:t.pid
         ~kind:(Dyn_graph.N_entry fid) ~label:t.bp.entry_label.(fid) ()
     in
     (match sub with
@@ -311,7 +328,7 @@ let feed t ~seq (ev : E.t) =
   | E.E_proc_exit { fid; _ } ->
     let sc_owner = match t.scopes with sc :: _ -> sc.sc_owner | [] -> None in
     let exit_node =
-      Dyn_graph.add_node t.g ~ref_ ?owner:sc_owner ~pid:t.pid
+      Dyn_graph.add_event_node t.g ~seq ?owner:sc_owner ~pid:t.pid
         ~kind:(Dyn_graph.N_exit fid) ~label:t.bp.exit_label.(fid) ()
     in
     flow_to t exit_node;
@@ -322,12 +339,12 @@ let feed t ~seq (ev : E.t) =
       (* the loop's own interval, assembled first, made this event's
          node in {!prepare}: adopt it, so an event has one node
          whatever the assembly order *)
-      match Dyn_graph.find_ref t.g ref_ with
+      match Dyn_graph.find_event t.g ~pid:t.pid ~seq with
       | Some n ->
         Dyn_graph.set_owner t.g n sc.sc_owner;
         n
       | None ->
-        Dyn_graph.add_node t.g ~ref_ ?owner:sc.sc_owner ~pid:t.pid
+        Dyn_graph.add_event_node t.g ~seq ?owner:sc.sc_owner ~pid:t.pid
           ~kind:(Dyn_graph.N_loop sid) ~label:t.bp.loop_label.(sid) ()
     in
     control_edge t node sid;
@@ -346,38 +363,27 @@ let feed t ~seq (ev : E.t) =
         (* skipped loop e-block: the collapsed node defines its writes *)
         List.iter (fun ((v : P.var), _) -> set_def t sc v lnode) ws))
   | E.E_stmt { sid; reads; write; kind } -> (
-    let label = t.bp.stmt_label.(sid) in
-    let singular ?value () =
-      let sc = cur_scope t in
-      let node =
-        Dyn_graph.add_node t.g ~ref_ ?owner:sc.sc_owner ?value ~pid:t.pid
-          ~kind:(Dyn_graph.N_singular sid)
-          ~label ()
-      in
-      data_edges t node reads;
-      control_edge t node sid;
-      flow_to t node;
-      node
-    in
     match kind with
     | E.K_assign ->
-      let value = Option.map (fun (w : E.rw) -> w.value) write in
-      let node = singular ?value () in
+      let value =
+        match write with Some (w : E.rw) -> Some w.value | None -> None
+      in
+      let node = singular t ~seq ~sid ~reads value in
       record_write t node write
     | E.K_pred b ->
-      let node = singular ~value:(V.Vint (if b then 1 else 0)) () in
+      let node = singular t ~seq ~sid ~reads (bool_value b) in
       sm_set t.last_pred ~scope:(cur_scope t).sc_id sid node
-    | E.K_print { value } -> ignore (singular ~value ())
-    | E.K_assert { ok } -> ignore (singular ~value:(V.Vint (if ok then 1 else 0)) ())
+    | E.K_print { value } -> ignore (singular t ~seq ~sid ~reads (Some value))
+    | E.K_assert { ok } -> ignore (singular t ~seq ~sid ~reads (bool_value ok))
     | E.K_return { value } ->
-      let node = singular ?value () in
+      let node = singular t ~seq ~sid ~reads value in
       (cur_scope t).sc_last_return <- Some node
     | E.K_call { callee; args } ->
       let sc = cur_scope t in
       let sub =
-        Dyn_graph.add_node t.g ~ref_ ?owner:sc.sc_owner ~pid:t.pid
+        Dyn_graph.add_event_node t.g ~seq ?owner:sc.sc_owner ~pid:t.pid
           ~kind:(Dyn_graph.N_subgraph { sid; callee })
-          ~label ()
+          ~label:t.bp.stmt_label.(sid) ()
       in
       (* actual-parameter mapping (§4.2) *)
       let cargs =
@@ -444,23 +450,23 @@ let feed t ~seq (ev : E.t) =
         record_write t sub write;
         t.last <- sub)
     | E.K_p { src; _ } ->
-      let node = singular () in
+      let node = singular t ~seq ~sid ~reads None in
       (match src with Some r -> sync_link t ~src:r ~dst:node | None -> ());
       record_write t node write
-    | E.K_v _ -> ignore (singular ())
-    | E.K_send { value; _ } -> ignore (singular ~value:(V.Vint value) ())
+    | E.K_v _ -> ignore (singular t ~seq ~sid ~reads None)
+    | E.K_send { value; _ } -> ignore (singular t ~seq ~sid ~reads (int_value value))
     | E.K_send_unblocked { by; _ } ->
-      let node = singular () in
+      let node = singular t ~seq ~sid ~reads None in
       sync_link t ~src:by ~dst:node
     | E.K_recv { value; src; _ } ->
-      let node = singular ~value:(V.Vint value) () in
+      let node = singular t ~seq ~sid ~reads (int_value value) in
       sync_link t ~src ~dst:node;
       record_write t node write
     | E.K_spawn { child; _ } ->
-      let node = singular ~value:(V.Vint child) () in
+      let node = singular t ~seq ~sid ~reads (int_value child) in
       record_write t node write
     | E.K_join { result; child_exit; _ } ->
-      let node = singular ?value:result () in
+      let node = singular t ~seq ~sid ~reads result in
       sync_link t ~src:child_exit ~dst:node;
       record_write t node write)
 
@@ -481,14 +487,12 @@ let prepare t ~interval =
   match interval.Trace.Log.iv_block with
   | Trace.Log.Bfunc _ -> ()
   | Trace.Log.Bloop sid ->
-    let enter_ref =
-      { E.epid = pid; eseq = interval.Trace.Log.iv_seq_start - 1 }
-    in
+    let seq = interval.Trace.Log.iv_seq_start - 1 in
     let entry =
-      match Dyn_graph.find_ref t.g enter_ref with
+      match Dyn_graph.find_event t.g ~pid ~seq with
       | Some n -> n
       | None ->
-        Dyn_graph.add_node t.g ~ref_:enter_ref ~pid
+        Dyn_graph.add_event_node t.g ~seq ~pid
           ~kind:(Dyn_graph.N_loop sid) ~label:t.bp.loop_label.(sid) ()
     in
     open_scope t ~owner:(Some entry) ~entry ~binds:[] ~from_sub:None;

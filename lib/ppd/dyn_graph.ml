@@ -212,19 +212,18 @@ let rec find_in t pid seq i =
   else find_in t pid seq (iget t.ev_next i)
 
 (* The newest node of an event is the first in its chain. *)
-let find_ref t (r : E.eref) =
-  if r.eseq < 0 then None
-  else find_in t r.epid r.eseq t.buckets.(bucket t.buckets r.epid r.eseq)
+let find_event t ~pid ~seq =
+  if seq < 0 then None
+  else find_in t pid seq t.buckets.(bucket t.buckets pid seq)
+
+let find_ref t (r : E.eref) = find_event t ~pid:r.epid ~seq:r.eseq
 
 (* ------------------------------------------------------------------ *)
 (* Nodes.                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let add_node t ?ref_ ?owner ?value ~pid ~kind ~label () =
-  (match ref_ with
-  | Some (r : E.eref) when r.epid <> pid || r.eseq < 0 ->
-    invalid_arg "Dyn_graph.add_node: the event must be one of process pid"
-  | Some _ | None -> ());
+(* [seq] < 0: the node stands for no event. *)
+let add t ~seq ?owner ?value ~pid ~kind ~label () =
   if t.n land chunk_mask = 0 then grow_nodes t;
   let id = t.n in
   let tag, a, b =
@@ -248,12 +247,22 @@ let add_node t ?ref_ ?owner ?value ~pid ~kind ~label () =
   (match value with Some v -> rset t.value id v | None -> ());
   rset t.label id label;
   t.n <- id + 1;
-  (match ref_ with
-  | Some (r : E.eref) ->
-    iset t.seq id r.eseq;
+  if seq >= 0 then begin
+    iset t.seq id seq;
     index t id
-  | None -> ());
+  end;
   id
+
+let add_node t ?ref_ ?owner ?value ~pid ~kind ~label () =
+  match ref_ with
+  | Some (r : E.eref) when r.epid <> pid || r.eseq < 0 ->
+    invalid_arg "Dyn_graph.add_node: the event must be one of process pid"
+  | Some r -> add t ~seq:r.eseq ?owner ?value ~pid ~kind ~label ()
+  | None -> add t ~seq:(-1) ?owner ?value ~pid ~kind ~label ()
+
+let add_event_node t ~seq ?owner ?value ~pid ~kind ~label () =
+  if seq < 0 then invalid_arg "Dyn_graph.add_event_node: negative sequence number";
+  add t ~seq ?owner ?value ~pid ~kind ~label ()
 
 let nnodes t = t.n
 

@@ -77,6 +77,19 @@ val add_node :
     node stands for and must belong to process [pid]; [label] is kept by
     reference, not copied. *)
 
+val add_event_node :
+  t ->
+  seq:int ->
+  ?owner:int ->
+  ?value:Runtime.Value.t ->
+  pid:int ->
+  kind:node_kind ->
+  label:string ->
+  unit ->
+  int
+(** [add_node ~ref_:{epid = pid; eseq = seq}], without the record: the
+    node of event [seq] of process [pid]. *)
+
 val add_edge : t -> src:int -> dst:int -> kind:edge_kind -> unit
 (** Idempotent: duplicate (src, dst, kind) edges are ignored; two [Data]
     kinds are the same when their variables have the same vid. Reading
@@ -107,6 +120,9 @@ val succs : t -> int -> (int * edge_kind) list
 
 val find_ref : t -> Runtime.Event.eref -> int option
 (** The node of an event; the latest one if several were added. *)
+
+val find_event : t -> pid:int -> seq:int -> int option
+(** [find_ref] of event [seq] of process [pid], without the record. *)
 
 val set_value : t -> int -> Runtime.Value.t -> unit
 

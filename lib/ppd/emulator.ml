@@ -31,7 +31,11 @@ type state = {
   overlay : V.t option array;  (* by global slot *)
   mutable events_rev : (int * E.t) list;
   on_event : seq:int -> E.t -> unit;
-  out : Buffer.t;
+  mutable out : Buffer.t option;  (* made at the first [print] *)
+  mutable ctx : I.ctx;
+      (* the interpreter's view of the top frame: its overlay accessors
+         are made once per replay, the record again only when the top
+         frame changes *)
   mutable steps : int;
   root_is_proc : bool;
   root_loop : int option;  (* sid when replaying a loop e-block interval *)
@@ -47,12 +51,19 @@ let emit st ev =
   st.seq <- seq + 1;
   st.events_rev <- (seq, ev) :: st.events_rev;
   st.on_event ~seq ev;
-  (match ev with
+  match ev with
   | E.E_stmt { kind = E.K_print { value }; _ } ->
-    Buffer.add_string st.out (V.to_string value);
-    Buffer.add_char st.out '\n'
-  | _ -> ());
-  { E.epid = st.pid; eseq = seq }
+    let out =
+      match st.out with
+      | Some b -> b
+      | None ->
+        let b = Buffer.create 64 in
+        st.out <- Some b;
+        b
+    in
+    Buffer.add_string out (V.to_string value);
+    Buffer.add_char out '\n'
+  | _ -> ()
 
 let global_slot (st : state) vid =
   match st.prog.vars.(vid).vscope with
@@ -83,24 +94,29 @@ let apply_globals st vals =
       | None -> ())
     vals
 
+(* The overlay as the interpreter reads and writes the shared store. *)
+let overlay_ctx (prog : P.t) overlay frame =
+  {
+    I.prog;
+    read_global =
+      (fun slot ->
+        match overlay.(slot) with
+        | Some v -> v
+        | None ->
+          mismatch
+            "replay read of shared '%s' not covered by any prelog \
+             (analysis gap or data race)"
+            prog.globals.(slot).P.vname);
+    write_global = (fun slot v -> overlay.(slot) <- Some v);
+    frame;
+  }
+
 let ctx st =
   match st.frames with
   | [] -> invalid_arg "Emulator.ctx"
   | top :: _ ->
-    {
-      I.prog = st.prog;
-      read_global =
-        (fun slot ->
-          match st.overlay.(slot) with
-          | Some v -> v
-          | None ->
-            mismatch
-              "replay read of shared '%s' not covered by any prelog \
-               (analysis gap or data race)"
-              st.prog.globals.(slot).P.vname);
-      write_global = (fun slot v -> st.overlay.(slot) <- Some v);
-      frame = top;
-    }
+    if st.ctx.I.frame != top then st.ctx <- { st.ctx with I.frame = top };
+    st.ctx
 
 (* If the entry at the cursor is a sync-unit prelog for [point], apply
    it to the overlay and advance. *)
@@ -164,17 +180,18 @@ let expect_sync st ~sid =
 (* Skip a nested e-block: cursor is at its Prelog; jump past the
    matching Postlog, returning it. *)
 let skip_nested st ~(block : L.block) =
-  let describe = Format.asprintf "%a" L.pp_block block in
+  (* described only on the error paths: most nested blocks skip cleanly *)
+  let describe () = Format.asprintf "%a" L.pp_block block in
   (match st.entries.(st.cursor) with
   | L.Prelog { block = b; _ } when b = block -> ()
   | e ->
-    mismatch "expected nested prelog of %s, found %s" describe
+    mismatch "expected nested prelog of %s, found %s" (describe ())
       (Format.asprintf "%a" (L.pp_entry st.prog) e));
   let depth = ref 0 in
   let result = ref None in
   while !result = None do
     (if st.cursor >= Array.length st.entries then
-       mismatch "nested e-block %s has no matching postlog" describe);
+       mismatch "nested e-block %s has no matching postlog" (describe ()));
     (match st.entries.(st.cursor) with
     | L.Prelog _ -> incr depth
     | L.Postlog { vals; ret; seq_at; via_return; _ } ->
@@ -217,13 +234,12 @@ let finish_root st ret =
       if st.validate && seq <> st.seq then
         mismatch "proc-exit seq %d but replay at %d" seq st.seq;
       let result = if st.validate then result else ret in
-      ignore (emit st (E.E_proc_exit { fid; result }))
+      emit st (E.E_proc_exit { fid; result })
     | None ->
-      ignore (emit st (E.E_proc_exit { fid = top.I.ffid; result = ret }))
+      emit st (E.E_proc_exit { fid = top.I.ffid; result = ret })
   end
   else
-    ignore
-      (emit st (E.E_leave { fid = top.I.ffid; call_sid = top.I.call_sid; ret }));
+    emit st (E.E_leave { fid = top.I.ffid; call_sid = top.I.call_sid; ret });
   st.frames <- [];
   st.finished <- true
 
@@ -232,8 +248,7 @@ let pop_nested st ret =
   match st.frames with
   | [] -> assert false
   | top :: rest ->
-    ignore
-      (emit st (E.E_leave { fid = top.I.ffid; call_sid = top.I.call_sid; ret }));
+    emit st (E.E_leave { fid = top.I.ffid; call_sid = top.I.call_sid; ret });
     st.frames <- rest;
     let sid = match top.I.call_sid with Some s -> s | None -> assert false in
     let write =
@@ -245,15 +260,14 @@ let pop_nested st ret =
         let _idx, w = I.write_lhs c l value in
         Some w
     in
-    ignore
-      (emit st
-         (E.E_stmt
-            {
-              sid;
-              reads = [];
-              write;
-              kind = E.K_call_return { callee = top.I.ffid; ret };
-            }));
+    emit st
+      (E.E_stmt
+         {
+           sid;
+           reads = [];
+           write;
+           kind = E.K_call_return { callee = top.I.ffid; ret };
+         });
     maybe_sync_prelog st
 
 let pop_frame st ret =
@@ -276,9 +290,10 @@ let kind_name (k : E.kind) =
   Format.asprintf "%a" E.pp
     (E.E_stmt { sid = -1; reads = []; write = None; kind = k })
 
+let consume st = I.consume_work (List.hd st.frames)
+
 let exec_driver st (s : P.stmt) =
   let c = ctx st in
-  let consume () = I.consume_work (List.hd st.frames) in
   match s.desc with
   | P.Sreturn e ->
     let ret, reads =
@@ -288,10 +303,9 @@ let exec_driver st (s : P.stmt) =
         let n, reads = I.eval_int c e in
         (Some (V.Vint n), reads)
     in
-    ignore
-      (emit st
-         (E.E_stmt
-            { sid = s.sid; reads; write = None; kind = E.K_return { value = ret } }));
+    emit st
+      (E.E_stmt
+         { sid = s.sid; reads; write = None; kind = E.K_return { value = ret } });
     if st.root_loop <> None then begin
       (match st.frames with
       | top :: _ -> st.root_frame := Some top
@@ -302,7 +316,7 @@ let exec_driver st (s : P.stmt) =
       (match st.frames with
       | top :: _ ->
         List.iter
-          (fun sid -> ignore (emit st (E.E_loop_exit { sid; writes = None })))
+          (fun sid -> emit st (E.E_loop_exit { sid; writes = None }))
           top.I.active_loops;
         top.I.active_loops <- [];
         top.I.work <- []
@@ -311,16 +325,15 @@ let exec_driver st (s : P.stmt) =
     end
   | P.Scall (lhs, call) ->
     let args, reads = eval_args c call in
-    ignore
-      (emit st
-         (E.E_stmt
-            {
-              sid = s.sid;
-              reads;
-              write = None;
-              kind = E.K_call { callee = call.callee; args };
-            }));
-    consume ();
+    emit st
+      (E.E_stmt
+         {
+           sid = s.sid;
+           reads;
+           write = None;
+           kind = E.K_call { callee = call.callee; args };
+         });
+    consume st;
     if st.validate && st.eb.Analysis.Eblock.is_eblock.(call.callee) then begin
       (* §5.2: skip the nested e-block via its postlog *)
       let vals, ret, post_seq, _via = skip_nested st ~block:(L.Bfunc call.callee) in
@@ -334,15 +347,14 @@ let exec_driver st (s : P.stmt) =
           let _idx, w = I.write_lhs c l value in
           Some w
       in
-      ignore
-        (emit st
-           (E.E_stmt
-              {
-                sid = s.sid;
-                reads = [];
-                write;
-                kind = E.K_call_return { callee = call.callee; ret };
-              }));
+      emit st
+        (E.E_stmt
+           {
+             sid = s.sid;
+             reads = [];
+             write;
+             kind = E.K_call_return { callee = call.callee; ret };
+           });
       maybe_sync_prelog st
     end
     else begin
@@ -351,14 +363,13 @@ let exec_driver st (s : P.stmt) =
           ~call_sid:(Some s.sid)
       in
       st.frames <- frame :: st.frames;
-      ignore
-        (emit st
-           (E.E_enter
-              {
-                fid = call.callee;
-                call_sid = Some s.sid;
-                binds = I.binds_of_frame st.prog frame;
-              }));
+      emit st
+        (E.E_enter
+           {
+             fid = call.callee;
+             call_sid = Some s.sid;
+             binds = I.binds_of_frame st.prog frame;
+           });
       maybe_sync_prelog st
     end
   | P.Sspawn (lhs, call) -> (
@@ -374,17 +385,16 @@ let exec_driver st (s : P.stmt) =
           let _idx, w = I.write_lhs c l (V.Vint child) in
           Some w
       in
-      ignore
-        (emit st
-           (E.E_stmt
-              {
-                sid = s.sid;
-                reads;
-                write;
-                kind = E.K_spawn { child; callee; args };
-              }));
+      emit st
+        (E.E_stmt
+           {
+             sid = s.sid;
+             reads;
+             write;
+             kind = E.K_spawn { child; callee; args };
+           });
       maybe_sync_prelog st;
-      consume ()
+      consume st
     | k -> mismatch "expected spawn record at s%d, got %s" s.sid (kind_name k))
   | P.Sjoin (lhs, e) -> (
     let _q, reads = I.eval_int c e in
@@ -398,49 +408,46 @@ let exec_driver st (s : P.stmt) =
           let _idx, w = I.write_lhs c l value in
           Some w
       in
-      ignore
-        (emit st
-           (E.E_stmt
-              {
-                sid = s.sid;
-                reads;
-                write;
-                kind = E.K_join { child; result; child_exit };
-              }));
+      emit st
+        (E.E_stmt
+           {
+             sid = s.sid;
+             reads;
+             write;
+             kind = E.K_join { child; result; child_exit };
+           });
       maybe_sync_prelog st;
-      consume ()
+      consume st
     | k -> mismatch "expected join record at s%d, got %s" s.sid (kind_name k))
   | P.Sp sem -> (
     match expect_sync st ~sid:s.sid with
     | E.K_p { sem = sem'; src; was_blocked } ->
       if sem' <> sem.sem_id then mismatch "semaphore mismatch at s%d" s.sid;
-      ignore
-        (emit st
-           (E.E_stmt
-              {
-                sid = s.sid;
-                reads = [];
-                write = None;
-                kind = E.K_p { sem = sem'; src; was_blocked };
-              }));
+      emit st
+        (E.E_stmt
+           {
+             sid = s.sid;
+             reads = [];
+             write = None;
+             kind = E.K_p { sem = sem'; src; was_blocked };
+           });
       maybe_sync_prelog st;
-      consume ()
+      consume st
     | k -> mismatch "expected P record at s%d, got %s" s.sid (kind_name k))
   | P.Sv sem -> (
     match expect_sync st ~sid:s.sid with
     | E.K_v { sem = sem' } ->
       if sem' <> sem.sem_id then mismatch "semaphore mismatch at s%d" s.sid;
-      ignore
-        (emit st
-           (E.E_stmt
-              {
-                sid = s.sid;
-                reads = [];
-                write = None;
-                kind = E.K_v { sem = sem' };
-              }));
+      emit st
+        (E.E_stmt
+           {
+             sid = s.sid;
+             reads = [];
+             write = None;
+             kind = E.K_v { sem = sem' };
+           });
       maybe_sync_prelog st;
-      consume ()
+      consume st
     | k -> mismatch "expected V record at s%d, got %s" s.sid (kind_name k))
   | P.Ssend (ch, e) -> (
     let value, reads = I.eval_int c e in
@@ -452,46 +459,43 @@ let exec_driver st (s : P.stmt) =
           "send payload at s%d re-evaluates to %d but log recorded %d \
            (data race?)"
           s.sid value logged;
-      ignore
-        (emit st
-           (E.E_stmt
-              { sid = s.sid; reads; write = None; kind = E.K_send { chan; value } }));
+      emit st
+        (E.E_stmt
+           { sid = s.sid; reads; write = None; kind = E.K_send { chan; value } });
       maybe_sync_prelog st;
       if is_sync_chan st ch then begin
         match expect_sync st ~sid:s.sid with
         | E.K_send_unblocked { chan = chan'; by } ->
-          ignore
-            (emit st
-               (E.E_stmt
-                  {
-                    sid = s.sid;
-                    reads = [];
-                    write = None;
-                    kind = E.K_send_unblocked { chan = chan'; by };
-                  }));
+          emit st
+            (E.E_stmt
+               {
+                 sid = s.sid;
+                 reads = [];
+                 write = None;
+                 kind = E.K_send_unblocked { chan = chan'; by };
+               });
           maybe_sync_prelog st
         | k ->
           mismatch "expected send-unblocked record at s%d, got %s" s.sid
             (kind_name k)
       end;
-      consume ()
+      consume st
     | k -> mismatch "expected send record at s%d, got %s" s.sid (kind_name k))
   | P.Srecv (ch, lhs) -> (
     match expect_sync st ~sid:s.sid with
     | E.K_recv { chan; value; src } ->
       if chan <> ch.ch_id then mismatch "channel mismatch at s%d" s.sid;
       let idx_reads, w = I.write_lhs c lhs (V.Vint value) in
-      ignore
-        (emit st
-           (E.E_stmt
-              {
-                sid = s.sid;
-                reads = idx_reads;
-                write = Some w;
-                kind = E.K_recv { chan; value; src };
-              }));
+      emit st
+        (E.E_stmt
+           {
+             sid = s.sid;
+             reads = idx_reads;
+             write = Some w;
+             kind = E.K_recv { chan; value; src };
+           });
       maybe_sync_prelog st;
-      consume ()
+      consume st
     | k -> mismatch "expected recv record at s%d, got %s" s.sid (kind_name k))
   | P.Swhile _ -> (
     let top = List.hd st.frames in
@@ -502,7 +506,7 @@ let exec_driver st (s : P.stmt) =
            && st.root_loop <> Some s.sid -> (
       (* §5.4: skip the nested loop e-block via its postlog; the
          collapsed execution becomes a loop node carrying its writes *)
-      ignore (emit st (E.E_loop_enter { sid = s.sid }));
+      emit st (E.E_loop_enter { sid = s.sid });
       let vals, _ret, post_seq, via_return =
         skip_nested st ~block:(L.Bloop s.sid)
       in
@@ -512,8 +516,8 @@ let exec_driver st (s : P.stmt) =
       let writes =
         List.map (fun (vid, v) -> (st.prog.vars.(vid), v)) vals
       in
-      ignore (emit st (E.E_loop_exit { sid = s.sid; writes = Some writes }));
-      consume ();
+      emit st (E.E_loop_exit { sid = s.sid; writes = Some writes });
+      consume st;
       maybe_sync_prelog st;
       match via_return with
       | None -> ()
@@ -524,25 +528,25 @@ let exec_driver st (s : P.stmt) =
         if st.root_loop <> None then st.finished <- true
         else begin
           List.iter
-            (fun sid -> ignore (emit st (E.E_loop_exit { sid; writes = None })))
+            (fun sid -> emit st (E.E_loop_exit { sid; writes = None }))
             top.I.active_loops;
           top.I.active_loops <- [];
           top.I.work <- [];
           pop_frame st ret
         end)
     | I.Wstmt _ :: _ ->
-      ignore (emit st (E.E_loop_enter { sid = s.sid }));
+      emit st (E.E_loop_enter { sid = s.sid });
       I.loop_entry top s
     | I.Wloop _ :: _ ->
       let ev, continued = I.loop_test c s in
-      ignore (emit st (E.E_stmt ev));
+      emit st (E.E_stmt ev);
       if not continued then
         if st.root_loop = Some s.sid then begin
           st.root_frame := Some top;
           st.finished <- true
         end
         else
-          ignore (emit st (E.E_loop_exit { sid = s.sid; writes = None }))
+          emit st (E.E_loop_exit { sid = s.sid; writes = None })
     | [] -> assert false)
   | P.Sassign _ | P.Sif _ | P.Sprint _ | P.Sassert _ -> assert false
 
@@ -561,7 +565,7 @@ let step st =
     let c = ctx st in
     match I.step_local c with
     | I.Event ev ->
-      ignore (emit st (E.E_stmt ev));
+      emit st (E.E_stmt ev);
       (match ev.kind with
       | E.K_assert { ok = false } -> raise (I.Fault "assertion failed")
       | _ -> ())
@@ -625,10 +629,14 @@ let replay ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000)
   let max_steps =
     match Fault.fire f_replay with Some _ -> 0 | None -> max_steps
   in
-  Obs.with_span ~cat:"replay"
-    ~arg:(Printf.sprintf "p%d#%d" interval.L.iv_pid interval.L.iv_id)
-    "replay"
-  @@ fun () ->
+  (* the arg is built only for a recorded span: disabled, Obs allocates
+     nothing *)
+  let arg =
+    if Obs.enabled () then
+      Some (Printf.sprintf "p%d#%d" interval.L.iv_pid interval.L.iv_id)
+    else None
+  in
+  Obs.with_span ~cat:"replay" ?arg "replay" @@ fun () ->
   let prog = eb.Analysis.Eblock.prog in
   let pid = interval.L.iv_pid in
   let entries = log.L.entries.(pid) in
@@ -658,6 +666,7 @@ let replay ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000)
   let frame =
     I.make_frame prog ~fid ~args:dummy_args ~ret_lhs:None ~call_sid:caller_sid
   in
+  let overlay = Array.make (Array.length prog.globals) None in
   let st =
     {
       eb;
@@ -668,10 +677,11 @@ let replay ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000)
       cursor = interval.L.iv_prelog + 1 - base;
       seq = interval.L.iv_seq_start;
       frames = [ frame ];
-      overlay = Array.make (Array.length prog.globals) None;
+      overlay;
       events_rev = [];
       on_event;
-      out = Buffer.create 64;
+      out = None;
+      ctx = overlay_ctx prog overlay frame;
       steps = 0;
       root_is_proc;
       root_loop;
@@ -722,8 +732,8 @@ let replay ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000)
   | Some _ -> () (* the E_loop_enter event belongs to the parent interval *)
   | None ->
     if root_is_proc then
-      ignore (emit st (E.E_proc_start { fid; binds; spawn = spawn_ref }))
-    else ignore (emit st (E.E_enter { fid; call_sid = caller_sid; binds })));
+      emit st (E.E_proc_start { fid; binds; spawn = spawn_ref })
+    else emit st (E.E_enter { fid; call_sid = caller_sid; binds }));
   let fault = ref None in
   (try
      while (not st.finished) && st.steps < max_steps do
@@ -743,7 +753,7 @@ let replay ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000)
   {
     events = List.rev st.events_rev;
     steps = st.steps;
-    output = Buffer.contents st.out;
+    output = (match st.out with Some b -> Buffer.contents b | None -> "");
     fault = !fault;
     overrun;
     postlog_mismatches;

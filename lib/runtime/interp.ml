@@ -83,86 +83,108 @@ let read_elem ctx (v : P.var) idx =
     else a.(idx)
   | Value.Vint _ | Value.Vundef -> fault "'%s' is not an array" v.vname
 
-type ev = Ei of int | Eb of bool
-
-let as_int = function
-  | Ei n -> n
-  | Eb _ -> fault "internal: boolean where integer expected"
-
-let as_bool = function
-  | Eb b -> b
-  | Ei _ -> fault "internal: integer where boolean expected"
-
-(* Evaluate an expression, accumulating reads (in evaluation order,
-   short-circuit aware) onto [acc] in reverse. *)
-let rec eval ctx acc (e : P.expr) : ev =
+(* An expression's value is an int or a bool, fixed by its head
+   constructor, so one evaluator per result type needs no boxed
+   intermediate. Reads accumulate onto [acc] in reverse, in evaluation
+   order, short-circuit aware. An operand of the wrong type (the
+   typechecker rejects one, so only a hand-built tree has it) is still
+   evaluated in full, its reads recorded and its faults raised, before
+   the type fault. *)
+let is_bool_expr (e : P.expr) =
   match e with
-  | P.Eint n -> Ei n
-  | P.Ebool b -> Eb b
+  | P.Ebool _ | P.Eunop (Lang.Ast.Not, _) -> true
+  | P.Ebinop
+      ((Lang.Ast.Add | Lang.Ast.Sub | Lang.Ast.Mul | Lang.Ast.Div | Lang.Ast.Mod), _, _)
+    ->
+    false
+  | P.Ebinop _ -> true
+  | P.Eint _ | P.Evar _ | P.Eidx _ | P.Eunop (Lang.Ast.Neg, _) -> false
+
+let rec eval_i ctx acc (e : P.expr) : int =
+  match e with
+  | P.Eint n -> n
   | P.Evar v ->
     let n = read_scalar ctx v in
     acc := { Event.var = v; value = Value.Vint n } :: !acc;
-    Ei n
+    n
   | P.Eidx (v, ie) ->
-    let idx = as_int (eval ctx acc ie) in
+    let idx = eval_i ctx acc ie in
     let n = read_elem ctx v idx in
     acc := { Event.var = v; value = Value.Vint n } :: !acc;
-    Ei n
-  | P.Eunop (Lang.Ast.Neg, a) -> Ei (-as_int (eval ctx acc a))
-  | P.Eunop (Lang.Ast.Not, a) -> Eb (not (as_bool (eval ctx acc a)))
-  | P.Ebinop (op, a, b) -> (
-    match op with
-    | Lang.Ast.And ->
-      if as_bool (eval ctx acc a) then Eb (as_bool (eval ctx acc b))
-      else Eb false
-    | Lang.Ast.Or ->
-      if as_bool (eval ctx acc a) then Eb true
-      else Eb (as_bool (eval ctx acc b))
-    | Lang.Ast.Add -> arith ctx acc ( + ) a b
-    | Lang.Ast.Sub -> arith ctx acc ( - ) a b
-    | Lang.Ast.Mul -> arith ctx acc ( * ) a b
-    | Lang.Ast.Div ->
-      let x = as_int (eval ctx acc a) and y = as_int (eval ctx acc b) in
-      if y = 0 then fault "division by zero" else Ei (x / y)
-    | Lang.Ast.Mod ->
-      let x = as_int (eval ctx acc a) and y = as_int (eval ctx acc b) in
-      if y = 0 then fault "modulo by zero" else Ei (x mod y)
-    | Lang.Ast.Lt -> cmp ctx acc ( < ) a b
-    | Lang.Ast.Leq -> cmp ctx acc ( <= ) a b
-    | Lang.Ast.Gt -> cmp ctx acc ( > ) a b
-    | Lang.Ast.Geq -> cmp ctx acc ( >= ) a b
-    | Lang.Ast.Eq -> equality ctx acc true a b
-    | Lang.Ast.Neq -> equality ctx acc false a b)
+    n
+  | P.Eunop (Lang.Ast.Neg, a) -> -eval_i ctx acc a
+  | P.Ebinop (Lang.Ast.Add, a, b) ->
+    let x = eval_i ctx acc a in
+    x + eval_i ctx acc b
+  | P.Ebinop (Lang.Ast.Sub, a, b) ->
+    let x = eval_i ctx acc a in
+    x - eval_i ctx acc b
+  | P.Ebinop (Lang.Ast.Mul, a, b) ->
+    let x = eval_i ctx acc a in
+    x * eval_i ctx acc b
+  | P.Ebinop (Lang.Ast.Div, a, b) ->
+    let x = eval_i ctx acc a in
+    let y = eval_i ctx acc b in
+    if y = 0 then fault "division by zero" else x / y
+  | P.Ebinop (Lang.Ast.Mod, a, b) ->
+    let x = eval_i ctx acc a in
+    let y = eval_i ctx acc b in
+    if y = 0 then fault "modulo by zero" else x mod y
+  | P.Ebool _ | P.Eunop (Lang.Ast.Not, _) | P.Ebinop _ ->
+    ignore (eval_b ctx acc e : bool);
+    fault "internal: boolean where integer expected"
 
-and arith ctx acc op a b =
-  let x = as_int (eval ctx acc a) in
-  let y = as_int (eval ctx acc b) in
-  Ei (op x y)
+and eval_b ctx acc (e : P.expr) : bool =
+  match e with
+  | P.Ebool b -> b
+  | P.Eunop (Lang.Ast.Not, a) -> not (eval_b ctx acc a)
+  | P.Ebinop (Lang.Ast.And, a, b) -> eval_b ctx acc a && eval_b ctx acc b
+  | P.Ebinop (Lang.Ast.Or, a, b) -> eval_b ctx acc a || eval_b ctx acc b
+  | P.Ebinop (Lang.Ast.Lt, a, b) ->
+    let x = eval_i ctx acc a in
+    x < eval_i ctx acc b
+  | P.Ebinop (Lang.Ast.Leq, a, b) ->
+    let x = eval_i ctx acc a in
+    x <= eval_i ctx acc b
+  | P.Ebinop (Lang.Ast.Gt, a, b) ->
+    let x = eval_i ctx acc a in
+    x > eval_i ctx acc b
+  | P.Ebinop (Lang.Ast.Geq, a, b) ->
+    let x = eval_i ctx acc a in
+    x >= eval_i ctx acc b
+  | P.Ebinop (Lang.Ast.Eq, a, b) -> equality ctx acc a b
+  | P.Ebinop (Lang.Ast.Neq, a, b) -> not (equality ctx acc a b)
+  | P.Eint _ | P.Evar _ | P.Eidx _ | P.Eunop (Lang.Ast.Neg, _) | P.Ebinop _ ->
+    ignore (eval_i ctx acc e : int);
+    fault "internal: integer where boolean expected"
 
-and cmp ctx acc op a b =
-  let x = as_int (eval ctx acc a) in
-  let y = as_int (eval ctx acc b) in
-  Eb (op x y)
-
-and equality ctx acc positive a b =
-  let va = eval ctx acc a in
-  let vb = eval ctx acc b in
-  let same =
-    match (va, vb) with
-    | Ei x, Ei y -> x = y
-    | Eb x, Eb y -> x = y
-    | (Ei _ | Eb _), _ -> fault "'==' between int and bool"
-  in
-  Eb (if positive then same else not same)
+(* Both operands are evaluated, in order, before the types are
+   compared. *)
+and equality ctx acc a b =
+  match (is_bool_expr a, is_bool_expr b) with
+  | false, false ->
+    let x = eval_i ctx acc a in
+    x = eval_i ctx acc b
+  | true, true ->
+    let x = eval_b ctx acc a in
+    Bool.equal x (eval_b ctx acc b)
+  | true, false ->
+    ignore (eval_b ctx acc a : bool);
+    ignore (eval_i ctx acc b : int);
+    fault "'==' between int and bool"
+  | false, true ->
+    ignore (eval_i ctx acc a : int);
+    ignore (eval_b ctx acc b : bool);
+    fault "'==' between int and bool"
 
 let eval_int ctx e =
   let acc = ref [] in
-  let n = as_int (eval ctx acc e) in
+  let n = eval_i ctx acc e in
   (n, List.rev !acc)
 
 let eval_bool ctx e =
   let acc = ref [] in
-  let b = as_bool (eval ctx acc e) in
+  let b = eval_b ctx acc e in
   (b, List.rev !acc)
 
 let write_lhs ctx (l : P.lhs) value =
@@ -172,7 +194,7 @@ let write_lhs ctx (l : P.lhs) value =
     ([], { Event.var = v; value })
   | P.Lidx (v, ie) -> (
     let acc = ref [] in
-    let idx = as_int (eval ctx acc ie) in
+    let idx = eval_i ctx acc ie in
     match read_var ctx v with
     | Value.Varr a ->
       if idx < 0 || idx >= Array.length a then
@@ -209,8 +231,12 @@ type local_result =
   | Driver of P.stmt
   | Frame_done
 
-let push_stmts frame stmts =
-  frame.work <- List.map (fun s -> Wstmt s) stmts @ frame.work
+let rec prepend_stmts stmts work =
+  match stmts with
+  | [] -> work
+  | s :: rest -> Wstmt s :: prepend_stmts rest work
+
+let push_stmts frame stmts = frame.work <- prepend_stmts stmts frame.work
 
 (* Loop handling is driver-side so the drivers can emit the §5.4 loop
    e-block boundary events. [loop_entry] converts the head [Wstmt] of a
@@ -254,7 +280,7 @@ let step_local ctx =
       Event
         {
           Event.sid = s.sid;
-          reads = reads @ idx_reads;
+          reads = (match idx_reads with [] -> reads | _ -> reads @ idx_reads);
           write = Some write;
           kind = Event.K_assign;
         }
@@ -267,9 +293,8 @@ let step_local ctx =
     | P.Sprint e ->
       let acc = ref [] in
       let v =
-        match eval ctx acc e with
-        | Ei n -> Value.Vint n
-        | Eb b -> Value.Vint (if b then 1 else 0)
+        if is_bool_expr e then Value.Vint (if eval_b ctx acc e then 1 else 0)
+        else Value.Vint (eval_i ctx acc e)
       in
       let reads = List.rev !acc in
       frame.work <- rest;

@@ -804,6 +804,9 @@ type indexed = {
       (* decoded eagerly at open: checkpoints are rare and small, and a
          corrupt checkpoint frame should demote the reader to salvage
          just like a corrupt footer would *)
+  ix_stops : int array;
+      (* every process's stop, shared by the windows: no reader of a
+         window writes it *)
   ix_shards : page_shard array;
   ix_budget : Resil.Budget.t option;
       (* daemon-wide byte budget the cached pages are charged to *)
@@ -940,6 +943,7 @@ let indexed_backing ?budget path raw =
                 ix_index = ft.ft_index;
                 ix_tier = ft.ft_tier;
                 ix_ckpts = ckpts;
+                ix_stops = Array.map (fun px -> px.px_stop) ft.ft_index;
                 ix_shards = fresh_shards ();
                 ix_budget = budget;
                 ix_ivs = Array.make (Array.length ft.ft_index) None;
@@ -1009,6 +1013,12 @@ let find_page px ~idx =
   done;
   !lo
 
+(* A shard's cached page, by int comparison of the key. *)
+let rec cache_find ~pid ~page = function
+  | [] -> None
+  | ((p, g), cached) :: rest ->
+    if p = pid && g = page then Some cached else cache_find ~pid ~page rest
+
 (* Decode one page through the sharded LRU cache. The frame is parsed
    outside the shard lock, so concurrent demand-paging domains only
    serialize on the (cheap) cache lookup and insert; two domains racing
@@ -1024,11 +1034,19 @@ let decode_page ix ~pid ~page =
   let shard_i = (pid + page) mod page_shards in
   let shard = ix.ix_shards.(shard_i) in
   Mutex.lock shard.ps_lock;
-  let hit = List.assoc_opt key shard.ps_cache in
-  (match hit with
-  | Some cached ->
-    shard.ps_cache <- (key, cached) :: List.remove_assoc key shard.ps_cache
-  | None -> ());
+  let hit =
+    match shard.ps_cache with
+    | ((p, g), cached) :: _ when p = pid && g = page ->
+      (* already the most recent: consecutive windows mostly read the
+         page the previous one read *)
+      Some cached
+    | cache -> (
+      match cache_find ~pid ~page cache with
+      | Some cached as hit ->
+        shard.ps_cache <- (key, cached) :: List.remove_assoc key cache;
+        hit
+      | None -> None)
+  in
   Mutex.unlock shard.ps_lock;
   match hit with
   | Some (entries, _) ->
@@ -1188,27 +1206,30 @@ let window r ~pid ~lo ~hi =
   | B_indexed ix ->
     let px = ix.ix_index.(pid) in
     let count = px.px_count in
-    let base, entries =
-      if count > 0 && lo < count && hi >= 0 then
-        let first = find_page px ~idx:(max 0 lo) in
-        let last = find_page px ~idx:(min hi (count - 1)) in
-        let pages =
-          List.init (last - first + 1) (fun k ->
-              decode_page ix ~pid ~page:(first + k))
-        in
-        (* pages are immutable, so a one-page window is the cached page *)
-        ( px.px_first.(first),
-          match pages with [ page ] -> page | _ -> Array.concat pages )
-      else (0, [||])
-    in
     let nprocs = Array.length ix.ix_index in
+    let entries = Array.make nprocs [||] and base = Array.make nprocs 0 in
+    if count > 0 && lo < count && hi >= 0 then begin
+      let first = find_page px ~idx:(max 0 lo) in
+      let last = find_page px ~idx:(min hi (count - 1)) in
+      base.(pid) <- px.px_first.(first);
+      (* pages are immutable, so a one-page window is the cached page *)
+      entries.(pid) <-
+        (if first = last then decode_page ix ~pid ~page:first
+         else begin
+           let pages_rev = ref [] in
+           for page = first to last do
+             pages_rev := decode_page ix ~pid ~page :: !pages_rev
+           done;
+           Array.concat (List.rev !pages_rev)
+         end)
+    end;
     {
       L.nprocs;
-      entries = Array.init nprocs (fun p -> if p = pid then entries else [||]);
-      stops = Array.map (fun px -> px.px_stop) ix.ix_index;
+      entries;
+      stops = ix.ix_stops;
       tier = ix.ix_tier;
       ckpts = ix.ix_ckpts;
-      base = Array.init nprocs (fun p -> if p = pid then base else 0);
+      base;
     }
 
 let to_log r =

@@ -2,16 +2,15 @@ exception Corrupt of string
 
 let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
 
+(* [n] as an unsigned 63-bit number: a negative int, which the zigzag
+   map makes of every int of magnitude 2^61 or more, takes nine bytes. *)
 let write buf n =
-  if n < 0 then invalid_arg "Varint.write: negative";
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
+  let n = ref n in
+  while !n land lnot 0x7f <> 0 do
+    Buffer.add_char buf (Char.chr (0x80 lor (!n land 0x7f)));
+    n := !n lsr 7
+  done;
+  Buffer.add_char buf (Char.chr !n)
 
 (* zigzag: 0,-1,1,-2,... -> 0,1,2,3,... *)
 let write_signed buf n = write buf ((n lsl 1) lxor (n asr 62))
@@ -30,14 +29,18 @@ let read_byte d =
     b
   end
 
+(* A loop over local refs, which the compiler keeps in registers: a
+   local recursive function would allocate its closure on every call,
+   and this is the decoder's innermost operation. *)
 let read d =
-  let rec go shift acc =
-    if shift > 62 then corrupt "varint wider than 63 bits at offset %d" d.pos;
+  let acc = ref 0 and shift = ref 0 and more = ref true in
+  while !more do
+    if !shift > 62 then corrupt "varint wider than 63 bits at offset %d" d.pos;
     let b = read_byte d in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+    acc := !acc lor ((b land 0x7f) lsl !shift);
+    if b land 0x80 = 0 then more := false else shift := !shift + 7
+  done;
+  !acc
 
 let read_signed d =
   let u = read d in

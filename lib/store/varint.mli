@@ -12,7 +12,9 @@ exception Corrupt of string
     damage rather than letting it escape. *)
 
 val write : Buffer.t -> int -> unit
-(** Append the unsigned LEB128 encoding of a non-negative int. *)
+(** Append the unsigned LEB128 encoding of an int read as an unsigned
+    63-bit number: a non-negative int takes one byte per 7 significant
+    bits, a negative one nine bytes. *)
 
 val write_signed : Buffer.t -> int -> unit
 (** Append the zigzag-mapped encoding of any int. *)

@@ -55,12 +55,18 @@ let get_value d =
   | 2 ->
     let n = Varint.read d in
     if n > 16_777_216 then corrupt "unreasonable array length %d" n;
-    let prev = ref 0 in
-    V.Varr
-      (Array.init n (fun _ ->
-           let x = !prev + Varint.read_signed d in
-           prev := x;
-           x))
+    if n = 0 then V.Varr [||]
+    else begin
+      (* the first element is read before the array is made, so a
+         truncated input fails before a large allocation *)
+      let prev = ref (Varint.read_signed d) in
+      let a = Array.make n !prev in
+      for i = 1 to n - 1 do
+        prev := !prev + Varint.read_signed d;
+        a.(i) <- !prev
+      done;
+      V.Varr a
+    end
   | b -> corrupt "bad value tag %d" b
 
 let put_value_opt buf v = put_opt put_value buf v
@@ -87,23 +93,52 @@ let put_vals buf vals =
       put_value buf v)
     vals
 
+(* [n] items read in order into a list, without a per-item closure:
+   plain recursion for the usual short lists, a reversed accumulator
+   past [direct_max] so a long one cannot exhaust the stack. *)
+let direct_max = 4096
+
+let rec get_vals_direct d prev n =
+  if n = 0 then []
+  else begin
+    let vid = prev + Varint.read_signed d in
+    let v = get_value d in
+    let rest = get_vals_direct d vid (n - 1) in
+    (vid, v) :: rest
+  end
+
+let rec get_vals_rev d prev n acc =
+  if n = 0 then List.rev acc
+  else begin
+    let vid = prev + Varint.read_signed d in
+    let v = get_value d in
+    get_vals_rev d vid (n - 1) ((vid, v) :: acc)
+  end
+
 let get_vals d =
   let n = Varint.read d in
   if n > 16_777_216 then corrupt "unreasonable snapshot length %d" n;
-  let prev = ref 0 in
-  List.init n (fun _ ->
-      let vid = !prev + Varint.read_signed d in
-      prev := vid;
-      (vid, get_value d))
+  if n <= direct_max then get_vals_direct d 0 n else get_vals_rev d 0 n []
 
 let put_values buf vs =
   put buf (List.length vs);
   List.iter (put_value buf) vs
 
+let rec get_values_direct d n =
+  if n = 0 then []
+  else begin
+    let v = get_value d in
+    let rest = get_values_direct d (n - 1) in
+    v :: rest
+  end
+
+let rec get_values_rev d n acc =
+  if n = 0 then List.rev acc else get_values_rev d (n - 1) (get_value d :: acc)
+
 let get_values d =
   let n = Varint.read d in
   if n > 16_777_216 then corrupt "unreasonable value-list length %d" n;
-  List.init n (fun _ -> get_value d)
+  if n <= direct_max then get_values_direct d n else get_values_rev d n []
 
 (* ------------------------------------------------------------------ *)
 (* Event kinds and sync payloads.                                       *)
@@ -284,10 +319,22 @@ let get_ckpt d =
   let ck_step = Varint.read d in
   let nclock = Varint.read d in
   if nclock > 65_536 then corrupt "unreasonable checkpoint clock width %d" nclock;
-  let ck_clock = Array.init nclock (fun _ -> Varint.read d) in
+  let ck_clock = Array.make nclock 0 in
+  for i = 0 to nclock - 1 do
+    ck_clock.(i) <- Varint.read d
+  done;
   let nglb = Varint.read d in
   if nglb > 16_777_216 then corrupt "unreasonable checkpoint store size %d" nglb;
-  let ck_globals = Array.init nglb (fun _ -> get_value d) in
+  let ck_globals =
+    if nglb = 0 then [||]
+    else begin
+      let a = Array.make nglb (get_value d) in
+      for i = 1 to nglb - 1 do
+        a.(i) <- get_value d
+      done;
+      a
+    end
+  in
   { L.ck_step; ck_clock; ck_globals }
 
 let put_tier buf = function
@@ -325,12 +372,17 @@ let put_seq_step buf c ~seq ~step =
   c.cseq <- seq;
   c.cstep <- step
 
-let get_seq_step d c =
+(* Decoding reads the two deltas in order, one call each, so no pair
+   is built per entry. *)
+let get_seq d c =
   let seq = c.cseq + Varint.read_signed d in
-  let step = c.cstep + Varint.read_signed d in
   c.cseq <- seq;
+  seq
+
+let get_step d c =
+  let step = c.cstep + Varint.read_signed d in
   c.cstep <- step;
-  (seq, step)
+  step
 
 (* Postlog [via_return] is folded into the entry tag (2/5/6): it is a
    rare field, and most postlogs pay nothing for it. *)
@@ -371,11 +423,13 @@ let decode_entry d c =
     let caller_sid =
       match Varint.read d with 0 -> None | n -> Some (n - 1)
     in
-    let seq_at, step_at = get_seq_step d c in
+    let seq_at = get_seq d c in
+    let step_at = get_step d c in
     L.Prelog { block; caller_sid; seq_at; step_at; vals = get_vals d }
   | (2 | 5 | 6) as tag ->
     let block = get_block d in
-    let seq_at, step_at = get_seq_step d c in
+    let seq_at = get_seq d c in
+    let step_at = get_step d c in
     let vals = get_vals d in
     let ret = get_value_opt d in
     let via_return =
@@ -387,10 +441,12 @@ let decode_entry d c =
     L.Postlog { block; seq_at; step_at; vals; ret; via_return }
   | 3 ->
     let point = get_point d in
-    let seq_at, step_at = get_seq_step d c in
+    let seq_at = get_seq d c in
+    let step_at = get_step d c in
     L.Sync_prelog { point; seq_at; step_at; vals = get_vals d }
   | 4 ->
     let sid = match Varint.read d with 0 -> None | n -> Some (n - 1) in
-    let seq, step_at = get_seq_step d c in
+    let seq = get_seq d c in
+    let step_at = get_step d c in
     L.Sync { sid; seq; step_at; data = get_sync_data d }
   | t -> corrupt "bad entry tag %d" t

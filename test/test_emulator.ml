@@ -129,6 +129,106 @@ let random_large_programs =
       in
       Util.check_replay_equivalence eb log tr >= 1)
 
+(* A skipped nested e-block is described only when the log does not
+   match; the two texts stay as they were when every skip described its
+   block up front. *)
+let test_nested_mismatch_texts () =
+  let src =
+    "shared int g = 0;\n\
+     func add(a, b) { return a + b; }\n\
+     func f() { g = g + 1; return g; }\n\
+     func main() { var x = f(); var y = add(x, 1); print(y); }\n"
+  in
+  let eb, _h, log, _tr, _m =
+    Util.run_instrumented
+      ~policy:{ Analysis.Eblock.leaf_inline_max_stmts = 0; loop_block_min_body = 0 }
+      src
+  in
+  let prog = eb.Analysis.Eblock.prog in
+  let fid name =
+    let rec go i = if prog.Lang.Prog.funcs.(i).fname = name then i else go (i + 1) in
+    go 0
+  in
+  let entries = log.Trace.Log.entries.(0) in
+  let nested =
+    let rec go i =
+      match entries.(i) with
+      | Trace.Log.Prelog { block = Trace.Log.Bfunc b; _ } when b = fid "f" -> i
+      | _ -> go (i + 1)
+    in
+    go 0
+  in
+  let root =
+    Array.to_list (Trace.Log.intervals log ~pid:0)
+    |> List.find (fun iv -> iv.Trace.Log.iv_parent = None)
+  in
+  let replay_with es =
+    let log = { log with entries = [| es |] } in
+    match Ppd.Emulator.replay eb log ~interval:root with
+    | _ -> Alcotest.fail "the tampered log replayed"
+    | exception Ppd.Emulator.Replay_mismatch m -> m
+  in
+  let swapped = Array.copy entries in
+  let seq_at = Trace.Log.entry_seq_at entries.(nested) in
+  swapped.(nested) <-
+    Trace.Log.Sync_prelog
+      {
+        point = Trace.Log.At_inlined_entry (fid "add");
+        seq_at;
+        step_at = Trace.Log.entry_step_at entries.(nested);
+        vals = [];
+      };
+  Alcotest.(check string) "wrong entry"
+    (Printf.sprintf
+       "expected nested prelog of f%d, found sync-prelog (inlined add) @%d {}"
+       (fid "f") seq_at)
+    (replay_with swapped);
+  Alcotest.(check string) "no postlog"
+    (Printf.sprintf "nested e-block f%d has no matching postlog" (fid "f"))
+    (replay_with (Array.sub entries 0 (nested + 1)))
+
+(* Every replay records one [replay] span whose arg names the interval
+   as [p<pid>#<iv>], the form the e2e benchmark parses to find the
+   intervals a request replays; a replay with Obs disabled records
+   nothing, since it builds no arg. *)
+let test_replay_span_arg () =
+  let eb, _h, log, _tr, _m = Util.run_instrumented Workloads.fig61 in
+  let replay_spans () =
+    List.filter (fun (sp : Obs.span) -> sp.Obs.sp_cat = "replay") (Obs.spans ())
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      let checked = ref 0 in
+      for pid = 0 to log.Trace.Log.nprocs - 1 do
+        Array.iter
+          (fun (iv : Trace.Log.interval) ->
+            Obs.enable ();
+            Obs.reset ();
+            ignore (Ppd.Emulator.replay eb log ~interval:iv);
+            let want = Printf.sprintf "p%d#%d" pid iv.Trace.Log.iv_id in
+            (match replay_spans () with
+            | [ sp ] ->
+              Alcotest.(check string) "span name" "replay" sp.Obs.sp_name;
+              Alcotest.(check (option string)) "span arg" (Some want)
+                sp.Obs.sp_arg;
+              Alcotest.(check (option (pair int int)))
+                "the benchmark's parse" (Some (pid, iv.Trace.Log.iv_id))
+                (Option.bind sp.Obs.sp_arg (fun a ->
+                     Scanf.sscanf_opt a "p%d#%d%!" (fun p i -> (p, i))))
+            | l -> Alcotest.failf "%s: %d replay spans" want (List.length l));
+            Obs.disable ();
+            Obs.reset ();
+            ignore (Ppd.Emulator.replay eb log ~interval:iv);
+            Alcotest.(check int) (want ^ ": no span while disabled") 0
+              (List.length (Obs.spans ()));
+            incr checked)
+          (Trace.Log.intervals log ~pid)
+      done;
+      Alcotest.(check bool) "several processes' intervals" true (!checked > 2))
+
 let suite =
   ( "emulator",
     [
@@ -152,6 +252,10 @@ let suite =
       Alcotest.test_case "fault reproduced" `Quick test_fault_reproduced;
       Alcotest.test_case "output regenerated" `Quick test_output_regenerated;
       Alcotest.test_case "tampered log detected" `Quick test_tampered_log_detected;
+      Alcotest.test_case "replay span arg, only when enabled" `Quick
+        test_replay_span_arg;
+      Alcotest.test_case "nested e-block mismatch texts" `Quick
+        test_nested_mismatch_texts;
       random_sequential;
       random_parallel;
       random_parallel_inlined;

@@ -1184,13 +1184,25 @@ let test_racy_breaker () =
       Server.end_session srv s;
       Server.shutdown srv)
 
+(* A random parallel program that halts at a failed assertion over its
+   shared variables, so that flowback from its last event reads them.
+   The assertion fails whatever the variables hold: a fixed target
+   such as [g0 + g1 == -1] holds on some runs, which then end normally. *)
+let faulting src =
+  let close = String.rindex src '}' in
+  String.sub src 0 close ^ "  assert(g0 + g1 == g0 + g1 + 1);\n}\n"
+
 (* The command table's gate over random programs: every row answers a
    run, its saved content log, its saved order-tier log and the
    daemon's handle on either log alike from line 2 on (line 1 names the
    source; race writes none), and a failure is the same diagnostic
-   everywhere. A run that halts in another process than 0 roots its
-   flowback there, so only its other rows are compared; an order-tier
-   log of a racy run may refuse reconstruction (PPD061) instead. *)
+   everywhere. The programs end in a failed assertion over shared
+   variables, so flowback from main's last event walks into the other
+   processes: a program that ends normally roots it at [EXIT main],
+   which has no predecessor, and its flowback row would compare no
+   walk. A run that halts in another process than 0 roots its flowback
+   there, so only its other rows are compared; an order-tier log of a
+   racy run may refuse reconstruction (PPD061) instead. *)
 let table_rows_agree =
   Util.qtest ~count:12 "every table row: run = saved content = saved order = daemon"
     QCheck2.Gen.(
@@ -1199,7 +1211,7 @@ let table_rows_agree =
         (int_range 0 1_000))
     (fun (seed, protect, s) ->
       let sched = Runtime.Sched.Random_seed s in
-      let src = Gen.parallel ~protect seed in
+      let src = faulting (Gen.parallel ~protect seed) in
       with_tiers ~src ~sched (fun ~mpl ~content ~order ->
           let module Q = Serve.Query in
           let body (row : Q.row) out =
@@ -1246,8 +1258,17 @@ let table_rows_agree =
               (fun (row : Q.row) ->
                 let want = direct row (Q.of_session session) in
                 let order_ok got = got = want || got = Error "PPD061" in
+                (* a compared flowback walks at least one edge *)
+                let walks =
+                  row.name <> "flowback"
+                  ||
+                  match want with
+                  | Ok out -> Util.contains ~sub:"<-" out
+                  | Error _ -> false
+                in
                 (row.name = "flowback" && Ppd.Session.halt_pid session <> 0)
-                || direct row (saved content) = want
+                || walks
+                   && direct row (saved content) = want
                    && daemon row hc = want
                    && order_ok (direct row (saved order))
                    && order_ok (daemon row ho))
@@ -1322,12 +1343,6 @@ let relay_program =
    func mid(m) { var q = spawn leaf(m + 1); join(q); }\n\
    func main() { var p = spawn mid(3); var x = 0; recv(c, x); join(p); \
    assert(x == 0); }\n"
-
-(* A random parallel program that halts at a failed assertion over its
-   shared variables, so that flowback from its last event reads them. *)
-let faulting src =
-  let close = String.rindex src '}' in
-  String.sub src 0 close ^ "  assert(g0 + g1 == -1);\n}\n"
 
 type oracle_request = O_flowback of int | O_replay | O_race
 

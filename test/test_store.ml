@@ -681,6 +681,245 @@ let test_overwrite_through_symlink () =
             ((Unix.lstat link).Unix.st_kind = Unix.S_LNK);
           check_log_equal "target rewritten" small (S.load target)))
 
+(* -------------------------------------------------------------- *)
+(* The codec: varints and entries *)
+
+module Vi = Store.Varint
+module E = Runtime.Event
+module V = Runtime.Value
+
+(* The varint reader the decoder had before it became a loop, kept as
+   the oracle for values, final offsets and [Corrupt] messages. *)
+let reference_read (d : Vi.decoder) =
+  let rec go shift acc =
+    if shift > 62 then
+      raise
+        (Vi.Corrupt
+           (Printf.sprintf "varint wider than 63 bits at offset %d" d.Vi.pos));
+    let b = Vi.read_byte d in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then acc else go (shift + 7) acc
+  in
+  go 0 0
+
+let read_outcome read d =
+  match read d with
+  | n -> (Ok n, d.Vi.pos)
+  | exception Vi.Corrupt m -> (Error m, d.Vi.pos)
+
+let encode write n =
+  let buf = Buffer.create 10 in
+  write buf n;
+  Buffer.contents buf
+
+(* Every 7-bit boundary, both sides, and the extremes. *)
+let boundaries =
+  List.concat_map
+    (fun k ->
+      let b = 1 lsl (7 * k) in
+      [ b - 1; b; b + 1 ])
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+  @ [ 0; 1; max_int; max_int - 1 ]
+
+let test_varint_boundaries () =
+  List.iter
+    (fun n ->
+      let s = encode Vi.write n in
+      let d = Vi.decoder s in
+      Alcotest.(check int) (Printf.sprintf "unsigned %d" n) n (Vi.read d);
+      Alcotest.(check bool) (Printf.sprintf "unsigned %d consumed" n) true
+        (Vi.at_end d);
+      (* seven bits a byte *)
+      let rec bytes n = if n < 0x80 then 1 else 1 + bytes (n lsr 7) in
+      Alcotest.(check int) (Printf.sprintf "unsigned %d length" n) (bytes n)
+        (String.length s);
+      List.iter
+        (fun m ->
+          let d = Vi.decoder (encode Vi.write_signed m) in
+          Alcotest.(check int) (Printf.sprintf "signed %d" m) m
+            (Vi.read_signed d);
+          Alcotest.(check bool) (Printf.sprintf "signed %d consumed" m) true
+            (Vi.at_end d))
+        [ n; -n; n / 2; -(n / 2) - 1 ])
+    boundaries;
+  List.iter
+    (fun m ->
+      Alcotest.(check int) (Printf.sprintf "signed %d" m) m
+        (Vi.read_signed (Vi.decoder (encode Vi.write_signed m))))
+    [ min_int; min_int + 1; max_int; -1 ];
+  (* an int read as unsigned 63 bits: a negative one takes nine bytes *)
+  List.iter
+    (fun m ->
+      let s = encode Vi.write m in
+      Alcotest.(check int) (Printf.sprintf "unsigned %d length" m) 9
+        (String.length s);
+      Alcotest.(check int) (Printf.sprintf "unsigned %d" m) m
+        (Vi.read (Vi.decoder s)))
+    [ -1; min_int; min_int + 1 ]
+
+let test_varint_corrupt_messages () =
+  let fails name s ~pos msg =
+    let d = Vi.decoder ~pos s in
+    Alcotest.(check (pair (result int string) int))
+      name
+      (Error msg, String.length s)
+      (read_outcome Vi.read d)
+  in
+  fails "empty" "" ~pos:0 "unexpected end of input at offset 0";
+  fails "truncated" "\x80\x80" ~pos:0 "unexpected end of input at offset 2";
+  fails "truncated after a prefix" "\x05\xff" ~pos:1
+    "unexpected end of input at offset 2";
+  (* the over-wide check fires before the tenth byte is read *)
+  let d = Vi.decoder (String.make 9 '\xff' ^ "\x01") in
+  Alcotest.(check (pair (result int string) int))
+    "over-wide stops at the tenth byte"
+    (Error "varint wider than 63 bits at offset 9", 9)
+    (read_outcome Vi.read d)
+
+(* A logged value of magnitude 2^61 or more zigzags to a negative
+   varint; it once stopped the logger with [Invalid_argument]. *)
+let test_huge_values_roundtrip () =
+  let _eb, log =
+    run_log
+      "shared int g = 0;\n\
+       func main() { var x = 2147483647; g = x * x; g = 0 - g; g = g - g - g; }\n"
+  in
+  with_tmp (fun path ->
+      S.save path log;
+      check_log_equal "huge values" log (S.load path))
+
+let varint_matches_reference =
+  Util.qtest ~count:2000 "varint read = reference reader (random bytes)"
+    QCheck2.Gen.(
+      pair
+        (string_size ~gen:(frequency [ (3, char_range '\x80' '\xff'); (1, char) ])
+           (int_range 0 12))
+        (int_range 0 3))
+    (fun (s, pos) ->
+      let pos = min pos (String.length s) in
+      read_outcome Vi.read (Vi.decoder ~pos s)
+      = read_outcome reference_read (Vi.decoder ~pos s))
+
+let gen_value =
+  QCheck2.Gen.(
+    frequency
+      [
+        (1, pure V.Vundef);
+        (4, map (fun n -> V.Vint n) (oneof [ int_range (-300) 300; int ]));
+        (1, map (fun l -> V.Varr (Array.of_list l)) (list_size (int_range 0 5) int));
+      ])
+
+let gen_eref =
+  QCheck2.Gen.(
+    map2 (fun epid eseq -> { E.epid; eseq }) (int_range 0 8) (int_range 0 100_000))
+
+let gen_values = QCheck2.Gen.(list_size (int_range 0 3) gen_value)
+
+let gen_kind =
+  let open QCheck2.Gen in
+  let small = int_range 0 1_000 in
+  oneof
+    [
+      pure E.K_assign;
+      map (fun b -> E.K_pred b) bool;
+      map2 (fun callee args -> E.K_call { callee; args }) small gen_values;
+      map2 (fun callee ret -> E.K_call_return { callee; ret }) small (option gen_value);
+      map (fun value -> E.K_return { value }) (option gen_value);
+      map3
+        (fun sem src was_blocked -> E.K_p { sem; src; was_blocked })
+        small (option gen_eref) bool;
+      map (fun sem -> E.K_v { sem }) small;
+      map2 (fun chan value -> E.K_send { chan; value }) small int;
+      map2 (fun chan by -> E.K_send_unblocked { chan; by }) small gen_eref;
+      map3 (fun chan value src -> E.K_recv { chan; value; src }) small int gen_eref;
+      map3
+        (fun child callee args -> E.K_spawn { child; callee; args })
+        small small gen_values;
+      map3
+        (fun child result child_exit -> E.K_join { child; result; child_exit })
+        small (option gen_value) gen_eref;
+      map (fun value -> E.K_print { value }) gen_value;
+      map (fun ok -> E.K_assert { ok }) bool;
+    ]
+
+let gen_entry =
+  let open QCheck2.Gen in
+  let small = int_range 0 1_000 in
+  let counter = oneof [ int_range 0 100_000; int ] in
+  let block = oneof [ map (fun f -> L.Bfunc f) small; map (fun s -> L.Bloop s) small ] in
+  let vals =
+    list_size (int_range 0 4) (pair (int_range 0 200) gen_value)
+  in
+  oneof
+    [
+      map
+        (fun (block, caller_sid, (seq_at, step_at), vals) ->
+          L.Prelog { block; caller_sid; seq_at; step_at; vals })
+        (quad block (option small) (pair counter counter) vals);
+      map
+        (fun ((block, (seq_at, step_at)), vals, ret, via_return) ->
+          L.Postlog { block; seq_at; step_at; vals; ret; via_return })
+        (quad (pair block (pair counter counter)) vals (option gen_value)
+           (option (option gen_value)));
+      map
+        (fun (point, (seq_at, step_at), vals) ->
+          L.Sync_prelog { point; seq_at; step_at; vals })
+        (triple
+           (oneof
+              [
+                pure L.At_block_entry;
+                map (fun s -> L.After_sync s) small;
+                map (fun f -> L.At_inlined_entry f) small;
+              ])
+           (pair counter counter) vals);
+      map
+        (fun (sid, (seq, step_at), data) -> L.Sync { sid; seq; step_at; data })
+        (triple (option small) (pair counter counter)
+           (oneof
+              [
+                map (fun k -> L.S_kind k) gen_kind;
+                map2 (fun fid spawn -> L.S_proc_start { fid; spawn }) small
+                  (option gen_eref);
+                map2 (fun fid result -> L.S_proc_exit { fid; result }) small
+                  (option gen_value);
+              ]));
+    ]
+
+(* A page's worth of entries through one context decodes to the same
+   entries; every strict prefix of an entry fails at its end. *)
+let entry_codec_roundtrip =
+  Util.qtest ~count:500 "wire: decode (encode entries) = entries; prefixes fail"
+    QCheck2.Gen.(list_size (int_range 1 6) gen_entry)
+    (fun entries ->
+      let buf = Buffer.create 256 in
+      let c = Store.Wire.ctx () in
+      let ends =
+        List.map
+          (fun e ->
+            Store.Wire.encode_entry buf c e;
+            Buffer.length buf)
+          entries
+      in
+      let s = Buffer.contents buf in
+      let d = Vi.decoder s in
+      let c' = Store.Wire.ctx () in
+      let back = List.map (fun _ -> Store.Wire.decode_entry d c') entries in
+      let first_end = List.hd ends in
+      let prefixes_fail =
+        List.for_all
+          (fun cut ->
+            match
+              Store.Wire.decode_entry
+                (Vi.decoder ~limit:cut s)
+                (Store.Wire.ctx ())
+            with
+            | _ -> false
+            | exception Vi.Corrupt m ->
+              m = Printf.sprintf "unexpected end of input at offset %d" cut)
+          (List.init first_end Fun.id)
+      in
+      back = entries && Vi.at_end d && prefixes_fail)
+
 let suite =
   ( "store",
     [
@@ -704,6 +943,14 @@ let suite =
         test_offset_windows;
       Alcotest.test_case "salvaged file still debugs" `Quick
         test_salvaged_reader_still_debugs;
+      Alcotest.test_case "varint 7-bit boundaries and extremes" `Quick
+        test_varint_boundaries;
+      Alcotest.test_case "varint corruption messages" `Quick
+        test_varint_corrupt_messages;
+      varint_matches_reference;
+      Alcotest.test_case "huge logged values round trip" `Quick
+        test_huge_values_roundtrip;
+      entry_codec_roundtrip;
       Alcotest.test_case "crc32 check values" `Quick test_crc_check_values;
       crc_prop;
       Alcotest.test_case "crc32 range checked" `Quick test_crc_range_checked;
