@@ -123,22 +123,6 @@ let ckpt_every_arg =
            every N machine steps. Checkpoints bound the log window a \
            state restore must scan, not the reconstruction itself.")
 
-let engine_arg =
-  Arg.(
-    value
-    & opt
-        (enum
-           (List.map
-              (fun e -> (Runtime.Machine.engine_name e, e))
-              [ Runtime.Machine.Vm_engine; Runtime.Machine.Interp_engine ]))
-        Runtime.Machine.Vm_engine
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Execution engine: $(b,vm) (default; compiled register \
-           bytecode on a dispatch loop) or $(b,interp) (the AST-walking \
-           oracle). Both emit identical events, logs and halts \
-           (DESIGN \u{00A7}15); only throughput differs.")
-
 (* Profiling flags shared by the instrumented commands. Either flag
    turns the observability layer on for the whole invocation; the
    profile is written after the command's normal output, so the
@@ -222,11 +206,11 @@ let profile_write pout ptrace =
     Printf.printf "trace written to %s\n" path
   | None -> ()
 
-let session_of ?engine ?loops ?(breakpoints = []) ?log_order ?ckpt_every file
+let session_of ?loops ?(breakpoints = []) ?log_order ?ckpt_every file
     sched steps inline =
   let src = read_source file in
   let prog = compile_or_die src in
-  Ppd.Session.of_program ?engine ~sched ~max_steps:steps
+  Ppd.Session.of_program ~sched ~max_steps:steps
     ~policy:(policy_of ?loops inline)
     ~breakpoints ?log_order ?ckpt_every prog
 
@@ -325,9 +309,9 @@ let analyze_cmd =
     Term.(const run $ file_arg $ func_arg $ what_arg $ inline_arg)
 
 let run_cmd =
-  let run file sched steps engine =
+  let run file sched steps =
     let p = compile_or_die (read_source file) in
-    let m = Runtime.Machine.create ~engine ~sched ~max_steps:steps p in
+    let m = Runtime.Machine.create ~sched ~max_steps:steps p in
     let halt = Runtime.Machine.run m in
     print_string (Runtime.Machine.output m);
     (match halt with
@@ -346,7 +330,7 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Execute an MPL program without instrumentation.")
-    Term.(const run $ file_arg $ sched_arg $ steps_arg $ engine_arg)
+    Term.(const run $ file_arg $ sched_arg $ steps_arg)
 
 (* A debugging-phase failure: print its diagnostic, exit with the
    status the one table gives its code. Stdout is flushed first, so a
@@ -377,19 +361,19 @@ let log_cmd =
             "Stream the log to PATH as a durable v2 segment while the \
              program runs (records are flushed as e-blocks close).")
   in
-  let run file sched steps engine inline loops save order ckpt_every faults
+  let run file sched steps inline loops save order ckpt_every faults
       fseed pout ptrace =
     profile_setup pout ptrace;
     arm_faults faults fseed;
     let src = read_source file in
     let prog = compile_or_die src in
     let tier =
-      if order then Trace.Log.order_tier ~sched ~engine ~max_steps:steps
+      if order then Trace.Log.order_tier ~sched ~max_steps:steps
       else Trace.Log.T_content
     in
     let writer = Option.map (Store.Segment.Writer.to_file ~tier) save in
     let s =
-      Ppd.Session.of_program ~engine ~sched ~max_steps:steps
+      Ppd.Session.of_program ~sched ~max_steps:steps
         ~policy:(policy_of ~loops inline)
         ?log_sink:(Option.map Store.Segment.Writer.sink writer)
         ~log_order:order ~ckpt_every prog
@@ -401,9 +385,8 @@ let log_cmd =
       (Trace.Log.entry_count log)
       (Store.Segment.encoded_size log);
     if order then
-      Printf.printf "order tier (%s, %s engine), %d checkpoint(s)\n"
+      Printf.printf "order tier (%s, vm engine), %d checkpoint(s)\n"
         (Runtime.Sched.string_of_policy sched)
-        (Runtime.Machine.engine_name engine)
         (Array.length log.Trace.Log.ckpts);
     (match (save, writer) with
     | Some path, Some w -> (
@@ -477,7 +460,7 @@ let log_cmd =
               "Skip the reconstruction check (re-executing the program \
                and comparing against the content log being compacted).")
     in
-    let run file inpath sched steps engine inline loops out ckpt_every
+    let run file inpath sched steps inline loops out ckpt_every
         no_verify =
       let prog = compile_or_die (read_source file) in
       guarded @@ fun () ->
@@ -520,7 +503,7 @@ let log_cmd =
           L.nprocs = log.L.nprocs;
           entries = sync;
           stops = log.L.stops;
-          tier = L.order_tier ~sched ~engine ~max_steps:steps;
+          tier = L.order_tier ~sched ~max_steps:steps;
           ckpts = Array.of_list (List.rev !ckpts);
           base = log.L.base;
         }
@@ -537,7 +520,7 @@ let log_cmd =
                  reason =
                    "re-execution matches the sync order but not the \
                     recorded values (was the log recorded with these \
-                    --sched/--engine/--max-steps?)";
+                    --sched/--max-steps?)";
                })
       end;
       Store.Segment.save out order;
@@ -556,12 +539,12 @@ let log_cmd =
            "Rewrite a content-tier log as an order-tier segment: drop \
             every value snapshot, keep the sync-event partial order, \
             and synthesize periodic checkpoints. FILE must be the \
-            program the log records, and --sched/--engine/--max-steps \
+            program the log records, and --sched/--max-steps \
             must name the recording run (verified by re-execution \
             unless $(b,--no-verify)).")
       Term.(
-        const run $ file_arg $ in_arg $ sched_arg $ steps_arg $ engine_arg
-        $ inline_arg $ loops_arg $ out_arg $ ckpt_every_arg $ no_verify_arg)
+        const run $ file_arg $ in_arg $ sched_arg $ steps_arg $ inline_arg
+        $ loops_arg $ out_arg $ ckpt_every_arg $ no_verify_arg)
   in
   let repair_cmd =
     let out_arg =
@@ -608,9 +591,8 @@ let log_cmd =
   in
   let run_term =
     Term.(
-      const run $ file_arg $ sched_arg $ steps_arg $ engine_arg $ inline_arg
-      $ loops_arg $ save_arg $ log_mode_arg $ ckpt_every_arg
-      $ fault_arg $ fault_seed_arg $ profile_out_arg $ profile_trace_arg)
+      const run $ file_arg $ sched_arg $ steps_arg $ inline_arg $ loops_arg
+      $ save_arg $ log_mode_arg $ ckpt_every_arg $ fault_arg $ fault_seed_arg $ profile_out_arg $ profile_trace_arg)
   in
   Cmd.group ~default:run_term
     (Cmd.info "log"
@@ -725,7 +707,7 @@ let fsck_cmd =
    supplying the program), hands it to its argument, writes the profile
    and exits with the status the argument returns. *)
 let source_term =
-  let make file sched steps engine inline loops order ckpt_every load faults
+  let make file sched steps inline loops order ckpt_every load faults
       fault_seed pout ptrace =
     let with_source f =
       profile_setup pout ptrace;
@@ -734,7 +716,7 @@ let source_term =
         match load with
         | None ->
           Serve.Query.of_session
-            (session_of ~engine ~loops ~log_order:order ~ckpt_every file
+            (session_of ~loops ~log_order:order ~ckpt_every file
                sched steps inline)
         | Some log ->
           ok_or_fail
@@ -748,7 +730,7 @@ let source_term =
     (file, with_source)
   in
   Term.(
-    const make $ file_arg $ sched_arg $ steps_arg $ engine_arg $ inline_arg
+    const make $ file_arg $ sched_arg $ steps_arg $ inline_arg
     $ loops_arg $ log_mode_arg $ ckpt_every_arg $ load_arg $ fault_arg
     $ fault_seed_arg $ profile_out_arg $ profile_trace_arg)
 

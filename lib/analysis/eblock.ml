@@ -19,6 +19,7 @@ type t = {
   defined : Varset.t array;
   prelog_vars : P.var list array;
   postlog_vars : P.var list array;
+  code : Lang.Bytecode.prog;
 }
 
 let stmt_count (f : P.func) =
@@ -149,6 +150,7 @@ let analyze ?(policy = default_policy) ?(prune_sync_prelogs = true) ?mhp
     defined;
     prelog_vars;
     postlog_vars;
+    code = Lang.Bytecode.plan p;
   }
 
 let loop_block_vars t ~sid = Hashtbl.find_opt t.loop_blocks sid

@@ -56,6 +56,9 @@ type t = {
   prelog_vars : Lang.Prog.var list array;
       (** per fid, sorted by vid; empty for non-e-blocks *)
   postlog_vars : Lang.Prog.var list array;
+  code : Lang.Bytecode.prog;
+      (** the program's bytecode, compiled once with the analysis: the
+          code runs execute and every replay of its e-blocks steps on *)
 }
 
 val analyze :

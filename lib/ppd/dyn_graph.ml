@@ -50,40 +50,77 @@ let no_value = V.Varr (Array.make 0 0)
 let no_var =
   { P.vid = -1; vname = ""; vty = P.Tint; vscope = P.Global (-1); vfid = -1 }
 
-(* Columns are stored in fixed-size chunks: growing one appends a chunk
-   and never copies what is stored, and no allocation is larger than a
-   chunk, so the allocator recycles the memory of earlier graphs. *)
-let chunk_bits = 9
+(* Columns are stored in chunks: growing one adds a chunk and never
+   copies what is stored. Ids below 512 live in chunks of 64, so a
+   small graph holds (and is charged for) little more than its entries.
+   From 512 on, chunks hold 512, the smallest power of two the runtime
+   allocates outside the minor heap: a large graph is never copied by a
+   minor collection, and no allocation is larger than a chunk, so the
+   allocator recycles the memory of earlier graphs.
 
-let chunk = 1 lsl chunk_bits
+   The index has one slot per 64 ids, pointing at the chunk that holds
+   them; a chunk starts at a multiple of its length, so an id's offset
+   is the id masked by that length. The index holds pointers, not
+   entries, and doubles when full. A spare slot points at the chunk
+   appended when the index grew, which is as long as any chunk its ids
+   would reach, so no id reads outside an array. *)
+let unit_bits = 6
 
-let chunk_mask = chunk - 1
+let small = 512  (* ids below this live in 64-entry chunks *)
 
-type ints = { mutable ic : int array array }
+type ints = { mutable ic : int array array; mutable ni : int (* entries *) }
 
-type 'a refs = { mutable rc : 'a array array }
+type 'a refs = { mutable rc : 'a array array; mutable nr : int }
 
-let ints () = { ic = [||] }
+let ints () = { ic = [||]; ni = 0 }
 
-let refs () = { rc = [||] }
+let refs () = { rc = [||]; nr = 0 }
 
-(* Every chunk holds [chunk] entries, so only the chunk index needs a
-   bounds check. *)
 let[@inline] iget c i =
-  Array.unsafe_get c.ic.(i lsr chunk_bits) (i land chunk_mask)
+  let a = c.ic.(i lsr unit_bits) in
+  if i < small then Array.unsafe_get a (i land 63)
+  else Array.unsafe_get a (i land 511)
 
 let[@inline] iset c i v =
-  Array.unsafe_set c.ic.(i lsr chunk_bits) (i land chunk_mask) v
+  let a = c.ic.(i lsr unit_bits) in
+  if i < small then Array.unsafe_set a (i land 63) v
+  else Array.unsafe_set a (i land 511) v
 
 let[@inline] rget c i =
-  Array.unsafe_get c.rc.(i lsr chunk_bits) (i land chunk_mask)
+  let a = c.rc.(i lsr unit_bits) in
+  if i < small then Array.unsafe_get a (i land 63)
+  else Array.unsafe_get a (i land 511)
 
 let[@inline] rset c i v =
-  Array.unsafe_set c.rc.(i lsr chunk_bits) (i land chunk_mask) v
+  let a = c.rc.(i lsr unit_bits) in
+  if i < small then Array.unsafe_set a (i land 63) v
+  else Array.unsafe_set a (i land 511) v
 
-let igrow c fill = c.ic <- Array.append c.ic [| Array.make chunk fill |]
+(* [index] over [n] ids, with the next chunk appended. *)
+let append index n chunk =
+  let first = n lsr unit_bits and units = Array.length chunk lsr unit_bits in
+  let index =
+    if first + units <= Array.length index then index
+    else begin
+      let bigger = Array.make (max 8 (2 * (first + units))) chunk in
+      Array.blit index 0 bigger 0 first;
+      bigger
+    end
+  in
+  Array.fill index first units chunk;
+  index
 
-let rgrow c fill = c.rc <- Array.append c.rc [| Array.make chunk fill |]
+let chunk_after n = if n < small then 64 else 512
+
+let igrow c fill =
+  let chunk = Array.make (chunk_after c.ni) fill in
+  c.ic <- append c.ic c.ni chunk;
+  c.ni <- c.ni + Array.length chunk
+
+let rgrow c fill =
+  let chunk = Array.make (chunk_after c.nr) fill in
+  c.rc <- append c.rc c.nr chunk;
+  c.nr <- c.nr + Array.length chunk
 
 type t = {
   (* nodes, by id *)
@@ -224,7 +261,7 @@ let find_ref t (r : E.eref) = find_event t ~pid:r.epid ~seq:r.eseq
 
 (* [seq] < 0: the node stands for no event. *)
 let add t ~seq ?owner ?value ~pid ~kind ~label () =
-  if t.n land chunk_mask = 0 then grow_nodes t;
+  if t.n = t.pid.ni then grow_nodes t;
   let id = t.n in
   let tag, a, b =
     match kind with
@@ -269,7 +306,7 @@ let nnodes t = t.n
 (* Eleven node columns and five edge columns, in whole chunks, plus the
    event index, the frontier and the kind and variable tables. *)
 let bytes t =
-  let chunks c = Array.length c.ic * chunk in
+  let chunks c = c.ni in
   8
   * ((11 * chunks t.pid) + (5 * chunks t.e_src) + Array.length t.buckets
     + (2 * Array.length t.mark_node)
@@ -365,7 +402,7 @@ let add_edge t ~src ~dst ~kind =
   let c = code t kind in
   if not (has_pred t (iget t.pred_head dst) src c) then begin
     let e = t.ne in
-    if e land chunk_mask = 0 then grow_edges t;
+    if e = t.e_src.ni then grow_edges t;
     iset t.e_src e src;
     iset t.e_dst e dst;
     iset t.e_code e c;

@@ -4,8 +4,9 @@
     checkpoints — none of the value snapshots the emulation package
     needs. Debugging one first {e reconstructs} an equivalent content
     log by re-executing the program deterministically with the recorded
-    scheduler, engine and step budget (both engines produce identical
-    traces, DESIGN §15), then validates the re-execution against the
+    scheduler and step budget, on the VM whatever engine the header
+    names ([vm], or [interp], whose logs are identical, DESIGN §15;
+    any other name is a divergence), then validates the re-execution against the
     recorded order: every process must perform exactly the recorded
     sync events, in order, and stop at the recorded sequence number.
 

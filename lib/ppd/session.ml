@@ -8,19 +8,19 @@ type t = {
   ctl : Controller.t Lazy.t;
 }
 
-let of_program ?(engine = M.Vm_engine) ?(sched = Runtime.Sched.default)
+let of_program ?(sched = Runtime.Sched.default)
     ?(max_steps = 1_000_000) ?policy ?breakpoints
     ?log_sink ?(log_order = false) ?ckpt_every prog =
   let eb = Analysis.Eblock.analyze ?policy prog in
   (* Order-tier recording (DESIGN §16) must remember how to re-execute:
-     the tier metadata names the scheduler, engine and step budget. *)
+     the tier metadata names the scheduler and step budget. *)
   let tier =
-    if log_order then Trace.Log.order_tier ~sched ~engine ~max_steps
+    if log_order then Trace.Log.order_tier ~sched ~max_steps
     else Trace.Log.T_content
   in
   let logger = Trace.Logger.create ?sink:log_sink ~tier ?ckpt_every eb in
   let hooks = Trace.Logger.factory logger in
-  let machine = M.create ~engine ~sched ~max_steps ~hooks ?breakpoints prog in
+  let machine = M.create ~sched ~max_steps ~hooks ?breakpoints prog in
   let halt = Obs.phase "execution" (fun () -> M.run machine) in
   let log = Trace.Logger.finish logger in
   {
@@ -31,9 +31,9 @@ let of_program ?(engine = M.Vm_engine) ?(sched = Runtime.Sched.default)
     ctl = lazy (Controller.start eb log);
   }
 
-let run ?engine ?sched ?max_steps ?policy ?breakpoints ?log_sink ?log_order
+let run ?sched ?max_steps ?policy ?breakpoints ?log_sink ?log_order
     ?ckpt_every src =
-  of_program ?engine ?sched ?max_steps ?policy ?breakpoints ?log_sink
+  of_program ?sched ?max_steps ?policy ?breakpoints ?log_sink
     ?log_order ?ckpt_every (Lang.Compile.compile src)
 
 let prog t = t.eb.Analysis.Eblock.prog

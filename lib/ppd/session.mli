@@ -10,7 +10,6 @@
 type t
 
 val run :
-  ?engine:Runtime.Machine.engine ->
   ?sched:Runtime.Sched.policy ->
   ?max_steps:int ->
   ?policy:Analysis.Eblock.policy ->
@@ -34,7 +33,6 @@ val run :
     string to record). *)
 
 val of_program :
-  ?engine:Runtime.Machine.engine ->
   ?sched:Runtime.Sched.policy ->
   ?max_steps:int ->
   ?policy:Analysis.Eblock.policy ->

@@ -3,13 +3,6 @@ module B = Lang.Bytecode
 
 type engine = Interp_engine | Vm_engine
 
-let engine_name = function Vm_engine -> "vm" | Interp_engine -> "interp"
-
-let engine_of_name = function
-  | "vm" -> Some Vm_engine
-  | "interp" -> Some Interp_engine
-  | _ -> None
-
 type halt =
   | Finished
   | Deadlock of (int * string) list
@@ -104,8 +97,6 @@ let sched_dirty t = t.runnable_valid <- false
 
 let prog t = t.prog
 
-let engine t = match t.plan with Some _ -> Vm_engine | None -> Interp_engine
-
 let init_shared (p : P.t) =
   Array.map
     (function
@@ -192,6 +183,7 @@ let attach_vm t (pr : proc) =
           steps = t.steps;
           stop;
           glb = t.shared;
+          unbound = ignore;
         }
       | Some _ ->
         let check () =
@@ -219,6 +211,7 @@ let attach_vm t (pr : proc) =
           steps = t.steps;
           stop;
           glb = t.shared;
+          unbound = ignore;
         }
     in
     pr.veng <- Some { vst; vhost }

@@ -25,23 +25,15 @@
     read, ...) halts the whole machine — that is the "program halts due
     to an error" moment at which the debugging phase begins.
 
-    Two execution engines share this machine (DESIGN §15). The default
-    {!Vm_engine} compiles each function to {!Lang.Bytecode} and runs
-    local statements on a dispatch-loop VM; {!Interp_engine} walks the
-    AST and survives as the differential-testing oracle. Both engines
-    share the driver for sync ops, calls and returns, and the slot
-    representation read by instrumentation, so event streams, trace
-    logs, scheduling decisions and halts are identical — only steps/sec
-    differs. *)
+    Every product run steps on {!Vm_engine}: each function compiled to
+    {!Lang.Bytecode}, local statements on a dispatch-loop VM (DESIGN
+    §15). {!Interp_engine} walks the AST and is only a test oracle,
+    reached through [create ~engine]. Both engines share the driver
+    for sync ops, calls and returns, and the slot representation read
+    by instrumentation, so event streams, trace logs, scheduling
+    decisions and halts are identical — only steps/sec differs. *)
 
 type engine = Interp_engine | Vm_engine
-
-val engine_name : engine -> string
-(** ["vm"] or ["interp"]: the name the CLI's [--engine] flag and an
-    order-tier log's metadata use. *)
-
-val engine_of_name : string -> engine option
-(** Inverse of {!engine_name}; [None] on anything else. *)
 
 type halt =
   | Finished  (** every process ran to completion *)
@@ -83,8 +75,6 @@ val create :
     of them produces an event — postlog-based restoration then gives
     every other process's state at its own last e-block boundary, the
     paper's answer to the timely-halt problem (§5.7). *)
-
-val engine : t -> engine
 
 val run : t -> halt
 (** Run to halt. *)

@@ -69,6 +69,10 @@ type host = {
   steps : int ref;  (* the machine's step clock, shared *)
   stop : bool ref;  (* the machine halted mid-burst (breakpoint) *)
   glb : Value.t array;  (* the machine's shared store *)
+  unbound : int -> unit;
+      (* a global cell is about to fault: the host may raise its own
+         error first (a replay's overlay store, for a slot no prelog
+         covered) *)
 }
 
 type result = Stepped | Driver of P.stmt | Frame_done
@@ -133,8 +137,11 @@ let rec chase (code : B.instr array) pc =
 
 let current_sid (vf : frame) = vf.sids.(vf.pc)
 
+(* Rest the pc at [pc], past any jumps. *)
+let rest (vf : frame) pc = vf.pc <- chase vf.code pc
+
 (* The driver completed the sync statement resting at the pc. *)
-let consume (vf : frame) = vf.pc <- chase vf.code (vf.pc + 1)
+let consume (vf : frame) = rest vf (vf.pc + 1)
 
 (* ------------------------------------------------------------------ *)
 (* The dispatch loop.                                                   *)
@@ -179,6 +186,37 @@ let store_elem (st : pstate) want (v : P.var) cell idx n =
     end
   | Value.Vint _ | Value.Vundef -> fault "'%s' is not an array" v.vname
 
+(* The same on a global cell, but a faulting access asks the host
+   first; the accesses that succeed take the same path as above. *)
+let gload_scalar (st : pstate) (h : host) want (v : P.var) slot cell =
+  match cell with
+  | Value.Vint n ->
+    if want then add_read st v n;
+    n
+  | Value.Vundef | Value.Varr _ ->
+    h.unbound slot;
+    load_scalar st want v cell
+
+let gload_elem (st : pstate) (h : host) want (v : P.var) slot cell idx =
+  match cell with
+  | Value.Varr a when idx >= 0 && idx < Array.length a ->
+    let n = a.!(idx) in
+    if want then add_read st v n;
+    n
+  | _ ->
+    h.unbound slot;
+    load_elem st want v cell idx
+
+let gstore_elem (st : pstate) (h : host) want (v : P.var) slot cell idx n =
+  match cell with
+  | Value.Varr a when idx >= 0 && idx < Array.length a ->
+    if want then add_read st v a.!(idx);
+    a.!(idx) <- n;
+    a
+  | _ ->
+    h.unbound slot;
+    store_elem st want v cell idx n
+
 let assign_event (h : host) (st : pstate) sid (v : P.var) n =
   h.emit
     (Event.E_stmt
@@ -218,7 +256,7 @@ let rec exec (vf : frame) (st : pstate) (h : host) (code : B.instr array) regs
     regs.!(base + r) <- load_scalar st want v (Array.unsafe_get slots slot);
     exec vf st h code regs base slots glb want (pc + 1)
   | B.Igload (r, v, slot) ->
-    regs.!(base + r) <- load_scalar st want v (Array.unsafe_get glb slot);
+    regs.!(base + r) <- gload_scalar st h want v slot (Array.unsafe_get glb slot);
     exec vf st h code regs base slots glb want (pc + 1)
   | B.Ilelem (r, v, slot) ->
     regs.!(base + r) <-
@@ -226,7 +264,7 @@ let rec exec (vf : frame) (st : pstate) (h : host) (code : B.instr array) regs
     exec vf st h code regs base slots glb want (pc + 1)
   | B.Igelem (r, v, slot) ->
     regs.!(base + r) <-
-      load_elem st want v (Array.unsafe_get glb slot) regs.!(base + r);
+      gload_elem st h want v slot (Array.unsafe_get glb slot) regs.!(base + r);
     exec vf st h code regs base slots glb want (pc + 1)
   | B.Ineg r ->
     regs.!(base + r) <- -regs.!(base + r);
@@ -366,7 +404,7 @@ let rec exec (vf : frame) (st : pstate) (h : host) (code : B.instr array) regs
     next_stmt vf st h code regs base slots glb want (chase code (pc + 1))
   | B.Iassign_ge (r, v, slot) ->
     let n = regs.!(base + r) and idx = regs.!(base + r + 1) in
-    let a = store_elem st want v (Array.unsafe_get glb slot) idx n in
+    let a = gstore_elem st h want v slot (Array.unsafe_get glb slot) idx n in
     (* write back through the store like the interpreter's context does,
        so overlay stores observe the mutation *)
     Array.unsafe_set glb slot (Value.Varr a);
@@ -380,7 +418,7 @@ let rec exec (vf : frame) (st : pstate) (h : host) (code : B.instr array) regs
     else account h vf.sids.!(pc);
     next_stmt vf st h code regs base slots glb want (chase code (pc + 1))
   | B.Iinc_g (v, dslot, w, sslot, k) ->
-    let n = load_scalar st want w (Array.unsafe_get glb sslot) + k in
+    let n = gload_scalar st h want w sslot (Array.unsafe_get glb sslot) + k in
     Array.unsafe_set glb dslot (Value.Vint n);
     if want then assign_event h st vf.sids.!(pc) v n
     else account h vf.sids.!(pc);

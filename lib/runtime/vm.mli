@@ -56,6 +56,11 @@ type host = {
       (** set by the machine when an emitted event halted it
           (breakpoint); ends the burst after the current statement *)
   glb : Value.t array;
+  unbound : int -> unit;
+      (** called with a global slot when an access to its cell is about
+          to fault (uninitialised, wrong shape, out of bounds), before
+          the fault: e-block replay raises its own error here for a
+          slot that no prelog covered *)
 }
 
 type result = Stepped | Driver of Lang.Prog.stmt | Frame_done
@@ -81,6 +86,11 @@ val current_sid : frame -> int
 (** Statement id at the resting pc, [-1] at the implicit return — the
     machine's fault-attribution sid, matching the interpreter's
     work-list head convention. *)
+
+val rest : frame -> int -> unit
+(** Rest the pc at the given instruction, following jumps: how the
+    replay driver starts a loop e-block at its condition and moves past
+    a skipped one. *)
 
 val consume : frame -> unit
 (** The driver completed the sync statement at the pc: advance past

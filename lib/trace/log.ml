@@ -21,7 +21,7 @@ type prelog_point =
    Order logs carry only the sync-event partial order plus periodic
    checkpoints; debugging them first reconstructs an equivalent content
    log by deterministic re-execution, which needs the recorded
-   scheduler, engine and step budget. *)
+   scheduler and step budget. *)
 type tier_meta = { o_sched : string; o_engine : string; o_max_steps : int }
 
 type tier = T_content | T_order of tier_meta
@@ -83,11 +83,11 @@ let content ~nprocs ~entries ~stops =
 
 let tier_name = function T_content -> "content" | T_order _ -> "order"
 
-let order_tier ~sched ~engine ~max_steps =
+let order_tier ~sched ~max_steps =
   T_order
     {
       o_sched = Runtime.Sched.string_of_policy sched;
-      o_engine = Runtime.Machine.engine_name engine;
+      o_engine = "vm";
       o_max_steps = max_steps;
     }
 

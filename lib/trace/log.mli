@@ -74,10 +74,12 @@ type entry =
     directly. An {e order} log carries only the sync-event partial
     order plus periodic checkpoints; debugging it first reconstructs an
     equivalent content log by deterministic re-execution, which needs
-    the recorded scheduler, engine and step budget. *)
+    the recorded scheduler and step budget. *)
 type tier_meta = {
   o_sched : string;  (** scheduler spec, e.g. ["rr:3"] *)
-  o_engine : string;  (** ["vm"] or ["interp"] *)
+  o_engine : string;
+      (** ["vm"]; logs recorded when the engine was selectable may say
+          ["interp"], whose logs are identical *)
   o_max_steps : int;  (** the recording run's step budget *)
 }
 
@@ -121,11 +123,7 @@ val content :
 val tier_name : tier -> string
 (** ["content"] or ["order"]. *)
 
-val order_tier :
-  sched:Runtime.Sched.policy ->
-  engine:Runtime.Machine.engine ->
-  max_steps:int ->
-  tier
+val order_tier : sched:Runtime.Sched.policy -> max_steps:int -> tier
 (** The order-tier metadata of a recording run: exactly what
     reconstruction needs to re-execute it. Only nameable schedulers
     qualify — {!Runtime.Sched.string_of_policy} rejects a scripted or

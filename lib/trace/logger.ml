@@ -341,12 +341,12 @@ let finish t =
     base = Array.make t.nprocs 0;
   }
 
-let run_logged ?engine ?sched ?max_steps ?(extra_hooks = Runtime.Hooks.nil)
+let run_logged ?sched ?max_steps ?(extra_hooks = Runtime.Hooks.nil)
     ?sink ?tier ?ckpt_every eb =
   let logger = create ?sink ?tier ?ckpt_every eb in
   let hooks = Runtime.Hooks.both (factory logger) extra_hooks in
   let m =
-    Runtime.Machine.create ?engine ?sched ?max_steps ~hooks
+    Runtime.Machine.create ?sched ?max_steps ~hooks
       eb.Analysis.Eblock.prog
   in
   let halt = Runtime.Machine.run m in

@@ -54,7 +54,6 @@ val finish : t -> Log.t
     ([Runtime.Hooks.port.seq_of]), not from the last event seen. *)
 
 val run_logged :
-  ?engine:Runtime.Machine.engine ->
   ?sched:Runtime.Sched.policy ->
   ?max_steps:int ->
   ?extra_hooks:Runtime.Hooks.factory ->

@@ -201,6 +201,65 @@ let test_reconstruct_divergence () =
   | exception Ppd.Reconstruct.Divergence _ -> ()
   | _ -> Alcotest.fail "expected Divergence under a mismatched scheduler"
 
+(* Every order log re-executes on the VM. A header naming the
+   interpreter engine, which older builds could record and whose logs
+   are identical, answers flowback, replay and race byte for byte like
+   the same log naming the VM; any other engine is PPD061, exit 8. *)
+let test_engine_header () =
+  let module Q = Serve.Query in
+  let answer path prog (row : Q.row) =
+    let args =
+      List.map (fun (p : Q.param) -> (p.key, p.default)) (row.params @ Q.common)
+    in
+    let ctx = { Q.config = Q.config args; pool = None; shared = None; dot = None } in
+    let buf = Buffer.create 256 in
+    match
+      Result.bind
+        (Q.open_source ~policy:Analysis.Eblock.default_policy ~log:path prog)
+        (row.run ctx args (Serve.Render.buffer_sink buf))
+    with
+    | Ok _ -> Ok (Buffer.contents buf)
+    | Error d -> Error d.Lang.Diag.d_code
+  in
+  let rows =
+    List.filter_map Q.find [ "flowback"; "replay"; "race" ]
+  in
+  List.iter
+    (fun (name, src) ->
+      let eb, _content, order = record ~ckpt_every:16 src in
+      let prog = eb.Analysis.Eblock.prog in
+      let named engine =
+        match order.L.tier with
+        | L.T_order m -> { order with L.tier = L.T_order { m with o_engine = engine } }
+        | L.T_content -> Alcotest.fail "expected an order log"
+      in
+      with_tmp (fun path ->
+          let answers engine =
+            S.save path (named engine);
+            List.map (answer path prog) rows
+          in
+          let vm = answers "vm" in
+          List.iter2
+            (fun (row : Q.row) a ->
+              match a with
+              | Ok _ -> ()
+              | Error code -> Alcotest.failf "%s %s (vm): %s" name row.name code)
+            rows vm;
+          Alcotest.(check (list (result string string)))
+            (name ^ ": interp header answers as vm") vm (answers "interp");
+          List.iter2
+            (fun (row : Q.row) a ->
+              match a with
+              | Error "PPD061" ->
+                Alcotest.(check int)
+                  (name ^ " " ^ row.name ^ ": exit status")
+                  8
+                  (List.assoc "PPD061" Q.exit_table)
+              | _ -> Alcotest.failf "%s %s: unknown engine not PPD061" name row.name)
+            rows (answers "lisp")))
+    [ ("fig61", Workloads.fig61); ("buggy_min", Workloads.buggy_min);
+      ("counter", Workloads.counter ~workers:3 ~incs:6 ~mutex:true) ]
+
 (* A controller over an order log (in memory or paged) answers exactly
    like one over the content recording. *)
 let test_controller_over_order_log () =
@@ -321,6 +380,8 @@ let test_ckpt_seeded_restore_equals_scan () =
 let suite =
   ( "order-tier",
     [
+      Alcotest.test_case "order header naming interp = vm; unknown is PPD061"
+        `Quick test_engine_header;
       Alcotest.test_case "order log round-trips the store" `Quick
         test_order_roundtrip;
       Alcotest.test_case "order bytes bounded by sync skeleton" `Quick

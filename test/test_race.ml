@@ -169,8 +169,7 @@ let log_race_agrees ?policy ~sched ~order src =
   let eb = Analysis.Eblock.analyze ?policy prog in
   let tier =
     if order then
-      Trace.Log.order_tier ~sched ~engine:Runtime.Machine.Vm_engine
-        ~max_steps:1_000_000
+      Trace.Log.order_tier ~sched ~max_steps:1_000_000
     else Trace.Log.T_content
   in
   let obs = Ppd.Pardyn.observer prog in

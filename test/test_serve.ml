@@ -759,8 +759,7 @@ let with_tiers ?(src = Workloads.fig61) ?(sched = Runtime.Sched.default) ?policy
   Out_channel.with_open_text mpl (fun oc -> Out_channel.output_string oc src);
   let eb = Analysis.Eblock.analyze ?policy (Lang.Compile.compile src) in
   let tier =
-    Trace.Log.order_tier ~sched ~engine:Runtime.Machine.Vm_engine
-      ~max_steps:1_000_000
+    Trace.Log.order_tier ~sched ~max_steps:1_000_000
   in
   let _, c, _ = Trace.Logger.run_logged ~sched eb in
   let _, o, _ = Trace.Logger.run_logged ~sched ~tier eb in

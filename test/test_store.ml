@@ -521,8 +521,7 @@ let stream ?(sched = Runtime.Sched.default) ?(finish = true) ~order src path
   in
   let tier =
     if order then
-      L.order_tier ~sched ~engine:Runtime.Machine.Vm_engine
-        ~max_steps:200_000
+      L.order_tier ~sched ~max_steps:200_000
     else L.T_content
   in
   let w = S.Writer.to_file ~tier path in

@@ -320,8 +320,7 @@ let oracle_logger_only seed =
                        eb))
                 [
                   Trace.Log.T_content;
-                  Trace.Log.order_tier ~sched
-                    ~engine:Runtime.Machine.Vm_engine ~max_steps:200_000;
+                  Trace.Log.order_tier ~sched ~max_steps:200_000;
                 ])
             [
               Runtime.Sched.Round_robin 1;

@@ -181,6 +181,46 @@ let test_whatif_sync_divergence_detected () =
         (Util.contains ~sub:"diverged" msg)
     | None -> Alcotest.fail "expected a divergence fault")
 
+(* The what-if replay reaches a sync statement other than the one the
+   log records next: the fault names both statements. *)
+let test_whatif_wrong_sync_named () =
+  let src =
+    {|
+    shared int gate = -1;
+    sem s = 1;
+    func main() {
+      var x = gate;
+      if (x > 0) {
+        P(s);
+      } else {
+        V(s);
+      }
+      print(x);
+    }
+    |}
+  in
+  let s = session src in
+  let sid_of pred =
+    (Array.to_list (Ppd.Session.prog s).Lang.Prog.stmts
+    |> List.find (fun (st : Lang.Prog.stmt) -> pred st.desc))
+      .Lang.Prog.sid
+  in
+  let p = sid_of (function Lang.Prog.Sp _ -> true | _ -> false)
+  and v = sid_of (function Lang.Prog.Sv _ -> true | _ -> false) in
+  match
+    what_if s ~pid:0 ~iv_id:(root_iv_id s 0) ~overrides:[ ("gate", 5) ]
+  with
+  | Error e -> Alcotest.fail e
+  | Ok o ->
+    Alcotest.(check (option string))
+      "divergence text"
+      (Some
+         (Printf.sprintf
+            "what-if execution diverged: reached s%d but the log's next \
+             synchronization was at s%d"
+            p v))
+      o.Ppd.Emulator.fault
+
 let test_whatif_fault_injection () =
   (* driving a shared divisor to zero reproduces a crash that never
      happened — the experiment in the other direction *)
@@ -285,6 +325,8 @@ let suite =
         test_whatif_away_from_sync;
       Alcotest.test_case "sync divergence" `Quick
         test_whatif_sync_divergence_detected;
+      Alcotest.test_case "wrong sync statement named" `Quick
+        test_whatif_wrong_sync_named;
       Alcotest.test_case "fault injection" `Quick test_whatif_fault_injection;
       Alcotest.test_case "unknown variable" `Quick test_unknown_variable;
       Alcotest.test_case "bad interval" `Quick test_bad_interval;

@@ -10,7 +10,10 @@
    that `ppd log` and `record` take, where local statement events are
    never built — and its marshalled log must equal the interpreter's
    too, also with every loop an e-block, whose prelogs and postlogs
-   hang on the loop events the VM must still emit. The
+   hang on the loop events the VM must still emit. Every interval of
+   both content logs is then replayed twice, by the product's emulator
+   (on the VM) and by the AST emulator kept as its oracle
+   (test/oracle), and the outcomes must be equal. The
    alcotest suite (test_vm.ml) runs a smaller version of
    the same oracle on every `dune runtest`; this executable exists so
    the vm-differential CI job can push the count much higher and upload
@@ -59,10 +62,21 @@ let run_engine engine prog eb sched =
 (* The logger as the only observer: it declines local events, so the VM
    keeps assignments, predicates, prints and asserts on its bare path. *)
 let logger_only engine eb sched =
-  let _, log, _ =
-    Trace.Logger.run_logged ~engine ~sched ~max_steps:200_000 eb
+  let logger = Trace.Logger.create eb in
+  let m =
+    Runtime.Machine.create ~engine ~sched ~max_steps:200_000
+      ~hooks:(Trace.Logger.factory logger) eb.Analysis.Eblock.prog
   in
-  Marshal.to_string log []
+  ignore (Runtime.Machine.run m);
+  let log = Trace.Logger.finish logger in
+  (log, Marshal.to_string log [])
+
+(* Every interval of a content log replayed by the product's emulator,
+   which steps on the VM, and by the AST oracle. *)
+let replay_agrees what eb log =
+  match Oracle.Replay_diff.check eb log with
+  | Ok _ -> ()
+  | Error e -> fail "e-block replay%s differs from the AST oracle: %s" what e
 
 let show_rec (r : Trace.Full_trace.rec_) =
   Format.asprintf "p%d #%d @%d %a" r.tr_pid r.tr_seq r.tr_step Runtime.Event.pp
@@ -116,17 +130,19 @@ let compare_runs prog eb eb_loops sched =
   if bi <> bv then
     fail "marshalled log bytes differ (%d vs %d bytes)" (String.length bi)
       (String.length bv);
-  let bl = logger_only Runtime.Machine.Vm_engine eb sched in
+  let _, bl = logger_only Runtime.Machine.Vm_engine eb sched in
   if bi <> bl then
     fail "logger-only vm log bytes differ from interp (%d vs %d bytes)"
       (String.length bi) (String.length bl);
-  let il = logger_only Runtime.Machine.Interp_engine eb_loops sched
-  and vl = logger_only Runtime.Machine.Vm_engine eb_loops sched in
+  let _, il = logger_only Runtime.Machine.Interp_engine eb_loops sched
+  and loops_log, vl = logger_only Runtime.Machine.Vm_engine eb_loops sched in
   if il <> vl then
     fail
       "logger-only vm log bytes with loop e-blocks differ from interp (%d vs \
        %d bytes)"
-      (String.length il) (String.length vl)
+      (String.length il) (String.length vl);
+  replay_agrees "" eb lv;
+  replay_agrees " with loop e-blocks" eb_loops loops_log
 
 let () =
   let failures = ref 0 in
