@@ -1,9 +1,10 @@
 (* One dynamic graph and what it takes to grow it (DESIGN §14.6): the
    graph, the builder that feeds fragments into it, the sync links still
-   waiting for their source, a summary of each assembled interval, and
-   what queries added on top of the fragments. A controller assembles
-   into a private one, or borrows the one its registry entry keeps in
-   {!Fragcache} under [lock]. *)
+   waiting for their source, a summary of each assembled interval, what
+   queries added on top of the fragments, and the race answer built from
+   the summaries' shared accesses. A controller assembles into a private
+   one, or borrows the one its registry entry keeps in {!Fragcache} under
+   [lock]. *)
 
 module E = Runtime.Event
 module L = Trace.Log
@@ -32,9 +33,14 @@ type t = {
       (* node -> (source, sub-graph node) of the call stitch into it *)
   memo : int list IT.t;
       (* resolved external -> the intervals its resolution visited *)
+  accesses : Pardyn.access list IT.t;
+      (* interval -> its shared accesses, when it has any *)
   mutable query_edges : int;
   mutable assembled : int;
   mutable assembled_steps : int;
+  mutable naccesses : int;
+  mutable race : (Pardyn.t * Race.stats * int) option;
+      (* the race answer and the largest replay it read *)
 }
 
 let create bp ~intervals ~nprocs =
@@ -52,9 +58,12 @@ let create bp ~intervals ~nprocs =
     by_dst = IT.create 16;
     stitches = IT.create 16;
     memo = IT.create 16;
+    accesses = IT.create 16;
     query_edges = 0;
     assembled = 0;
     assembled_steps = 0;
+    naccesses = 0;
+    race = None;
   }
 
 let graph t = t.g
@@ -110,10 +119,15 @@ let link_fragment t ~first links =
 let add t ~(interval : L.interval) i (o : Emulator.outcome) =
   let first = Dyn_graph.nnodes t.g in
   link_fragment t ~first (Builder.build_from_outcome t.builder ~interval o);
+  let pid = interval.L.iv_pid in
   let last = ref (-1) and ret = ref (-1) and writes = ref [] in
+  let accesses = ref [] in
   List.iter
     (fun (seq, (ev : E.t)) ->
       last := seq;
+      (match Pardyn.access_of_event ~pid ~seq ev with
+      | Some a -> accesses := a :: !accesses
+      | None -> ());
       match ev with
       | E.E_stmt { kind; write; _ } -> (
         (match kind with E.K_return _ -> ret := seq | _ -> ());
@@ -129,8 +143,18 @@ let add t ~(interval : L.interval) i (o : Emulator.outcome) =
   t.last.(i) <- !last;
   t.ret.(i) <- !ret;
   t.writes.(i) <- !writes;
+  if !accesses <> [] then begin
+    IT.replace t.accesses i !accesses;
+    t.naccesses <- t.naccesses + List.length !accesses
+  end;
   t.assembled <- t.assembled + 1;
   t.assembled_steps <- t.assembled_steps + o.Emulator.steps
+
+let accesses t i = Option.value ~default:[] (IT.find_opt t.accesses i)
+
+let race t = t.race
+
+let set_race t r = t.race <- Some r
 
 let pending_source t node =
   Option.map (fun l -> l.l_src) (IT.find_opt t.by_dst node)
@@ -161,8 +185,24 @@ let intervals_assembled t = t.assembled
 let assembled_steps t = t.assembled_steps
 
 (* The graph's columns, per interval its summary (four array slots and a
-   short list), per table entry a bucket cell. *)
+   short list), per table entry a bucket cell, ~96 bytes a kept shared
+   access, and the race answer: per sync node its record, sync data, vector
+   clock, index entry and adjacency, per internal edge its record and
+   sets (~380 and ~100 bytes on the e2e ledger, [Obj.reachable_words]),
+   per race its record. *)
 let bytes t =
+  let race =
+    match t.race with
+    | None -> 0
+    | Some (pd, st, _) ->
+      (Array.length pd.Pardyn.nodes * 380)
+      + (Array.length pd.Pardyn.iedges * 100)
+      + (List.length st.Race.races * 48)
+  in
   Dyn_graph.bytes t.g
   + (Array.length t.steps * 48)
-  + ((IT.length t.memo + IT.length t.stitches + IT.length t.by_dst) * 64)
+  + ((IT.length t.memo + IT.length t.stitches + IT.length t.by_dst
+     + IT.length t.accesses)
+    * 64)
+  + (t.naccesses * 96)
+  + race

@@ -3,10 +3,11 @@
     An assembly is the graph of one log, the {!Builder} that feeds
     interval fragments into it, the cross-process sync links still
     waiting for their source node, a summary of every assembled
-    interval, and the edges queries add on top of the fragments (call
+    interval, the edges queries add on top of the fragments (call
     stitches and external resolutions), with what each resolution
-    visited. The graph is append-only: an interval is assembled at most
-    once, and nothing is removed.
+    visited, and the log's race answer once one is built from the
+    summaries (§6.4). The graph is append-only: an interval is assembled
+    at most once, and nothing is removed.
 
     A private controller owns one; the daemon's registry entry keeps
     one in {!Fragcache.assembly} that every request borrows under
@@ -29,7 +30,9 @@ val locked : t -> (unit -> 'a) -> 'a
 val add : t -> interval:Trace.Log.interval -> int -> Emulator.outcome -> unit
 (** [add t ~interval i o] assembles interval [i]'s fragment from its
     replay outcome, connects the sync links that waited for one of its
-    nodes, files its own unresolved ones, and keeps its summary. *)
+    nodes, files its own unresolved ones, and keeps its summary: its
+    replay steps, last event, last [return], last write of each global
+    and shared accesses ({!Pardyn.access_of_event}). *)
 
 val assembled : t -> int -> bool
 
@@ -46,6 +49,18 @@ val return_seq : t -> int -> int
 val last_write : t -> int -> int -> (int * Runtime.Value.t) option
 (** [last_write t i vid]: the sequence number and value of interval
     [i]'s last write of global [vid]. *)
+
+val accesses : t -> int -> Pardyn.access list
+(** The shared accesses of an assembled interval, latest first. *)
+
+val race : t -> (Pardyn.t * Race.stats * int) option
+(** The race answer built over this assembly ({!Controller.race}): the
+    parallel dynamic graph, {!Race.detect}'s stats over it, and the
+    largest replay step count the build read, which a request with a
+    smaller watchdog budget must not be answered from. *)
+
+val set_race : t -> Pardyn.t * Race.stats * int -> unit
+(** Keep a race answer, replacing any earlier one. *)
 
 val pending_source : t -> int -> Runtime.Event.eref option
 (** The source event of the sync link into a node, while that event has
@@ -85,4 +100,5 @@ val assembled_steps : t -> int
     assembly costs. *)
 
 val bytes : t -> int
-(** A coarse estimate of the assembly's memory. *)
+(** A coarse estimate of the assembly's memory, its race answer
+    included. *)

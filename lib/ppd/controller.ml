@@ -57,9 +57,6 @@ type t = {
       (* where the entries come from: an open segment decoded interval
          by interval as queries touch it (the demand-paged debugging
          phase), or a log already in memory *)
-  mutable race_answer : (Pardyn.t * Race.stats) option;
-      (* built on the first race query, from the replays of the
-         intervals that may touch a shared variable *)
   mutable asm : Assembly.t option;  (* a private one is made on first use *)
   mutable borrowed : bool;  (* [asm] is the registry entry's *)
   make_asm : unit -> Assembly.t;
@@ -157,7 +154,6 @@ let make ?pool ?shared ?(config = default_config) eb src =
   {
     eb;
     src;
-    race_answer = None;
     asm = None;
     borrowed = false;
     make_asm;
@@ -267,17 +263,6 @@ let submit_replay t pool (iv : L.interval) =
     Hashtbl.replace t.inflight (pid, iv_id)
       (Exec.Pool.submit pool (fun () -> replay_outcome t iv))
 
-(* What race detection reads of a hole: no events, so no accesses. *)
-let hole_outcome =
-  {
-    Emulator.events = [];
-    steps = 0;
-    output = "";
-    fault = None;
-    overrun = false;
-    postlog_mismatches = [];
-  }
-
 (* Degraded mode's answer to a damaged or unreplayable interval: an
    explicit hole node in the graph (flowback annotates it instead of
    raising), recorded in assembly order on the querying domain, so
@@ -344,9 +329,9 @@ let hit (t : t) =
 
 (* An interval's outcome through the pool, the shared cache, the
    retries and the watchdog, or [None] when degraded mode made it a
-   hole. To race detection ([assembling:false]) a divergence is
-   evidence, not damage. *)
-let replayed ~assembling t ~pid ~iv_id =
+   hole. To race detection ([evidence]) a divergence is evidence, not
+   damage: it propagates in degraded mode too. *)
+let replayed ~evidence t ~pid ~iv_id =
   let key = (pid, iv_id) in
   let iv = t.ivs.(pid).(iv_id) in
   let acquire () =
@@ -380,7 +365,7 @@ let replayed ~assembling t ~pid ~iv_id =
       when t.config.degraded ->
       hole (reason_of_failure e)
     | exception (Emulator.Replay_mismatch _ as e)
-      when t.config.degraded && assembling ->
+      when t.config.degraded && not evidence ->
       hole (reason_of_failure e)
   in
   Hashtbl.remove t.inflight key;
@@ -404,8 +389,9 @@ let count (t : t) i steps =
    this request's watchdog budget), or it is replayed and assembled
    here. A visit that is not [full] looks up only an interval the
    request lacks or holds as a hole. A resolution in progress records
-   every visit. *)
-let visit t ~full ~pid ~iv_id =
+   every visit. With [evidence] a replay's divergence propagates, also
+   in degraded mode ({!race}). *)
+let visit ?(evidence = false) t ~full ~pid ~iv_id =
   let i = index t ~pid ~iv_id in
   (match t.trail with
   | Some l -> t.trail <- Some ((if full then i else -i - 1) :: l)
@@ -426,7 +412,7 @@ let visit t ~full ~pid ~iv_id =
       count t i steps
     end
     else
-      match replayed ~assembling:true t ~pid ~iv_id with
+      match replayed ~evidence t ~pid ~iv_id with
       | None -> ()
       | Some o ->
         (* Graph assembly always happens here, on the querying domain,
@@ -459,24 +445,28 @@ let build_intervals_par t keys =
   submit_all t keys;
   List.iter (fun (pid, iv_id) -> build_interval t ~pid ~iv_id) keys
 
-(* The events a diverged interval replayed before its mismatch. The
+(* The accesses a diverged interval replayed before its mismatch. The
    interval is not assembled, and its outcome is not cached. *)
-let diverged_events t (iv : L.interval) =
-  let evs = ref [] in
+let diverged_accesses t (iv : L.interval) =
+  let pid = iv.L.iv_pid in
+  let acc = ref [] in
   (try
      ignore
        (Emulator.replay
-          ~on_event:(fun ~seq ev -> evs := (seq, ev) :: !evs)
+          ~on_event:(fun ~seq ev ->
+            Option.iter
+              (fun a -> acc := a :: !acc)
+              (Pardyn.access_of_event ~pid ~seq ev))
           ~max_steps:t.config.max_replay_steps t.eb (interval_log t iv)
           ~interval:iv)
    with Emulator.Replay_mismatch _ -> ());
-  !evs
+  !acc
 
 (* Whether an interval's replay can show a shared access. A function
    block's USED and DEFINED sets (§5.1) cover every variable it and its
    inlined callees may read or write, so a block naming no shared
-   variable adds nothing to the race sets and is not replayed for them.
-   Loop blocks are always replayed. *)
+   variable adds nothing to the race sets and is not visited for them.
+   Loop blocks always are. *)
 let may_touch_shared t (iv : L.interval) =
   match iv.L.iv_block with
   | L.Bloop _ -> true
@@ -488,36 +478,24 @@ let may_touch_shared t (iv : L.interval) =
     shared t.eb.Analysis.Eblock.used.(fid)
     || shared t.eb.Analysis.Eblock.defined.(fid)
 
-(* An interval's events for race detection, through the usual path
-   (pool, caches, retries, deadline), not assembled. A hole has none. *)
-let race_events t ~pid ~iv_id =
-  Resil.Deadline.check t.config.deadline;
-  Obs.incr c_lookups;
-  if Bytes.get t.touched (index t ~pid ~iv_id) = '\002' then begin
-    hit t;
-    hole_outcome
-  end
-  else
-    match replayed ~assembling:false t ~pid ~iv_id with
-    | None -> hole_outcome
-    | Some o ->
-      publish t (pid, iv_id) o;
-      o
-
-let content_log t =
+let whole_log ?hold t =
   match t.shared with
-  | Some f -> Fragcache.content_log f t.src
+  | Some f -> Fragcache.content_log ?hold f t.src
   | None -> Store.Segment.to_log t.src
 
-(* The events of every interval that may touch a shared variable,
-   through the usual path (pool, caches, retries, deadline) without
-   assembling them; then the graph with the replayed access sets, its
-   race stats and the replay steps they took. The replays are charged
-   to this controller's statistics, like assembled ones. A diverged
-   replay is evidence of a race, in degraded mode too. A build that saw
-   one and still reports no race has not shown the run race-free: it
-   re-raises the first mismatch, or in degraded mode declares each
-   diverged interval a hole. *)
+let content_log t = whole_log t
+
+(* Visit every interval that may touch a shared variable, as flowback
+   visits what it reads (caches, retries, deadline, watchdog), so
+   each is assembled once into the graph; then the parallel dynamic
+   graph over the assembled intervals' accesses, its race stats, and
+   the largest replay it read. A diverged replay is evidence of a race,
+   in degraded mode too: it is not assembled and gives the accesses it
+   replayed before its mismatch, and a tighter budget could have
+   stopped it first, so it counts as this build's whole budget. A build
+   that saw one and still reports no race has not shown the run
+   race-free: it re-raises the first mismatch, or in degraded mode
+   declares each diverged interval a hole. *)
 let build_race t =
   let keys =
     Array.to_list t.ivs
@@ -526,31 +504,28 @@ let build_race t =
            |> List.filter (may_touch_shared t)
            |> List.map (fun iv -> (iv.L.iv_pid, iv.L.iv_id)))
   in
-  submit_all t keys;
-  let steps = ref 0 in
-  let diverged = ref [] in
-  let replay add =
-    List.iter
-      (fun (pid, iv_id) ->
-        add ~pid
-          (match race_events t ~pid ~iv_id with
-          | o ->
-            t.replays <- t.replays + 1;
-            steps := !steps + o.Emulator.steps;
-            o.Emulator.events
-          | exception (Emulator.Replay_mismatch _ as e) ->
-            diverged := (pid, iv_id, e) :: !diverged;
-            diverged_events t t.ivs.(pid).(iv_id)))
-      keys
-  in
-  (* built once per entry: the content log is read, not kept for it *)
-  let log =
-    match t.shared with
-    | Some f -> Fragcache.content_log ~hold:false f t.src
-    | None -> Store.Segment.to_log t.src
-  in
-  let pd = Pardyn.of_replay (prog t) log replay in
-  t.replay_steps <- t.replay_steps + !steps;
+  let a = asm t in
+  let accesses = Array.make (Array.length t.ivs) [] in
+  let biggest = ref 0 and diverged = ref [] in
+  List.iter
+    (fun (pid, iv_id) ->
+      let i = index t ~pid ~iv_id in
+      let got =
+        match visit ~evidence:true t ~full:true ~pid ~iv_id with
+        | () when Bytes.get t.touched i = '\001' ->
+          biggest := max !biggest (Assembly.steps a i);
+          Assembly.accesses a i
+        | () -> [] (* a hole *)
+        | exception (Emulator.Replay_mismatch _ as e) ->
+          diverged := (pid, iv_id, e) :: !diverged;
+          biggest := max !biggest t.config.max_replay_steps;
+          diverged_accesses t t.ivs.(pid).(iv_id)
+      in
+      accesses.(pid) <- List.rev_append got accesses.(pid))
+    keys;
+  (* built once per graph: the content log is read, not kept for it *)
+  let log = whole_log ~hold:false t in
+  let pd = Pardyn.of_accesses (prog t) log (fun ~pid -> accesses.(pid)) in
   let st = Race.detect pd in
   (if st.Race.races = [] then
      match List.rev !diverged with
@@ -560,26 +535,19 @@ let build_race t =
          (fun (pid, iv_id, e) ->
            declare_hole t ~pid ~iv:t.ivs.(pid).(iv_id) (reason_of_failure e))
          diverged);
-  (pd, st, !steps)
+  (pd, st, !biggest)
 
-(* A degraded answer may hold holes, so it stays private to the
-   request; a clean one is shared per watchdog budget, since a tighter
-   budget must see the overrun a fresh build would report. *)
+(* The graph's race answer, built on first use; a request whose budget
+   is below the largest replay the answer read builds it again, and so
+   meets the overrun a fresh build would report. *)
 let race t =
-  match t.race_answer with
-  | Some r -> r
-  | None ->
-    let r =
-      match t.shared with
-      | Some f when not t.config.degraded ->
-        Fragcache.race f (prog t) t.src
-          ~max_replay_steps:t.config.max_replay_steps (fun () -> build_race t)
-      | Some _ | None ->
-        let pd, st, _ = build_race t in
-        (pd, st)
-    in
-    t.race_answer <- Some r;
-    r
+  let a = asm t in
+  match Assembly.race a with
+  | Some (pd, st, biggest) when biggest <= t.config.max_replay_steps -> (pd, st)
+  | Some _ | None ->
+    let pd, st, biggest = Obs.phase "race-graph" (fun () -> build_race t) in
+    Assembly.set_race a (pd, st, biggest);
+    (pd, st)
 
 let pardyn t = fst (race t)
 

@@ -127,7 +127,8 @@ val borrow :
     for byte: the statistics count the intervals {e this} controller
     visits, and every read of the graph visits the interval that owns
     what it reads, so [replays], [replay_steps], the watchdog budget and
-    the deadline behave as on a private graph. A visit the shared graph
+    the deadline behave as on a private graph. A {!race} answer kept
+    with the graph is the one exception: it costs no replay. A visit the shared graph
     answers is a cache hit ({!Fragcache.note_hit}). A request in
     degraded mode must not borrow: its holes would enter the shared
     graph. *)
@@ -151,25 +152,27 @@ val prog : t -> Lang.Prog.t
 
 val race : t -> Pardyn.t * Race.stats
 (** The log's race answer (§6.4): its parallel dynamic graph and
-    {!Race.detect}'s stats over it, built on first use. The structure
-    comes from the log's sync records, each internal edge's READ/WRITE
-    sets from the replays of the intervals that cover it, run like
-    {!build_intervals_par} (pool, caches, retries, deadline; clean
-    outcomes are published to the shared cache) but not assembled. An
-    interval whose block's USED and DEFINED sets name no shared
-    variable cannot add an access and is not replayed. An interval whose
-    replay diverges ({!Emulator.Replay_mismatch}, which a data race
-    causes) keeps the accesses it replayed before the mismatch, so the
-    answer is exact up to the first race, in degraded mode too. In
-    degraded mode a damaged interval is a hole and contributes no
-    accesses. A build in which an interval diverged but that reports no
-    race raises that {!Emulator.Replay_mismatch} (the divergence is
-    unexplained, not race-free), or in degraded mode declares each
-    diverged interval a hole. The replays are counted in {!stats} ([replays],
-    [replay_steps]) by the controller that builds the answer. A
-    controller started with a shared cache takes a clean answer from
-    there ({!Fragcache.race}, per watchdog budget), so it is built once
-    per registry entry; a degraded one builds its own. *)
+    {!Race.detect}'s stats over it, built on first use and kept with
+    the graph ({!Assembly.race}), so a borrowed graph builds it once per
+    registry entry. The structure comes from the log's sync records,
+    each internal edge's READ/WRITE sets from the shared accesses of the
+    intervals that cover it: every interval whose block's USED or
+    DEFINED set names a shared variable is visited as flowback visits
+    what it reads (caches, retries, deadline, watchdog, counted in
+    {!stats}) and so assembled into the graph. An interval whose replay
+    diverges ({!Emulator.Replay_mismatch}, which a data race causes) is
+    not assembled and keeps the accesses it replayed before the
+    mismatch, so the answer is exact up to the first race, in degraded
+    mode too. In degraded mode a damaged interval is a hole and
+    contributes no accesses. A build in which an interval diverged but
+    that reports no race raises that {!Emulator.Replay_mismatch} (the
+    divergence is unexplained, not race-free), or in degraded mode
+    declares each diverged interval a hole. A kept answer costs no
+    replay; it is built again when this controller's watchdog budget is
+    below the largest replay it read (a diverged one counts as the
+    budget it was built under), so a tighter budget meets the overrun a
+    fresh build would. The build runs in an [Obs] phase span named
+    ["race-graph"]. *)
 
 val pardyn : t -> Pardyn.t
 (** The graph of {!race}. *)

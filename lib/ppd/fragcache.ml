@@ -3,8 +3,9 @@
    One instance per opened log identity: every controller debugging
    that log — across daemon sessions, across requests — consults the
    cache before replaying and publishes the raw replay outcomes it
-   produces, except those it assembles into the log's shared graph,
-   whose fragments stand for them. Outcomes are pure functions of (log, e-block analysis,
+   assembles into a private graph; those it assembles into the log's
+   shared graph are not published, since their fragments stand for
+   them. Outcomes are pure functions of (log, e-block analysis,
    interval), so sharing them across sessions is safe; only *clean*
    outcomes are published (no injected fault, no watchdog overrun), so
    one session's degraded holes can never leak into another session's
@@ -16,11 +17,10 @@
    the outcomes that are big but cheap to recompute go first, the
    small expensive ones are kept. Eviction is always safe: a future
    lookup just replays the interval again. An order-tier log's
-   reconstruction (DESIGN §16.2), the decoded content log, the log's
-   race answer (its parallel dynamic graph and the detector's stats)
-   and its dynamic graph ({!Assembly}, DESIGN §14.6) are held, charged
-   and evicted the same way, their cost being what rebuilding them
-   takes.
+   reconstruction (DESIGN §16.2), the decoded content log and the log's
+   dynamic graph ({!Assembly}, DESIGN §14.6, which holds the race answer
+   too) are held, charged and evicted the same way, their cost being
+   what rebuilding them takes.
 
    The hit/miss counters are plain atomics, always live (unlike the
    Obs mirrors, which are no-ops until profiling is enabled): the T13
@@ -69,9 +69,6 @@ type t = {
   recon : (Store.Segment.reader * Analysis.Eblock.t, Store.Segment.reader) slot;
       (* the content reader reconstructed from an order-tier source
          reader (DESIGN §16.2), for one e-block analysis *)
-  race : (Lang.Prog.t * Store.Segment.reader * int, Pardyn.t * Race.stats) slot;
-      (* the parallel dynamic graph of one content reader and its
-         detector stats, built under one watchdog budget *)
   content : (Store.Segment.reader, Trace.Log.t) slot;
       (* an indexed content reader decoded whole *)
   graph : (Analysis.Eblock.t * Store.Segment.reader, Assembly.t) slot;
@@ -84,7 +81,6 @@ let create ?budget () =
   {
     bp = Atomic.make None;
     recon = Atomic.make None;
-    race = Atomic.make None;
     content = Atomic.make None;
     graph = Atomic.make None;
     graph_evictions = Atomic.make 0;
@@ -182,11 +178,10 @@ let reclaim t want =
             (float_of_int sa /. float_of_int ba)
             (float_of_int sb /. float_of_int bb))
         (candidate t.recon
-           (candidate t.race
-              (candidate t.content
-                 (candidate
-                    ~evicted:(fun () -> Atomic.incr t.graph_evictions)
-                    t.graph frags))))
+           (candidate t.content
+              (candidate
+                 ~evicted:(fun () -> Atomic.incr t.graph_evictions)
+                 t.graph frags)))
     in
     let freed = ref 0 in
     List.iter
@@ -271,37 +266,6 @@ let reconstruction t eb src =
         d_key = (src, eb);
         d_value = reader;
         d_bytes = recon_cost reader;
-        d_steps = steps;
-      })
-
-(* A coarse in-memory cost for a race answer: per sync node its record,
-   sync data, vector clock, index entry and adjacency, per internal edge
-   its record (~380 and ~100 bytes on the e2e ledger,
-   [Obj.reachable_words]), per non-empty access set its bit words, per
-   race its record. *)
-let race_cost ((pd : Pardyn.t), (st : Race.stats)) =
-  let sets =
-    Array.fold_left
-      (fun n (e : Pardyn.iedge) ->
-        let one s = if Analysis.Varset.is_empty s then 0 else 1 in
-        n + one e.Pardyn.ie_reads + one e.Pardyn.ie_writes)
-      0 pd.Pardyn.iedges
-  in
-  (Array.length pd.Pardyn.nodes * 380)
-  + (Array.length pd.Pardyn.iedges * 100)
-  + (sets * 48)
-  + (List.length st.Race.races * 48)
-  + 128
-
-let race t prog src ~max_replay_steps build =
-  derive t t.race
-    ~same:(fun (p, s, m) -> p == prog && s == src && m = max_replay_steps)
-    (fun () ->
-      let pd, st, steps = Obs.phase "race-graph" build in
-      {
-        d_key = (prog, src, max_replay_steps);
-        d_value = (pd, st);
-        d_bytes = race_cost (pd, st);
         d_steps = steps;
       })
 

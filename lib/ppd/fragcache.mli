@@ -9,13 +9,15 @@
     The same instance holds what those controllers would otherwise
     each rebuild: the program's assembly tables ({!program}), an
     order-tier log's reconstruction ({!reconstruction}), the decoded
-    content log ({!content_log}), the log's race answer ({!race}) and
-    its dynamic graph ({!assembly}).
+    content log ({!content_log}) and the log's dynamic graph
+    ({!assembly}), which also holds its race answer.
 
     Thread- and domain-safe: the table is mutex-protected and the
     counters are atomics. Only clean outcomes (no injected fault, no
     watchdog overrun) are ever published, so a degraded session cannot
-    poison its neighbours. *)
+    poison its neighbours. Outcomes are published by controllers that
+    assemble into a graph of their own; one that assembles into the
+    held graph keeps the fragment instead. *)
 
 type t
 
@@ -43,7 +45,7 @@ val size : t -> int
 
 val bytes : t -> int
 (** Accounted byte estimate of everything cached right now, the
-    reconstruction and the race answer included. *)
+    reconstruction and the graph included. *)
 
 val program : t -> Lang.Prog.t -> Builder.program
 (** The assembly tables for the program debugged over this cache,
@@ -64,26 +66,6 @@ val reconstruction :
     [Store.Segment.Unreadable] propagates and the next call tries again.
     With a budget, filling charges an entry-count byte estimate and
     rebalances. *)
-
-val race :
-  t ->
-  Lang.Prog.t ->
-  Store.Segment.reader ->
-  max_replay_steps:int ->
-  (unit -> Pardyn.t * Race.stats * int) ->
-  Pardyn.t * Race.stats
-(** [race t prog src ~max_replay_steps build] is the race answer of the
-    content reader [src], built under that per-interval watchdog
-    budget: its parallel dynamic graph, with access sets from e-block
-    replay, and {!Race.detect}'s stats over it. It is held like
-    {!reconstruction}: [build ()] runs once per registry entry, so a
-    warm race request only renders. The slot is keyed physically on
-    [prog] and [src] and by value on the budget (a request under
-    another budget rebuilds it, so a tighter one sees its own
-    overrun), installed by compare-and-set, successes only,
-    charged to the budget and evictable. [build] returns the replay
-    steps the answer took as its third component, which is the slot's
-    rebuild cost; it runs in an [Obs] phase span named ["race-graph"]. *)
 
 val content_log : ?hold:bool -> t -> Store.Segment.reader -> Trace.Log.t
 (** The whole content log of a content reader ({!Store.Segment.to_log}),
@@ -107,7 +89,8 @@ val assembly :
     the first caller and kept until evicted, held like {!reconstruction}
     (keyed physically on [eb] and [src]). It grows as its borrowers
     assemble intervals; {!grown} charges the growth. Its rebuild cost is
-    the replay steps of the intervals it holds. *)
+    the replay steps of the intervals it holds. Its race answer
+    ({!Assembly.race}) is charged and evicted with it. *)
 
 val grown : t -> Assembly.t -> unit
 (** Charge the assembly's growth since it was last charged to the budget
@@ -132,11 +115,11 @@ val graph_stats : t -> graph_stats
 
 val reclaim : t -> int -> int
 (** [reclaim t want] evicts cached outcomes, the reconstruction, the
-    content log, the race answer and the graph until at least [want]
-    accounted bytes are freed (or the cache is empty), in ascending
-    replay-cost-per-byte order — big-but-cheap-to-recompute entries go
-    first; the reconstruction's cost is its re-execution's step count,
-    the race answer's and the graph's their replays' step count. Returns
+    content log and the graph until at least [want] accounted bytes are
+    freed (or the cache is empty), in ascending replay-cost-per-byte
+    order — big-but-cheap-to-recompute entries go first; the
+    reconstruction's cost is its re-execution's step count, the graph's
+    its replays' step count. Returns
     the bytes freed; releases them from the attached budget itself. An
     evicted value is rebuilt by its next caller. *)
 

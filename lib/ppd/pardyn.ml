@@ -239,21 +239,22 @@ let item_of_event ~pid ~seq (ev : E.t) =
       if rvids <> [] || wvids <> [] then Some (I_access (rvids, wvids))
       else None)
 
-let of_replay (prog : P.t) (log : Trace.Log.t) replay =
-  (* per process, the replayed accesses: plain ones, and the sync events
-     that read or write shared variables themselves; each interval's
-     events are reduced to these as they arrive, so no more than one
-     interval's events are held here *)
-  let accesses = Array.make (Array.length log.Trace.Log.entries) [] in
-  replay (fun ~pid events ->
-      List.iter
-        (fun (seq, ev) ->
-          match item_of_event ~pid ~seq ev with
-          | Some (I_access _ as a) -> accesses.(pid) <- (seq, a) :: accesses.(pid)
-          | Some (I_sync r as a) when r.r_reads <> [] || r.r_writes <> [] ->
-            accesses.(pid) <- (seq, a) :: accesses.(pid)
-          | Some (I_sync _) | None -> ())
-        events);
+type access = int * item
+
+(* What race detection keeps of a replayed event: a plain access, or a
+   sync event that reads or writes shared variables itself. Only a
+   statement can access one; the test comes first, so that assembling an
+   interval allocates nothing for the events that do not. *)
+let access_of_event ~pid ~seq (ev : E.t) =
+  match ev with
+  | E.E_stmt { reads; write; _ }
+    when List.exists (fun (rw : E.rw) -> P.is_shared rw.var) reads
+         || match write with Some { var; _ } -> P.is_shared var | None -> false
+    -> (
+    match item_of_event ~pid ~seq ev with Some a -> Some (seq, a) | None -> None)
+  | _ -> None
+
+let of_accesses (prog : P.t) (log : Trace.Log.t) accesses =
   (* the log's sync records in order, each with its replayed event's
      own accesses, and the plain accesses between them (a replayed sync
      event always has its record, having been checked against it; one
@@ -290,14 +291,14 @@ let of_replay (prog : P.t) (log : Trace.Log.t) replay =
               pending )
           | Trace.Log.Prelog _ | Trace.Log.Postlog _ | Trace.Log.Sync_prelog _ ->
             (out, pending))
-        ([], List.sort (fun (a, _) (b, _) -> Int.compare a b) accesses.(pid))
+        ([], List.sort (fun (a, _) (b, _) -> Int.compare a b) (accesses ~pid))
         entries
     in
     List.rev (fst (before max_int items rest))
   in
   build prog (Array.mapi stream log.Trace.Log.entries)
 
-let of_log prog log = of_replay prog log ignore
+let of_log prog log = of_accesses prog log (fun ~pid:_ -> [])
 
 type obs = {
   oprog : P.t;

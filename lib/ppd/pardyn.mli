@@ -13,10 +13,10 @@
     Vector clocks computed over the graph give the partial order "→" of
     §6.1; internal edges carry the shared-variable READ/WRITE sets of
     Definition 6.2. The debugging phase builds the graph with
-    {!of_replay}: the structure from the log's sync records, the sets
-    from the e-block replays that cover each edge. The runtime
-    {!observer} builds the same graph live and is kept as the test
-    oracle.
+    {!of_accesses}: the structure from the log's sync records, the sets
+    from the accesses that the dynamic graph's {!Assembly} keeps for
+    each interval it assembled. The runtime {!observer} builds the same
+    graph live and is kept as the test oracle.
 
     Attribution of a sync event's own accesses: its reads (send
     payloads, join pid expressions) happen before its synchronization
@@ -55,29 +55,33 @@ type t = {
   node_of_ref : (eref, int) Hashtbl.t;
 }
 
-val of_replay :
-  Lang.Prog.t ->
-  Trace.Log.t ->
-  ((pid:int -> (int * Runtime.Event.t) list -> unit) -> unit) ->
-  t
-(** [of_replay prog log replay] takes its nodes and edges from the
+type access
+(** One replayed event as race detection keeps it: its sequence number
+    and its shared reads and writes. *)
+
+val access_of_event :
+  pid:int -> seq:int -> Runtime.Event.t -> access option
+(** The event's shared accesses, or [None] when it has none. The
+    loop-exit stand-in a replay emits for a skipped nested loop e-block
+    has none: that block's own replay supplies its accesses at their
+    true seqs. *)
+
+val of_accesses :
+  Lang.Prog.t -> Trace.Log.t -> (pid:int -> access list) -> t
+(** [of_accesses prog log accesses] takes its nodes and edges from the
     log's sync records, so the structure never depends on a replay
-    succeeding, and its access sets from the events that [replay add]
-    hands over, calling [add ~pid events] with the [(seq, event)]s of
-    each interval of process [pid] it replayed, in any order (a
-    diverged interval hands over what it replayed before the mismatch).
-    Events are reduced to their shared accesses as they arrive. A
-    process with no events gets empty sets. *)
+    succeeding, and its access sets from [accesses ~pid]: those of the
+    intervals of process [pid] that were replayed, in any order. A
+    process with none gets empty sets. *)
 
 val of_log : Lang.Prog.t -> Trace.Log.t -> t
-(** The structure alone, with empty access sets: {!of_replay} with no
-    events. Only the end-to-end benchmark's traced decomposition uses
-    it, to time the graph layer by itself; race answers come from
-    {!of_replay}. *)
+(** The structure alone, with empty access sets. Only the end-to-end
+    benchmark's traced decomposition uses it, to time the graph layer
+    by itself; race answers come from {!of_accesses}. *)
 
 type obs
 (** Runtime observer accumulating sync nodes and per-edge shared
-    access sets — the test oracle for {!of_replay}; the product does
+    access sets — the test oracle for {!of_accesses}; the product does
     not attach it. *)
 
 val observer : Lang.Prog.t -> obs

@@ -119,7 +119,7 @@ let answer ?pool ?shared ?(walk = false) ~config src report =
           (Ppd.Controller.start_paged ?pool ?shared ~config src.eb src.reader))
 
 let race ?shared ~config sink src =
-  answer ?shared ~config src (fun ctl ->
+  answer ?shared ~walk:true ~config src (fun ctl ->
       let pd, st = Ppd.Controller.race ctl in
       Format.fprintf sink.Render.ppf "%a@." (Ppd.Race.pp_report pd)
         st.Ppd.Race.races;

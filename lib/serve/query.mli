@@ -90,11 +90,13 @@ val race :
   (Ppd.Race.stats * Ppd.Controller.stats, Lang.Diag.diagnostic) result
 (** The [race] row's answer with the detector's stats (§6.4,
     {!Ppd.Controller.race}): writes {!Ppd.Race.pp_report}'s text, with
-    no header line, then the degraded-mode holes. With [shared] the answer is built once per cache
-    and the replays' outcomes are published there. Like flowback it
-    takes no pool: it replays only the intervals that may touch a
-    shared variable, most of them already in [shared], and a hand-off
-    to a worker domain costs more than such a replay. A diverged replay
+    no header line, then the degraded-mode holes. With [shared] it
+    borrows the cache's dynamic graph, as flowback does: the intervals
+    it reads are assembled there, and the answer is kept with the graph,
+    so it is built once per graph. A degraded request builds its own.
+    Like flowback it takes no pool: it replays only the intervals that
+    may touch a shared variable, many of them already in the graph, and
+    a hand-off to a worker domain costs more than such a replay. A diverged replay
     is evidence of a race, not a failure: the race is reported. A
     diverged build that reports no race is PPD062, or a hole in
     degraded mode. *)

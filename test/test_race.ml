@@ -131,22 +131,31 @@ let test_protected_counter_scale () =
     true
     (scan.Ppd.Race.pairs_examined * 10 < oracle.Ppd.Race.pairs_examined)
 
+let sched_of random s =
+  if random then Runtime.Sched.Random_seed s
+  else Runtime.Sched.Round_robin (1 + (s mod 8))
+
 let detect_matches_oracle =
   Util.qtest ~count:200 "detect = oracle on random programs"
+    ~print:(fun (seed, protect, random, s) ->
+      Util.show_instance ~seed ~protect ~sched:(sched_of random s)
+        (Gen.parallel ~protect seed))
     QCheck2.Gen.(
       quad (int_range 0 100_000)
         (oneofl [ `Always; `Sometimes; `Never ])
         bool (int_range 0 1_000))
     (fun (seed, protect, random, s) ->
-      let sched =
-        if random then Runtime.Sched.Random_seed s
-        else Runtime.Sched.Round_robin (1 + (s mod 8))
+      let _g, oracle, scan =
+        detect ~sched:(sched_of random s) (Gen.parallel ~protect seed)
       in
-      let _g, oracle, scan = detect ~sched (Gen.parallel ~protect seed) in
       oracle.Ppd.Race.races = scan.Ppd.Race.races)
 
 let protected_is_race_free =
   Util.qtest ~count:30 "fully protected programs are race-free"
+    ~print:(fun (seed, s) ->
+      Util.show_instance ~seed ~protect:`Always
+        ~sched:(Runtime.Sched.Random_seed s)
+        (Gen.parallel ~protect:`Always seed))
     QCheck2.Gen.(pair (int_range 0 100_000) (int_range 0 1_000))
     (fun (seed, sseed) ->
       let g, _, _ =
@@ -163,7 +172,8 @@ let protected_is_race_free =
    but the answer stays exact up to the first race, so a race the
    observer sees is still reported, and an interval that diverged
    always comes with a reported race. An order-tier log is
-   reconstructed first, which a racy execution may refuse (PPD061). *)
+   reconstructed first, which a racy execution may refuse (PPD061).
+   [None] when the two agree, otherwise both answers. *)
 let log_race_agrees ?policy ~sched ~order src =
   let prog = Util.compile src in
   let eb = Analysis.Eblock.analyze ?policy prog in
@@ -177,10 +187,15 @@ let log_race_agrees ?policy ~sched ~order src =
     Trace.Logger.run_logged ~sched ~max_steps:1_000_000 ~tier
       ~extra_hooks:(Ppd.Pardyn.factory obs) eb
   in
-  let oracle = Ppd.Race.detect (Ppd.Pardyn.finish obs) in
+  let observed = Ppd.Pardyn.finish obs in
+  let oracle = Ppd.Race.detect observed in
+  let report pd (st : Ppd.Race.stats) =
+    Format.asprintf "%a" (Ppd.Race.pp_report pd) st.Ppd.Race.races
+  in
   match Ppd.Controller.race (Ppd.Controller.start eb log) with
-  | exception Ppd.Reconstruct.Divergence _ -> order
-  | _, got ->
+  | exception Ppd.Reconstruct.Divergence _ ->
+    if order then None else Some "a content log refused reconstruction"
+  | pd, got ->
     let ctl = Ppd.Controller.start eb log in
     let keys =
       List.concat_map
@@ -194,24 +209,38 @@ let log_race_agrees ?policy ~sched ~order src =
       | () -> false
       | exception Ppd.Emulator.Replay_mismatch _ -> true
     in
-    ((not diverged) || oracle.Ppd.Race.races <> [])
-    && ((not diverged) || got.Ppd.Race.races <> [])
-    && (diverged || got = oracle)
-    && (oracle.Ppd.Race.races = [] || got.Ppd.Race.races <> [])
+    if
+      ((not diverged) || oracle.Ppd.Race.races <> [])
+      && ((not diverged) || got.Ppd.Race.races <> [])
+      && (diverged || got = oracle)
+      && (oracle.Ppd.Race.races = [] || got.Ppd.Race.races <> [])
+    then None
+    else
+      Some
+        (Printf.sprintf
+           "a replay diverged: %b\nlog-built (%d pairs examined):\n%s\n\
+            observer-built (%d pairs examined):\n%s"
+           diverged got.Ppd.Race.pairs_examined (report pd got)
+           oracle.Ppd.Race.pairs_examined (report observed oracle))
 
 let from_log_matches_observer =
   Util.qtest ~count:300 "log-built race report = observer-built"
+    ~print:(fun (seed, protect, (random, s), order) ->
+      Util.show_instance ~seed ~protect ~sched:(sched_of random s)
+        ~extra:[ ("tier", if order then "order" else "content") ]
+        (Gen.parallel ~protect seed))
     QCheck2.Gen.(
       quad (int_range 0 100_000)
         (oneofl [ `Always; `Sometimes; `Never ])
         (pair bool (int_range 0 1_000))
         bool)
     (fun (seed, protect, (random, s), order) ->
-      let sched =
-        if random then Runtime.Sched.Random_seed s
-        else Runtime.Sched.Round_robin (1 + (s mod 8))
-      in
-      log_race_agrees ~sched ~order (Gen.parallel ~protect seed))
+      match
+        log_race_agrees ~sched:(sched_of random s) ~order
+          (Gen.parallel ~protect seed)
+      with
+      | None -> true
+      | Some sides -> QCheck2.Test.fail_report sides)
 
 (* Named programs, including messages whose payloads and targets are
    shared variables: a sync event's own reads belong to its incoming
@@ -247,13 +276,14 @@ let test_from_log_named () =
         (fun sched ->
           List.iter
             (fun (order, policy) ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s %s %s%s" name
-                   (Runtime.Sched.string_of_policy sched)
-                   (if order then "order" else "content")
-                   (if policy = None then "" else " loop-blocks"))
-                true
-                (log_race_agrees ?policy ~sched ~order src))
+              match log_race_agrees ?policy ~sched ~order src with
+              | None -> ()
+              | Some sides ->
+                Alcotest.failf "%s %s %s%s:\n%s" name
+                  (Runtime.Sched.string_of_policy sched)
+                  (if order then "order" else "content")
+                  (if policy = None then "" else " loop-blocks")
+                  sides)
             [
               (false, None); (true, None); (false, Some loops); (true, Some loops);
             ])

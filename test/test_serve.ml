@@ -46,7 +46,8 @@ let json_gen =
   node 3
 
 let json_roundtrip =
-  Util.qtest ~count:200 "JSON print/parse round trip" json_gen (fun v ->
+  Util.qtest ~count:200 "JSON print/parse round trip" ~print:J.to_string
+    json_gen (fun v ->
       J.parse (J.to_string v) = Ok v)
 
 let test_json_accepts () =
@@ -1129,7 +1130,7 @@ let test_racy_replay_ppd062 () =
 
 (* A race answer's replays are charged to the session like any other:
    the request that builds it reports them, a request answered from the
-   registry entry's race slot reports none, and the steps count against
+   answer kept with the entry's graph reports none, and the steps count against
    the lifetime quota. *)
 let test_race_charged () =
   with_racy (fun ~mpl ~content ~order:_ ->
@@ -1191,91 +1192,129 @@ let faulting src =
   let close = String.rindex src '}' in
   String.sub src 0 close ^ "  assert(g0 + g1 == g0 + g1 + 1);\n}\n"
 
-(* The command table's gate over random programs: every row answers a
-   run, its saved content log, its saved order-tier log and the
-   daemon's handle on either log alike from line 2 on (line 1 names the
-   source; race writes none), and a failure is the same diagnostic
-   everywhere. The programs end in a failed assertion over shared
-   variables, so flowback from main's last event walks into the other
-   processes: a program that ends normally roots it at [EXIT main],
-   which has no predecessor, and its flowback row would compare no
-   walk. A run that halts in another process than 0 roots its flowback
-   there, so only its other rows are compared; an order-tier log of a
-   racy run may refuse reconstruction (PPD061) instead. *)
+(* The command table's gate over one program and scheduler: every row
+   answers a run, its saved content log, its saved order-tier log and
+   the daemon's handle on either log alike from line 2 on (line 1 names
+   the source; race writes none), and a failure is the same diagnostic
+   everywhere. A run that halts in another process than 0 roots its
+   flowback there, so only its other rows are compared; an order-tier
+   log of a racy run may refuse reconstruction (PPD061) instead. A
+   flowback the run answers must walk an edge ([<-]); a racy run may
+   answer PPD062 on every path instead, which is agreement too. [Ok
+   walked] says whether the flowback row walked; [Error] names the first
+   disagreement with each side's answer. *)
+let table_rows ~src ~sched =
+  with_tiers ~src ~sched (fun ~mpl ~content ~order ->
+      let module Q = Serve.Query in
+      let body (row : Q.row) out =
+        match String.index_opt out '\n' with
+        | Some i when row.name <> "race" ->
+          String.sub out (i + 1) (String.length out - i - 1)
+        | _ -> out
+      in
+      let direct (row : Q.row) source =
+        let buf = Buffer.create 256 in
+        let args =
+          List.map (fun (p : Q.param) -> (p.key, p.default)) (row.params @ Q.common)
+        in
+        let ctx =
+          { Q.config = Q.config args; pool = None; shared = None; dot = None }
+        in
+        match row.run ctx args (Serve.Render.buffer_sink buf) source with
+        | Ok _ -> Ok (body row (Buffer.contents buf))
+        | Error d -> Error d.Lang.Diag.d_code
+      in
+      let saved log =
+        match
+          Q.open_source ~policy:Analysis.Eblock.default_policy ~log
+            (Lang.Compile.compile src)
+        with
+        | Ok source -> source
+        | Error d -> Alcotest.fail d.Lang.Diag.d_message
+      in
+      let session = Ppd.Session.run ~sched src in
+      let srv = Server.create () in
+      let sess = Server.session srv in
+      let hc = open_handle srv sess ~mpl ~seg:content in
+      let ho = open_handle srv sess ~mpl ~seg:order in
+      let daemon (row : Q.row) h =
+        let line =
+          Server.handle_line srv sess (req ~id:2 row.name [ ("handle", J.Int h) ])
+        in
+        match J.member "result" (parsed line) with
+        | Some r -> Ok (body row (jstr r "output"))
+        | None -> Error (error_code_of line)
+      in
+      let show = function Ok out -> out | Error code -> "error " ^ code ^ "\n" in
+      let walked = ref false in
+      let compare_row (row : Q.row) =
+        let want = direct row (Q.of_session session) in
+        let same got = got = want in
+        let order_ok got = got = want || got = Error "PPD061" in
+        let sides =
+          [
+            ("saved content", (fun () -> direct row (saved content)), same);
+            ("daemon on content", (fun () -> daemon row hc), same);
+            ("saved order", (fun () -> direct row (saved order)), order_ok);
+            ("daemon on order", (fun () -> daemon row ho), order_ok);
+          ]
+        in
+        let flowback = row.name = "flowback" in
+        if flowback && Ppd.Session.halt_pid session <> 0 then None
+        else
+          match want with
+          | Ok out when flowback && not (Util.contains ~sub:"<-" out) ->
+            Some (Printf.sprintf "row flowback: the run's answer walks no edge:\n%s" out)
+          | _ ->
+            if flowback then walked := Result.is_ok want;
+            List.find_map
+              (fun (side, answer, ok) ->
+                let got = answer () in
+                if ok got then None
+                else
+                  Some
+                    (Printf.sprintf "row %s:\nrun:\n%s%s:\n%s" row.name
+                       (show want) side (show got)))
+              sides
+      in
+      let disagreement = List.find_map compare_row Q.table in
+      Server.end_session srv sess;
+      Server.shutdown srv;
+      match disagreement with None -> Ok !walked | Some d -> Error d)
+
+(* The gate over random programs that end in a failed assertion over
+   shared variables, so flowback from main's last event walks into the
+   other processes: a program that ends normally roots it at [EXIT
+   main], which has no predecessor, and its flowback row would compare
+   no walk. *)
 let table_rows_agree =
   Util.qtest ~count:12 "every table row: run = saved content = saved order = daemon"
+    ~print:(fun (seed, protect, s) ->
+      Util.show_instance ~seed ~protect ~sched:(Runtime.Sched.Random_seed s)
+        (faulting (Gen.parallel ~protect seed)))
     QCheck2.Gen.(
       triple (int_range 0 100_000)
         (oneofl [ `Always; `Sometimes; `Never ])
         (int_range 0 1_000))
     (fun (seed, protect, s) ->
-      let sched = Runtime.Sched.Random_seed s in
-      let src = faulting (Gen.parallel ~protect seed) in
-      with_tiers ~src ~sched (fun ~mpl ~content ~order ->
-          let module Q = Serve.Query in
-          let body (row : Q.row) out =
-            match String.index_opt out '\n' with
-            | Some i when row.name <> "race" ->
-              String.sub out (i + 1) (String.length out - i - 1)
-            | _ -> out
-          in
-          let direct (row : Q.row) source =
-            let buf = Buffer.create 256 in
-            let args =
-              List.map (fun (p : Q.param) -> (p.key, p.default)) (row.params @ Q.common)
-            in
-            let ctx =
-              { Q.config = Q.config args; pool = None; shared = None; dot = None }
-            in
-            match row.run ctx args (Serve.Render.buffer_sink buf) source with
-            | Ok _ -> Ok (body row (Buffer.contents buf))
-            | Error d -> Error d.Lang.Diag.d_code
-          in
-          let saved log =
-            match
-              Q.open_source ~policy:Analysis.Eblock.default_policy ~log
-                (Lang.Compile.compile src)
-            with
-            | Ok source -> source
-            | Error d -> Alcotest.fail d.Lang.Diag.d_message
-          in
-          let session = Ppd.Session.run ~sched src in
-          let srv = Server.create () in
-          let sess = Server.session srv in
-          let hc = open_handle srv sess ~mpl ~seg:content in
-          let ho = open_handle srv sess ~mpl ~seg:order in
-          let daemon (row : Q.row) h =
-            let line =
-              Server.handle_line srv sess (req ~id:2 row.name [ ("handle", J.Int h) ])
-            in
-            match J.member "result" (parsed line) with
-            | Some r -> Ok (body row (jstr r "output"))
-            | None -> Error (error_code_of line)
-          in
-          let agree =
-            List.for_all
-              (fun (row : Q.row) ->
-                let want = direct row (Q.of_session session) in
-                let order_ok got = got = want || got = Error "PPD061" in
-                (* a compared flowback walks at least one edge *)
-                let walks =
-                  row.name <> "flowback"
-                  ||
-                  match want with
-                  | Ok out -> Util.contains ~sub:"<-" out
-                  | Error _ -> false
-                in
-                (row.name = "flowback" && Ppd.Session.halt_pid session <> 0)
-                || walks
-                   && direct row (saved content) = want
-                   && daemon row hc = want
-                   && order_ok (direct row (saved order))
-                   && order_ok (daemon row ho))
-              Q.table
-          in
-          Server.end_session srv sess;
-          Server.shutdown srv;
-          agree))
+      match
+        table_rows
+          ~src:(faulting (Gen.parallel ~protect seed))
+          ~sched:(Runtime.Sched.Random_seed s)
+      with
+      | Ok _ -> true
+      | Error d -> QCheck2.Test.fail_report d)
+
+(* A race-free instance whose flowback row must walk, so the gate
+   compares a walk whatever the random instances answer. *)
+let test_table_rows_walk () =
+  match
+    table_rows
+      ~src:(faulting (Gen.parallel ~protect:`Always 7))
+      ~sched:(Runtime.Sched.Random_seed 7)
+  with
+  | Ok walked -> Alcotest.(check bool) "the flowback row walks" true walked
+  | Error d -> Alcotest.fail d
 
 (* -------------------------------------------------------------- *)
 (* One dynamic graph per registry entry (DESIGN §14.6) *)
@@ -1412,7 +1451,7 @@ let daemon_answer srv s ~h ~id r =
   let name, given = oracle_params r in
   daemon_row srv s ~h ~id name given
 
-(* A race answer comes from the entry's race slot, whose replays the
+(* A race answer is kept with the entry's graph, whose replays the
    request that built it was charged (DESIGN §14.5): its text is
    compared, not its counts. *)
 let comparable r = function
@@ -1477,6 +1516,10 @@ let shared_equals_fresh ~src ~sched ~loops requests =
 
 let shared_graph_oracle =
   Util.qtest ~count:25 "shared graph = private controller (random programs)"
+    ~print:(fun (seed, protect, s, (loops, rseed)) ->
+      Util.show_instance ~seed ~protect ~sched:(Runtime.Sched.Random_seed s)
+        ~extra:[ ("loop blocks", string_of_int loops); ("requests", string_of_int rseed) ]
+        (faulting (Gen.parallel ~protect seed)))
     QCheck2.Gen.(
       quad (int_range 0 100_000)
         (oneofl [ `Always; `Sometimes; `Never ])
@@ -1489,7 +1532,7 @@ let shared_graph_oracle =
           requests
       with
       | None -> true
-      | Some diff -> QCheck2.Test.fail_reportf "%s\nprogram:\n%s" diff src)
+      | Some diff -> QCheck2.Test.fail_report diff)
 
 let test_shared_graph_fixed () =
   List.iter
@@ -1697,6 +1740,124 @@ let test_shared_graph_why_private_view () =
   in
   Alcotest.(check (list string)) "callee entry without its call expanded" private_ shared
 
+(* -------------------------------------------------------------- *)
+(* Race over the entry's graph (DESIGN §14.5) *)
+
+(* Two workers add to shared [g] under a semaphore, a third writes [h]
+   alone, and main's assertion over [g] fails: flowback from it reads
+   the [g] writers, and a race reads every interval that touches [g] or
+   [h]. *)
+let race_graph_program =
+  "shared int g = 0;\n\
+   shared int h = 0;\n\
+   sem m = 1;\n\
+   func add(n) { P(m); g = g + n; V(m); return n; }\n\
+   func other(n) { h = n; return n; }\n\
+   func main() { var p = spawn add(1); var q = spawn add(2); \
+   var r = spawn other(3); join(p); join(q); join(r); assert(g == 0); }\n"
+
+let ask srv s ~h ~id meth params =
+  Server.handle_line srv s (req ~id meth (("handle", J.Int h) :: params))
+
+let graph_intervals srv s ~h =
+  match J.member "graph" (result_of (ask srv s ~h ~id:90 "stats" [])) with
+  | Some g -> jint g "intervals"
+  | None -> Alcotest.fail "stats without a graph"
+
+(* flowback, race, flowback on one entry: each interval is a cache miss
+   once, when it is first assembled, so the race misses only what the
+   flowback did not assemble, and every answer is the private one. *)
+let test_race_reads_the_graph () =
+  with_entry ~src:race_graph_program ~n:1 (fun srv handles ~log prog ->
+      let s, h = List.hd handles in
+      let misses line = jint (result_of line) "cacheMisses" in
+      let check_private what name line =
+        let want =
+          match fresh_row ~log prog name [] with
+          | Ok (out, _, _) -> out
+          | Error code -> Alcotest.failf "private %s: %s" name code
+        in
+        Alcotest.(check string) what want (jstr (result_of line) "output")
+      in
+      let fb1 = ask srv s ~h ~id:2 "flowback" [] in
+      let after_fb1 = graph_intervals srv s ~h in
+      let race = ask srv s ~h ~id:3 "race" [] in
+      let after_race = graph_intervals srv s ~h in
+      let fb2 = ask srv s ~h ~id:4 "flowback" [] in
+      check_private "first flowback = private" "flowback" fb1;
+      check_private "race = private" "race" race;
+      check_private "second flowback = private" "flowback" fb2;
+      Alcotest.(check int) "the first flowback misses what it assembles"
+        after_fb1 (misses fb1);
+      Alcotest.(check bool) "the race reads intervals the flowback assembled"
+        true
+        (jint (result_of race) "cacheHits" > 0);
+      Alcotest.(check int) "the race misses only what it adds to the graph"
+        (after_race - after_fb1) (misses race);
+      Alcotest.(check int) "the second flowback misses nothing" 0 (misses fb2));
+  (* race first: the flowback after it answers as a private one does,
+     replay counts included *)
+  with_entry ~src:race_graph_program ~n:1 (fun srv handles ~log prog ->
+      let s, h = List.hd handles in
+      let race = daemon_row srv s ~h ~id:2 "race" [] in
+      let fb = daemon_row srv s ~h ~id:3 "flowback" [] in
+      check_answer "race, then" O_race (fresh_answer ~log prog O_race) race;
+      check_answer "flowback" (O_flowback 4) (fresh_answer ~log prog (O_flowback 4)) fb)
+
+(* The smallest watchdog budget under which a private race answers. *)
+let race_budget ~log prog =
+  let answers b =
+    Result.is_ok (fresh_row ~log prog "race" [ ("maxReplaySteps", Serve.Query.Int b) ])
+  in
+  let rec search lo hi = (* answers hi, not lo *)
+    if hi - lo <= 1 then hi
+    else
+      let mid = (lo + hi) / 2 in
+      if answers mid then search lo mid else search mid hi
+  in
+  search 0 1_000_000
+
+(* A warm race answer is kept with the largest replay it read: a
+   request with a smaller budget meets PPD060, as a fresh build would,
+   and the kept answer still serves the default budget, byte for byte,
+   without replaying. *)
+let test_warm_race_budget () =
+  List.iter
+    (fun (name, src, sched) ->
+      with_tiers ~src ~sched (fun ~mpl ~content ~order:_ ->
+          let prog = Lang.Compile.compile src in
+          let b = race_budget ~log:content prog in
+          let srv = Server.create () in
+          let s = Server.session srv in
+          let h = open_handle srv s ~mpl ~seg:content in
+          let race id params = ask srv s ~h ~id "race" params in
+          let built = result_of (race 2 []) in
+          Alcotest.(check bool) (name ^ ": the build replays") true
+            (jint built "replays" > 0);
+          let tight = [ ("maxReplaySteps", J.Int (b - 1)) ] in
+          Alcotest.(check string) (name ^ ": a private race under the tight budget")
+            "PPD060"
+            (match fresh_row ~log:content prog "race"
+                     [ ("maxReplaySteps", Serve.Query.Int (b - 1)) ]
+             with
+            | Error code -> code
+            | Ok _ -> "answered");
+          Alcotest.(check string) (name ^ ": a warm race under the tight budget")
+            "PPD060"
+            (error_code_of (race 3 tight));
+          let warm = result_of (race 4 []) in
+          Alcotest.(check string) (name ^ ": the kept answer")
+            (jstr built "output") (jstr warm "output");
+          Alcotest.(check (pair int int)) (name ^ ": answered without replaying")
+            (0, 0)
+            (jint warm "replays", jint warm "replaySteps");
+          Server.end_session srv s;
+          Server.shutdown srv))
+    [
+      ("race-free", race_graph_program, Runtime.Sched.default);
+      ("racy", tiny_race, Runtime.Sched.Random_seed 3);
+    ]
+
 let suite =
   ( "serve",
     [
@@ -1765,4 +1926,10 @@ let suite =
         test_racy_replay_ppd062;
       Alcotest.test_case "breaker counts PPD062 as hard" `Quick
         test_racy_breaker;
+      Alcotest.test_case "every table row agrees, walking (fixed)" `Quick
+        test_table_rows_walk;
+      Alcotest.test_case "race reads the entry's graph" `Quick
+        test_race_reads_the_graph;
+      Alcotest.test_case "warm race under a tight budget" `Quick
+        test_warm_race_budget;
     ] )

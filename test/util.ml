@@ -157,6 +157,23 @@ let check_replay_equivalence ?(expect_mismatch = false) eb log tr =
     raise (Ppd.Emulator.Replay_mismatch m));
   !checked
 
-let qtest ?(count = 50) name gen prop =
+(* A qcheck property as an alcotest case. With [print], a failure shows
+   the counterexample, not just that there was one. *)
+let qtest ?(count = 50) ?print name gen prop =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count ~name gen prop)
+    (QCheck2.Test.make ~count ?print ~name gen prop)
+
+let protect_name = function
+  | `Always -> "`Always"
+  | `Sometimes -> "`Sometimes"
+  | `Never -> "`Never"
+
+(* A [Gen.parallel] instance as a counterexample: its seed, protection
+   and scheduler, any further generated parameters ([extra]), and the
+   program source the property ran. *)
+let show_instance ?(extra = []) ~seed ~protect ~sched src =
+  Printf.sprintf "Gen.parallel ~protect:%s %d, scheduler %s%s\n%s"
+    (protect_name protect) seed
+    (Runtime.Sched.string_of_policy sched)
+    (String.concat "" (List.map (fun (k, v) -> Printf.sprintf ", %s %s" k v) extra))
+    src
