@@ -77,9 +77,10 @@ let run_logged eb =
 
 let run_logged_race eb =
   let logger = Trace.Logger.create eb in
-  let obs = Ppd.Pardyn.observer eb.Analysis.Eblock.prog in
+  let obs = Oracle.Pardyn_oracle.observer eb.Analysis.Eblock.prog in
   let hooks =
-    Runtime.Hooks.both (Trace.Logger.factory logger) (Ppd.Pardyn.factory obs)
+    Oracle.Hooks.both (Trace.Logger.factory logger)
+      (Oracle.Pardyn_oracle.factory obs)
   in
   let m =
     Runtime.Machine.create ~sched ~max_steps:5_000_000 ~hooks
@@ -91,19 +92,19 @@ let logged_artifacts src =
   let prog = compile src in
   let eb = Analysis.Eblock.analyze prog in
   let logger = Trace.Logger.create eb in
-  let ft = Trace.Full_trace.create () in
+  let ft = Oracle.Full_trace.create () in
   let hooks =
-    Runtime.Hooks.both (Trace.Logger.factory logger) (Trace.Full_trace.factory ft)
+    Oracle.Hooks.both (Trace.Logger.factory logger) (Oracle.Full_trace.factory ft)
   in
   let m =
     Runtime.Machine.create ~sched ~max_steps:5_000_000 ~hooks prog
   in
   let halt = Runtime.Machine.run m in
-  (eb, halt, Trace.Logger.finish logger, Trace.Full_trace.finish ft, m)
+  (eb, halt, Trace.Logger.finish logger, Oracle.Full_trace.finish ft, m)
 
-let run_bare_e engine prog =
-  let m = Runtime.Machine.create ~engine ~sched ~max_steps:5_000_000 prog in
-  ignore (Runtime.Machine.run m)
+let run_bare_interp prog =
+  let m = Oracle.Interp_machine.create ~sched ~max_steps:5_000_000 prog in
+  ignore (Oracle.Interp_machine.run m)
 
 (* Every event materialized but nothing consumes it: a no-op observer
    that declares it reads local statement events, so the VM builds each
@@ -118,13 +119,13 @@ let run_instr_vm prog =
   in
   ignore (Runtime.Machine.run m)
 
-let run_logged_e engine eb =
+let run_logged_interp eb =
   let logger = Trace.Logger.create eb in
   let m =
-    Runtime.Machine.create ~engine ~sched ~max_steps:5_000_000
+    Oracle.Interp_machine.create ~sched ~max_steps:5_000_000
       ~hooks:(Trace.Logger.factory logger) eb.Analysis.Eblock.prog
   in
-  ignore (Runtime.Machine.run m)
+  ignore (Oracle.Interp_machine.run m)
 
 (* The workload suite used by T1 and T2. *)
 let workloads =
@@ -141,10 +142,11 @@ let workloads =
 (* T1: execution-phase overhead of logging (§7: "less than 15%").       *)
 (* ------------------------------------------------------------------ *)
 
-(* Engine comparison rows, shared by the console table and `--json t1`
-   (consumed by scripts/perf_gate.py check_t1_vm). Steps/run is
-   identical across engines — the differential oracle proves it — so
-   steps/sec ratios reduce to wall-time ratios. *)
+(* The product machine (bytecode VM) against the interpreter oracle of
+   test/oracle, shared by the console table and `--json t1` (consumed
+   by scripts/perf_gate.py check_t1_vm). Steps/run is identical on both
+   — the differential oracle proves it — so steps/sec ratios reduce to
+   wall-time ratios. *)
 type t1_row = {
   t1_name : string;
   t1_steps : int;
@@ -163,18 +165,15 @@ let t1_rows () =
         let eb = Analysis.Eblock.analyze prog in
         [
           Test.make ~name:(name ^ "/interp-bare")
-            (Staged.stage (fun () ->
-                 run_bare_e Runtime.Machine.Interp_engine prog));
+            (Staged.stage (fun () -> run_bare_interp prog));
           Test.make ~name:(name ^ "/interp-logged")
-            (Staged.stage (fun () ->
-                 run_logged_e Runtime.Machine.Interp_engine eb));
+            (Staged.stage (fun () -> run_logged_interp eb));
           Test.make ~name:(name ^ "/vm-bare")
-            (Staged.stage (fun () -> run_bare_e Runtime.Machine.Vm_engine prog));
+            (Staged.stage (fun () -> run_bare prog));
           Test.make ~name:(name ^ "/vm-instr")
             (Staged.stage (fun () -> run_instr_vm prog));
           Test.make ~name:(name ^ "/vm-logged")
-            (Staged.stage (fun () ->
-                 run_logged_e Runtime.Machine.Vm_engine eb));
+            (Staged.stage (fun () -> run_logged eb));
         ])
       workloads
   in
@@ -214,9 +213,9 @@ let t1 () =
         (pct r.t1_vm_bare_ns r.t1_vm_logged_ns))
     rows;
   print_endline
-    "(vm = default bytecode engine, interp = AST-walking oracle; vm+events\n\
-    \      builds every event for a no-op observer; log ovh compares vm+log\n\
-    \      against the bare vm: the cost the paper bounds at 15%)";
+    "(vm = the product's bytecode VM, interp = the AST interpreter oracle;\n\
+    \      vm+events builds every event for a no-op observer; log ovh compares\n\
+    \      vm+log against the bare vm: the cost the paper bounds at 15%)";
   let tests =
     List.concat_map
       (fun (name, src) ->
@@ -269,7 +268,7 @@ let t2 () =
       let _eb, _halt, log, tr, _m = logged_artifacts src in
       let le = Trace.Log.entry_count log in
       let lb = marshalled_bytes log in
-      let te = Trace.Full_trace.nevents tr in
+      let te = Oracle.Full_trace.nevents tr in
       let tb = marshalled_bytes tr in
       row "%-14s %10d %12d %12d %12d %7.1fx\n" name le lb te tb
         (float_of_int tb /. float_of_int (max 1 lb)))
@@ -453,20 +452,20 @@ let t5 () =
     (fun (workers, incs, mutex) ->
       let src = Workloads.counter ~workers ~incs ~mutex in
       let prog = compile src in
-      let obs = Ppd.Pardyn.observer prog in
+      let obs = Oracle.Pardyn_oracle.observer prog in
       let m =
-        Runtime.Machine.create ~sched ~hooks:(Ppd.Pardyn.factory obs) prog
+        Runtime.Machine.create ~sched ~hooks:(Oracle.Pardyn_oracle.factory obs) prog
       in
       ignore (Runtime.Machine.run m);
-      let g = Ppd.Pardyn.finish obs in
-      let oracle = Ppd.Race.all_pairs g in
+      let g = Oracle.Pardyn_oracle.finish obs in
+      let oracle = Oracle.Race_oracle.all_pairs g in
       let scan = Ppd.Race.detect g in
       assert (oracle.Ppd.Race.races = scan.Ppd.Race.races);
       let tests =
         Test.make_grouped ~name:"t5"
           [
             Test.make ~name:"oracle"
-              (Staged.stage (fun () -> ignore (Ppd.Race.all_pairs g)));
+              (Staged.stage (fun () -> ignore (Oracle.Race_oracle.all_pairs g)));
             Test.make ~name:"scan"
               (Staged.stage (fun () -> ignore (Ppd.Race.detect g)));
             Test.make ~name:"static"
@@ -514,7 +513,7 @@ let t6 () =
       row "%-16s %10d %10d %12d %14d %11.0f%%\n" name
         st.Ppd.Controller.intervals_total st.Ppd.Controller.replays
         st.Ppd.Controller.replay_steps
-        (Trace.Full_trace.nevents tr)
+        (Oracle.Full_trace.nevents tr)
         (100.
         *. float_of_int st.Ppd.Controller.replays
         /. float_of_int (max 1 st.Ppd.Controller.intervals_total)))
@@ -1905,10 +1904,12 @@ let f53 () =
 let f61 () =
   header "Figure 6.1  Parallel dynamic graph (three processes, blocking send)";
   let prog = compile Workloads.fig61 in
-  let obs = Ppd.Pardyn.observer prog in
-  let m = Runtime.Machine.create ~sched ~hooks:(Ppd.Pardyn.factory obs) prog in
+  let obs = Oracle.Pardyn_oracle.observer prog in
+  let m =
+    Runtime.Machine.create ~sched ~hooks:(Oracle.Pardyn_oracle.factory obs) prog
+  in
   ignore (Runtime.Machine.run m);
-  Format.printf "%a@." Ppd.Pardyn.pp (Ppd.Pardyn.finish obs)
+  Format.printf "%a@." Ppd.Pardyn.pp (Oracle.Pardyn_oracle.finish obs)
 
 (* ------------------------------------------------------------------ *)
 (* Driver.                                                              *)

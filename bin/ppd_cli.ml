@@ -84,7 +84,8 @@ let break_arg =
     & info [ "break" ] ~docv:"SID"
         ~doc:
           "Halt after statement SID executes (repeatable); use `ppd \
-           analyze --show cfg` to find statement ids.")
+           analyze --show cfg` to find statement ids. An id outside the \
+           program is rejected (exit 124).")
 
 let jobs_arg =
   Arg.(
@@ -210,6 +211,15 @@ let session_of ?loops ?(breakpoints = []) ?log_order ?ckpt_every file
     sched steps inline =
   let src = read_source file in
   let prog = compile_or_die src in
+  let nstmts = Array.length prog.Lang.Prog.stmts in
+  List.iter
+    (fun sid ->
+      if sid < 0 || sid >= nstmts then begin
+        Format.eprintf "ppd: --break: no statement %d (statement ids run 0..%d)@."
+          sid (nstmts - 1);
+        exit 124
+      end)
+    breakpoints;
   Ppd.Session.of_program ~sched ~max_steps:steps
     ~policy:(policy_of ?loops inline)
     ~breakpoints ?log_order ?ckpt_every prog

@@ -14,11 +14,9 @@ let analyse name src =
      replaying every e-block interval *)
   let pd = Ppd.Controller.pardyn (Ppd.Session.controller session) in
   Format.printf "%a@.@." Ppd.Pardyn.pp pd;
-  let oracle = Ppd.Race.all_pairs pd in
   let stats = Ppd.Race.detect pd in
-  assert (oracle.Ppd.Race.races = stats.Ppd.Race.races);
-  Printf.printf "ordering tests: %d all-pairs oracle vs %d chain scan\n"
-    oracle.Ppd.Race.pairs_examined stats.Ppd.Race.pairs_examined;
+  Printf.printf "ordering tests (chain scan): %d\n"
+    stats.Ppd.Race.pairs_examined;
   Format.printf "%a@.@." (Ppd.Race.pp_report pd) stats.Ppd.Race.races
 
 let () =

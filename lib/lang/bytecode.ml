@@ -7,18 +7,16 @@
    maximum expression depth). Statement *terminators* each complete
    exactly one machine step — the unit the scheduler interleaves — so a
    dispatch-loop VM over this code is step-for-step identical to the
-   tree-walking interpreter.
+   tree-walking interpreter kept as a test oracle.
 
    Synchronization, call, return and join statements are not lowered:
    they compile to [Isync] carrying the interned statement, and the
    machine driver executes them against live semaphores / channels /
-   processes exactly as it does for the interpreter engine. Keeping one
-   driver for both engines is what makes the two engines emit identical
-   event streams by construction on every cold path.
+   processes.
 
    Booleans are represented as 0/1 in registers; the type checker
    guarantees operands are well-typed, so only the dynamic faults the
-   interpreter can raise (uninitialised read, index out of bounds,
+   evaluator can raise (uninitialised read, index out of bounds,
    division/modulo by zero) remain, with identical messages. *)
 
 module P = Prog

@@ -6,8 +6,7 @@
     complete exactly one scheduler step, and control flow is
     jump-resolved at compile time. Driver-handled statements (sync ops,
     calls, returns, joins) stay un-lowered as [Isync] carrying the
-    interned statement — the machine executes them identically under
-    both engines, which is what keeps the event streams byte-identical.
+    interned statement, which the machine's driver executes.
 
     The register model is stack-discipline: a binary operator evaluates
     its left operand into register [r] and its right into [r+1], so

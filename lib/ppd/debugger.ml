@@ -43,6 +43,13 @@ let node_line t id =
   let g = Controller.graph (Session.controller t.session) in
   fmt "%a" Dyn_graph.pp_node (Dyn_graph.node g id)
 
+(* A node id the user typed: one of the graph built so far, or the
+   answer that says it is not. *)
+let check_node t id k =
+  let n = Dyn_graph.nnodes (Controller.graph (Session.controller t.session)) in
+  if id >= 0 && id < n then k id
+  else Printf.sprintf "no node %d (the graph built so far has %d nodes)" id n
+
 let show_where t =
   let halt = Session.explain_halt t.session in
   match t.focus with
@@ -147,29 +154,26 @@ let show_whatif t words =
 let show_intervals t pid =
   let p = Session.prog t.session in
   let log = Session.log t.session in
-  let pids =
-    match pid with Some pid -> [ pid ] | None -> List.init log.Trace.Log.nprocs Fun.id
+  let nprocs = log.Trace.Log.nprocs in
+  let lines pid =
+    Trace.Log.intervals ~stmt_fid:(fun sid -> p.Lang.Prog.stmt_fid.(sid)) log ~pid
+    |> Array.to_list
+    |> List.map (fun (iv : Trace.Log.interval) ->
+           Printf.sprintf "p%d#%d %s seq[%d,%s)%s" pid iv.iv_id
+             (fmt "%a" Trace.Log.pp_block iv.iv_block)
+             iv.iv_seq_start
+             (match iv.iv_seq_end with
+             | Some e -> string_of_int e
+             | None -> "open")
+             (match iv.iv_parent with
+             | Some par -> Printf.sprintf " in #%d" par
+             | None -> ""))
   in
-  List.concat_map
-    (fun pid ->
-      let ivs =
-        Trace.Log.intervals
-          ~stmt_fid:(fun sid -> p.Lang.Prog.stmt_fid.(sid))
-          log ~pid
-      in
-      Array.to_list ivs
-      |> List.map (fun (iv : Trace.Log.interval) ->
-             Printf.sprintf "p%d#%d %s seq[%d,%s)%s" pid iv.iv_id
-               (fmt "%a" Trace.Log.pp_block iv.iv_block)
-               iv.iv_seq_start
-               (match iv.iv_seq_end with
-               | Some e -> string_of_int e
-               | None -> "open")
-               (match iv.iv_parent with
-               | Some par -> Printf.sprintf " in #%d" par
-               | None -> "")))
-    pids
-  |> String.concat "\n"
+  match pid with
+  | Some pid when pid < 0 || pid >= nprocs ->
+    Printf.sprintf "no process %d (the log records %d process(es))" pid nprocs
+  | Some pid -> String.concat "\n" (lines pid)
+  | None -> String.concat "\n" (List.concat_map lines (List.init nprocs Fun.id))
 
 let eval t line =
   let words =
@@ -179,7 +183,8 @@ let eval t line =
   let int_arg = function w :: _ -> int_of_string_opt w | [] -> None in
   let with_node args k =
     match (int_arg args, t.focus) with
-    | Some id, _ | None, Some id -> k id
+    | Some id, _ -> check_node t id k
+    | None, Some id -> k id
     | None, None -> "no focus node; use `focus <node>`"
   in
   if is_quit line then "bye"
@@ -190,8 +195,9 @@ let eval t line =
     | "focus" :: rest -> (
       match int_arg rest with
       | Some id ->
-        t.focus <- Some id;
-        node_line t id
+        check_node t id (fun id ->
+            t.focus <- Some id;
+            node_line t id)
       | None -> "usage: focus <node>")
     | "why" :: rest -> with_node rest (fun id -> show_why t id)
     | "slice" :: rest ->

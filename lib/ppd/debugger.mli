@@ -15,7 +15,9 @@ val create : Session.t -> t
 
 val eval : t -> string -> string
 (** Execute one command line and return the rendered answer. Unknown
-    commands answer with the help text. Commands:
+    commands answer with the help text; a node or process id the run
+    never produced answers one line naming it, and leaves the focus
+    where it was. Commands:
 
     {v
     where                 the halt reason and the current focus node

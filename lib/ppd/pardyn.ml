@@ -28,8 +28,6 @@ type t = {
   sync_edges : (int * int) array;
   iedges : iedge array;
   iedges_of_pid : int list array;
-  succs : int list array;
-  preds : int list array;
   node_of_ref : (eref, int) Hashtbl.t;
 }
 
@@ -184,8 +182,6 @@ let build (prog : P.t) (streams : item list array) =
     sync_edges;
     iedges;
     iedges_of_pid;
-    succs;
-    preds;
     node_of_ref;
   }
 
@@ -300,33 +296,6 @@ let of_accesses (prog : P.t) (log : Trace.Log.t) accesses =
 
 let of_log prog log = of_accesses prog log (fun ~pid:_ -> [])
 
-type obs = {
-  oprog : P.t;
-  mutable ostreams : item list ref array;  (* per pid, reversed *)
-}
-
-let observer prog = { oprog = prog; ostreams = [| ref [] |] }
-
-let ensure_pid o pid =
-  let n = Array.length o.ostreams in
-  if pid >= n then
-    o.ostreams <-
-      Array.init (pid + 1) (fun i -> if i < n then o.ostreams.(i) else ref [])
-
-let obs_event o ~pid ~seq ev =
-  ensure_pid o pid;
-  let cell = o.ostreams.(pid) in
-  Option.iter (fun item -> cell := item :: !cell) (item_of_event ~pid ~seq ev)
-
-let factory o _port =
-  {
-    Runtime.Hooks.on_event = (fun ~pid ~seq ev -> obs_event o ~pid ~seq ev);
-    locals = true;
-  }
-
-let finish o =
-  build o.oprog (Array.map (fun cell -> List.rev !cell) o.ostreams)
-
 (* ------------------------------------------------------------------ *)
 (* Ordering queries.                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -336,19 +305,6 @@ let node_of t ref_ = Hashtbl.find_opt t.node_of_ref ref_
 let node_hb t a b =
   let na = t.nodes.(a) in
   Vclock.happened_before ~own_pid:na.n_pid na.n_clock t.nodes.(b).n_clock
-
-let node_reaches t a b =
-  let seen = Hashtbl.create 16 in
-  let rec go n =
-    n = b
-    ||
-    if Hashtbl.mem seen n then false
-    else begin
-      Hashtbl.add seen n ();
-      List.exists go t.succs.(n)
-    end
-  in
-  go a
 
 let edge_before t e1 e2 =
   match e1.ie_to with

@@ -15,8 +15,9 @@
     Definition 6.2. The debugging phase builds the graph with
     {!of_accesses}: the structure from the log's sync records, the sets
     from the accesses that the dynamic graph's {!Assembly} keeps for
-    each interval it assembled. The runtime {!observer} builds the same
-    graph live and is kept as the test oracle.
+    each interval it assembled. A test oracle builds the same graph
+    live, from {!item_of_event} over every event of a run and
+    {!build}.
 
     Attribution of a sync event's own accesses: its reads (send
     payloads, join pid expressions) happen before its synchronization
@@ -50,10 +51,22 @@ type t = {
   sync_edges : (int * int) array;  (** (from node, to node) *)
   iedges : iedge array;
   iedges_of_pid : int list array;
-  succs : int list array;  (** node-level, sync + internal *)
-  preds : int list array;
   node_of_ref : (eref, int) Hashtbl.t;
 }
+
+type item
+(** One event as the graph builder consumes it: a sync node with the
+    event's own shared accesses, or a plain shared access. *)
+
+val item_of_event : pid:int -> seq:int -> Runtime.Event.t -> item option
+(** The event's builder item, or [None] when it is neither a sync event
+    nor a shared access. The loop-exit stand-in a replay emits for a
+    skipped nested loop e-block gives [None]: that block's own replay
+    supplies its accesses at their true seqs. *)
+
+val build : Lang.Prog.t -> item list array -> t
+(** The graph from each process's items in execution order (indexed by
+    pid). *)
 
 type access
 (** One replayed event as race detection keeps it: its sequence number
@@ -79,25 +92,10 @@ val of_log : Lang.Prog.t -> Trace.Log.t -> t
     benchmark's traced decomposition uses it, to time the graph layer
     by itself; race answers come from {!of_accesses}. *)
 
-type obs
-(** Runtime observer accumulating sync nodes and per-edge shared
-    access sets — the test oracle for {!of_accesses}; the product does
-    not attach it. *)
-
-val observer : Lang.Prog.t -> obs
-
-val factory : obs -> Runtime.Hooks.factory
-
-val finish : obs -> t
-
 val node_of : t -> eref -> int option
 
 val node_hb : t -> int -> int -> bool
 (** Reflexive happened-before via vector clocks ("→" on nodes). *)
-
-val node_reaches : t -> int -> int -> bool
-(** Reflexive graph reachability — semantically equal to {!node_hb}
-    (property-tested); exponentially slower, kept as the oracle. *)
 
 val edge_before : t -> iedge -> iedge -> bool
 (** Definition §6.1(2): [e1 → e2] iff [end(e1) → start(e2)]. *)

@@ -12,8 +12,7 @@ type race = {
 
 type stats = { pairs_examined : int; races : race list }
 
-(* Canonicalise so the detector and the oracle produce literally equal
-   lists: edge ids ordered within a race, then races sorted. *)
+(* Canonicalise: edge ids ordered within a race, then races sorted. *)
 let norm r =
   if r.rc_edge1 <= r.rc_edge2 then r
   else { r with rc_edge1 = r.rc_edge2; rc_edge2 = r.rc_edge1 }
@@ -39,33 +38,6 @@ let make (g : Pardyn.t) vid kind (e1 : Pardyn.iedge) (e2 : Pardyn.iedge) =
     rc_edge2 = e2.ie_id;
     rc_kind = kind;
   }
-
-(* Conflicts between one pair of edges: write/write once, read/write in
-   either direction. *)
-let conflicts g (e1 : Pardyn.iedge) (e2 : Pardyn.iedge) =
-  let each kind set a b =
-    List.map (fun vid -> make g vid kind a b) (VS.elements set)
-  in
-  each Write_write (VS.inter e1.ie_writes e2.ie_writes) e1 e2
-  @ each Read_write (VS.inter e1.ie_writes e2.ie_reads) e1 e2
-  @ each Read_write (VS.inter e1.ie_reads e2.ie_writes) e2 e1
-
-let all_pairs (g : Pardyn.t) =
-  let pairs = ref 0 in
-  let races = ref [] in
-  let edges = g.Pardyn.iedges in
-  let n = Array.length edges in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let e1 = edges.(i) and e2 = edges.(j) in
-      (* edges of one process are totally ordered by their chain *)
-      if e1.ie_pid <> e2.ie_pid then begin
-        incr pairs;
-        if Pardyn.simultaneous g e1 e2 then races := conflicts g e1 e2 @ !races
-      end
-    done
-  done;
-  { pairs_examined = !pairs; races = dedup_sort !races }
 
 let detect (g : Pardyn.t) =
   let edges = g.Pardyn.iedges in

@@ -16,8 +16,8 @@
     accessor in it — write/write if it writes, read/write if it reads.
     The cost is [O(W · P · log A)] ordering tests for [W] writes, [P]
     processes and [A] accessors per process, against the [O(E²)] of
-    {!all_pairs} (§7 asks for cheaper conflict detection; benchmark
-    T5). *)
+    testing every cross-process edge pair, which a test oracle still
+    does (§7 asks for cheaper conflict detection; benchmark T5). *)
 
 type conflict = Write_write | Read_write
 
@@ -30,16 +30,14 @@ type race = {
 
 type stats = {
   pairs_examined : int;  (** edge pairs whose ordering was tested *)
-  races : race list;  (** deduplicated, deterministic order *)
+  races : race list;
+      (** deduplicated, sorted by variable id, then [rc_edge1], then
+          [rc_edge2], then [Write_write] before [Read_write] *)
 }
 
 val detect : Pardyn.t -> stats
 (** The chain scan; [pairs_examined] counts its {!Pardyn.edge_before}
     tests. *)
-
-val all_pairs : Pardyn.t -> stats
-(** Tests every cross-process edge pair — semantically equal to
-    {!detect} (property-tested); quadratic, kept as the oracle. *)
 
 val is_race_free : Pardyn.t -> bool
 (** Definition 6.4 over the whole execution instance. *)

@@ -3,8 +3,9 @@
     Every observable step of a process — a statement execution, a frame
     entry/exit, process start/stop — is one event. Events are pure data:
     the logger turns a thin selection of them into log entries
-    (incremental tracing), the full tracer records all of them (the
-    trace-everything baseline of §2), and the emulation package
+    (incremental tracing), the full tracer of the tests and bench
+    records all of them (the trace-everything baseline of §2), and the
+    emulation package
     re-produces them during the debugging phase for the dynamic-graph
     builder.
 

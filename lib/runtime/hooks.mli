@@ -3,8 +3,7 @@
     A hooks {e factory} receives a {!port} — callbacks into the running
     machine for reading variable values and the global step clock — and
     returns the event consumer. The logger uses the port to snapshot
-    prelog/postlog variable values at e-block boundaries; the full
-    tracer just stores events.
+    prelog/postlog variable values at e-block boundaries.
 
     Events are built on demand. An observer that declares
     [locals = false] never sees the events of VM-local statements
@@ -12,8 +11,7 @@
     whose observers all decline them runs those statements on the VM's
     zero-allocation bare path (DESIGN §15.4). Driver events (process
     start/exit, call/enter/leave/call-return, return, sync) and loop
-    enter/exit events reach every observer. The interpreter engine
-    still delivers every event. *)
+    enter/exit events reach every observer. *)
 
 type port = {
   read_var : pid:int -> Lang.Prog.var -> Value.t;
@@ -38,11 +36,3 @@ type factory = port -> t
 val nil : factory
 (** No instrumentation (the bare execution baseline); declines local
     events. *)
-
-val both : factory -> factory -> factory
-(** Fan events out to two observers (e.g. logger + full tracer); reads
-    local events if either does. *)
-
-val collect : (int * int * Event.t) list ref -> factory
-(** Append [(pid, seq, event)] triples to a list (newest first); handy
-    in tests. Reads local events. *)

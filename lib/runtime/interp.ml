@@ -4,12 +4,9 @@ exception Fault of string
 
 let fault fmt = Format.kasprintf (fun msg -> raise (Fault msg)) fmt
 
-type work = Wstmt of P.stmt | Wloop of P.stmt
-
 type frame = {
   ffid : int;
   slots : Value.t array;
-  mutable work : work list;
   mutable active_loops : int list;  (* sids of loops being executed, innermost first *)
   ret_lhs : P.lhs option;
   call_sid : int option;
@@ -21,27 +18,6 @@ type ctx = {
   write_global : int -> Value.t -> unit;
   frame : frame;
 }
-
-let make_frame (p : P.t) ~fid ~args ~ret_lhs ~call_sid =
-  let f = p.funcs.(fid) in
-  let slots = Array.make f.nslots Value.Vundef in
-  List.iter
-    (fun (v : P.var) ->
-      match (v.vscope, v.vty) with
-      | P.Local slot, P.Tarr n -> slots.(slot) <- Value.Varr (Array.make n 0)
-      | P.Local _, P.Tint -> ()
-      | P.Global _, _ -> assert false)
-    f.locals;
-  (try
-     List.iter2
-       (fun (v : P.var) arg ->
-         match v.vscope with
-         | P.Local slot -> slots.(slot) <- arg
-         | P.Global _ -> assert false)
-       f.params args
-   with Invalid_argument _ -> fault "arity mismatch calling %s" f.fname);
-  let work = List.map (fun s -> Wstmt s) f.body in
-  { ffid = fid; slots; work; active_loops = []; ret_lhs; call_sid }
 
 let binds_of_frame (p : P.t) frame =
   let f = p.funcs.(frame.ffid) in
@@ -220,91 +196,3 @@ let write_lhs ctx (l : P.lhs) value =
         (List.rev !acc, { Event.var = v; value = Value.Vint n })
       end
     | Value.Vint _ | Value.Vundef -> fault "'%s' is not an array" v.vname)
-
-let consume_work frame =
-  match frame.work with
-  | [] -> invalid_arg "Interp.consume_work: empty work list"
-  | _ :: rest -> frame.work <- rest
-
-type local_result =
-  | Event of Event.stmt_event
-  | Driver of P.stmt
-  | Frame_done
-
-let rec prepend_stmts stmts work =
-  match stmts with
-  | [] -> work
-  | s :: rest -> Wstmt s :: prepend_stmts rest work
-
-let push_stmts frame stmts = frame.work <- prepend_stmts stmts frame.work
-
-(* Loop handling is driver-side so the drivers can emit the §5.4 loop
-   e-block boundary events. [loop_entry] converts the head [Wstmt] of a
-   while statement into its [Wloop] retest form; [loop_test] performs
-   one condition test, entering the body or leaving the loop. *)
-let loop_entry frame (s : P.stmt) =
-  match frame.work with
-  | Wstmt s' :: rest when s' == s ->
-    frame.work <- Wloop s :: rest;
-    frame.active_loops <- s.sid :: frame.active_loops
-  | _ -> invalid_arg "Interp.loop_entry: head is not the loop statement"
-
-let loop_test ctx (s : P.stmt) =
-  match (ctx.frame.work, s.P.desc) with
-  | Wloop s' :: rest, P.Swhile (cond, body) when s' == s ->
-    let b, reads = eval_bool ctx cond in
-    ctx.frame.work <- rest;
-    if b then begin
-      ctx.frame.work <- Wloop s :: ctx.frame.work;
-      push_stmts ctx.frame body
-    end
-    else
-      ctx.frame.active_loops <-
-        (match ctx.frame.active_loops with
-        | l :: ls when l = s.sid -> ls
-        | ls -> ls);
-    ({ Event.sid = s.sid; reads; write = None; kind = Event.K_pred b }, b)
-  | _ -> invalid_arg "Interp.loop_test: head is not the loop retest"
-
-let step_local ctx =
-  let frame = ctx.frame in
-  match frame.work with
-  | [] -> Frame_done
-  | Wloop s :: _ -> Driver s
-  | Wstmt s :: rest -> (
-    match s.P.desc with
-    | P.Sassign (l, e) ->
-      let n, reads = eval_int ctx e in
-      let idx_reads, write = write_lhs ctx l (Value.Vint n) in
-      frame.work <- rest;
-      Event
-        {
-          Event.sid = s.sid;
-          reads = (match idx_reads with [] -> reads | _ -> reads @ idx_reads);
-          write = Some write;
-          kind = Event.K_assign;
-        }
-    | P.Sif (cond, then_, else_) ->
-      let b, reads = eval_bool ctx cond in
-      frame.work <- rest;
-      push_stmts frame (if b then then_ else else_);
-      Event { Event.sid = s.sid; reads; write = None; kind = Event.K_pred b }
-    | P.Swhile _ -> Driver s
-    | P.Sprint e ->
-      let acc = ref [] in
-      let v =
-        if is_bool_expr e then Value.Vint (if eval_b ctx acc e then 1 else 0)
-        else Value.Vint (eval_i ctx acc e)
-      in
-      let reads = List.rev !acc in
-      frame.work <- rest;
-      Event
-        { Event.sid = s.sid; reads; write = None; kind = Event.K_print { value = v } }
-    | P.Sassert e ->
-      let ok, reads = eval_bool ctx e in
-      frame.work <- rest;
-      Event
-        { Event.sid = s.sid; reads; write = None; kind = Event.K_assert { ok } }
-    | P.Scall _ | P.Sspawn _ | P.Sjoin _ | P.Sreturn _ | P.Sp _ | P.Sv _
-    | P.Ssend _ | P.Srecv _ ->
-      Driver s)

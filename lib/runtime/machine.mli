@@ -1,11 +1,10 @@
 (** The execution-phase machine: a simulated shared-memory
     multiprocessor running an MPL program.
 
-    Processes are lightweight interpreter states scheduled one event at
-    a time by a {!Sched} policy; they share the global store, semaphores
-    and channels. Instrumentation ({!Hooks.factory}) observes every
-    event — this is how the "object code" of the paper emits its log,
-    and how the full tracer and race detector watch execution.
+    Processes are lightweight VM states scheduled one event at a time by
+    a {!Sched} policy; they share the global store, semaphores and
+    channels. Instrumentation ({!Hooks.factory}) observes the events —
+    this is how the "object code" of the paper emits its log.
 
     Synchronization semantics (matching §6.2):
     - [P]/[V]: counting semaphores with token provenance — each [V]
@@ -25,15 +24,12 @@
     read, ...) halts the whole machine — that is the "program halts due
     to an error" moment at which the debugging phase begins.
 
-    Every product run steps on {!Vm_engine}: each function compiled to
-    {!Lang.Bytecode}, local statements on a dispatch-loop VM (DESIGN
-    §15). {!Interp_engine} walks the AST and is only a test oracle,
-    reached through [create ~engine]. Both engines share the driver
-    for sync ops, calls and returns, and the slot representation read
-    by instrumentation, so event streams, trace logs, scheduling
-    decisions and halts are identical — only steps/sec differs. *)
-
-type engine = Interp_engine | Vm_engine
+    Each function is compiled to {!Lang.Bytecode} and its local
+    statements run on the dispatch-loop {!Vm}; this module is the
+    driver for sync ops, calls and returns (DESIGN §15). An AST
+    interpreter with its own copy of the driver is kept as a test
+    oracle; the two agree on event streams, logs, scheduling decisions
+    and halts. *)
 
 type halt =
   | Finished  (** every process ran to completion *)
@@ -57,14 +53,13 @@ type wait =
 type t
 
 val create :
-  ?engine:engine ->
   ?sched:Sched.policy ->
   ?max_steps:int ->
   ?hooks:Hooks.factory ->
   ?breakpoints:int list ->
   Lang.Prog.t ->
   t
-(** Defaults: {!Vm_engine}, {!Sched.default}, one million steps, no
+(** Defaults: {!Sched.default}, one million steps, no
     instrumentation, no breakpoints. When [hooks] is omitted the machine
     skips event materialization entirely — the VM takes its bare local
     fast path and the driver accounts for sync/call/return events

@@ -1,27 +1,25 @@
 (* The execution-phase bytecode VM (DESIGN §15).
 
    One [step] executes expression instructions until a statement
-   terminator completes — exactly one scheduler step, mirroring
-   [Interp.step_local] statement for statement. Driver-handled
-   statements ([Isync]) are returned to the machine unconsumed so a
-   blocking sync op can be retried, and falling off the end of the code
-   reports [Frame_done]; the machine's single driver then behaves
-   identically under both engines.
+   terminator completes — exactly one scheduler step per source
+   statement. Driver-handled statements ([Isync]) are returned to the
+   machine unconsumed so a blocking sync op can be retried, and falling
+   off the end of the code reports [Frame_done].
 
    Frame state is split struct-of-arrays style: every frame of a
    process draws its register window from the process's one growable
    int arena ([pstate.regs]), while variable slots stay in the shared
    [Value.t array] representation of [Interp.frame] — that is what the
    instrumentation port reads, so prelogs/postlogs snapshot the live
-   slots with no intermediate copy, and driver-side operand evaluation
-   ([Interp.eval_int] / [Interp.write_lhs]) runs unchanged against VM
-   frames.
+   slots with no intermediate copy, and what the driver's operand
+   evaluation ([Interp.eval_int] / [Interp.write_lhs]) works on.
 
    Two execution modes share the dispatch loop. When one of the
    machine's observers reads local statement events, [host.want] is
-   true and the VM materializes the exact event the interpreter would
-   have produced (reads in short-circuit evaluation order, the
-   read-modify-write element read, identical fault messages). Otherwise
+   true and the VM materializes the exact event the source statement
+   defines (reads in short-circuit evaluation order, the
+   read-modify-write element read, the evaluator's fault messages);
+   the AST interpreter kept as a test oracle checks this. Otherwise
    the VM skips event and read-list allocation entirely: a completed
    statement costs one inline seq bump, or one [fast_event] callback
    (seq bump + breakpoint check) when breakpoints exist. That bare path
@@ -49,7 +47,7 @@ let make_pstate () = { regs = Array.make 16 0; rtop = 0; acc = []; budget = 0 }
 type frame = {
   fr : Interp.frame;
       (* slots / ffid / ret_lhs / call_sid / active_loops live here;
-         the work list stays empty — control is the pc *)
+         control is the pc *)
   code : B.instr array;
   sids : int array;
   rbase : int;
@@ -81,9 +79,8 @@ type result = Stepped | Driver of P.stmt | Frame_done
 (* Frames.                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Same slot initialization as [Interp.make_frame] (scalars undefined,
-   local arrays zero-filled, arity checked) without allocating the work
-   list the VM never consults. *)
+(* Fresh slots: scalars undefined, local arrays zero-filled, parameters
+   bound to [args] (arity checked). *)
 let make_frame (bp : B.prog) (p : P.t) (st : pstate) ~fid ~args ~ret_lhs
     ~call_sid =
   let f = p.funcs.(fid) in
@@ -104,7 +101,7 @@ let make_frame (bp : B.prog) (p : P.t) (st : pstate) ~fid ~args ~ret_lhs
        f.params args
    with Invalid_argument _ -> fault "arity mismatch calling %s" f.fname);
   let fr =
-    { Interp.ffid = fid; slots; work = []; active_loops = []; ret_lhs; call_sid }
+    { Interp.ffid = fid; slots; active_loops = []; ret_lhs; call_sid }
   in
   let fc = bp.B.by_fid.(fid) in
   let need = st.rtop + fc.B.nregs in
@@ -131,7 +128,7 @@ let ( .!()<- ) : int array -> int -> int -> unit = Array.unsafe_set
 
 (* Jumps are layout, not statements: chase them whenever the pc comes
    to rest so every resting pc is a real instruction (and [current_sid]
-   attributes faults like the interpreter's work-list head does). *)
+   attributes a fault to the statement that raised it). *)
 let rec chase (code : B.instr array) pc =
   match Array.unsafe_get code pc with B.Ijmp t -> chase code t | _ -> pc
 
@@ -405,8 +402,8 @@ let rec exec (vf : frame) (st : pstate) (h : host) (code : B.instr array) regs
   | B.Iassign_ge (r, v, slot) ->
     let n = regs.!(base + r) and idx = regs.!(base + r + 1) in
     let a = gstore_elem st h want v slot (Array.unsafe_get glb slot) idx n in
-    (* write back through the store like the interpreter's context does,
-       so overlay stores observe the mutation *)
+    (* write back through the store like [Interp.write_lhs] does, so
+       overlay stores observe the mutation *)
     Array.unsafe_set glb slot (Value.Varr a);
     if want then assign_event h st vf.sids.!(pc) v n
     else account h vf.sids.!(pc);

@@ -3,17 +3,16 @@
 
     {!run} executes up to [budget] statements of one process in a
     burst: expression instructions run to each statement's terminator,
-    mirroring {!Interp.step_local} statement for statement, and every
-    statement costs one [tick] so the machine's step clock and
-    scheduler accounting stay identical to single-stepping.
+    and every statement costs one [tick] so the machine's step clock
+    and scheduler accounting stay identical to single-stepping.
     Driver-handled statements are returned unconsumed ([Driver]) so the
     machine can retry a blocking sync op, and a frame that falls off
     the end of its code reports [Frame_done].
 
     Registers are unboxed ints drawn from a per-process arena
     ({!pstate}); variable slots stay in the {!Interp.frame} embedded in
-    every VM frame, which is what keeps instrumentation snapshots and
-    driver-side operand evaluation engine-blind. *)
+    every VM frame, which instrumentation snapshots read directly and
+    the machine's driver evaluates sync operands against. *)
 
 type pstate = {
   mutable regs : int array;
@@ -34,7 +33,7 @@ type frame = {
 
 (** How the VM talks back to the machine. With [want] true (an
     observer reads local statement events) every completed statement is
-    materialized as the exact event the interpreter would emit;
+    materialized as the exact event its source statement defines;
     otherwise only [fast_event]/[fast_print] fire (seq accounting,
     breakpoints, program output). [loops] alone decides whether loop
     enter/exit events are emitted; [want] implies [loops]. *)
@@ -74,9 +73,9 @@ val make_frame :
   ret_lhs:Lang.Prog.lhs option ->
   call_sid:int option ->
   frame
-(** Fresh frame with a register window carved from the arena; slot
-    initialization (and the arity fault) is identical to
-    {!Interp.make_frame}. *)
+(** Fresh frame with a register window carved from the arena: scalars
+    undefined, local arrays zero-filled, parameters bound to [args]
+    (faults on an arity mismatch). *)
 
 val release : pstate -> frame -> unit
 (** Return the frame's register window to the arena (call when the
@@ -84,8 +83,7 @@ val release : pstate -> frame -> unit
 
 val current_sid : frame -> int
 (** Statement id at the resting pc, [-1] at the implicit return — the
-    machine's fault-attribution sid, matching the interpreter's
-    work-list head convention. *)
+    machine's fault-attribution sid. *)
 
 val rest : frame -> int -> unit
 (** Rest the pc at the given instruction, following jumps: how the

@@ -44,9 +44,9 @@ val create :
     checkpoints every [ckpt_every] machine steps. *)
 
 val factory : t -> Runtime.Hooks.factory
-(** Pass to {!Runtime.Machine.create}; combine with other observers via
-    {!Runtime.Hooks.both}. Declares [locals = false]: alone, the logger
-    keeps a VM run's local statements on the bare path. *)
+(** Pass to {!Runtime.Machine.create}. Declares [locals = false]:
+    alone, the logger keeps a VM run's local statements on the bare
+    path. *)
 
 val finish : t -> Log.t
 (** Snapshot the accumulated log (callable once the run halts). The
@@ -56,7 +56,6 @@ val finish : t -> Log.t
 val run_logged :
   ?sched:Runtime.Sched.policy ->
   ?max_steps:int ->
-  ?extra_hooks:Runtime.Hooks.factory ->
   ?sink:sink ->
   ?tier:Log.tier ->
   ?ckpt_every:int ->

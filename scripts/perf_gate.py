@@ -19,11 +19,11 @@ A. Per-workload VM speedup floors — interp_bare_ns / vm_bare_ns must
    not uniform: matmul is local-step dominated so the bytecode VM's
    full dispatch-loop advantage shows (measured 5.3-5.9x -> floor
    4.0), while sync-heavy workloads spend most of their steps in the
-   shared scheduler/driver that both engines use by design (the
-   single-driver architecture is what makes traces identical by
-   construction), so their physically attainable ratio is bounded by
-   the driver share — their floors encode "the VM never loses and
-   keeps its measured edge", not 10x.
+   scheduler and the sync driver, which the product machine and the
+   interpreter oracle (test/oracle) run as two copies of the same
+   code, so their physically attainable ratio is bounded by the
+   driver share — their floors encode "the VM never loses and keeps
+   its measured edge", not 10x.
 B. Logged-path sanity — vm_logged_ns must stay within
    T1_VM_LOGGED_MAX_RATIO of interp_logged_ns on every workload: the
    VM must not surrender its advantage once the trace logger is on

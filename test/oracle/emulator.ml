@@ -2,6 +2,7 @@ module P = Lang.Prog
 module E = Runtime.Event
 module V = Runtime.Value
 module I = Runtime.Interp
+module A = Ast_step
 module L = Trace.Log
 
 exception Replay_mismatch of string
@@ -27,7 +28,7 @@ type state = {
   base : int;
   mutable cursor : int;  (* into [entries] *)
   mutable seq : int;
-  mutable frames : I.frame list;
+  mutable frames : A.frame list;
   overlay : V.t option array;  (* by global slot *)
   mutable events_rev : (int * E.t) list;
   on_event : seq:int -> E.t -> unit;
@@ -115,7 +116,7 @@ let ctx st =
   match st.frames with
   | [] -> invalid_arg "Emulator.ctx"
   | top :: _ ->
-    if st.ctx.I.frame != top then st.ctx <- { st.ctx with I.frame = top };
+    if st.ctx.I.frame != top.A.fr then st.ctx <- { st.ctx with I.frame = top.A.fr };
     st.ctx
 
 (* If the entry at the cursor is a sync-unit prelog for [point], apply
@@ -207,7 +208,7 @@ let is_sync_chan (_st : state) (ch : P.chan) = ch.ch_cap = Some 0
 
 (* Close the interval root frame. *)
 let finish_root st ret =
-  let top = List.hd st.frames in
+  let top = (List.hd st.frames).A.fr in
   st.root_frame := Some top;
   if st.root_is_proc then begin
     (* the machine emitted E_proc_exit; consume its sync record. In
@@ -249,6 +250,7 @@ let pop_nested st ret =
   match st.frames with
   | [] -> assert false
   | top :: rest ->
+    let top = top.A.fr in
     emit st (E.E_leave { fid = top.I.ffid; call_sid = top.I.call_sid; ret });
     st.frames <- rest;
     let sid = match top.I.call_sid with Some s -> s | None -> assert false in
@@ -291,7 +293,7 @@ let kind_name (k : E.kind) =
   Format.asprintf "%a" E.pp
     (E.E_stmt { sid = -1; reads = []; write = None; kind = k })
 
-let consume st = I.consume_work (List.hd st.frames)
+let consume st = A.consume_work (List.hd st.frames)
 
 let exec_driver st (s : P.stmt) =
   let c = ctx st in
@@ -309,7 +311,7 @@ let exec_driver st (s : P.stmt) =
          { sid = s.sid; reads; write = None; kind = E.K_return { value = ret } });
     if st.root_loop <> None then begin
       (match st.frames with
-      | top :: _ -> st.root_frame := Some top
+      | top :: _ -> st.root_frame := Some top.A.fr
       | [] -> ());
       st.finished <- true
     end
@@ -318,9 +320,9 @@ let exec_driver st (s : P.stmt) =
       | top :: _ ->
         List.iter
           (fun sid -> emit st (E.E_loop_exit { sid; writes = None }))
-          top.I.active_loops;
-        top.I.active_loops <- [];
-        top.I.work <- []
+          top.A.fr.I.active_loops;
+        top.A.fr.I.active_loops <- [];
+        top.A.work <- []
       | [] -> assert false);
       pop_frame st ret
     end
@@ -360,7 +362,7 @@ let exec_driver st (s : P.stmt) =
     end
     else begin
       let frame =
-        I.make_frame st.prog ~fid:call.callee ~args ~ret_lhs:lhs
+        A.make_frame st.prog ~fid:call.callee ~args ~ret_lhs:lhs
           ~call_sid:(Some s.sid)
       in
       st.frames <- frame :: st.frames;
@@ -369,7 +371,7 @@ let exec_driver st (s : P.stmt) =
            {
              fid = call.callee;
              call_sid = Some s.sid;
-             binds = I.binds_of_frame st.prog frame;
+             binds = I.binds_of_frame st.prog frame.A.fr;
            });
       maybe_sync_prelog st
     end
@@ -500,8 +502,8 @@ let exec_driver st (s : P.stmt) =
     | k -> mismatch "expected recv record at s%d, got %s" s.sid (kind_name k))
   | P.Swhile _ -> (
     let top = List.hd st.frames in
-    match top.I.work with
-    | I.Wstmt _ :: _
+    match top.A.work with
+    | A.Wstmt _ :: _
       when st.validate
            && Analysis.Eblock.is_loop_block st.eb ~sid:s.sid
            && st.root_loop <> Some s.sid -> (
@@ -512,7 +514,7 @@ let exec_driver st (s : P.stmt) =
         skip_nested st ~block:(L.Bloop s.sid)
       in
       (* loop writes land in the enclosing frame and the shared store *)
-      apply_vals st ~frame:top vals;
+      apply_vals st ~frame:top.A.fr vals;
       st.seq <- post_seq;
       let writes =
         List.map (fun (vid, v) -> (st.prog.vars.(vid), v)) vals
@@ -530,20 +532,20 @@ let exec_driver st (s : P.stmt) =
         else begin
           List.iter
             (fun sid -> emit st (E.E_loop_exit { sid; writes = None }))
-            top.I.active_loops;
-          top.I.active_loops <- [];
-          top.I.work <- [];
+            top.A.fr.I.active_loops;
+          top.A.fr.I.active_loops <- [];
+          top.A.work <- [];
           pop_frame st ret
         end)
-    | I.Wstmt _ :: _ ->
+    | A.Wstmt _ :: _ ->
       emit st (E.E_loop_enter { sid = s.sid });
-      I.loop_entry top s
-    | I.Wloop _ :: _ ->
-      let ev, continued = I.loop_test c s in
+      A.loop_entry top s
+    | A.Wloop _ :: _ ->
+      let ev, continued = A.loop_test c top s in
       emit st (E.E_stmt ev);
       if not continued then
         if st.root_loop = Some s.sid then begin
-          st.root_frame := Some top;
+          st.root_frame := Some top.A.fr;
           st.finished <- true
         end
         else
@@ -562,16 +564,16 @@ let step st =
   match st.frames with
   | [] ->
     st.finished <- true
-  | _ :: _ -> (
+  | top :: _ -> (
     let c = ctx st in
-    match I.step_local c with
-    | I.Event ev ->
+    match A.step_local c top with
+    | A.Event ev ->
       emit st (E.E_stmt ev);
       (match ev.kind with
       | E.K_assert { ok = false } -> raise (I.Fault "assertion failed")
       | _ -> ())
-    | I.Frame_done -> pop_frame st None
-    | I.Driver s -> exec_driver st s)
+    | A.Frame_done -> pop_frame st None
+    | A.Driver s -> exec_driver st s)
   end
 
 (* Validate the regenerated final state against the recorded postlog.
@@ -665,7 +667,7 @@ let replay ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000)
      be read (upward-exposed) *)
   let dummy_args = List.map (fun _ -> V.Vundef) prog.funcs.(fid).params in
   let frame =
-    I.make_frame prog ~fid ~args:dummy_args ~ret_lhs:None ~call_sid:caller_sid
+    A.make_frame prog ~fid ~args:dummy_args ~ret_lhs:None ~call_sid:caller_sid
   in
   let overlay = Array.make (Array.length prog.globals) None in
   let st =
@@ -682,7 +684,7 @@ let replay ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000)
       events_rev = [];
       on_event;
       out = None;
-      ctx = overlay_ctx prog overlay frame;
+      ctx = overlay_ctx prog overlay frame.A.fr;
       steps = 0;
       root_is_proc;
       root_loop;
@@ -717,18 +719,18 @@ let replay ?(on_event = fun ~seq:_ _ -> ()) ?(max_steps = 1_000_000)
        from the first condition test (the enter event lives in the
        parent interval) *)
     let stmt = prog.stmts.(sid) in
-    frame.I.work <- [ I.Wloop stmt ];
-    frame.I.active_loops <- [ sid ]);
-  apply_vals st ~frame prelog_vals;
+    frame.A.work <- [ A.Wloop stmt ];
+    frame.A.fr.I.active_loops <- [ sid ]);
+  apply_vals st ~frame:frame.A.fr prelog_vals;
   (* what-if experiments (§5.7): the user may perturb the restored
      state before re-execution. Overridden values make the log's sync
      records potentially inconsistent with the new control flow, so
      validation is normally relaxed alongside. *)
-  apply_vals st ~frame
+  apply_vals st ~frame:frame.A.fr
     (List.map (fun ((v : P.var), value) -> (v.vid, value)) overrides);
   st.validate <- validate;
   (* re-emit the interval's opening event *)
-  let binds = I.binds_of_frame prog frame in
+  let binds = I.binds_of_frame prog frame.A.fr in
   (match root_loop with
   | Some _ -> () (* the E_loop_enter event belongs to the parent interval *)
   | None ->

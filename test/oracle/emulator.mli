@@ -1,5 +1,5 @@
 (** The replay oracle: the emulation package stepping e-blocks over the
-    AST with {!Runtime.Interp.step_local}. {!Ppd.Emulator} steps them on
+    AST with {!Ast_step}. {!Ppd.Emulator} steps them on
     the bytecode VM; tests replay every interval with both and require
     the same outcome.
 

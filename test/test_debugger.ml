@@ -95,6 +95,28 @@ let test_intervals_and_log () =
   let log = Ppd.Debugger.eval d "log 1" in
   Alcotest.(check bool) "p1 log shown" true (Util.contains ~sub:"prelog" log)
 
+(* Ids the run never produced answer one line and leave the focus. *)
+let test_unknown_ids () =
+  let d = dbg Workloads.fig61 in
+  let focus = Ppd.Debugger.focus d in
+  List.iter
+    (fun cmd ->
+      let out = Ppd.Debugger.eval d cmd in
+      Alcotest.(check bool)
+        (cmd ^ ": no such node") true
+        (Util.contains ~sub:"no node" out && not (String.contains out '\n')))
+    [ "node 99999"; "node -1"; "focus -3"; "why 123456"; "expand 99999" ];
+  Alcotest.(check bool) "focus kept" true (Ppd.Debugger.focus d = focus);
+  List.iter
+    (fun (cmd, want) ->
+      Alcotest.(check string) cmd want (Ppd.Debugger.eval d cmd))
+    [
+      ("intervals 7", "no process 7 (the log records 3 process(es))");
+      ("intervals -1", "no process -1 (the log records 3 process(es))");
+    ];
+  Alcotest.(check bool) "still answering" true
+    (Util.contains ~sub:"p1#0" (Ppd.Debugger.eval d "intervals 1"))
+
 let test_help_and_quit () =
   let d = dbg Workloads.foo3 in
   Alcotest.(check bool) "help lists commands" true
@@ -120,4 +142,5 @@ let suite =
       Alcotest.test_case "vars" `Quick test_vars_command;
       Alcotest.test_case "intervals/log" `Quick test_intervals_and_log;
       Alcotest.test_case "help/quit" `Quick test_help_and_quit;
+      Alcotest.test_case "unknown ids" `Quick test_unknown_ids;
     ] )

@@ -302,13 +302,10 @@ let test_emulator_exception_no_deadlock () =
 let logged_random ~seed ~sseed =
   let prog = Lang.Compile.compile (Gen.parallel ~protect:`Sometimes seed) in
   let eb = Analysis.Eblock.analyze prog in
-  let obs = Ppd.Pardyn.observer prog in
-  let _, log, _ =
-    Trace.Logger.run_logged
-      ~sched:(Runtime.Sched.Random_seed sseed)
-      ~extra_hooks:(Ppd.Pardyn.factory obs) eb
+  let _, log, observed =
+    Oracle.Pardyn_oracle.run_logged ~sched:(Runtime.Sched.Random_seed sseed) eb
   in
-  (eb, log, Ppd.Race.is_race_free (Ppd.Pardyn.finish obs))
+  (eb, log, Ppd.Race.is_race_free observed)
 
 (* [None] when replay diverges from the log (PPD062), which only a
    racy execution may cause. *)

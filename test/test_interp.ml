@@ -16,7 +16,7 @@ let eval_in expr_src =
   let p = Util.compile src in
   (* run the machine up to the print and capture its event *)
   let acc = ref [] in
-  let m = Runtime.Machine.create ~hooks:(Runtime.Hooks.collect acc) p in
+  let m = Runtime.Machine.create ~hooks:(Oracle.Hooks.collect acc) p in
   (match Runtime.Machine.run m with
   | Runtime.Machine.Finished -> ()
   | h -> Alcotest.failf "eval run failed: %s" (Util.halt_name h));
@@ -114,7 +114,6 @@ let oracle_ctx prog log =
           Runtime.Value.Vundef;
           Runtime.Value.Varr [| 5; -2; 0 |];
         |];
-      work = [];
       active_loops = [];
       ret_lhs = None;
       call_sid = None;
@@ -146,12 +145,12 @@ let observe prog f =
   in
   (result, List.rev !log)
 
-(* [print e] through the interpreter's statement step. *)
+(* [print e] through the AST statement step. *)
 let step_print ctx e =
+  let module A = Oracle.Ast_step in
   let s = { P.sid = 0; loc = Lang.Loc.none; desc = P.Sprint e } in
-  ctx.I.frame.work <- [ I.Wstmt s ];
-  match I.step_local ctx with
-  | I.Event { kind = Runtime.Event.K_print { value }; reads; _ } -> (value, reads)
+  match A.step_local ctx { A.fr = ctx.I.frame; work = [ A.Wstmt s ] } with
+  | A.Event { kind = Runtime.Event.K_print { value }; reads; _ } -> (value, reads)
   | _ -> Alcotest.fail "print did not step to a print event"
 
 let split_eval_matches_oracle =

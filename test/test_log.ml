@@ -58,7 +58,7 @@ let test_open_interval_on_fault () =
 let test_log_much_smaller_than_trace () =
   let _eb, _h, log, tr, _m = Util.run_instrumented (Workloads.matmul 6) in
   let entries = L.entry_count log in
-  let events = Trace.Full_trace.nevents tr in
+  let events = Oracle.Full_trace.nevents tr in
   Alcotest.(check bool)
     (Printf.sprintf "log (%d) << trace (%d)" entries events)
     true

@@ -52,7 +52,7 @@ let test_determinism () =
     let acc = ref [] in
     let m =
       M.create ~sched:(Runtime.Sched.Random_seed 99)
-        ~hooks:(Runtime.Hooks.collect acc) (Util.compile src)
+        ~hooks:(Oracle.Hooks.collect acc) (Util.compile src)
     in
     ignore (M.run m);
     (M.output m, List.rev_map (fun (p, s, e) -> (p, s, Util.event_str e)) !acc)
@@ -130,7 +130,7 @@ let test_sync_channel_rendezvous () =
 let test_sync_channel_order_events () =
   let acc = ref [] in
   let m =
-    M.create ~hooks:(Runtime.Hooks.collect acc)
+    M.create ~hooks:(Oracle.Hooks.collect acc)
       (Util.compile Workloads.fig61)
   in
   ignore (M.run m);

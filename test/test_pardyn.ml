@@ -30,10 +30,12 @@ let vclock_join_props =
 
 let pardyn_of ?sched src =
   let prog = Util.compile src in
-  let obs = Ppd.Pardyn.observer prog in
-  let m = Runtime.Machine.create ?sched ~hooks:(Ppd.Pardyn.factory obs) prog in
+  let obs = Oracle.Pardyn_oracle.observer prog in
+  let m =
+    Runtime.Machine.create ?sched ~hooks:(Oracle.Pardyn_oracle.factory obs) prog
+  in
   let halt = Runtime.Machine.run m in
-  (halt, Ppd.Pardyn.finish obs)
+  (halt, Oracle.Pardyn_oracle.finish obs)
 
 let test_fig61_structure () =
   let halt, g = pardyn_of Workloads.fig61 in
@@ -146,7 +148,7 @@ let hb_equals_reachability =
       let ok = ref true in
       for a = 0 to n - 1 do
         for b = 0 to n - 1 do
-          if Ppd.Pardyn.node_hb g a b <> Ppd.Pardyn.node_reaches g a b then
+          if Ppd.Pardyn.node_hb g a b <> Oracle.Pardyn_oracle.node_reaches g a b then
             ok := false
         done
       done;

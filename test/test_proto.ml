@@ -256,16 +256,16 @@ let test_refined_mhp_prunes_prelogs () =
        against a full trace of the same execution *)
     let eb = Eblock.analyze ~mhp:m p in
     let logger = Trace.Logger.create eb in
-    let ft = Trace.Full_trace.create () in
+    let ft = Oracle.Full_trace.create () in
     let hooks =
-      Runtime.Hooks.both
+      Oracle.Hooks.both
         (Trace.Logger.factory logger)
-        (Trace.Full_trace.factory ft)
+        (Oracle.Full_trace.factory ft)
     in
     let machine = Runtime.Machine.create ~sched:Runtime.Sched.default ~hooks p in
     ignore (Runtime.Machine.run machine);
     let log = Trace.Logger.finish logger in
-    let tr = Trace.Full_trace.finish ft in
+    let tr = Oracle.Full_trace.finish ft in
     let checked = Util.check_replay_equivalence eb log tr in
     Alcotest.(check bool) "intervals replayed" true (checked > 0)
 

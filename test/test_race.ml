@@ -3,11 +3,13 @@
 
 let detect ?sched src =
   let prog = Util.compile src in
-  let obs = Ppd.Pardyn.observer prog in
-  let m = Runtime.Machine.create ?sched ~hooks:(Ppd.Pardyn.factory obs) prog in
+  let obs = Oracle.Pardyn_oracle.observer prog in
+  let m =
+    Runtime.Machine.create ?sched ~hooks:(Oracle.Pardyn_oracle.factory obs) prog
+  in
   ignore (Runtime.Machine.run m);
-  let g = Ppd.Pardyn.finish obs in
-  (g, Ppd.Race.all_pairs g, Ppd.Race.detect g)
+  let g = Oracle.Pardyn_oracle.finish obs in
+  (g, Oracle.Race_oracle.all_pairs g, Ppd.Race.detect g)
 
 (* Named programs: the chain scan must report the oracle's races. *)
 let checked src =
@@ -182,12 +184,9 @@ let log_race_agrees ?policy ~sched ~order src =
       Trace.Log.order_tier ~sched ~max_steps:1_000_000
     else Trace.Log.T_content
   in
-  let obs = Ppd.Pardyn.observer prog in
-  let _, log, _ =
-    Trace.Logger.run_logged ~sched ~max_steps:1_000_000 ~tier
-      ~extra_hooks:(Ppd.Pardyn.factory obs) eb
+  let _, log, observed =
+    Oracle.Pardyn_oracle.run_logged ~sched ~max_steps:1_000_000 ~tier eb
   in
-  let observed = Ppd.Pardyn.finish obs in
   let oracle = Ppd.Race.detect observed in
   let report pd (st : Ppd.Race.stats) =
     Format.asprintf "%a" (Ppd.Race.pp_report pd) st.Ppd.Race.races

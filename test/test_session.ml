@@ -33,7 +33,7 @@ let used_defined_sound src sched =
   let stack pid = Option.value ~default:[] (Hashtbl.find_opt stacks pid) in
   let ok = ref true in
   Array.iter
-    (fun (r : Trace.Full_trace.rec_) ->
+    (fun (r : Oracle.Full_trace.rec_) ->
       let pid = r.tr_pid in
       match r.tr_ev with
       | Runtime.Event.E_proc_start { fid; _ } -> Hashtbl.replace stacks pid [ fid ]
@@ -61,7 +61,7 @@ let used_defined_sound src sched =
                          eb.Analysis.Eblock.defined.(fid))
               then ok := false)
             write))
-    tr.Trace.Full_trace.recs;
+    tr.Oracle.Full_trace.recs;
   !ok
 
 let test_soundness_fixed () =

@@ -154,15 +154,15 @@ let static_covers_dynamic =
     (fun (seed, sseed) ->
       let src = Gen.parallel ~protect:`Sometimes seed in
       let prog = Util.compile src in
-      let obs = Ppd.Pardyn.observer prog in
+      let obs = Oracle.Pardyn_oracle.observer prog in
       let m =
         Runtime.Machine.create
           ~sched:(Runtime.Sched.Random_seed sseed)
-          ~hooks:(Ppd.Pardyn.factory obs) prog
+          ~hooks:(Oracle.Pardyn_oracle.factory obs) prog
       in
       ignore (Runtime.Machine.run m);
       let dynamic =
-        (Ppd.Race.detect (Ppd.Pardyn.finish obs)).Ppd.Race.races
+        (Ppd.Race.detect (Oracle.Pardyn_oracle.finish obs)).Ppd.Race.races
         |> List.map (fun r -> r.Ppd.Race.rc_var.Lang.Prog.vid)
         |> List.sort_uniq compare
       in

@@ -328,9 +328,11 @@ let test_interp_frame () =
     Util.compile "func f(a, b) { var x = a; var arr[2]; return x + b; } func main() { }"
   in
   let frame =
-    Runtime.Interp.make_frame p ~fid:0
-      ~args:[ Runtime.Value.Vint 1; Runtime.Value.Vint 2 ]
-      ~ret_lhs:None ~call_sid:None
+    (Runtime.Vm.make_frame (Lang.Bytecode.plan p) p (Runtime.Vm.make_pstate ())
+       ~fid:0
+       ~args:[ Runtime.Value.Vint 1; Runtime.Value.Vint 2 ]
+       ~ret_lhs:None ~call_sid:None)
+      .fr
   in
   let binds = Runtime.Interp.binds_of_frame p frame in
   Alcotest.(check (list string)) "param names" [ "a"; "b" ]

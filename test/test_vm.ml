@@ -1,5 +1,7 @@
-(* Differential tests: the bytecode VM against the AST-walking
-   interpreter oracle.
+(* Differential tests: the product machine (bytecode VM) against the
+   AST-walking interpreter oracle of test/oracle, which has its own
+   copy of the sync, call and return driver, so the checks cover the
+   product's driver as well as the VM.
 
    The VM claims observational identity with the interpreter — same
    event stream (pid, seq, step, event), same halt, same output, same
@@ -17,88 +19,31 @@
    must still equal, byte for byte, the log recorded beside an observer
    that reads every event, and the interpreter's log. *)
 
-let ( = ) : int -> int -> bool = Stdlib.( = )
+module Machines = Oracle.Machines
 
-let trace_with engine ?(sched = Runtime.Sched.default) ?(max_steps = 200_000)
-    ?(breakpoints = []) prog =
-  let ft = Trace.Full_trace.create () in
-  let m =
-    Runtime.Machine.create ~engine ~sched ~max_steps ~breakpoints
-      ~hooks:(Trace.Full_trace.factory ft) prog
-  in
-  let halt = Runtime.Machine.run m in
-  (halt, Trace.Full_trace.finish ft, m)
+let traced run =
+  let ft = Oracle.Full_trace.create () in
+  let r = run ~hooks:(Oracle.Full_trace.factory ft) in
+  (r, Oracle.Full_trace.finish ft)
 
-let bare_with engine ?(sched = Runtime.Sched.default) ?(max_steps = 200_000)
-    ?(breakpoints = []) prog =
-  let m = Runtime.Machine.create ~engine ~sched ~max_steps ~breakpoints prog in
-  let halt = Runtime.Machine.run m in
-  (halt, m)
-
-let pp_halt = Util.halt_name
-
-let show_rec (r : Trace.Full_trace.rec_) =
-  Format.asprintf "p%d #%d @%d %a" r.tr_pid r.tr_seq r.tr_step Runtime.Event.pp
-    r.tr_ev
-
-(* Structural machine-state comparison shared by every differential
-   check: halt, output, step clock, per-process event counts, final
-   globals. *)
-let check_machines what mi mv hi hv =
-  if Stdlib.( <> ) hi hv then
-    Alcotest.failf "%s: halt differs\ninterp: %s\nvm:     %s" what (pp_halt hi)
-      (pp_halt hv);
-  Alcotest.(check string)
-    (what ^ ": output") (Runtime.Machine.output mi) (Runtime.Machine.output mv);
-  Alcotest.(check int)
-    (what ^ ": nsteps") (Runtime.Machine.nsteps mi) (Runtime.Machine.nsteps mv);
-  Alcotest.(check int)
-    (what ^ ": nprocs") (Runtime.Machine.nprocs mi) (Runtime.Machine.nprocs mv);
-  for pid = 0 to Runtime.Machine.nprocs mi - 1 do
-    Alcotest.(check int)
-      (Printf.sprintf "%s: proc %d seq" what pid)
-      (Runtime.Machine.proc_seq mi pid)
-      (Runtime.Machine.proc_seq mv pid)
-  done;
-  let p = Runtime.Machine.prog mi in
-  Array.iteri
-    (fun slot _ ->
-      let gi = Runtime.Machine.read_global mi slot
-      and gv = Runtime.Machine.read_global mv slot in
-      if Stdlib.( <> ) gi gv then
-        Alcotest.failf "%s: global slot %d differs: %s vs %s" what slot
-          (Runtime.Value.to_string gi) (Runtime.Value.to_string gv))
-    p.Lang.Prog.global_inits
-
-let check_traces what (ti : Trace.Full_trace.t) (tv : Trace.Full_trace.t) =
-  let ni = Array.length ti.recs and nv = Array.length tv.recs in
-  let n = min ni nv in
-  for i = 0 to n - 1 do
-    if Stdlib.( <> ) ti.recs.(i) tv.recs.(i) then
-      Alcotest.failf "%s: trace diverges at event %d\ninterp: %s\nvm:     %s"
-        what i (show_rec ti.recs.(i)) (show_rec tv.recs.(i))
-  done;
-  if ni <> nv then
-    Alcotest.failf "%s: trace lengths differ: interp %d, vm %d" what ni nv
+let fail_on what = function
+  | Some why -> Alcotest.failf "%s: %s" what why
+  | None -> ()
 
 (* The whole contract at once, instrumented and bare. *)
-let assert_identical ?sched ?max_steps ?breakpoints what src =
+let assert_identical ?sched ?(max_steps = 200_000) ?breakpoints what src =
   let prog = Util.compile src in
-  let hi, ti, mi =
-    trace_with Runtime.Machine.Interp_engine ?sched ?max_steps ?breakpoints prog
+  let ri, ti =
+    traced (fun ~hooks -> Machines.interp ?sched ~max_steps ?breakpoints ~hooks prog)
+  and rv, tv =
+    traced (fun ~hooks -> Machines.vm ?sched ~max_steps ?breakpoints ~hooks prog)
   in
-  let hv, tv, mv =
-    trace_with Runtime.Machine.Vm_engine ?sched ?max_steps ?breakpoints prog
-  in
-  check_traces what ti tv;
-  check_machines what mi mv hi hv;
-  let hib, mib =
-    bare_with Runtime.Machine.Interp_engine ?sched ?max_steps ?breakpoints prog
-  in
-  let hvb, mvb =
-    bare_with Runtime.Machine.Vm_engine ?sched ?max_steps ?breakpoints prog
-  in
-  check_machines (what ^ " (bare)") mib mvb hib hvb
+  fail_on what (Machines.trace_diff ti tv);
+  fail_on what (Machines.diff ri rv);
+  fail_on (what ^ " (bare)")
+    (Machines.diff
+       (Machines.interp ?sched ~max_steps ?breakpoints prog)
+       (Machines.vm ?sched ~max_steps ?breakpoints prog))
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: random programs x random schedules.                          *)
@@ -253,10 +198,11 @@ func main() {
 (* ------------------------------------------------------------------ *)
 
 (* Record [prog] through the logger, streaming into an in-memory
-   segment. [co] adds a [Hooks.collect] co-observer, which reads local
-   events and so turns their materialization back on. Returns the
-   marshalled log and the segment bytes with the log and the machine. *)
-let record ?(co = false) ?(breakpoints = []) ~engine ~sched ~tier eb =
+   segment, on the VM or on the interpreter oracle. [co] adds a
+   [Hooks.collect] co-observer, which reads local events and so turns
+   their materialization back on. Returns the marshalled log and the
+   segment bytes with the log and the run. *)
+let record ?(co = false) ?(interp = false) ?breakpoints ~sched ~tier eb =
   let buf = Buffer.create 1024 in
   let w = Store.Segment.Writer.to_buffer ~tier buf in
   let logger =
@@ -264,20 +210,19 @@ let record ?(co = false) ?(breakpoints = []) ~engine ~sched ~tier eb =
   in
   let hooks =
     if co then
-      Runtime.Hooks.both (Trace.Logger.factory logger)
-        (Runtime.Hooks.collect (ref []))
+      Oracle.Hooks.both (Trace.Logger.factory logger)
+        (Oracle.Hooks.collect (ref []))
     else Trace.Logger.factory logger
   in
-  let m =
-    Runtime.Machine.create ~engine ~sched ~max_steps:200_000 ~breakpoints
-      ~hooks eb.Analysis.Eblock.prog
+  let run =
+    (if interp then Machines.interp else Machines.vm)
+      ~sched ~max_steps:200_000 ?breakpoints ~hooks eb.Analysis.Eblock.prog
   in
-  let halt = Runtime.Machine.run m in
   let log = Trace.Logger.finish logger in
   Store.Segment.Writer.close w;
-  (halt, Marshal.to_string log [], Buffer.contents buf, log, m)
+  (Marshal.to_string log [], Buffer.contents buf, log, run)
 
-let check_same_recording what (_, la, sa, _, _) (_, lb, sb, _, _) =
+let check_same_recording what (la, sa, _, _) (lb, sb, _, _) =
   Alcotest.(check bool)
     (what ^ ": marshalled log bytes") true (String.equal la lb);
   Alcotest.(check bool) (what ^ ": segment bytes") true (String.equal sa sb)
@@ -285,15 +230,13 @@ let check_same_recording what (_, la, sa, _, _) (_, lb, sb, _, _) =
 (* The logger-only VM recording against the same recording with a
    locals-reading co-observer, and against the interpreter's. *)
 let check_logger_only ?breakpoints ~sched ~tier what eb =
-  let vm = Runtime.Machine.Vm_engine in
-  let alone = record ?breakpoints ~engine:vm ~sched ~tier eb in
+  let alone = record ?breakpoints ~sched ~tier eb in
   check_same_recording (what ^ " vs collect")
     alone
-    (record ~co:true ?breakpoints ~engine:vm ~sched ~tier eb);
+    (record ~co:true ?breakpoints ~sched ~tier eb);
   check_same_recording (what ^ " vs interp")
     alone
-    (record ?breakpoints ~engine:Runtime.Machine.Interp_engine ~sched ~tier
-       eb);
+    (record ~interp:true ?breakpoints ~sched ~tier eb);
   alone
 
 let oracle_logger_only seed =
@@ -341,15 +284,14 @@ let qcheck_logger_only =
 
 (* Every process's stop is the machine's own event count, also when the
    run ends on a local statement the logger never saw. *)
-let check_stops what (_, _, _, (log : Trace.Log.t), m) =
+let check_stops what (_, _, (log : Trace.Log.t), (run : Machines.run)) =
   Alcotest.(check int)
-    (what ^ ": nprocs") (Runtime.Machine.nprocs m) log.Trace.Log.nprocs;
+    (what ^ ": nprocs") (Array.length run.seqs) log.Trace.Log.nprocs;
   Array.iteri
     (fun pid stop ->
       Alcotest.(check int)
         (Printf.sprintf "%s: pid %d stop" what pid)
-        (Runtime.Machine.proc_seq m pid)
-        stop)
+        run.seqs.(pid) stop)
     log.Trace.Log.stops
 
 (* The loop e-block programs of test_loop_eblock.ml, recorded by the
@@ -360,11 +302,11 @@ let pinned ?breakpoints what src expect =
       ~policy:(Test_loop_eblock.policy ~loops:3)
       (Util.compile src)
   in
-  let ((halt, _, _, _, _) as r) =
+  let ((_, _, _, run) as r) =
     check_logger_only ?breakpoints ~sched:Runtime.Sched.default
       ~tier:Trace.Log.T_content what eb
   in
-  Alcotest.(check string) (what ^ ": halt") expect (pp_halt halt);
+  Alcotest.(check string) (what ^ ": halt") expect (Util.halt_name run.halt);
   check_stops what r
 
 let looped_src = Test_loop_eblock.looped_src
@@ -413,7 +355,7 @@ let test_local_events_on_demand () =
     in
     let hooks =
       if with_collect then
-        Runtime.Hooks.both spy (Runtime.Hooks.collect collected)
+        Oracle.Hooks.both spy (Oracle.Hooks.collect collected)
       else spy
     in
     ignore

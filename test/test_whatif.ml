@@ -297,8 +297,8 @@ let whatif_identity_prop =
         Ppd.Emulator.replay ~validate:false eb log ~interval:root
       in
       let expected =
-        Array.to_list tr.Trace.Full_trace.recs
-        |> List.filter_map (fun (r : Trace.Full_trace.rec_) ->
+        Array.to_list tr.Oracle.Full_trace.recs
+        |> List.filter_map (fun (r : Oracle.Full_trace.rec_) ->
                if
                  r.tr_pid = 0
                  && r.tr_seq >= root.Trace.Log.iv_seq_start

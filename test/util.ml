@@ -48,13 +48,13 @@ let run_instrumented ?(sched = Runtime.Sched.default) ?(max_steps = 200_000)
   let prog = compile src in
   let eb = Analysis.Eblock.analyze ?policy prog in
   let logger = Trace.Logger.create eb in
-  let ft = Trace.Full_trace.create () in
+  let ft = Oracle.Full_trace.create () in
   let hooks =
-    Runtime.Hooks.both (Trace.Logger.factory logger) (Trace.Full_trace.factory ft)
+    Oracle.Hooks.both (Trace.Logger.factory logger) (Oracle.Full_trace.factory ft)
   in
   let m = Runtime.Machine.create ~sched ~max_steps ~hooks prog in
   let halt = Runtime.Machine.run m in
-  (eb, halt, Trace.Logger.finish logger, Trace.Full_trace.finish ft, m)
+  (eb, halt, Trace.Logger.finish logger, Oracle.Full_trace.finish ft, m)
 
 let event_str ev = Format.asprintf "%a" Runtime.Event.pp ev
 
@@ -120,8 +120,8 @@ let check_replay_equivalence ?(expect_mismatch = false) eb log tr =
                nested
            in
            let expected =
-             Array.to_list tr.Trace.Full_trace.recs
-             |> List.filter_map (fun (r : Trace.Full_trace.rec_) ->
+             Array.to_list tr.Oracle.Full_trace.recs
+             |> List.filter_map (fun (r : Oracle.Full_trace.rec_) ->
                     if
                       r.tr_pid = pid
                       && r.tr_seq >= iv.iv_seq_start

@@ -1,8 +1,10 @@
 (* Standalone VM/interpreter differential fuzzer for CI.
 
    Runs random programs (sequential and parallel, race-free and racy)
-   under a cycle of schedulers on both engines and requires identical
-   observable behaviour: full event traces (pid, seq, step, event),
+   under a cycle of schedulers on the product machine (bytecode VM) and
+   on the interpreter oracle (test/oracle, with its own driver), and
+   requires identical observable behaviour: full event traces (pid,
+   seq, step, event),
    halt state, program output, step count, per-process event counts,
    final globals, and the marshalled bytes of the saved incremental
    trace log. Those runs attach a full tracer, which reads every event.
@@ -47,27 +49,24 @@ exception Mismatch of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Mismatch m)) fmt
 
-let run_engine engine prog eb sched =
+module Machines = Oracle.Machines
+
+let traced run eb sched =
   let logger = Trace.Logger.create eb in
-  let ft = Trace.Full_trace.create () in
+  let ft = Oracle.Full_trace.create () in
   let hooks =
-    Runtime.Hooks.both (Trace.Logger.factory logger) (Trace.Full_trace.factory ft)
+    Oracle.Hooks.both (Trace.Logger.factory logger) (Oracle.Full_trace.factory ft)
   in
-  let m =
-    Runtime.Machine.create ~engine ~sched ~max_steps:200_000 ~hooks prog
-  in
-  let halt = Runtime.Machine.run m in
-  (halt, Trace.Full_trace.finish ft, Trace.Logger.finish logger, m)
+  let r = run ~sched ~max_steps:200_000 ~hooks eb.Analysis.Eblock.prog in
+  (r, Oracle.Full_trace.finish ft, Trace.Logger.finish logger)
 
 (* The logger as the only observer: it declines local events, so the VM
    keeps assignments, predicates, prints and asserts on its bare path. *)
-let logger_only engine eb sched =
+let logger_only run eb sched =
   let logger = Trace.Logger.create eb in
-  let m =
-    Runtime.Machine.create ~engine ~sched ~max_steps:200_000
-      ~hooks:(Trace.Logger.factory logger) eb.Analysis.Eblock.prog
-  in
-  ignore (Runtime.Machine.run m);
+  ignore
+    (run ~sched ~max_steps:200_000 ~hooks:(Trace.Logger.factory logger)
+       eb.Analysis.Eblock.prog);
   let log = Trace.Logger.finish logger in
   (log, Marshal.to_string log [])
 
@@ -78,64 +77,27 @@ let replay_agrees what eb log =
   | Ok _ -> ()
   | Error e -> fail "e-block replay%s differs from the AST oracle: %s" what e
 
-let show_rec (r : Trace.Full_trace.rec_) =
-  Format.asprintf "p%d #%d @%d %a" r.tr_pid r.tr_seq r.tr_step Runtime.Event.pp
-    r.tr_ev
+let interp ~sched ~max_steps ~hooks prog =
+  Machines.interp ~sched ~max_steps ~hooks prog
 
-let halt_name = function
-  | Runtime.Machine.Finished -> "finished"
-  | Runtime.Machine.Deadlock _ -> "deadlock"
-  | Runtime.Machine.Fault { msg; _ } -> "fault: " ^ msg
-  | Runtime.Machine.Breakpoint { sid; _ } ->
-    Printf.sprintf "breakpoint at s%d" sid
-  | Runtime.Machine.Out_of_fuel -> "out of fuel"
+let vm ~sched ~max_steps ~hooks prog = Machines.vm ~sched ~max_steps ~hooks prog
 
-let compare_runs prog eb eb_loops sched =
-  let hi, ti, li, mi = run_engine Runtime.Machine.Interp_engine prog eb sched in
-  let hv, tv, lv, mv = run_engine Runtime.Machine.Vm_engine prog eb sched in
-  if hi <> hv then fail "halt differs: %s vs %s" (halt_name hi) (halt_name hv);
-  if Runtime.Machine.output mi <> Runtime.Machine.output mv then
-    fail "output differs:\n--- interp\n%s--- vm\n%s" (Runtime.Machine.output mi)
-      (Runtime.Machine.output mv);
-  if Runtime.Machine.nsteps mi <> Runtime.Machine.nsteps mv then
-    fail "nsteps differs: %d vs %d" (Runtime.Machine.nsteps mi)
-      (Runtime.Machine.nsteps mv);
-  if Runtime.Machine.nprocs mi <> Runtime.Machine.nprocs mv then
-    fail "nprocs differs: %d vs %d" (Runtime.Machine.nprocs mi)
-      (Runtime.Machine.nprocs mv);
-  for pid = 0 to Runtime.Machine.nprocs mi - 1 do
-    if Runtime.Machine.proc_seq mi pid <> Runtime.Machine.proc_seq mv pid then
-      fail "proc %d event count differs: %d vs %d" pid
-        (Runtime.Machine.proc_seq mi pid)
-        (Runtime.Machine.proc_seq mv pid)
-  done;
-  Array.iteri
-    (fun slot _ ->
-      let gi = Runtime.Machine.read_global mi slot
-      and gv = Runtime.Machine.read_global mv slot in
-      if gi <> gv then
-        fail "global slot %d differs: %s vs %s" slot
-          (Runtime.Value.to_string gi) (Runtime.Value.to_string gv))
-    prog.Lang.Prog.global_inits;
-  let ni = Array.length ti.Trace.Full_trace.recs
-  and nv = Array.length tv.Trace.Full_trace.recs in
-  for i = 0 to min ni nv - 1 do
-    if ti.recs.(i) <> tv.recs.(i) then
-      fail "trace diverges at event %d:\ninterp: %s\nvm:     %s" i
-        (show_rec ti.recs.(i)) (show_rec tv.recs.(i))
-  done;
-  if ni <> nv then fail "trace lengths differ: %d vs %d" ni nv;
+let compare_runs eb eb_loops sched =
+  let ri, ti, li = traced interp eb sched in
+  let rv, tv, lv = traced vm eb sched in
+  Option.iter (fail "%s") (Machines.diff ri rv);
+  Option.iter (fail "%s") (Machines.trace_diff ti tv);
   (* the byte-identity claim for saved logs, not just the event level *)
   let bi = Marshal.to_string li [] and bv = Marshal.to_string lv [] in
   if bi <> bv then
     fail "marshalled log bytes differ (%d vs %d bytes)" (String.length bi)
       (String.length bv);
-  let _, bl = logger_only Runtime.Machine.Vm_engine eb sched in
+  let _, bl = logger_only vm eb sched in
   if bi <> bl then
     fail "logger-only vm log bytes differ from interp (%d vs %d bytes)"
       (String.length bi) (String.length bl);
-  let _, il = logger_only Runtime.Machine.Interp_engine eb_loops sched
-  and loops_log, vl = logger_only Runtime.Machine.Vm_engine eb_loops sched in
+  let _, il = logger_only interp eb_loops sched
+  and loops_log, vl = logger_only vm eb_loops sched in
   if il <> vl then
     fail
       "logger-only vm log bytes with loop e-blocks differ from interp (%d vs \
@@ -176,7 +138,7 @@ let () =
         List.iter
           (fun sched ->
             incr cases;
-            try compare_runs prog eb eb_loops sched
+            try compare_runs eb eb_loops sched
             with Mismatch why ->
               incr failures;
               Printf.eprintf
